@@ -14,7 +14,6 @@ from .distributions import (
     GaussianMixture,
     Interval,
     Laplace,
-    RicianComplex,
     from_config,
     inverse_mills,
 )
@@ -23,7 +22,6 @@ from .errors import (
     DivergentIntegral,
     MismatchQuantError,
     NoBracket,
-    QuadratureFailure,
     ZeroEvidence,
     ZeroMassBin,
 )

@@ -90,14 +90,7 @@ def _quad(fn, lo: float, hi: float, *, breakpoints=()) -> float:
 
 
 def _breakpoints(*dists: Distribution) -> list[float]:
-    pts: list[float] = []
-    for d in dists:
-        cfg = d.to_config()
-        if cfg["kind"] == "mixture":
-            pts.extend(c["mean"] for c in cfg["components"])
-        else:
-            pts.append(d.mean)
-    return sorted(pts)
+    return sorted(x for d in dists for x in d.centers())
 
 
 def _cube_root_mass(d: Distribution) -> float:

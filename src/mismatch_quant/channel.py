@@ -130,22 +130,21 @@ def soft_codebook(
     """MMSE reconstruction table for a noisy index: posterior-averaged
     conditional means.
 
-    A received index that cannot occur (zero evidence) falls back to the
-    prior-weighted mean of the conditional means, which is the best guess
-    with no usable observation.
+    Entry ``j`` is ``sum_i P(i) P(j | i) gen_i / sum_i P(i) P(j | i)``, the
+    same Bayes rule as ``index_posterior``, for all received indices at
+    once.  A received index that cannot occur (zero evidence) falls back to
+    the prior-weighted mean of the conditional means, which is the best
+    guess with no usable observation.
     """
     if ch.n != p.n_bins:
         raise ValueError(f"channel size {ch.n} does not match {p.n_bins} bins")
     gen, _ = _generative_values(p, true_d, fallback)
-    mass, _, _ = true_d.edge_stats(p.edges())
+    (mass,) = true_d.edge_stats(p.edges(), order=0)
     priors = mass / mass.sum()
-    values = []
-    for j in range(ch.n):
-        try:
-            post = index_posterior(ch, priors, j)
-            values.append(float(post @ gen))
-        except ZeroEvidence:
-            values.append(float(priors @ gen))
+    joint = ch.as_array() * priors[:, None]
+    evidence = joint.sum(axis=0)
+    values = np.full(ch.n, priors @ gen)
+    np.divide(gen @ joint, evidence, out=values, where=evidence >= 1e-300)
     return Codebook(tuple(values))
 
 

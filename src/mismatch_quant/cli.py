@@ -16,9 +16,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,19 +206,6 @@ def _points(cfg: ExperimentConfig):
     raise ConfigError(f"unknown experiment {cfg.experiment!r}")
 
 
-def _map_points(fn, points):
-    """Apply ``fn(index, point)`` over the grid, preserving output order.
-
-    MQ_THREADS caps the worker count; the default is serial evaluation.
-    """
-    indexed = list(enumerate(points))
-    workers = int(os.environ.get("MQ_THREADS", "1") or "1")
-    if workers <= 1 or len(indexed) <= 1:
-        return [fn(i, pt) for i, pt in indexed]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda pair: fn(*pair), indexed))
-
-
 def _point_seed(seed: int | None, index: int) -> int | None:
     if seed is None:
         return None
@@ -256,7 +241,7 @@ def _run_mean_sweep(cfg: ExperimentConfig):
         true_d = distributions.Gaussian(mean=mu, std=1.0)
         return [mu] + _report_row(design_d, true_d, bits, cfg, index)
 
-    return ["mu1"] + _report_header(cfg), _map_points(work, _points(cfg))
+    return ["mu1"] + _report_header(cfg), [work(i, pt) for i, pt in enumerate(_points(cfg))]
 
 
 def _run_variance_sweep(cfg: ExperimentConfig):
@@ -267,7 +252,7 @@ def _run_variance_sweep(cfg: ExperimentConfig):
         true_d = distributions.Gaussian(mean=0.0, std=sigma)
         return [sigma] + _report_row(design_d, true_d, bits, cfg, index)
 
-    return ["sigma1"] + _report_header(cfg), _map_points(work, _points(cfg))
+    return ["sigma1"] + _report_header(cfg), [work(i, pt) for i, pt in enumerate(_points(cfg))]
 
 
 def _run_laplace_table(cfg: ExperimentConfig):
@@ -277,7 +262,7 @@ def _run_laplace_table(cfg: ExperimentConfig):
     def work(index, bits):
         return _report_row(design_d, true_d, bits, cfg, index)
 
-    return _report_header(cfg), _map_points(work, _points(cfg))
+    return _report_header(cfg), [work(i, pt) for i, pt in enumerate(_points(cfg))]
 
 
 def _run_single_report(cfg: ExperimentConfig):
@@ -291,7 +276,8 @@ def _run_single_report(cfg: ExperimentConfig):
             design_d, true_d, bits, cfg, index
         )
 
-    return ["design", "true"] + _report_header(cfg), _map_points(work, _points(cfg))
+    rows = [work(i, pt) for i, pt in enumerate(_points(cfg))]
+    return ["design", "true"] + _report_header(cfg), rows
 
 
 def _run_rate_recovery(cfg: ExperimentConfig):
@@ -322,7 +308,7 @@ def _run_bsc_sweep(cfg: ExperimentConfig):
     header = ["epsilon", "sigma0", "sigma1", "d_std", "d_hard", "d_opt"]
     if cfg.mc_samples:
         header += ["d_std_mc", "d_hard_mc", "d_opt_mc", "mc_stderr"]
-    return header, _map_points(work, _points(cfg))
+    return header, [work(i, pt) for i, pt in enumerate(_points(cfg))]
 
 
 def _bsc_monte_carlo(sigma0, sigma1, eps, n, seed):
@@ -349,7 +335,7 @@ def _run_rician_csi(cfg: ExperimentConfig):
         return [k_t, cfg.k_d, taskaware.phi(k_t), phi_d, taskaware.eta(k_t, cfg.k_d)]
 
     header = ["k_t", "k_d", "phi_t", "phi_d", "eta_pct"]
-    return header, _map_points(work, _points(cfg))
+    return header, [work(i, pt) for i, pt in enumerate(_points(cfg))]
 
 
 def _semantic_sources(cfg: ExperimentConfig, k: int):
@@ -380,7 +366,7 @@ def _run_semantic_mixture(cfg: ExperimentConfig):
         return [k, bits, rep.acc_fix, rep.acc_gen, rep.acc_ideal, rep.recovery_pct]
 
     header = ["k", "bits", "acc_fix", "acc_gen", "acc_ideal", "recovery_pct"]
-    return header, _map_points(work, _points(cfg))
+    return header, [work(i, pt) for i, pt in enumerate(_points(cfg))]
 
 
 _RUNNERS = {

@@ -1,11 +1,11 @@
 """Source distributions with exact bin masses and truncated moments.
 
 Everything downstream (quantizer design, per-bin conditional means, exact
-distortion evaluation) reduces to first and second moments of a law
-restricted to an interval, so those are computed here in closed form for
-the supported families.  Semi-infinite intervals are first-class: every
-formula is written so that ``+/-inf`` endpoints are exact, not limits
-taken numerically.
+distortion evaluation, task-loss and noisy-channel decoder tables) reduces
+to raw moments of a law restricted to an interval, so those are computed
+here in closed form, up to the fourth, for the supported families.
+Semi-infinite intervals are first-class: every formula is written so that
+``+/-inf`` endpoints are exact, not limits taken numerically.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "Gaussian",
     "Laplace",
     "GaussianMixture",
-    "RicianComplex",
     "inverse_mills",
     "from_config",
 ]
@@ -61,35 +60,57 @@ def _std_normal_pdf(z: np.ndarray) -> np.ndarray:
     return _INV_SQRT_2PI * np.exp(-0.5 * np.square(z))
 
 
-def _z_times_pdf(z: np.ndarray, pdf_z: np.ndarray) -> np.ndarray:
-    # z*phi(z) -> 0 as |z| -> inf; replace the inf*0 indeterminate form.
-    return np.where(np.isfinite(z), z, 0.0) * pdf_z
+def _powers(x: float, order: int) -> list[float]:
+    out = [1.0]
+    for _ in range(order):
+        out.append(out[-1] * x)
+    return out
+
+
+def _shift(loc: float, scale: float, centered: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Raw moments of ``loc + scale * U`` from the per-bin moments of ``U``.
+
+    Binomial expansion ``E[X^k] = sum_j C(k, j) loc^(k-j) scale^j E[U^j]``,
+    summed in increasing ``j``.
+    """
+    lp = _powers(loc, len(centered) - 1)
+    sp = _powers(scale, len(centered) - 1)
+    out = [centered[0]]
+    for k in range(1, len(centered)):
+        acc = lp[k] * centered[0]
+        for j in range(1, k + 1):
+            acc = acc + math.comb(k, j) * lp[k - j] * sp[j] * centered[j]
+        out.append(acc)
+    return tuple(out)
 
 
 def _gaussian_edge_stats(
-    mean: float, std: float, edges: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unnormalized (mass, first, second) moments of N(mean, std^2) per bin.
+    mean: float, std: float, edges: np.ndarray, order: int
+) -> tuple[np.ndarray, ...]:
+    """Unnormalized raw moments ``0..order`` of N(mean, std^2) per bin.
 
     ``edges`` is the increasing array of bin edges including the outer
     ``+/-inf``.  Returns arrays of length ``len(edges) - 1``.  Masses in the
     far tail are formed from the survival function on whichever side avoids
-    cancellation.
+    cancellation.  The standard-normal moments follow the recursion
+    ``I_k = (k-1) I_(k-2) + za^(k-1) phi(za) - zb^(k-1) phi(zb)``.
     """
     z = (edges - mean) / std
-    za, zb = z[:-1], z[1:]
+    below = special.ndtr(z)
+    above = special.ndtr(-z)
     mass = np.where(
-        za >= 0.0,
-        special.ndtr(-za) - special.ndtr(-zb),
-        special.ndtr(zb) - special.ndtr(za),
+        z[:-1] >= 0.0, above[:-1] - above[1:], below[1:] - below[:-1]
     )
-    pa = _std_normal_pdf(za)
-    pb = _std_normal_pdf(zb)
-    e1 = pa - pb                      # int z phi(z) over [za, zb]
-    e2 = mass + _z_times_pdf(za, pa) - _z_times_pdf(zb, pb)
-    m1 = mean * mass + std * e1
-    m2 = mean * mean * mass + 2.0 * mean * std * e1 + std * std * e2
-    return mass, m1, m2
+    moments = [mass]
+    if order:
+        # z^(k-1) phi(z) -> 0 as |z| -> inf; zero z there to avoid inf * 0.
+        z_finite = np.where(np.isfinite(z), z, 0.0)
+        edge_term = _std_normal_pdf(z)
+        moments.append(edge_term[:-1] - edge_term[1:])
+        for k in range(2, order + 1):
+            edge_term = z_finite * edge_term
+            moments.append((k - 1) * moments[k - 2] + edge_term[:-1] - edge_term[1:])
+    return _shift(mean, std, moments)
 
 
 class Distribution(ABC):
@@ -114,10 +135,13 @@ class Distribution(ABC):
         """Quantile function at ``q in (0, 1)`` (scalar or ndarray)."""
 
     @abstractmethod
-    def edge_stats(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Unnormalized (mass, E[X 1_bin], E[X^2 1_bin]) for consecutive bins.
+    def edge_stats(self, edges: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
+        """Unnormalized raw moments ``E[X^k 1_bin]``, ``k = 0..order``, per bin.
 
-        ``edges`` must be increasing and include the outer infinite edges.
+        ``edges`` must be increasing and include the outer infinite edges;
+        ``order`` is a non-negative integer (the package uses up to 4).
+        Every decoder table in the package is a closed-form functional of
+        these moments.
         """
 
     @abstractmethod
@@ -139,9 +163,13 @@ class Distribution(ABC):
     def std(self) -> float:
         return math.sqrt(self.variance)
 
+    def centers(self) -> tuple[float, ...]:
+        """Points the density concentrates around; quadrature splits there."""
+        return (self.mean,)
+
     def mass(self, r: Interval) -> float:
         """Probability assigned to the interval ``r``."""
-        p, _, _ = self.edge_stats(np.array([r.lo, r.hi]))
+        (p,) = self.edge_stats(np.array([r.lo, r.hi]), order=0)
         return float(p[0])
 
     def truncated_moment(self, n: int, r: Interval) -> float:
@@ -195,8 +223,8 @@ class Gaussian(Distribution):
         out = self.mean + self.std * special.ndtri(np.asarray(q, dtype=float))
         return out if out.ndim else float(out)
 
-    def edge_stats(self, edges):
-        return _gaussian_edge_stats(self.mean, self.std, np.asarray(edges, dtype=float))
+    def edge_stats(self, edges, order=2):
+        return _gaussian_edge_stats(self.mean, self.std, np.asarray(edges, dtype=float), order)
 
     def sample(self, seed, n):
         rng = np.random.default_rng(seed)
@@ -256,40 +284,38 @@ class Laplace(Distribution):
         )
         return out if out.ndim else float(out)
 
-    def _cumulative(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # Cumulative centered moments int_{-inf}^{y} u^k f(u) du, k = 0, 1, 2,
-        # from the elementary antiderivatives of u^k exp(-|u|/b).
+    def edge_stats(self, edges, order=2):
+        # Cumulative centered moments int_{-inf}^{y} u^k f(u) du from the
+        # elementary antiderivatives of u^k exp(-|u|/b), with P_k(y) the sum
+        # over j of k!/(k-j)! b^j y^(k-j):
+        #   y < 0:   0.5 e^(y/b) P_k(y) with alternating signs,
+        #   y >= 0:  c_k - 0.5 e^(-y/b) P_k(y), c_k = k! b^k for even k, else 0.
         b = self.scale
-        neg = y < 0.0
-        yf = np.where(np.isfinite(y), y, 0.0)
-        # Each exp factor is only consumed on its own side; clamp the argument
-        # so the unused side cannot overflow inside np.where.
-        en = np.exp(np.minimum(yf, 0.0) / b)
-        ep = np.exp(-np.maximum(yf, 0.0) / b)
-        u0 = np.where(neg, 0.5 * en, 1.0 - 0.5 * ep)
-        u1 = np.where(neg, 0.5 * en * (yf - b), -0.5 * ep * (yf + b))
-        u2 = np.where(
-            neg,
-            0.5 * en * (yf * yf - 2.0 * b * yf + 2.0 * b * b),
-            2.0 * b * b - 0.5 * ep * (yf * yf + 2.0 * b * yf + 2.0 * b * b),
-        )
-        # Patch the exact limits at infinite endpoints.
-        posinf = np.isposinf(y)
-        neginf = np.isneginf(y)
-        u0 = np.where(posinf, 1.0, np.where(neginf, 0.0, u0))
-        u1 = np.where(posinf | neginf, 0.0, u1)
-        u2 = np.where(posinf, 2.0 * b * b, np.where(neginf, 0.0, u2))
-        return u0, u1, u2
-
-    def edge_stats(self, edges):
         y = np.asarray(edges, dtype=float) - self.loc
-        u0, u1, u2 = self._cumulative(y)
-        mass = np.diff(u0)
-        d1 = np.diff(u1)
-        d2 = np.diff(u2)
-        m1 = self.loc * mass + d1
-        m2 = self.loc * self.loc * mass + 2.0 * self.loc * d1 + d2
-        return mass, m1, m2
+        neg = y < 0.0
+        # Each exp factor is only consumed on its own side; clamp the argument
+        # so the unused side cannot overflow inside np.where.  At +/-inf the
+        # used factor is exactly 0, which leaves the exact limits 0 and c_k.
+        half_en = 0.5 * np.exp(np.minimum(y, 0.0) / b)
+        half_ep = 0.5 * np.exp(-np.maximum(y, 0.0) / b)
+        yf = np.where(np.isfinite(y), y, 0.0)
+        bp = _powers(b, order)
+        ypow = [1.0, yf]
+        centered = []
+        for k in range(order + 1):
+            if k >= 2:
+                ypow.append(ypow[-1] * yf)
+            left = right = ypow[k]
+            for j in range(1, k + 1):
+                c = math.perm(k, j) * bp[j]
+                left = left + (-c if j % 2 else c) * ypow[k - j]
+                right = right + c * ypow[k - j]
+            tail = half_ep * right
+            cumulative = np.where(
+                neg, half_en * left, -tail if k % 2 else math.factorial(k) * bp[k] - tail
+            )
+            centered.append(np.diff(cumulative))
+        return _shift(self.loc, 1.0, centered)
 
     def sample(self, seed, n):
         rng = np.random.default_rng(seed)
@@ -370,17 +396,13 @@ class GaussianMixture(Distribution):
         )
         return out if np.asarray(q).ndim else float(out[0])
 
-    def edge_stats(self, edges):
+    def edge_stats(self, edges, order=2):
         edges = np.asarray(edges, dtype=float)
-        mass = np.zeros(len(edges) - 1)
-        m1 = np.zeros(len(edges) - 1)
-        m2 = np.zeros(len(edges) - 1)
+        out = [np.zeros(len(edges) - 1) for _ in range(order + 1)]
         for w, m, s in self.components:
-            p, a, b = _gaussian_edge_stats(m, s, edges)
-            mass += w * p
-            m1 += w * a
-            m2 += w * b
-        return mass, m1, m2
+            for acc, part in zip(out, _gaussian_edge_stats(m, s, edges, order)):
+                acc += w * part
+        return tuple(out)
 
     def sample(self, seed, n):
         rng = np.random.default_rng(seed)
@@ -400,6 +422,9 @@ class GaussianMixture(Distribution):
         second = sum(w * (m * m + s * s) for w, m, s in self.components)
         return second - mu * mu
 
+    def centers(self) -> tuple[float, ...]:
+        return tuple(m for _, m, _ in self.components)
+
     def to_config(self) -> dict:
         return {
             "kind": "mixture",
@@ -407,41 +432,6 @@ class GaussianMixture(Distribution):
                 {"weight": w, "mean": m, "std": s} for w, m, s in self.components
             ],
         }
-
-
-@dataclass(frozen=True)
-class RicianComplex:
-    """Unit-power complex fading coefficient with Rice factor ``k_factor``.
-
-    The line-of-sight amplitude is ``sqrt(K / (K + 1))`` and the scattered
-    power ``1 / (K + 1)``, so ``E[|X|^2] = 1`` for every ``K >= 0``.  This
-    type only carries the parameterization and a complex sampler; the scalar
-    moment machinery used for channel-state losses lives in ``taskaware``.
-    """
-
-    k_factor: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.k_factor) or self.k_factor < 0.0:
-            raise ValueError(f"k_factor must be finite and >= 0, got {self.k_factor}")
-
-    @property
-    def los_amplitude(self) -> float:
-        return math.sqrt(self.k_factor / (self.k_factor + 1.0))
-
-    @property
-    def scatter_power(self) -> float:
-        return 1.0 / (self.k_factor + 1.0)
-
-    def sample(self, seed: int, n: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        s = math.sqrt(self.scatter_power / 2.0)
-        return self.los_amplitude + s * (
-            rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        )
-
-    def to_config(self) -> dict:
-        return {"kind": "rician", "k_factor": self.k_factor}
 
 
 def inverse_mills(alpha: float) -> tuple[float, float]:
@@ -466,12 +456,11 @@ def inverse_mills(alpha: float) -> tuple[float, float]:
     return lam_left, lam_right
 
 
-def from_config(record: dict) -> Distribution | RicianComplex:
+def from_config(record: dict) -> Distribution:
     """Build a distribution from a plain config record.
 
     Recognized kinds: ``gaussian`` (mean, std), ``laplace`` (loc, scale),
-    ``mixture`` (components: list of {weight, mean, std}), and ``rician``
-    (k_factor).
+    and ``mixture`` (components: list of {weight, mean, std}).
     """
     if not isinstance(record, dict):
         raise ValueError(f"distribution config must be a mapping, got {type(record)}")
@@ -491,6 +480,4 @@ def from_config(record: dict) -> Distribution | RicianComplex:
                 (float(c["weight"]), float(c["mean"]), float(c["std"])) for c in comps
             )
         )
-    if kind == "rician":
-        return RicianComplex(k_factor=float(record.get("k_factor", 0.0)))
     raise ValueError(f"unknown distribution kind: {kind!r}")

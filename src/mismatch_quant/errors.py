@@ -9,7 +9,6 @@ __all__ = [
     "DivergentIntegral",
     "ZeroEvidence",
     "NoBracket",
-    "QuadratureFailure",
 ]
 
 
@@ -35,7 +34,3 @@ class ZeroEvidence(MismatchQuantError):
 
 class NoBracket(MismatchQuantError):
     """A scalar minimization bracket does not contain an interior minimum."""
-
-
-class QuadratureFailure(MismatchQuantError):
-    """Adaptive quadrature failed to meet its error budget."""

@@ -95,7 +95,7 @@ def expected_distortion(p: Partition, c: Codebook, d: Distribution) -> float:
 def _generative_values(
     p: Partition, true_d: Distribution, fallback: Codebook | None
 ) -> tuple[np.ndarray, tuple[int, ...]]:
-    mass, m1, _ = true_d.edge_stats(p.edges())
+    mass, m1 = true_d.edge_stats(p.edges(), order=1)
     empty = mass < ZERO_MASS_TOL
     if np.any(empty) and fallback is None:
         raise ZeroMassBin(

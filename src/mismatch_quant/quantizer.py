@@ -135,7 +135,7 @@ def _bin_centroids(d: Distribution, edges: np.ndarray) -> tuple[np.ndarray, np.n
     Bins with no numerical mass get a NaN centroid; callers decide whether
     that is an error or a case for a fallback value.
     """
-    mass, m1, _ = d.edge_stats(edges)
+    mass, m1 = d.edge_stats(edges, order=1)
     empty = mass < ZERO_MASS_TOL
     with np.errstate(invalid="ignore", divide="ignore"):
         centroids = np.where(empty, np.nan, m1) / np.where(empty, 1.0, mass)

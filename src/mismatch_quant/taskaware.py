@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate
 
 from .distributions import (
     ZERO_MASS_TOL,
@@ -24,7 +24,7 @@ from .distributions import (
     GaussianMixture,
     Interval,
 )
-from .errors import NoBracket, QuadratureFailure, ZeroMassBin
+from .errors import NoBracket, ZeroMassBin
 from .quantizer import Codebook, Partition, lloyd_max_design
 
 __all__ = [
@@ -117,40 +117,10 @@ def golden_section_minimize(
     return x
 
 
-def _conditional_power_moment(d: Distribution, n: int, r: Interval) -> float:
-    """``E[X^n | X in r]`` for any n >= 1; n <= 2 closed form, else quadrature."""
-    if n <= 2:
-        return d.truncated_moment(n, r)
-    mass = d.mass(r)
-    if mass < ZERO_MASS_TOL:
-        raise ZeroMassBin(f"no mass on [{r.lo}, {r.hi}) under {d!r}")
-    val, abserr = integrate.quad(
-        lambda x: x**n * d.pdf(x), r.lo, r.hi,
-        epsabs=1e-12, epsrel=1e-10, limit=500,
-    )
-    if not math.isfinite(val) or abserr > max(1e-8, 1e-6 * abs(val)):
-        raise QuadratureFailure(
-            f"moment E[X^{n}] on [{r.lo}, {r.hi}) did not converge "
-            f"(value {val}, abserr {abserr})"
-        )
-    return val / mass
-
-
 def _bin_objective(
     d: Distribution, loss: TaskLoss, r: Interval, mass: float
 ) -> Callable[[float], float]:
-    """Conditional expected loss on the bin as a smooth function of ``a``."""
-    if loss.kind == "squared_error":
-        m1 = d.truncated_moment(1, r)
-        m2 = d.truncated_moment(2, r)
-        return lambda a: m2 - 2.0 * a * m1 + a * a
-    if loss.kind == "weighted_mse_csi":
-        # |x|^2 |x - a|^2 expands to a quadratic in a with moment coefficients,
-        # so the quadrature cost is paid once per bin, not once per probe.
-        m2 = d.truncated_moment(2, r)
-        m3 = _conditional_power_moment(d, 3, r)
-        m4 = _conditional_power_moment(d, 4, r)
-        return lambda a: m4 - 2.0 * a * m3 + a * a * m2
+    """Conditional expected custom loss on the bin as a function of ``a``."""
 
     def objective(a: float) -> float:
         val, _ = integrate.quad(
@@ -172,7 +142,11 @@ def task_codebook(
 ) -> Codebook:
     """Per-bin minimizers of the conditional expected task loss.
 
-    Each bin's search bracket is its conditional mean plus/minus
+    The built-in losses have closed-form minimizers in the per-bin raw
+    moments ``m_k``: ``m1/m0`` for squared error and ``m3/m2`` for the
+    power-weighted loss, whose conditional risk ``m4 - 2a m3 + a^2 m2`` is a
+    quadratic in ``a``.  A custom loss is minimized by golden-section search
+    with each bin's bracket at its conditional mean plus/minus
     ``bracket_sigmas`` conditional standard deviations.
 
     Raises
@@ -180,32 +154,37 @@ def task_codebook(
     ZeroMassBin
         If some bin has no mass under ``true_d``.
     NoBracket
-        If a bin's bracket does not contain an interior minimum.
+        If a custom loss's bracket does not contain an interior minimum.
     """
+    moments = true_d.edge_stats(p.edges(), order=3 if loss.kind == "weighted_mse_csi" else 2)
+    mass = moments[0]
+    empty = np.flatnonzero(mass < ZERO_MASS_TOL)
+    if empty.size:
+        raise ZeroMassBin(f"bin {empty[0]} carries no mass under {true_d!r}")
+    mean = moments[1] / mass
+    if loss.kind == "squared_error":
+        return Codebook(tuple(mean))
+    if loss.kind == "weighted_mse_csi":
+        # A bin whose second moment underflows has a flat risk; keep its mean.
+        m2, m3 = moments[2], moments[3]
+        return Codebook(tuple(np.divide(m3, m2, out=mean, where=m2 > 0.0)))
+
+    sigma = np.sqrt(np.maximum(moments[2] / mass - mean * mean, 0.0))
     values = []
-    for i in range(p.n_bins):
-        r = p.interval(i)
-        mass = true_d.mass(r)
-        if mass < ZERO_MASS_TOL:
-            raise ZeroMassBin(f"bin {i} carries no mass under {true_d!r}")
-        m1 = true_d.truncated_moment(1, r)
-        m2 = true_d.truncated_moment(2, r)
-        sigma = math.sqrt(max(m2 - m1 * m1, 0.0))
-        if sigma == 0.0:
-            values.append(m1)
+    for i, r in enumerate(p.bins()):
+        if sigma[i] == 0.0:
+            values.append(mean[i])
             continue
-        objective = _bin_objective(true_d, loss, r, mass)
+        objective = _bin_objective(true_d, loss, r, mass[i])
+        span = bracket_sigmas * sigma[i]
         values.append(
-            golden_section_minimize(
-                objective, m1 - bracket_sigmas * sigma, m1 + bracket_sigmas * sigma,
-                tol=tol,
-            )
+            golden_section_minimize(objective, mean[i] - span, mean[i] + span, tol=tol)
         )
     return Codebook(tuple(values))
 
 
-def rician_moment(k_factor: float, n: int) -> float:
-    """Scalar moment ``M_n(K)`` of the positive-part fading amplitude.
+def _rician_moments(k_factor: float) -> np.ndarray:
+    """Conditional moments ``M_0..M_4`` of the positive-part fading amplitude.
 
     The unit-power Rice-``K`` coefficient is reduced to a real Gaussian with
     the line-of-sight mean ``sqrt(K/(K+1))`` and the full scattered power
@@ -213,46 +192,40 @@ def rician_moment(k_factor: float, n: int) -> float:
     convention pins the K = 0 anchors ``M_2 = 1``, ``M_3 = 2 sqrt(2/pi)``
     and ``M_4 = 3``, and collapses to a unit point mass as K grows.
     """
-    if n not in (2, 3, 4):
-        raise ValueError(f"n must be 2, 3, or 4, got {n}")
     if not math.isfinite(k_factor) or k_factor < 0.0:
         raise ValueError(f"k_factor must be finite and >= 0, got {k_factor}")
-    mu = math.sqrt(k_factor / (k_factor + 1.0))
-    sigma = math.sqrt(1.0 / (k_factor + 1.0))
-    mass = float(special.ndtr(mu / sigma))
-    lo = max(0.0, mu - 13.0 * sigma)
-    hi = mu + 13.0 * sigma
-    g = Gaussian(mean=mu, std=sigma)
-    val, abserr = integrate.quad(
-        lambda x: x**n * g.pdf(x), lo, hi, epsabs=1e-13, epsrel=1e-12, limit=500
-    )
-    if not math.isfinite(val) or abserr > 1e-9:
-        raise QuadratureFailure(
-            f"M_{n}({k_factor}) quadrature did not converge "
-            f"(value {val}, abserr {abserr})"
-        )
-    return val / mass
+    g = Gaussian(mean=math.sqrt(k_factor / (k_factor + 1.0)),
+                 std=math.sqrt(1.0 / (k_factor + 1.0)))
+    raw = np.concatenate(g.edge_stats([0.0, math.inf], order=4))
+    return raw / raw[0]
+
+
+def rician_moment(k_factor: float, n: int) -> float:
+    """Scalar moment ``M_n(K)`` of the positive-part fading amplitude,
+    ``n`` in {2, 3, 4}; see ``_rician_moments`` for the convention."""
+    if n not in (2, 3, 4):
+        raise ValueError(f"n must be 2, 3, or 4, got {n}")
+    return float(_rician_moments(k_factor)[n])
 
 
 def phi(k_factor: float) -> float:
     """Task-optimal scalar reconstruction ``M_3(K) / M_2(K)`` for the
     power-weighted loss; decreases from ``2 sqrt(2/pi)`` at K = 0 toward 1."""
-    return rician_moment(k_factor, 3) / rician_moment(k_factor, 2)
+    m = _rician_moments(k_factor)
+    return float(m[3] / m[2])
 
 
 def eta(k_true: float, k_design: float) -> float:
     """Percentage task-loss saving from adapting the reconstruction to the
     true Rice factor instead of keeping the design one."""
-    m2 = rician_moment(k_true, 2)
-    m3 = rician_moment(k_true, 3)
-    m4 = rician_moment(k_true, 4)
+    _, _, m2, m3, m4 = _rician_moments(k_true)
 
     def task_loss(a: float) -> float:
         return m4 - 2.0 * a * m3 + a * a * m2
 
-    adapted = task_loss(phi(k_true))
+    adapted = task_loss(m3 / m2)
     stale = task_loss(phi(k_design))
-    return 100.0 * (1.0 - adapted / stale)
+    return float(100.0 * (1.0 - adapted / stale))
 
 
 @dataclass(frozen=True)
@@ -307,7 +280,7 @@ def _joint_mass(p: Partition, src: LabeledSource) -> np.ndarray:
     edges = p.edges()
     rows = []
     for c in src.classes:
-        mass, _, _ = c.distribution.edge_stats(edges)
+        (mass,) = c.distribution.edge_stats(edges, order=0)
         rows.append(c.weight * mass)
     return np.asarray(rows)
 

@@ -1,6 +1,9 @@
 """Tests for the source laws: closed-form interval moments against quadrature."""
 
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,6 @@ from mismatch_quant import (
     GaussianMixture,
     Interval,
     Laplace,
-    RicianComplex,
     ZeroMassBin,
     from_config,
     inverse_mills,
@@ -189,6 +191,51 @@ class TestTruncatedMoments:
         assert mix.truncated_moment(1, r) == pytest.approx(num / den, rel=1e-12)
 
 
+class TestEdgeStatsOracle:
+    """Raw moments of order 0..4 against a 40-digit quadrature oracle.
+
+    The error is measured against ``mass * R^k``, with ``R`` the largest
+    finite bin edge magnitude or the law's std: narrow bins near zero have
+    raw odd moments far below that scale, so a relative bound would only
+    measure cancellation in the oracle's own subject.
+    """
+
+    LAWS = [Gaussian(0.7, 1.3), Laplace(-0.4, 0.8),
+            GaussianMixture(((0.35, -1.2, 0.6), (0.65, 0.9, 1.1)))]
+
+    @staticmethod
+    def _check(d, a, b, tol, mp_raw_moment):
+        got = d.edge_stats(np.array([a, b]), order=4)
+        assert len(got) == 5
+        mass = mp_raw_moment(d, a, b, 0)
+        scale = max([d.std] + [abs(x) for x in (a, b) if math.isfinite(x)])
+        for k in range(5):
+            want = mp_raw_moment(d, a, b, k)
+            err = abs(float(got[k][0]) - want)
+            assert err <= tol * float(mass) * scale**k, (d, a, b, k, float(err))
+
+    @pytest.mark.parametrize("d", LAWS)
+    def test_semi_infinite_bins(self, d, mp_raw_moment):
+        self._check(d, -math.inf, d.mean - 1.5 * d.std, 1e-13, mp_raw_moment)
+        self._check(d, d.mean + 0.5 * d.std, math.inf, 1e-13, mp_raw_moment)
+
+    @pytest.mark.parametrize("d", LAWS)
+    def test_narrow_bins_at_the_mean_and_four_sigma_out(self, d, mp_raw_moment):
+        w = 1e-3
+        for a in (d.mean, d.mean - 0.5 * w, d.mean + 4.0 * d.std, d.mean - 4.0 * d.std - w):
+            self._check(d, a, a + w, 1e-11, mp_raw_moment)
+
+    @pytest.mark.parametrize("d", LAWS)
+    def test_lower_orders_are_prefixes(self, d):
+        edges = np.array([-np.inf, -1.0, 0.2, 2.5, np.inf])
+        full = d.edge_stats(edges, order=4)
+        for order in range(4):
+            part = d.edge_stats(edges, order=order)
+            assert len(part) == order + 1
+            for a, b in zip(part, full):
+                assert np.array_equal(a, b)
+
+
 class TestInverseMills:
     def test_zero_threshold(self):
         left, right = inverse_mills(0.0)
@@ -259,22 +306,6 @@ class TestSampling:
             assert abs(np.mean(sel) - want) < 5 * se
 
 
-class TestRicianComplex:
-    def test_unit_average_power(self):
-        for k in (0.0, 1.0, 3.0, 10.0):
-            r = RicianComplex(k)
-            assert r.los_amplitude**2 + r.scatter_power == pytest.approx(1.0, abs=1e-14)
-
-    def test_sampled_power(self):
-        r = RicianComplex(3.0)
-        z = r.sample(5, 500_000)
-        assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, rel=0.01)
-
-    def test_rejects_negative_k(self):
-        with pytest.raises(ValueError):
-            RicianComplex(-0.5)
-
-
 class TestConfigRoundTrip:
     @pytest.mark.parametrize(
         "d",
@@ -282,7 +313,6 @@ class TestConfigRoundTrip:
             Gaussian(0.5, 2.0),
             Laplace(-1.0, 0.9),
             GaussianMixture(((0.4, -1.0, 1.0), (0.6, 2.0, 0.5))),
-            RicianComplex(3.0),
         ],
     )
     def test_round_trip(self, d):
@@ -290,8 +320,19 @@ class TestConfigRoundTrip:
         assert clone == d
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            from_config({"kind": "cauchy"})
+        for kind in ("cauchy", "rician"):
+            with pytest.raises(ValueError):
+                from_config({"kind": kind, "k_factor": 3.0})
+
+    def test_readme_law_examples_parse(self):
+        """Every ``{"kind": ...}`` record in the README builds a law."""
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        decoder = json.JSONDecoder()
+        starts = [m.start() for m in re.finditer(r'\{"kind"', text)]
+        assert len(starts) >= 3
+        for start in starts:
+            record, _ = decoder.raw_decode(text, start)
+            assert from_config(record).to_config()["kind"] == record["kind"]
 
 
 class TestCdfPpf:

@@ -87,9 +87,20 @@ class TestTaskCodebook:
                                    epsabs=1e-13, limit=300)
             m2, _ = integrate.quad(lambda x: x**2 * d.pdf(x), lo, hi,
                                    epsabs=1e-13, limit=300)
-            # the implementation integrates the unbounded bin directly, so
-            # agreement is limited by that quadrature, not the search tol
-            assert got[i] == pytest.approx(m3 / m2, rel=1e-7)
+            # the codeword is the closed-form ratio of the kernel's raw
+            # moments, so agreement is limited by this quadrature oracle
+            assert got[i] == pytest.approx(m3 / m2, rel=1e-12)
+
+    @pytest.mark.parametrize("d, p", [
+        (Laplace(0.3, 0.8), Partition((-2.0, -0.5, 0.0, 0.5, 0.9, 1.7, 2.5))),
+        (GaussianMixture(((0.35, -1.2, 0.6), (0.65, 0.9, 1.1))),
+         Partition((-2.1, -1.0, -0.3, 0.2, 0.8, 1.5, 2.4))),
+    ])
+    def test_csi_codebook_against_40_digit_moments(self, d, p, mp_raw_moment):
+        got = task_codebook(p, d, weighted_mse_csi()).as_array()
+        for i, r in enumerate(p.bins()):
+            want = mp_raw_moment(d, r.lo, r.hi, 3) / mp_raw_moment(d, r.lo, r.hi, 2)
+            assert got[i] == pytest.approx(float(want), rel=1e-11)
 
     def test_csi_pulls_codewords_above_the_mean(self):
         # power weighting tilts each bin's optimum toward larger |x|
@@ -132,6 +143,15 @@ class TestRicianMoments:
         for k in (0.0, 1.0, 3.0, 10.0, 100.0):
             m2 = rician_moment(k, 2)
             assert 1.0 <= m2 < 1.3
+
+    @pytest.mark.parametrize("k", [0.0, 1.0, 200.0])
+    def test_against_40_digit_quadrature(self, k, mp_raw_moment):
+        mu = math.sqrt(k / (k + 1.0))
+        g = Gaussian(mu, math.sqrt(1.0 / (k + 1.0)))
+        mass = mp_raw_moment(g, 0.0, math.inf, 0)
+        for n in (2, 3, 4):
+            want = mp_raw_moment(g, 0.0, math.inf, n) / mass
+            assert rician_moment(k, n) == pytest.approx(float(want), rel=1e-14)
 
     def test_validation(self):
         with pytest.raises(ValueError):
