@@ -10,7 +10,7 @@ table for the given channel).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,12 +38,18 @@ STRATEGIES = ("standard_separation", "hard_generative", "soft_generative")
 
 @dataclass(frozen=True)
 class Channel:
-    """Row-stochastic index transition matrix ``P(received j | sent i)``."""
+    """Row-stochastic index transition matrix ``P(received j | sent i)``.
+
+    ``matrix`` accepts any square array-like and is stored as a tuple of
+    tuples, which equality and hashing use; the validated array is kept
+    alongside, read-only, for the decoders.
+    """
 
     matrix: tuple[tuple[float, ...], ...]
+    _array: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"transition matrix must be square, got shape {m.shape}")
         if not np.all(np.isfinite(m)) or np.any(m < 0.0):
@@ -51,6 +57,8 @@ class Channel:
         rows = m.sum(axis=1)
         if np.any(np.abs(rows - 1.0) > 1e-12):
             raise ValueError(f"rows must sum to 1 within 1e-12, got {rows}")
+        m.flags.writeable = False
+        object.__setattr__(self, "_array", m)
         object.__setattr__(self, "matrix", tuple(tuple(row) for row in m))
 
     @property
@@ -58,7 +66,8 @@ class Channel:
         return len(self.matrix)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.matrix)
+        """The transition matrix as a read-only array (no copy)."""
+        return self._array
 
 
 @dataclass(frozen=True)
@@ -94,7 +103,7 @@ def bsc_channel(bits: int, epsilon: float) -> Channel:
         hamming += xor & 1
         xor >>= 1
     matrix = (epsilon**hamming) * (1.0 - epsilon) ** (bits - hamming)
-    return Channel(matrix=tuple(tuple(row) for row in matrix))
+    return Channel(matrix=matrix)
 
 
 def index_posterior(ch: Channel, priors, received: int) -> np.ndarray:

@@ -113,6 +113,34 @@ def _gaussian_edge_stats(
     return _shift(mean, std, moments)
 
 
+def _laplace_left_moments(
+    lo: np.ndarray, hi: np.ndarray, b: float, order: int
+) -> list[np.ndarray]:
+    """``int_lo^hi u^k e^(u/b) / (2b) du``, ``k = 0..order``, per bin, ``lo <= hi <= 0``.
+
+    Substituting ``u = hi - v`` gives ``0.5 e^(hi/b) sum_m C(k, m) hi^(k-m)
+    (-b)^m m! P(m+1, (hi - lo)/b)``, with ``P`` the regularized lower
+    incomplete gamma function.  Every term has the sign ``(-1)^k``, so the sum
+    cancels nothing however narrow or far out the bin, and ``lo = -inf`` is
+    exact (``P = 1``).
+    """
+    half_e = 0.5 * np.exp(hi / b)
+    x = (hi - lo) / b
+    gam = [
+        math.factorial(m) * (-b) ** m * special.gammainc(m + 1, x) for m in range(order + 1)
+    ]
+    hpow = [1.0, hi]
+    out = []
+    for k in range(order + 1):
+        if k >= 2:
+            hpow.append(hpow[-1] * hi)
+        acc = gam[k]
+        for m in range(k):
+            acc = acc + math.comb(k, m) * hpow[k - m] * gam[m]
+        out.append(half_e * acc)
+    return out
+
+
 class Distribution(ABC):
     """A scalar source law with closed-form interval moments."""
 
@@ -285,36 +313,19 @@ class Laplace(Distribution):
         return out if out.ndim else float(out)
 
     def edge_stats(self, edges, order=2):
-        # Cumulative centered moments int_{-inf}^{y} u^k f(u) du from the
-        # elementary antiderivatives of u^k exp(-|u|/b), with P_k(y) the sum
-        # over j of k!/(k-j)! b^j y^(k-j):
-        #   y < 0:   0.5 e^(y/b) P_k(y) with alternating signs,
-        #   y >= 0:  c_k - 0.5 e^(-y/b) P_k(y), c_k = k! b^k for even k, else 0.
-        b = self.scale
+        # Each bin is split at y = 0.  The part at y <= 0 is integrated
+        # directly; the part at y > 0 is the mirror image, (-1)^k times the
+        # same integral over the reflected piece.  Neither tail is then
+        # formed as a difference from the total moment k! b^k, which would
+        # lose every digit far out on the right.
         y = np.asarray(edges, dtype=float) - self.loc
-        neg = y < 0.0
-        # Each exp factor is only consumed on its own side; clamp the argument
-        # so the unused side cannot overflow inside np.where.  At +/-inf the
-        # used factor is exactly 0, which leaves the exact limits 0 and c_k.
-        half_en = 0.5 * np.exp(np.minimum(y, 0.0) / b)
-        half_ep = 0.5 * np.exp(-np.maximum(y, 0.0) / b)
-        yf = np.where(np.isfinite(y), y, 0.0)
-        bp = _powers(b, order)
-        ypow = [1.0, yf]
-        centered = []
-        for k in range(order + 1):
-            if k >= 2:
-                ypow.append(ypow[-1] * yf)
-            left = right = ypow[k]
-            for j in range(1, k + 1):
-                c = math.perm(k, j) * bp[j]
-                left = left + (-c if j % 2 else c) * ypow[k - j]
-                right = right + c * ypow[k - j]
-            tail = half_ep * right
-            cumulative = np.where(
-                neg, half_en * left, -tail if k % 2 else math.factorial(k) * bp[k] - tail
-            )
-            centered.append(np.diff(cumulative))
+        neg = np.minimum(y, 0.0)
+        pos = np.maximum(y, 0.0)
+        left = _laplace_left_moments(neg[:-1], neg[1:], self.scale, order)
+        right = _laplace_left_moments(-pos[1:], -pos[:-1], self.scale, order)
+        centered = [
+            lk - rk if k % 2 else lk + rk for k, (lk, rk) in enumerate(zip(left, right))
+        ]
         return _shift(self.loc, 1.0, centered)
 
     def sample(self, seed, n):

@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import linalg
 
 from .distributions import ZERO_MASS_TOL, Distribution, Interval
 from .errors import DegenerateDesign, ZeroMassBin
@@ -96,8 +97,13 @@ class Quantizer:
     partition: Partition
     design_codebook: Codebook
     design_law: Distribution
-    # Expected design-law distortion after each Lloyd iteration; diagnostic.
+    # How the Lloyd-Max design that produced this quantizer ended; diagnostic,
+    # so none of it takes part in equality.  The defaults describe a
+    # quantizer built directly, with no design run behind it.
     distortion_history: tuple[float, ...] = field(default=(), compare=False)
+    converged: bool = field(default=False, compare=False)
+    iterations: int = field(default=0, compare=False)
+    residual: float = field(default=math.nan, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.design_codebook) != self.partition.n_bins:
@@ -129,19 +135,6 @@ class Quantizer:
         }
 
 
-def _bin_centroids(d: Distribution, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Masses and conditional means for the bins cut by ``edges``.
-
-    Bins with no numerical mass get a NaN centroid; callers decide whether
-    that is an error or a case for a fallback value.
-    """
-    mass, m1 = d.edge_stats(edges, order=1)
-    empty = mass < ZERO_MASS_TOL
-    with np.errstate(invalid="ignore", divide="ignore"):
-        centroids = np.where(empty, np.nan, m1) / np.where(empty, 1.0, mass)
-    return mass, centroids
-
-
 def centroid_codebook(p: Partition, d: Distribution) -> Codebook:
     """Per-bin conditional means of ``d`` on the partition ``p``.
 
@@ -150,19 +143,14 @@ def centroid_codebook(p: Partition, d: Distribution) -> Codebook:
     ZeroMassBin
         If ``d`` places no numerical mass on some bin.
     """
-    mass, centroids = _bin_centroids(d, p.edges())
+    mass, m1 = d.edge_stats(p.edges(), order=1)
     bad = np.flatnonzero(mass < ZERO_MASS_TOL)
     if bad.size:
         raise ZeroMassBin(
             f"bins {bad.tolist()} carry no mass under {d!r}; "
             "no conditional mean exists"
         )
-    return Codebook(tuple(centroids))
-
-
-def _design_distortion(d: Distribution, edges: np.ndarray, codebook: np.ndarray) -> float:
-    mass, m1, m2 = d.edge_stats(edges)
-    return float(np.sum(m2) - 2.0 * np.dot(codebook, m1) + np.dot(codebook**2, mass))
+    return Codebook(tuple(m1 / mass))
 
 
 def _cube_root_quantiles(d: Distribution, q: np.ndarray) -> np.ndarray:
@@ -184,6 +172,41 @@ def _cube_root_quantiles(d: Distribution, q: np.ndarray) -> np.ndarray:
     return np.interp(q, cdf, grid)
 
 
+def _design_state(d: Distribution, t: np.ndarray):
+    """Bin masses, centroids, design distortion, midpoint residual and
+    ``sum(m2)`` of the partition cut at thresholds ``t``, from one kernel call."""
+    mass, m1, m2 = d.edge_stats(np.concatenate(([-np.inf], t, [np.inf])))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        c = m1 / mass
+    m2_sum = float(np.sum(m2))
+    distortion = m2_sum - 2.0 * float(np.dot(c, m1)) + float(np.dot(c**2, mass))
+    return mass, c, distortion, t - 0.5 * (c[:-1] + c[1:]), m2_sum
+
+
+def _damped_newton_step(d: Distribution, t, mass, c, r, damping: float):
+    """Solve ``((1 - damping) J + damping I) s = r`` for the step ``s``.
+
+    ``J = I - L`` is the Jacobian of the midpoint residual ``r``, with ``L``
+    the tridiagonal Jacobian of the Lloyd map ``t -> (c[:-1] + c[1:]) / 2``
+    from ``dc_i/dt = f(t) (t - c_i) / mass_i`` at each edge of bin ``i``.
+    ``damping = 0`` is Newton's step and ``damping = 1`` is Lloyd's step
+    ``s = r``; in between, the slow modes that Lloyd's step barely moves are
+    amplified by up to ``1 / damping``.  Returns None if the solve fails.
+    """
+    f = np.asarray(d.pdf(t), dtype=float)
+    phi = 1.0 - damping
+    right = 0.5 * f * (t - c[:-1]) / mass[:-1]  # dc_i/dt_i / 2, t_i ends bin i
+    left = 0.5 * f * (c[1:] - t) / mass[1:]  # dc_(i+1)/dt_i / 2, t_i starts bin i+1
+    ab = np.zeros((3, len(t)))
+    ab[0, 1:] = -phi * right[1:]  # -phi L[i, i + 1]
+    ab[1] = 1.0 - phi * (right + left)
+    ab[2, :-1] = -phi * left[:-1]  # -phi L[i + 1, i]
+    try:
+        return linalg.solve_banded((1, 1), ab, r, check_finite=False)
+    except linalg.LinAlgError:
+        return None
+
+
 def lloyd_max_design(
     d: Distribution,
     bits: int,
@@ -194,10 +217,18 @@ def lloyd_max_design(
 ) -> Quantizer:
     """Design a minimum-MSE scalar quantizer for ``d`` at ``bits`` bits.
 
-    Alternates the two optimality conditions until the codebook is a fixed
-    point: thresholds at codeword midpoints, codewords at bin centroids.
-    By default the codebook is initialized at the ``(i + 0.5) / N`` quantiles
-    of ``d``, which keeps every bin populated for the supported families.
+    Solves the two optimality conditions, thresholds at codeword midpoints
+    and codewords at bin centroids, as one equation in the thresholds:
+    ``r(t) = t - (c[:-1] + c[1:]) / 2 = 0``, ``c`` the centroids of the bins
+    ``t`` cuts.  Each iteration takes a damped Newton step on ``r`` and keeps
+    it if the thresholds stay increasing, no bin empties and the design
+    distortion does not rise; the damping then shrinks.  Otherwise it takes
+    Lloyd's step ``t <- (c[:-1] + c[1:]) / 2``, which cannot raise the
+    distortion and carries laws that are not log-concave (mixtures) towards
+    the region where Newton converges, and the damping grows.  For
+    log-concave laws the fixed point is unique.  By default the start is
+    the ``(i + 0.5) / N`` quantiles of ``d``, which keeps every bin
+    populated for the supported families.
 
     Parameters
     ----------
@@ -206,21 +237,26 @@ def lloyd_max_design(
     bits : int
         Bit depth, 1 through 16; the codebook has ``2**bits`` entries.
     max_iters : int
-        Iteration cap; the loop usually exits early on ``tol``.
+        Iteration cap; a design that reaches it reports ``converged=False``.
     tol : float
-        Convergence threshold on the largest codeword movement.
+        Convergence threshold on the size of an accepted Newton step: its
+        largest threshold movement, relative to ``max(1, max|t|)``.  The loop
+        also stops, converged, once the residual ``max|r|`` is down to a few
+        ulps of ``max(1, max|t|)``.
     init : str
         Initialization scheme.  ``"quantile"`` spreads codewords at the
         design-law quantiles; ``"cube_root"`` uses quantiles of the
         normalized ``f^{1/3}`` density, which matches the high-rate optimal
-        point density and converges much faster at large bit depths.
+        point density and starts much closer at large bit depths.
 
     Returns
     -------
     Quantizer
         The designed quantizer.  Its codebook is exactly the centroid
-        codebook of its partition, and ``distortion_history`` holds the
-        non-increasing per-iteration design distortion.
+        codebook of its partition.  ``distortion_history`` holds the
+        non-increasing design distortion at the start and after each
+        iteration; ``converged``, ``iterations`` and ``residual`` (the final
+        ``max|r|``) record how the design ended.
 
     Raises
     ------
@@ -242,34 +278,47 @@ def lloyd_max_design(
     if np.any(np.diff(codebook) <= 0.0):
         raise DegenerateDesign(f"{init} initialization produced coincident codewords")
 
-    history: list[float] = []
-    for _ in range(max_iters):
-        boundaries = 0.5 * (codebook[:-1] + codebook[1:])
-        edges = np.concatenate(([-np.inf], boundaries, [np.inf]))
-        mass, centroids = _bin_centroids(d, edges)
-        if np.any(mass < ZERO_MASS_TOL):
-            bad = np.flatnonzero(mass < ZERO_MASS_TOL).tolist()
+    def lloyd_state(t):
+        state = _design_state(d, t)
+        if np.any(state[0] < ZERO_MASS_TOL):
+            bad = np.flatnonzero(state[0] < ZERO_MASS_TOL).tolist()
             raise DegenerateDesign(f"bins {bad} lost all design mass")
-        history.append(_design_distortion(d, edges, centroids))
-        delta = float(np.max(np.abs(centroids - codebook)))
-        codebook = centroids
-        if delta < tol:
-            break
+        return state
 
-    # Final half-step so the returned codebook is exactly the centroid
-    # codebook of the returned partition (the midpoint condition then holds
-    # within the convergence tolerance).
-    boundaries = 0.5 * (codebook[:-1] + codebook[1:])
-    edges = np.concatenate(([-np.inf], boundaries, [np.inf]))
-    mass, centroids = _bin_centroids(d, edges)
-    if np.any(mass < ZERO_MASS_TOL):
-        bad = np.flatnonzero(mass < ZERO_MASS_TOL).tolist()
-        raise DegenerateDesign(f"bins {bad} lost all design mass")
-    history.append(_design_distortion(d, edges, centroids))
+    eps = float(np.finfo(float).eps)
+    t = 0.5 * (codebook[:-1] + codebook[1:])
+    mass, c, distortion, r, _ = lloyd_state(t)
+    history = [distortion]
+    damping = 0.5
+    small_step = False
+    while True:
+        residual = float(np.max(np.abs(r)))
+        scale = max(1.0, float(np.max(np.abs(t))))
+        converged = small_step or residual <= 4.0 * eps * scale
+        if converged or len(history) > max_iters:
+            break
+        step = _damped_newton_step(d, t, mass, c, r, damping)
+        trial = None if step is None else t - step
+        if trial is not None and np.all(np.diff(trial) > 0.0):
+            t_mass, t_c, t_dist, t_r, m2_sum = _design_state(d, trial)
+            slack = 8.0 * eps * m2_sum if np.max(np.abs(t_r)) < residual else 0.0
+            if np.all(t_mass >= ZERO_MASS_TOL) and t_dist <= distortion + slack:
+                t, mass, c, distortion, r = trial, t_mass, t_c, t_dist, t_r
+                history.append(distortion)
+                damping *= 0.25
+                small_step = float(np.max(np.abs(step))) < tol * scale
+                continue
+        damping = min(1.0, 4.0 * damping)
+        t = 0.5 * (c[:-1] + c[1:])
+        mass, c, distortion, r, _ = lloyd_state(t)
+        history.append(distortion)
 
     return Quantizer(
-        partition=Partition(tuple(boundaries)),
-        design_codebook=Codebook(tuple(centroids)),
+        partition=Partition(tuple(t)),
+        design_codebook=Codebook(tuple(c)),
         design_law=d,
         distortion_history=tuple(history),
+        converged=converged,
+        iterations=len(history) - 1,
+        residual=residual,
     )

@@ -52,6 +52,27 @@ class TestChannel:
         ch = Channel(((1.0, 0.0), (0.0, 1.0)))
         assert ch.n == 2
 
+    def test_equality_and_hash_follow_the_matrix_values(self):
+        built = bsc_channel(1, 0.25)
+        by_hand = Channel(((0.75, 0.25), (0.25, 0.75)))
+        assert built == by_hand
+        assert hash(built) == hash(by_hand)
+        assert len({built, by_hand, bsc_channel(1, 0.25)}) == 1
+        assert built != bsc_channel(1, 0.3)
+        assert built.matrix == ((0.75, 0.25), (0.25, 0.75))
+        assert "_array" not in repr(built)
+
+    def test_array_is_built_once_and_read_only(self):
+        source = np.array([[0.9, 0.1], [0.2, 0.8]])
+        ch = Channel(source)
+        m = ch.as_array()
+        assert m is ch.as_array()
+        np.testing.assert_array_equal(m, source)
+        with pytest.raises(ValueError):
+            m[0, 0] = 0.5
+        source[0, 0] = 0.5  # the caller's array stays writable and unshared
+        assert ch.matrix[0][0] == 0.9
+
 
 class TestBscChannel:
     def test_one_bit_matrix(self):

@@ -225,6 +225,27 @@ class TestEdgeStatsOracle:
         for a in (d.mean, d.mean - 0.5 * w, d.mean + 4.0 * d.std, d.mean - 4.0 * d.std - w):
             self._check(d, a, a + w, 1e-11, mp_raw_moment)
 
+    @pytest.mark.parametrize("y", [10.0, 20.0, 30.0])
+    def test_laplace_far_right_tail_bins(self, y, mp_raw_moment):
+        # Right-side bins were once differences of k! b^k - G_k(y): 3e-6
+        # relative error at y = 20, and the y = 30 bin came out empty.
+        d = Laplace(0.0, 1.0)
+        got = d.edge_stats(np.array([y, y + 1e-3]), order=4)
+        for k in range(5):
+            want = mp_raw_moment(d, y, y + 1e-3, k)
+            assert abs(float(got[k][0]) - want) <= 1e-13 * abs(want), (y, k)
+        if y == 30.0:
+            assert got[0][0] == pytest.approx(4.6764728582905924e-17, rel=1e-13)
+
+    def test_laplace_moments_mirror_exactly(self):
+        d = Laplace(0.0, 0.8)
+        e = np.array([-np.inf, -31.0, -4.2, -0.3, 0.0, 0.2, 1.7, 25.0, 25.001, np.inf])
+        got = d.edge_stats(e, order=4)
+        mirrored = d.edge_stats(-e[::-1], order=4)
+        for k in range(5):
+            np.testing.assert_allclose(got[k], (-1) ** k * mirrored[k][::-1],
+                                       rtol=1e-15, atol=0.0)
+
     @pytest.mark.parametrize("d", LAWS)
     def test_lower_orders_are_prefixes(self, d):
         edges = np.array([-np.inf, -1.0, 0.2, 2.5, np.inf])

@@ -162,9 +162,12 @@ class TestLloydMaxDesign:
         assert q.partition.boundaries[0] == pytest.approx(1.7, abs=1e-10)
 
     def test_distortion_history_non_increasing(self):
-        for d in (Gaussian(0, 1), Laplace(0.0, 0.8),
-                  GaussianMixture(((0.5, -1.5, 0.6), (0.5, 1.5, 0.6)))):
-            q = lloyd_max_design(d, 3)
+        # The scale mixture at 4 bits is a case where an unguarded Newton
+        # step from the quantile start would raise the distortion.
+        for d, bits in ((Gaussian(0, 1), 3), (Laplace(0.0, 0.8), 3),
+                        (GaussianMixture(((0.5, -1.5, 0.6), (0.5, 1.5, 0.6))), 3),
+                        (GaussianMixture(((0.9, 0.0, 1.0), (0.1, 0.0, 10.0))), 4)):
+            q = lloyd_max_design(d, bits)
             h = np.array(q.distortion_history)
             assert np.all(np.diff(h) <= 1e-14)
 
@@ -172,12 +175,13 @@ class TestLloydMaxDesign:
         q = lloyd_max_design(Gaussian(0.3, 1.1), 3)
         v = q.design_codebook.as_array()
         midpoints = 0.5 * (v[:-1] + v[1:])
-        np.testing.assert_allclose(q.partition.boundaries, midpoints, atol=1e-8)
+        np.testing.assert_allclose(q.partition.boundaries, midpoints, atol=1e-12)
         cents = centroid_codebook(q.partition, Gaussian(0.3, 1.1)).as_array()
         np.testing.assert_allclose(v, cents, atol=1e-12)
 
     def test_returned_codebook_is_exactly_centroidal(self):
-        # The closing half-step guarantees bitwise equality, not just tol.
+        # The codebook is the centroid table of the returned partition by
+        # construction, so the equality is bitwise, not just within tol.
         q = lloyd_max_design(Laplace(0.2, 0.9), 2)
         cents = centroid_codebook(q.partition, Laplace(0.2, 0.9))
         assert q.design_codebook.values == cents.values
@@ -189,11 +193,46 @@ class TestLloydMaxDesign:
                                    qb.design_codebook.as_array(), atol=1e-8)
 
     def test_cube_root_init_converges_design_distortion_fast(self):
-        # At 10 bits the quantile start is still far away after this budget;
-        # the point-density start lands on the floor almost immediately.
+        # The point-density start reaches the 10-bit optimum well inside this
+        # budget.  The reference is the converged design distortion from
+        # bench/oracle.py's design() (Newton on the thresholds in 50-digit
+        # mpmath, residual below 1e-35); it sits 2.04e-3 below the
+        # Panter-Dite floor sqrt(3) pi / (2 N^2).
         q = lloyd_max_design(Gaussian(0, 1), 10, max_iters=300, init="cube_root")
-        floor = math.sqrt(3.0) * math.pi / (2.0 * 1024.0**2)
-        assert q.distortion_history[-1] == pytest.approx(floor, rel=2e-3)
+        assert q.converged
+        assert q.distortion_history[-1] == pytest.approx(
+            2.5893758376188149567e-06, rel=1e-9)
+
+    @pytest.mark.parametrize("d", [
+        Gaussian(0.3, 1.1), Laplace(0.0, 0.8),
+        GaussianMixture(((0.5, -1.5, 0.6), (0.5, 1.5, 0.6)))])
+    def test_default_designs_converge_at_every_bit_depth(self, d):
+        for bits in range(1, 13):
+            q = lloyd_max_design(d, bits)
+            t = np.array(q.partition.boundaries)
+            v = q.design_codebook.as_array()
+            scale = max(1.0, float(np.max(np.abs(t))))
+            assert q.converged, (bits, q.iterations, q.residual)
+            assert q.iterations == len(q.distortion_history) - 1
+            assert q.residual == float(np.max(np.abs(t - 0.5 * (v[:-1] + v[1:]))))
+            assert q.residual <= 1e-12 * scale, (bits, q.residual)
+
+    def test_iteration_cap_is_reported(self):
+        q = lloyd_max_design(Laplace(0.0, math.sqrt(0.5)), 10, max_iters=1)
+        assert q.converged is False
+        assert q.iterations == 1
+        assert len(q.distortion_history) == 2
+        assert q.residual > 1e-6
+
+    def test_convergence_record_is_not_part_of_equality_or_record(self):
+        q = lloyd_max_design(Gaussian(0, 1), 2)
+        bare = Quantizer(q.partition, q.design_codebook, q.design_law)
+        assert (bare.converged, bare.iterations) == (False, 0)
+        assert bare.distortion_history == ()
+        assert math.isnan(bare.residual)
+        assert q == bare
+        assert q.to_record() == bare.to_record()
+        assert set(q.to_record()) == {"bits", "boundaries", "codebook", "design_law"}
 
     def test_invalid_bits_rejected(self):
         with pytest.raises(ValueError):
