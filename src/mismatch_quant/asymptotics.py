@@ -236,9 +236,11 @@ def rate_recovery_sweep(
     matched high-rate floor at the same rate; when the asymptotic penalty
     integral converges this ratio approaches it from above as bits grow.
 
-    At high bit depths the design step dominates the cost and the default
-    quantile initialization approaches its fixed point very slowly; pass
-    ``init="cube_root"`` for sweeps past 8 bits.
+    At high bit depths the design step dominates the cost.  Both starts
+    converge in 12-21 Newton iterations at 8-12 bits, and the default
+    quantile start is the cheaper one for Gaussian and Laplace laws; for a
+    mixture each quantile is a root solve, so pass ``init="cube_root"``
+    there (about ten times faster at 12 bits).
     """
     reports = []
     for bits in bits_list:

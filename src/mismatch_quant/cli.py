@@ -14,39 +14,20 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import asymptotics, channel, distributions, mismatch, taskaware
-from .errors import MismatchQuantError
 from .quantizer import lloyd_max_design
 
 __all__ = ["ExperimentConfig", "main", "run", "validate"]
-
-EXPERIMENTS = (
-    "mean_sweep",
-    "variance_sweep",
-    "laplace_table",
-    "rate_recovery",
-    "bsc_sweep",
-    "rician_csi",
-    "semantic_mixture",
-    "single_report",
-)
-
-_MC_EXPERIMENTS = (
-    "mean_sweep",
-    "variance_sweep",
-    "laplace_table",
-    "bsc_sweep",
-    "single_report",
-)
-
-_GAUSS_01 = {"kind": "gaussian", "mean": 0.0, "std": 1.0}
 
 
 class ConfigError(Exception):
@@ -62,7 +43,7 @@ class ExperimentConfig:
     seed: int | None = None
     mc_samples: int = 0
     output: str | None = None
-    design: dict = field(default_factory=lambda: dict(_GAUSS_01))
+    design: dict = field(default_factory=lambda: {"kind": "gaussian", "mean": 0.0, "std": 1.0})
     true: dict | None = None
     # Per-experiment grids; unused keys stay at their defaults.
     mu1_values: list[float] = field(
@@ -85,57 +66,56 @@ class ExperimentConfig:
     class_spacing: float = 1.0
     k_values: list[int] | None = None
 
-    _KNOWN = (
-        "experiment", "bits", "seed", "mc_samples", "output", "design", "true",
-        "mu1_values", "sigma1_values", "epsilon_values", "sigma0",
-        "bsc_sigma1_values", "k_t_values", "k_d", "n_classes", "class_std",
-        "class_spacing", "k_values",
-    )
-
     @classmethod
     def from_mapping(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-        unknown = sorted(set(raw) - set(cls._KNOWN))
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         if "experiment" not in raw:
             raise ConfigError("config needs an 'experiment' key")
-        kwargs = dict(raw)
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**raw)
 
     @property
     def default_true(self) -> dict:
-        defaults = {
-            "laplace_table": {"kind": "laplace", "loc": 0.0, "scale": math.sqrt(0.5)},
-            "rate_recovery": {"kind": "gaussian", "mean": 0.0, "std": 2.0},
-        }
-        return self.true or defaults.get(self.experiment, dict(self.design))
+        return self.true or _RUNNERS[self.experiment].true or dict(self.design)
+
+
+def _conforms(value, tp) -> bool:
+    """Whether a JSON value has the annotated type; floats must be finite."""
+    if isinstance(tp, types.UnionType):
+        return any(_conforms(value, t) for t in typing.get_args(tp))
+    if typing.get_origin(tp) is list:
+        (item,) = typing.get_args(tp)
+        return isinstance(value, list) and all(_conforms(v, item) for v in value)
+    if isinstance(value, bool):
+        return False
+    if tp is float:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, tp)
 
 
 def validate(cfg: ExperimentConfig) -> list[str]:
     """Collect human-readable diagnostics; an empty list means runnable."""
-    problems = []
-    if cfg.experiment not in EXPERIMENTS:
-        problems.append(
-            f"unknown experiment {cfg.experiment!r}; choose from {', '.join(EXPERIMENTS)}"
-        )
+    hints = typing.get_type_hints(ExperimentConfig)
+    problems = [
+        f"{f.name} must be {f.type.replace('float', 'finite float')}, "
+        f"got {getattr(cfg, f.name)!r}"
+        for f in fields(cfg) if not _conforms(getattr(cfg, f.name), hints[f.name])
+    ]
+    if problems:
         return problems
+    if cfg.experiment not in _RUNNERS:
+        return [f"unknown experiment {cfg.experiment!r}; choose from {', '.join(EXPERIMENTS)}"]
     if not cfg.bits:
         problems.append("bits grid is empty")
-    if any((not isinstance(b, int)) or not 1 <= b <= 16 for b in cfg.bits):
+    if any(not 1 <= b <= 16 for b in cfg.bits):
         problems.append(f"bits must be integers in [1, 16], got {cfg.bits}")
-    if cfg.mc_samples < 0:
-        problems.append("mc_samples must be >= 0")
+    if cfg.mc_samples < 0 or cfg.mc_samples == 1:
+        problems.append("mc_samples must be 0 or at least 2")
     if cfg.mc_samples > 0 and cfg.seed is None:
         problems.append("mc_samples > 0 requires an explicit seed")
-    if cfg.mc_samples > 0 and cfg.experiment not in _MC_EXPERIMENTS:
-        problems.append(
-            f"Monte Carlo cross-checks are not available for {cfg.experiment}"
-        )
+    if cfg.mc_samples > 0 and not _RUNNERS[cfg.experiment].mc:
+        problems.append(f"Monte Carlo cross-checks are not available for {cfg.experiment}")
     for name, rec in (("design", cfg.design), ("true", cfg.default_true)):
         try:
             distributions.from_config(rec)
@@ -165,10 +145,8 @@ def validate(cfg: ExperimentConfig) -> list[str]:
             problems.append("n_classes must be at least 1")
         if cfg.class_std <= 0 or cfg.class_spacing <= 0:
             problems.append("class_std and class_spacing must be positive")
-        for k in cfg.k_values or range(1, cfg.n_classes + 1):
-            if not 1 <= k <= cfg.n_classes:
-                problems.append(f"k_values entries must lie in [1, {cfg.n_classes}]")
-                break
+        if any(not 1 <= k <= cfg.n_classes for k in cfg.k_values or ()):
+            problems.append(f"k_values entries must lie in [1, {cfg.n_classes}]")
     return problems
 
 
@@ -188,96 +166,61 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _points(cfg: ExperimentConfig):
-    """Grid of work items for the configured experiment, in output order."""
-    if cfg.experiment == "mean_sweep":
-        return [(mu, b) for mu in cfg.mu1_values for b in cfg.bits]
-    if cfg.experiment == "variance_sweep":
-        return [(s, b) for s in cfg.sigma1_values for b in cfg.bits]
-    if cfg.experiment in ("laplace_table", "rate_recovery", "single_report"):
-        return list(cfg.bits)
-    if cfg.experiment == "bsc_sweep":
-        return [(e, s) for e in cfg.epsilon_values for s in cfg.bsc_sigma1_values]
-    if cfg.experiment == "rician_csi":
-        return list(cfg.k_t_values)
-    if cfg.experiment == "semantic_mixture":
-        ks = cfg.k_values or list(range(1, cfg.n_classes + 1))
-        return [(k, b) for k in ks for b in cfg.bits]
-    raise ConfigError(f"unknown experiment {cfg.experiment!r}")
-
-
 def _point_seed(seed: int | None, index: int) -> int | None:
     if seed is None:
         return None
     return (int(seed) + 9973 * (index + 1)) % (2**63)
 
 
-def _report_row(design_d, true_d, bits, cfg: ExperimentConfig, index: int):
-    rep = mismatch.report(
-        design_d, true_d, bits,
-        mc_samples=cfg.mc_samples,
-        seed=_point_seed(cfg.seed, index),
-    )
-    row = [bits, rep.d_fix, rep.d_gen, rep.d_ideal,
-           rep.relative_gain_pct, rep.ideal_gain_pct, rep.method]
-    if cfg.mc_samples:
-        row += [rep.d_fix_mc, rep.d_gen_mc, rep.mc_stderr]
-    return row
+def _reports(cfg: ExperimentConfig, prefix: list[str], items):
+    """Header and rows of ``mismatch.report`` under the design law.
 
-
-def _report_header(cfg: ExperimentConfig) -> list[str]:
-    header = ["bits", "d_fix", "d_gen", "d_ideal",
-              "gain_pct", "ideal_gain_pct", "method"]
+    ``items`` yields ``(prefix values, true law, bits)`` in output order; the
+    Monte Carlo seed of each row follows from its position.
+    """
+    design_d = distributions.from_config(cfg.design)
+    header = prefix + ["bits", "d_fix", "d_gen", "d_ideal",
+                       "gain_pct", "ideal_gain_pct", "method"]
     if cfg.mc_samples:
         header += ["d_fix_mc", "d_gen_mc", "mc_stderr"]
-    return header
+    rows = []
+    for index, (values, true_d, bits) in enumerate(items):
+        rep = mismatch.report(
+            design_d, true_d, bits,
+            mc_samples=cfg.mc_samples,
+            seed=_point_seed(cfg.seed, index),
+        )
+        row = [*values, bits, rep.d_fix, rep.d_gen, rep.d_ideal,
+               rep.relative_gain_pct, rep.ideal_gain_pct, rep.method]
+        if cfg.mc_samples:
+            row += [rep.d_fix_mc, rep.d_gen_mc, rep.mc_stderr]
+        rows.append(row)
+    return header, rows
 
 
 def _run_mean_sweep(cfg: ExperimentConfig):
-    design_d = distributions.from_config(cfg.design)
-
-    def work(index, item):
-        mu, bits = item
-        true_d = distributions.Gaussian(mean=mu, std=1.0)
-        return [mu] + _report_row(design_d, true_d, bits, cfg, index)
-
-    return ["mu1"] + _report_header(cfg), [work(i, pt) for i, pt in enumerate(_points(cfg))]
+    return _reports(cfg, ["mu1"], (
+        ([mu], distributions.Gaussian(mean=mu, std=1.0), bits)
+        for mu, bits in itertools.product(cfg.mu1_values, cfg.bits)
+    ))
 
 
 def _run_variance_sweep(cfg: ExperimentConfig):
-    design_d = distributions.from_config(cfg.design)
-
-    def work(index, item):
-        sigma, bits = item
-        true_d = distributions.Gaussian(mean=0.0, std=sigma)
-        return [sigma] + _report_row(design_d, true_d, bits, cfg, index)
-
-    return ["sigma1"] + _report_header(cfg), [work(i, pt) for i, pt in enumerate(_points(cfg))]
+    return _reports(cfg, ["sigma1"], (
+        ([sigma], distributions.Gaussian(mean=0.0, std=sigma), bits)
+        for sigma, bits in itertools.product(cfg.sigma1_values, cfg.bits)
+    ))
 
 
 def _run_laplace_table(cfg: ExperimentConfig):
-    design_d = distributions.from_config(cfg.design)
     true_d = distributions.from_config(cfg.default_true)
-
-    def work(index, bits):
-        return _report_row(design_d, true_d, bits, cfg, index)
-
-    return _report_header(cfg), [work(i, pt) for i, pt in enumerate(_points(cfg))]
+    return _reports(cfg, [], (([], true_d, bits) for bits in cfg.bits))
 
 
 def _run_single_report(cfg: ExperimentConfig):
-    design_d = distributions.from_config(cfg.design)
     true_d = distributions.from_config(cfg.default_true)
-    design_json = json.dumps(cfg.design, sort_keys=True)
-    true_json = json.dumps(cfg.default_true, sort_keys=True)
-
-    def work(index, bits):
-        return [design_json, true_json] + _report_row(
-            design_d, true_d, bits, cfg, index
-        )
-
-    rows = [work(i, pt) for i, pt in enumerate(_points(cfg))]
-    return ["design", "true"] + _report_header(cfg), rows
+    laws = [json.dumps(rec, sort_keys=True) for rec in (cfg.design, cfg.default_true)]
+    return _reports(cfg, ["design", "true"], ((laws, true_d, bits) for bits in cfg.bits))
 
 
 def _run_rate_recovery(cfg: ExperimentConfig):
@@ -296,19 +239,19 @@ def _run_rate_recovery(cfg: ExperimentConfig):
 
 
 def _run_bsc_sweep(cfg: ExperimentConfig):
-    def work(index, item):
-        eps, sigma1 = item
+    header = ["epsilon", "sigma0", "sigma1", "d_std", "d_hard", "d_opt"]
+    if cfg.mc_samples:
+        header += ["d_std_mc", "d_hard_mc", "d_opt_mc", "mc_stderr"]
+    rows = []
+    points = itertools.product(cfg.epsilon_values, cfg.bsc_sigma1_values)
+    for index, (eps, sigma1) in enumerate(points):
         rep = channel.strategy_report(cfg.sigma0, sigma1, eps)
         row = [eps, cfg.sigma0, sigma1, rep.d_std, rep.d_hard, rep.d_opt]
         if cfg.mc_samples:
             row += _bsc_monte_carlo(cfg.sigma0, sigma1, eps, cfg.mc_samples,
                                     _point_seed(cfg.seed, index))
-        return row
-
-    header = ["epsilon", "sigma0", "sigma1", "d_std", "d_hard", "d_opt"]
-    if cfg.mc_samples:
-        header += ["d_std_mc", "d_hard_mc", "d_opt_mc", "mc_stderr"]
-    return header, [work(i, pt) for i, pt in enumerate(_points(cfg))]
+        rows.append(row)
+    return header, rows
 
 
 def _bsc_monte_carlo(sigma0, sigma1, eps, n, seed):
@@ -330,60 +273,74 @@ def _bsc_monte_carlo(sigma0, sigma1, eps, n, seed):
 
 def _run_rician_csi(cfg: ExperimentConfig):
     phi_d = taskaware.phi(cfg.k_d)
-
-    def work(index, k_t):
-        return [k_t, cfg.k_d, taskaware.phi(k_t), phi_d, taskaware.eta(k_t, cfg.k_d)]
-
     header = ["k_t", "k_d", "phi_t", "phi_d", "eta_pct"]
-    return header, [work(i, pt) for i, pt in enumerate(_points(cfg))]
+    return header, [
+        [k_t, cfg.k_d, taskaware.phi(k_t), phi_d, taskaware.eta(k_t, cfg.k_d)]
+        for k_t in cfg.k_t_values
+    ]
 
 
-def _semantic_sources(cfg: ExperimentConfig, k: int):
-    m = cfg.n_classes
-    offset = 0.5 * (m - 1) * cfg.class_spacing
-    def make(count):
-        return taskaware.LabeledSource(
-            classes=tuple(
-                taskaware.LabeledClass(
-                    label=f"c{y}",
-                    weight=1.0 / count,
-                    distribution=distributions.Gaussian(
-                        mean=y * cfg.class_spacing - offset, std=cfg.class_std
-                    ),
-                )
-                for y in range(count)
+def _semantic_source(cfg: ExperimentConfig, count: int) -> taskaware.LabeledSource:
+    """The first ``count`` of ``n_classes`` evenly spaced classes, equally weighted."""
+    offset = 0.5 * (cfg.n_classes - 1) * cfg.class_spacing
+    return taskaware.LabeledSource(
+        classes=tuple(
+            taskaware.LabeledClass(
+                label=f"c{y}",
+                weight=1.0 / count,
+                distribution=distributions.Gaussian(
+                    mean=y * cfg.class_spacing - offset, std=cfg.class_std
+                ),
             )
+            for y in range(count)
         )
-    return make(m), make(k)
+    )
 
 
 def _run_semantic_mixture(cfg: ExperimentConfig):
-    def work(index, item):
-        k, bits = item
-        src_design, src_true = _semantic_sources(cfg, k)
-        q = lloyd_max_design(src_design.marginal(), bits)
-        rep = taskaware.classification_report(q.partition, src_true, src_design)
-        return [k, bits, rep.acc_fix, rep.acc_gen, rep.acc_ideal, rep.recovery_pct]
-
+    src_design = _semantic_source(cfg, cfg.n_classes)
+    # The design marginal does not depend on k: one design per bit depth.
+    marginal = src_design.marginal()
+    partitions = {bits: lloyd_max_design(marginal, bits).partition for bits in set(cfg.bits)}
+    rows = []
+    for k in cfg.k_values or range(1, cfg.n_classes + 1):
+        src_true = _semantic_source(cfg, k)
+        for bits in cfg.bits:
+            rep = taskaware.classification_report(partitions[bits], src_true, src_design)
+            rows.append([k, bits, rep.acc_fix, rep.acc_gen, rep.acc_ideal, rep.recovery_pct])
     header = ["k", "bits", "acc_fix", "acc_gen", "acc_ideal", "recovery_pct"]
-    return header, [work(i, pt) for i, pt in enumerate(_points(cfg))]
+    return header, rows
 
 
+class _Experiment(typing.NamedTuple):
+    runner: typing.Callable[[ExperimentConfig], tuple[list[str], list[list]]]
+    mc: bool = False  # takes Monte Carlo cross-checks
+    true: dict | None = None  # default true law; None means the design law
+
+
+# The experiments, in the order the CLI lists them.
 _RUNNERS = {
-    "mean_sweep": _run_mean_sweep,
-    "variance_sweep": _run_variance_sweep,
-    "laplace_table": _run_laplace_table,
-    "rate_recovery": _run_rate_recovery,
-    "bsc_sweep": _run_bsc_sweep,
-    "rician_csi": _run_rician_csi,
-    "semantic_mixture": _run_semantic_mixture,
-    "single_report": _run_single_report,
+    "mean_sweep": _Experiment(_run_mean_sweep, mc=True),
+    "variance_sweep": _Experiment(_run_variance_sweep, mc=True),
+    "laplace_table": _Experiment(
+        _run_laplace_table, mc=True,
+        true={"kind": "laplace", "loc": 0.0, "scale": math.sqrt(0.5)},
+    ),
+    "rate_recovery": _Experiment(
+        _run_rate_recovery, true={"kind": "gaussian", "mean": 0.0, "std": 2.0}
+    ),
+    "bsc_sweep": _Experiment(_run_bsc_sweep, mc=True),
+    "rician_csi": _Experiment(_run_rician_csi),
+    "semantic_mixture": _Experiment(_run_semantic_mixture),
+    "single_report": _Experiment(_run_single_report, mc=True),
 }
+
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run(cfg: ExperimentConfig) -> str:
     """Execute the experiment and write its CSV; returns the output path."""
-    header, rows = _RUNNERS[cfg.experiment](cfg)
+    header, rows = _RUNNERS[cfg.experiment].runner(cfg)
     path = cfg.output or f"{cfg.experiment}.csv"
     _write_csv(path, header, rows)
     return path
@@ -392,11 +349,14 @@ def run(cfg: ExperimentConfig) -> str:
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+    return raw
 
 
 def _parse_bits(text: str) -> list[int]:
@@ -437,83 +397,63 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> ExperimentConfig:
     raw = _load_config(args.config)
-    if args.experiment:
-        raw["experiment"] = args.experiment
-    if args.bits:
-        raw["bits"] = _parse_bits(args.bits)
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.mc_samples is not None:
-        raw["mc_samples"] = args.mc_samples
-    if args.out:
-        raw["output"] = args.out
+    if args.command == "run":
+        overrides = {
+            "experiment": args.experiment, "seed": args.seed,
+            "mc_samples": args.mc_samples, "output": args.out,
+            "bits": _parse_bits(args.bits) if args.bits else None,
+        }
+        raw.update((key, value) for key, value in overrides.items() if value is not None)
     return ExperimentConfig.from_mapping(raw)
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-
+def _print_report(args) -> None:
     try:
-        if args.command == "run":
-            cfg = _config_from_args(args)
-            problems = validate(cfg)
-            if problems:
-                for msg in problems:
-                    print(f"config error: {msg}", file=sys.stderr)
-                return 2
-            path = run(cfg)
-            print(f"wrote {path}")
-            return 0
+        design_d, true_d = (distributions.from_config(json.loads(spec))
+                            for spec in (args.design, args.true_law))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"law specs must be valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"law spec: {exc}") from exc
+    if not 1 <= args.bits <= 16:
+        raise ConfigError(f"bits must lie in [1, 16], got {args.bits}")
+    if args.mc_samples < 0 or args.mc_samples == 1:
+        raise ConfigError("--mc-samples must be 0 or at least 2")
+    if args.mc_samples and (args.seed is None or args.seed < 0):
+        raise ConfigError("--mc-samples requires --seed >= 0")
+    rep = mismatch.report(
+        design_d, true_d, args.bits,
+        mc_samples=args.mc_samples, seed=args.seed,
+    )
+    print(f"bits:        {args.bits}")
+    print(f"d_fix:       {rep.d_fix:.12g}")
+    print(f"d_gen:       {rep.d_gen:.12g}")
+    print(f"d_ideal:     {rep.d_ideal:.12g}")
+    print(f"excess:      {rep.excess:.12g}")
+    print(f"gain:        {rep.relative_gain_pct:.6f}%")
+    print(f"ideal gain:  {rep.ideal_gain_pct:.6f}%")
+    if rep.mc_stderr is not None:
+        print(f"mc d_fix:    {rep.d_fix_mc:.12g}")
+        print(f"mc d_gen:    {rep.d_gen_mc:.12g}")
+        print(f"mc stderr:   {rep.mc_stderr:.3g}")
 
-        if args.command == "validate":
-            raw = _load_config(args.config)
-            cfg = ExperimentConfig.from_mapping(raw)
-            problems = validate(cfg)
-            if problems:
-                for msg in problems:
-                    print(f"config error: {msg}", file=sys.stderr)
-                return 2
-            print("config ok")
-            return 0
 
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
         if args.command == "report":
-            try:
-                design_rec = json.loads(args.design)
-                true_rec = json.loads(args.true_law)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"law specs must be valid JSON: {exc}") from exc
-            if not 1 <= args.bits <= 16:
-                raise ConfigError(f"bits must lie in [1, 16], got {args.bits}")
-            if args.mc_samples and args.seed is None:
-                raise ConfigError("--mc-samples requires --seed")
-            design_d = distributions.from_config(design_rec)
-            true_d = distributions.from_config(true_rec)
-            rep = mismatch.report(
-                design_d, true_d, args.bits,
-                mc_samples=args.mc_samples, seed=args.seed,
-            )
-            print(f"bits:        {args.bits}")
-            print(f"d_fix:       {rep.d_fix:.12g}")
-            print(f"d_gen:       {rep.d_gen:.12g}")
-            print(f"d_ideal:     {rep.d_ideal:.12g}")
-            print(f"excess:      {rep.excess:.12g}")
-            print(f"gain:        {rep.relative_gain_pct:.6f}%")
-            print(f"ideal gain:  {rep.ideal_gain_pct:.6f}%")
-            if rep.mc_stderr is not None:
-                print(f"mc d_fix:    {rep.d_fix_mc:.12g}")
-                print(f"mc d_gen:    {rep.d_gen_mc:.12g}")
-                print(f"mc stderr:   {rep.mc_stderr:.3g}")
+            _print_report(args)
+            return 0
+        cfg = _config_from_args(args)
+        problems = validate(cfg)
+        if not problems:
+            print(f"wrote {run(cfg)}" if args.command == "run" else "config ok")
             return 0
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except MismatchQuantError as exc:
+        problems = [str(exc)]
+    except Exception as exc:  # the exit-code contract: a failure is reported, not raised
         print(f"operation failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-
-    parser.error(f"unknown command {args.command!r}")
+    for msg in problems:
+        print(f"config error: {msg}", file=sys.stderr)
     return 2

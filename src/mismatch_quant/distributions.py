@@ -476,19 +476,22 @@ def from_config(record: dict) -> Distribution:
     if not isinstance(record, dict):
         raise ValueError(f"distribution config must be a mapping, got {type(record)}")
     kind = record.get("kind")
-    if kind == "gaussian":
-        return Gaussian(mean=float(record.get("mean", 0.0)),
-                        std=float(record.get("std", 1.0)))
-    if kind == "laplace":
-        return Laplace(loc=float(record.get("loc", 0.0)),
-                       scale=float(record.get("scale", math.sqrt(0.5))))
-    if kind == "mixture":
-        comps = record.get("components")
-        if not comps:
-            raise ValueError("mixture config needs a non-empty 'components' list")
-        return GaussianMixture(
-            components=tuple(
-                (float(c["weight"]), float(c["mean"]), float(c["std"])) for c in comps
+    try:
+        if kind == "gaussian":
+            return Gaussian(mean=float(record.get("mean", 0.0)),
+                            std=float(record.get("std", 1.0)))
+        if kind == "laplace":
+            return Laplace(loc=float(record.get("loc", 0.0)),
+                           scale=float(record.get("scale", math.sqrt(0.5))))
+        if kind == "mixture":
+            comps = record.get("components")
+            if not comps:
+                raise ValueError("mixture config needs a non-empty 'components' list")
+            return GaussianMixture(
+                components=tuple(
+                    (float(c["weight"]), float(c["mean"]), float(c["std"])) for c in comps
+                )
             )
-        )
+    except (TypeError, KeyError) as exc:
+        raise ValueError(f"malformed {kind} record: {exc!r}") from exc
     raise ValueError(f"unknown distribution kind: {kind!r}")

@@ -10,6 +10,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,9 +18,14 @@ from pathlib import Path
 import pytest
 
 import mismatch_quant
+from mismatch_quant import cli
 from mismatch_quant.cli import ExperimentConfig, main, validate
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
+REPORT_HEADER = ["bits", "d_fix", "d_gen", "d_ideal", "gain_pct",
+                 "ideal_gain_pct", "method"]
+MC_HEADER = ["d_fix_mc", "d_gen_mc", "mc_stderr"]
 
 
 def _write_cfg(tmp_path, name="cfg.json", **overrides):
@@ -80,6 +86,35 @@ class TestValidateCommand:
         assert "design law:" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("text", [
+        '{"experiment": "mean_sweep", "mc_samples": "x"}',
+        '{"experiment": "mean_sweep", "bits": 3}',
+        '{"experiment": "semantic_mixture", "n_classes": 2.5}',
+        '{"experiment": "variance_sweep", "sigma1_values": ["a"]}',
+        '{"experiment": "mean_sweep", "bits": [true]}',
+        '{"experiment": "mean_sweep", "mu1_values": [1e400]}',
+        '{"experiment": "rician_csi", "k_t_values": [1e400]}',
+        '{"experiment": "bsc_sweep", "sigma0": NaN}',
+        '{"experiment": "mean_sweep", "seed": "abc", "mc_samples": 10}',
+        '{"experiment": "bsc_sweep", "seed": 1, "mc_samples": 1}',
+        '{"experiment": "mean_sweep", "design": {"kind": "gaussian", "std": [1]}}',
+        '{"experiment": "laplace_table", "true": {"kind": "mixture", '
+        '"components": [[1.0, 0.0, 1.0]]}}',
+        '[{"experiment": "mean_sweep"}]',
+    ])
+    def test_mistyped_config_is_a_config_error(self, tmp_path, capsys, command,
+                                               text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        out = tmp_path / "out.csv"
+        argv = [command, "--config", str(path)]
+        assert main(argv + (["--out", str(out)] if command == "run" else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_validate_collects_multiple_problems(self):
         cfg = ExperimentConfig(experiment="bsc_sweep", epsilon_values=[0.9],
                                sigma0=-1.0)
@@ -130,6 +165,53 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg),
                      "--out", str(tmp_path / "x.csv")]) == 1
         assert "ZeroMassBin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc_type", [ValueError, RuntimeError])
+    def test_failure_while_running_exits_one(self, tmp_path, capsys,
+                                             monkeypatch, exc_type):
+        def fail(cfg):
+            raise exc_type("numeric trouble")
+
+        monkeypatch.setitem(cli._RUNNERS, "mean_sweep",
+                            cli._RUNNERS["mean_sweep"]._replace(runner=fail))
+        cfg = _write_cfg(tmp_path, output=str(tmp_path / "out.csv"))
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"operation failed: {exc_type.__name__}: numeric trouble\n"
+
+    @pytest.mark.parametrize("experiment, prefix, n_rows", [
+        ("variance_sweep", ["sigma1"], 4),
+        ("laplace_table", [], 2),
+        ("single_report", ["design", "true"], 2),
+    ])
+    @pytest.mark.parametrize("mc", [False, True])
+    def test_report_experiment_columns(self, tmp_path, experiment, prefix,
+                                       n_rows, mc):
+        out = tmp_path / "rep.csv"
+        cfg = _write_cfg(tmp_path, experiment=experiment, bits=[1, 3],
+                         sigma1_values=[0.5, 2.0])
+        extra = ["--mc-samples", "20000", "--seed", "4"] if mc else []
+        assert main(["run", "--config", str(cfg), "--out", str(out)]
+                    + extra) == 0
+        rows = _read_csv(out)
+        assert rows[0] == prefix + REPORT_HEADER + (MC_HEADER if mc else [])
+        assert len(rows) == 1 + n_rows
+        for row in rows[1:]:
+            rec = dict(zip(rows[0], row))
+            assert float(rec["d_gen"]) <= float(rec["d_fix"])
+            if mc:
+                se = float(rec["mc_stderr"])
+                assert abs(float(rec["d_fix_mc"]) - float(rec["d_fix"])) < 5 * se
+                assert abs(float(rec["d_gen_mc"]) - float(rec["d_gen"])) < 5 * se
+        if experiment == "single_report":
+            assert json.loads(rows[1][0]) == json.loads(rows[1][1]) == {
+                "kind": "gaussian", "mean": 0.0, "std": 1.0}
+
+    def test_readme_lists_every_experiment(self):
+        text = (ROOT / "README.md").read_text()
+        start = text.index("Available experiments:")
+        listed = text[start:text.index(". ", start)]
+        assert tuple(re.findall(r"`(\w+)`", listed)) == cli.EXPERIMENTS
 
     def test_bsc_sweep_columns(self, tmp_path):
         out = tmp_path / "bsc.csv"
@@ -197,6 +279,14 @@ class TestReportCommand:
         assert rc == 2
         assert "valid JSON" in capsys.readouterr().err
 
+    def test_bad_law_spec(self, capsys):
+        rc = main(["report",
+                   "--design", '{"kind": "gaussian", "mean": 0.0, "std": -1.0}',
+                   "--true", '{"kind": "gaussian", "mean": 0.0, "std": 1.0}',
+                   "--bits", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: law spec:")
+
     def test_bits_out_of_range(self, capsys):
         rc = main(["report",
                    "--design", '{"kind": "gaussian", "mean": 0.0, "std": 1.0}',
@@ -211,6 +301,17 @@ class TestReportCommand:
                    "--bits", "2", "--mc-samples", "1000"])
         assert rc == 2
         assert "requires --seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [["--mc-samples", "1000", "--seed", "-1"],
+                                       ["--mc-samples", "1", "--seed", "1"],
+                                       ["--mc-samples", "-5", "--seed", "1"]])
+    def test_bad_monte_carlo_settings(self, capsys, extra):
+        rc = main(["report",
+                   "--design", '{"kind": "gaussian", "mean": 0.0, "std": 1.0}',
+                   "--true", '{"kind": "gaussian", "mean": 0.0, "std": 1.0}',
+                   "--bits", "2", *extra])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: --mc-samples")
 
     def test_mc_lines_present_when_requested(self, capsys):
         rc = main(["report",
