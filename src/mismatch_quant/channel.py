@@ -154,7 +154,7 @@ def soft_codebook(
     evidence = joint.sum(axis=0)
     values = np.full(ch.n, priors @ gen)
     np.divide(gen @ joint, evidence, out=values, where=evidence >= 1e-300)
-    return Codebook(tuple(values))
+    return Codebook(values)
 
 
 def make_noisy_decoder(
@@ -169,7 +169,7 @@ def make_noisy_decoder(
         table = quantizer.design_codebook
     elif strategy == "hard_generative":
         values, _ = _generative_values(p, true_d, quantizer.design_codebook)
-        table = Codebook(tuple(values))
+        table = Codebook(values)
     elif strategy == "soft_generative":
         if ch is None:
             raise ValueError("soft_generative needs the channel")

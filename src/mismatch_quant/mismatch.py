@@ -119,7 +119,7 @@ def generative_codebook(
     ``ZeroMassBin`` is raised.
     """
     values, _ = _generative_values(p, true_d, fallback)
-    return Codebook(tuple(values))
+    return Codebook(values)
 
 
 def ideal_distortion(true_d: Distribution, bits: int, **lloyd_kwargs) -> float:
@@ -159,7 +159,7 @@ def report(
     gen_values, substituted = _generative_values(
         q.partition, true_d, fallback=q.design_codebook
     )
-    gen_codebook = Codebook(tuple(gen_values))
+    gen_codebook = Codebook(gen_values)
     d_fix = expected_distortion(q.partition, q.design_codebook, true_d)
     d_gen = expected_distortion(q.partition, gen_codebook, true_d)
     d_ideal = (

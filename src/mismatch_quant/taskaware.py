@@ -163,11 +163,11 @@ def task_codebook(
         raise ZeroMassBin(f"bin {empty[0]} carries no mass under {true_d!r}")
     mean = moments[1] / mass
     if loss.kind == "squared_error":
-        return Codebook(tuple(mean))
+        return Codebook(mean)
     if loss.kind == "weighted_mse_csi":
         # A bin whose second moment underflows has a flat risk; keep its mean.
         m2, m3 = moments[2], moments[3]
-        return Codebook(tuple(np.divide(m3, m2, out=mean, where=m2 > 0.0)))
+        return Codebook(np.divide(m3, m2, out=mean, where=m2 > 0.0))
 
     sigma = np.sqrt(np.maximum(moments[2] / mass - mean * mean, 0.0))
     values = []
@@ -180,7 +180,7 @@ def task_codebook(
         values.append(
             golden_section_minimize(objective, mean[i] - span, mean[i] + span, tol=tol)
         )
-    return Codebook(tuple(values))
+    return Codebook(values)
 
 
 def _rician_moments(k_factor: float) -> np.ndarray:

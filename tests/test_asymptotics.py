@@ -30,6 +30,7 @@ from mismatch_quant import (
     panter_dite,
     rate_recovery_sweep,
 )
+from mismatch_quant.asymptotics import _cube_root_mass
 
 
 def _gaussian_penalty(s0, s1):
@@ -62,6 +63,37 @@ class TestPanterDite:
         for bad in (1, 3, 12, 8.0, -4):
             with pytest.raises(ValueError):
                 panter_dite(Gaussian(0, 1), bad)
+
+
+class TestCubeRootMass:
+    @pytest.mark.parametrize("spread", [0.1, 0.37, 1.0, 2.5, 10.0])
+    @pytest.mark.parametrize("family", [Gaussian, Laplace])
+    def test_closed_form_against_40_digit_quadrature(self, family, spread):
+        mp = pytest.importorskip("mpmath").mp
+        d = family(0.3, spread)
+        with mp.workdps(40):
+            a = mp.mpf(spread)
+            if family is Gaussian:
+                half = mp.quad(lambda y: mp.npdf(y, 0, a) ** (mp.mpf(1) / 3), [0, mp.inf])
+            else:
+                half = mp.quad(lambda y: (mp.exp(-y / a) / (2 * a)) ** (mp.mpf(1) / 3),
+                               [0, mp.inf])
+            want = 2 * half
+        assert abs(_cube_root_mass(d) - want) / want < 1e-14
+
+    def test_partial_span_is_the_normalised_cube_root_law_mass(self):
+        d = Laplace(0.5, 0.8)
+        g = d.cube_root_law()
+        lo, hi = -1.0, 4.0
+        assert _cube_root_mass(d, lo, hi) == pytest.approx(
+            _cube_root_mass(d) * (g.cdf(hi) - g.cdf(lo)), rel=1e-14)
+
+    def test_mixture_keeps_quadrature(self):
+        d = GaussianMixture(((0.4, -1.0, 0.7), (0.6, 1.0, 1.2)))
+        x = np.linspace(-25.0, 25.0, 200_001)
+        f3 = np.cbrt(d.pdf(x))
+        trapezoid = float(np.sum(0.5 * (f3[1:] + f3[:-1]) * np.diff(x)))
+        assert _cube_root_mass(d) == pytest.approx(trapezoid, rel=1e-8)
 
 
 class TestBennettGranular:

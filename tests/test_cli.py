@@ -115,6 +115,33 @@ class TestValidateCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        '{"experiment": "bsc_sweep", "design": {"kind": "gaussian", "std": -1}}',
+        '{"experiment": "rician_csi", "design": {"kind": "laplace", "scale": 0}}',
+        '{"experiment": "mean_sweep", "true": {"kind": "gaussian", "std": -1}}',
+        '{"experiment": "variance_sweep", "true": {"kind": "nope"}}',
+    ])
+    def test_unread_laws_are_not_checked(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["validate", "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("experiment", ["mean_sweep", "single_report"])
+    def test_a_bad_design_law_is_reported_once(self, tmp_path, capsys, experiment):
+        cfg = _write_cfg(tmp_path, experiment=experiment,
+                         design={"kind": "gaussian", "std": -1.0})
+        assert main(["validate", "--config", str(cfg)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "design law:" in lines[0]
+
+    def test_a_bad_true_law_is_reported_when_read(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, experiment="rate_recovery",
+                         true={"kind": "laplace", "scale": -2.0})
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: true law: scale must be positive, got -2.0"]
+
     def test_validate_collects_multiple_problems(self):
         cfg = ExperimentConfig(experiment="bsc_sweep", epsilon_values=[0.9],
                                sigma0=-1.0)
@@ -342,6 +369,26 @@ class TestConsoleScript:
             capture_output=True, text=True, cwd=tmp_path, env=env)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out.csv").exists()
+
+    def test_module_runs_as_a_script(self, tmp_path):
+        pkg_root = str(Path(mismatch_quant.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+        good = tmp_path / "good.json"
+        good.write_text('{"experiment": "rician_csi"}')
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"experiment": "rician_csi", "k_d": -1}')
+        runs = {
+            name: subprocess.run(
+                [sys.executable, "-m", "mismatch_quant.cli", "run", "--config", str(cfg)],
+                capture_output=True, text=True, cwd=tmp_path, env=env)
+            for name, cfg in (("good", good), ("bad", bad))
+        }
+        assert runs["good"].returncode == 0, runs["good"].stderr
+        assert len(_read_csv(tmp_path / "rician_csi.csv")) == 9
+        assert runs["bad"].returncode == 2
+        assert runs["bad"].stderr.startswith("config error:")
 
     def test_module_requires_a_command(self):
         proc = subprocess.run(

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize
 
 from mismatch_quant import (
     Gaussian,
@@ -375,3 +375,76 @@ class TestCdfPpf:
         d = GaussianMixture(((0.5, -2.0, 0.3), (0.5, 2.0, 0.3)))
         x = np.linspace(-6, 6, 500)
         assert np.all(np.diff(d.cdf(x)) >= 0)
+
+
+class TestCubeRootLaw:
+    @pytest.mark.parametrize("d", [Gaussian(0.4, 0.3), Gaussian(-2.0, 7.5),
+                                   Laplace(1.2, 0.05), Laplace(-0.3, 4.0)])
+    def test_density_is_the_cube_root_up_to_a_constant(self, d):
+        g = d.cube_root_law()
+        assert type(g) is type(d)
+        x = d.mean + d.std * np.linspace(-10.0, 10.0, 601)
+        gap = g.log_pdf(x) - d.log_pdf(x) / 3.0
+        assert np.ptp(gap) < 1e-13
+
+    def test_mixture_has_no_closed_form(self):
+        assert GaussianMixture(((0.5, -1.0, 1.0), (0.5, 1.0, 0.5))).cube_root_law() is None
+
+
+_MIXTURES = [
+    GaussianMixture(((0.3, -1.5, 0.6), (0.4, 0.0, 0.8), (0.3, 1.5, 0.6))),
+    GaussianMixture(((0.5, -2.0, 1.0), (0.5, 2.0, 1.0))),
+    GaussianMixture(((0.2, -1.0, 0.5), (0.3, 1.0, 1.0), (0.5, 3.0, 0.7))),
+    GaussianMixture(tuple((0.1, y - 4.5, 0.5) for y in range(10))),
+]
+
+
+def _probabilities():
+    tail = np.logspace(-12, math.log10(0.5), 120)
+    return np.unique(np.concatenate([tail, 1.0 - tail, np.linspace(0.01, 0.99, 99)]))
+
+
+class TestMixturePpf:
+    def test_shapes_are_kept(self):
+        d = _MIXTURES[0]
+        assert isinstance(d.ppf(0.3), float)
+        assert d.ppf(np.array([[0.1, 0.2, 0.9]])).shape == (1, 3)
+        assert d.ppf([0.25, 0.75]).shape == (2,)
+        assert d.ppf(np.array(0.5)) == d.ppf(0.5)
+
+    def test_single_component_is_the_gaussian_quantile(self):
+        q = _probabilities()
+        mix = GaussianMixture(((1.0, 0.7, 1.3),))
+        np.testing.assert_array_equal(mix.ppf(q), Gaussian(0.7, 1.3).ppf(q))
+
+    @pytest.mark.parametrize("d", _MIXTURES)
+    def test_monotone(self, d):
+        assert np.all(np.diff(d.ppf(_probabilities())) > 0.0)
+
+    @pytest.mark.parametrize("d", _MIXTURES)
+    def test_inverts_the_tail_probability_to_rounding(self, d):
+        # Below the median F(ppf(q)) must return q; above it the survival
+        # function, the distribution function of the mirrored mixture at
+        # -x, must return 1 - q.  Rounding x itself moves F by about
+        # eps |x| f(x), so that is allowed on top of a few ulps of q.
+        q = _probabilities()
+        x = d.ppf(q)
+        mirrored = GaussianMixture(tuple((w, -m, s) for w, m, s in d.components))
+        tail = np.where(q > 0.5, mirrored.cdf(-x), d.cdf(x))
+        p = np.where(q > 0.5, 1.0 - q, q)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(tail - p) <= 4.0 * eps * (p + np.abs(x) * d.pdf(x)))
+
+    @pytest.mark.parametrize("d", _MIXTURES)
+    def test_matches_a_root_solve(self, d):
+        q = np.linspace(0.001, 0.999, 37)
+        lo = min(m - 14.0 * s for _, m, s in d.components)
+        hi = max(m + 14.0 * s for _, m, s in d.components)
+        ref = [optimize.brentq(lambda x, p=p: d.cdf(x) - p, lo, hi, xtol=1e-15)
+               for p in q]
+        np.testing.assert_allclose(d.ppf(q), ref, rtol=0.0, atol=1e-12)
+
+    def test_limits(self):
+        d = _MIXTURES[0]
+        out = d.ppf(np.array([0.0, 1.0, np.nan]))
+        assert out[0] == -math.inf and out[1] == math.inf and math.isnan(out[2])

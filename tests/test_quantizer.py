@@ -24,6 +24,7 @@ from mismatch_quant import (
     centroid_codebook,
     lloyd_max_design,
 )
+from mismatch_quant.quantizer import _cube_root_quantiles
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -78,6 +79,22 @@ class TestPartition:
         assert p.encode(np.array([-0.3]))[0] == 0
         assert p.encode(np.array([0.0]))[0] == 1
 
+    @pytest.mark.parametrize("bad", [
+        (), (math.nan,), (0.0, math.inf, 1.0), (1.0, 1.0, 2.0), (0.0, 1.0),
+        ((0.0, 1.0), (2.0, 3.0), (4.0, 5.0)), ("a",),
+    ])
+    def test_rejects_malformed_boundaries(self, bad):
+        with pytest.raises(ValueError):
+            Partition(bad)
+
+    def test_stores_the_given_floats(self):
+        t = np.sort(np.random.default_rng(3).normal(size=4095))
+        p = Partition(t)
+        assert type(p.boundaries) is tuple
+        assert all(type(b) is float for b in p.boundaries)
+        assert p.boundaries == tuple(float(b) for b in t)
+        assert Partition((-1, 0, 2)).boundaries == (-1.0, 0.0, 2.0)
+
     def test_intervals_tile_the_line(self):
         p = Partition((-2.0, 0.0, 2.0))
         bins = p.bins()
@@ -95,6 +112,16 @@ class TestCodebook:
     def test_array_round_trip(self):
         c = Codebook((-1.0, 1.0))
         np.testing.assert_array_equal(c.as_array(), [-1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [(), (math.nan, 0.0), ((1.0,),), ("x",)])
+    def test_rejects_malformed_values(self, bad):
+        with pytest.raises(ValueError):
+            Codebook(bad)
+
+    def test_stores_the_given_floats(self):
+        v = np.random.default_rng(4).normal(size=64)
+        assert Codebook(v).values == tuple(float(x) for x in v)
+        assert all(type(x) is float for x in Codebook([1, 2]).values)
 
 
 class TestCentroidCodebook:
@@ -191,6 +218,41 @@ class TestLloydMaxDesign:
         qb = lloyd_max_design(Gaussian(0, 1), 4, max_iters=20_000, init="cube_root")
         np.testing.assert_allclose(qa.design_codebook.as_array(),
                                    qb.design_codebook.as_array(), atol=1e-8)
+
+    @pytest.mark.parametrize("d", [
+        Gaussian(0.3, 1.1), Laplace(0.0, 0.8),
+        GaussianMixture(((0.3, -1.5, 0.6), (0.4, 0.0, 0.8), (0.3, 1.5, 0.6)))])
+    def test_cube_root_start_matches_a_fine_grid(self, d):
+        # Trapezoid quantiles of f^{1/3} on 2^20 points spanning 40 cube-root
+        # standard deviations either side of every centre.
+        n = 4096
+        q = (np.arange(n) + 0.5) / n
+        reach = 40.0 * math.sqrt(3.0) * d.std
+        grid = np.linspace(min(d.centers()) - reach, max(d.centers()) + reach, 1 << 20)
+        weight = np.cbrt(d.pdf(grid))
+        cdf = np.concatenate(([0.0], np.cumsum((weight[1:] + weight[:-1]) * np.diff(grid))))
+        ref = np.interp(q, cdf / cdf[-1], grid)
+        np.testing.assert_allclose(_cube_root_quantiles(d, q), ref, rtol=0.0, atol=1e-7)
+
+    @pytest.mark.parametrize("d", [
+        Gaussian(0.2, 1.3), Laplace(0.1, 0.7),
+        GaussianMixture(((0.3, -1.5, 0.6), (0.4, 0.0, 0.8), (0.3, 1.5, 0.6)))])
+    @pytest.mark.parametrize("bits", [4, 8, 12])
+    def test_quantile_and_cube_root_starts_agree(self, d, bits):
+        qa = lloyd_max_design(d, bits)
+        qb = lloyd_max_design(d, bits, init="cube_root")
+        assert qa.converged and qb.converged
+        ta = np.asarray(qa.partition.boundaries)
+        tb = np.asarray(qb.partition.boundaries)
+        # A Laplace tail is memoryless: shifting its far thresholds together
+        # moves their centroids by the same amount, so the residual pins
+        # them only weakly.  At 12 bits the two designs, both at a residual
+        # of a few ulps, differ by 1.8e-8 near t = 11.4 (the previous
+        # grid start gave 2.1e-8).
+        atol = 5e-8 if isinstance(d, Laplace) and bits == 12 else 1e-9
+        np.testing.assert_allclose(ta, tb, rtol=0.0, atol=atol)
+        assert qa.distortion_history[-1] == pytest.approx(
+            qb.distortion_history[-1], rel=1e-12)
 
     def test_cube_root_init_converges_design_distortion_fast(self):
         # The point-density start reaches the 10-bit optimum well inside this
