@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import linalg
 
-from .distributions import ZERO_MASS_TOL, Distribution, Gaussian, Interval
+from .distributions import ZERO_MASS_TOL, Distribution, Gaussian, Interval, Laplace
 from .errors import DegenerateDesign, ZeroMassBin
 
 __all__ = [
@@ -219,6 +220,24 @@ def _damped_newton_step(d: Distribution, t, mass, c, r, damping: float):
         return None
 
 
+def _check_masses(mass: np.ndarray) -> None:
+    bad = np.flatnonzero(mass < ZERO_MASS_TOL)
+    if bad.size:
+        raise DegenerateDesign(f"bins {bad.tolist()} lost all design mass")
+
+
+def _standard_member(d: Distribution):
+    """``(standard, loc, scale)`` with ``d`` the law of ``loc + scale * X``,
+    ``X`` following the zero-mean, unit-variance member ``standard`` of the
+    family of ``d``; None for laws outside a location-scale family."""
+    if type(d) is Gaussian:
+        return Gaussian(), d.mean, d.std
+    if type(d) is Laplace:
+        standard = Laplace()
+        return standard, d.loc, d.scale / standard.scale
+    return None
+
+
 def lloyd_max_design(
     d: Distribution,
     bits: int,
@@ -241,6 +260,15 @@ def lloyd_max_design(
     log-concave laws the fixed point is unique.  By default the start is
     the ``(i + 0.5) / N`` quantiles of ``d``, which keeps every bin
     populated for the supported families.
+
+    Both optimality conditions are equivariant under ``x -> loc + scale x``,
+    so a Gaussian or Laplace law is designed once, at the zero-mean,
+    unit-variance member of its family (``Gaussian()`` or ``Laplace()``),
+    and its thresholds are mapped to ``t = loc + scale * t0``.  The standard
+    designs are kept in a bounded per-process memo keyed by the law, the bit
+    depth and the three settings below, so every law of a family shares one
+    design per bit depth.  The standard members themselves come out of the
+    memo as designed.  Mixtures are designed directly on every call.
 
     Parameters
     ----------
@@ -270,15 +298,20 @@ def lloyd_max_design(
     -------
     Quantizer
         The designed quantizer.  Its codebook is exactly the centroid
-        codebook of its partition.  ``distortion_history`` holds the
+        codebook of its partition under ``d``, and ``residual`` is the
+        ``max|r|`` of that pair.  ``distortion_history`` holds the
         non-increasing design distortion at the start and after each
-        iteration; ``converged``, ``iterations`` and ``residual`` (the final
-        ``max|r|``) record how the design ended.
+        iteration; ``converged`` and ``iterations`` record how the design
+        ended.  For a mapped design the codebook and ``residual`` are
+        evaluated under ``d`` itself, ``distortion_history`` is ``scale**2``
+        times that of the standard design, and ``converged`` and
+        ``iterations`` are those of the standard design.
 
     Raises
     ------
     DegenerateDesign
-        If some bin loses all design mass during iteration.
+        If some bin loses all design mass during iteration, or the mapped
+        thresholds of a very narrow law coincide in floating point.
     """
     if not isinstance(bits, int) or not 1 <= bits <= 16:
         raise ValueError(f"bits must be an integer in [1, 16], got {bits!r}")
@@ -286,6 +319,32 @@ def lloyd_max_design(
         raise ValueError(f"unsupported init scheme: {init!r}")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
+    member = _standard_member(d)
+    if member is None:
+        return _design(d, bits, max_iters, tol, init)
+    standard, loc, scale = member
+    q = _standard_design(standard, bits, max_iters, tol, init)
+    if d == standard:
+        return replace(q, design_law=d)
+    t = loc + scale * np.asarray(q.partition.boundaries)
+    if np.any(np.diff(t) <= 0.0):
+        raise DegenerateDesign(f"the thresholds of {d!r} coincide in floating point")
+    mass, c, _, r, _ = _design_state(d, t)
+    _check_masses(mass)
+    return Quantizer(
+        partition=Partition(t),
+        design_codebook=Codebook(c),
+        design_law=d,
+        distortion_history=tuple(scale * scale * h for h in q.distortion_history),
+        converged=q.converged,
+        iterations=q.iterations,
+        residual=float(np.max(np.abs(r))),
+    )
+
+
+def _design(d: Distribution, bits: int, max_iters: int, tol: float, init: str) -> Quantizer:
+    """The damped Newton Lloyd-Max iteration of ``lloyd_max_design`` on ``d``
+    itself, with arguments already checked."""
     n = 1 << bits
     q = (np.arange(n) + 0.5) / n
     if init == "quantile":
@@ -297,9 +356,7 @@ def lloyd_max_design(
 
     def lloyd_state(t):
         state = _design_state(d, t)
-        if np.any(state[0] < ZERO_MASS_TOL):
-            bad = np.flatnonzero(state[0] < ZERO_MASS_TOL).tolist()
-            raise DegenerateDesign(f"bins {bad} lost all design mass")
+        _check_masses(state[0])
         return state
 
     eps = float(np.finfo(float).eps)
@@ -339,3 +396,8 @@ def lloyd_max_design(
         iterations=len(history) - 1,
         residual=residual,
     )
+
+
+# The memo of standard designs.  A 16-bit design holds two tuples of 65,536
+# floats, about 4 MB, so the memo is bounded.
+_standard_design = functools.lru_cache(maxsize=64)(_design)

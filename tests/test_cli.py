@@ -163,6 +163,22 @@ class TestRunCommand:
         assert float(matched[0]) == 0.0
         assert abs(float(matched[5])) < 1e-9
 
+    def test_default_mean_sweep_shares_one_d_ideal_per_bit_depth(self, tmp_path):
+        # Every true law N(mu1, 1) is a shift of N(0, 1), so its redesign
+        # has the same distortion; per-law redesigns printed up to 9
+        # distinct values at one bit depth.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "mean_sweep",
+                                   "output": str(tmp_path / "out.csv")}))
+        assert main(["run", "--config", str(cfg)]) == 0
+        header, *rows = _read_csv(tmp_path / "out.csv")
+        bits, d_ideal = header.index("bits"), header.index("d_ideal")
+        by_bits = {}
+        for row in rows:
+            by_bits.setdefault(row[bits], set()).add(row[d_ideal])
+        assert sorted(by_bits) == ["1", "2", "3", "4"]
+        assert all(len(values) == 1 for values in by_bits.values()), by_bits
+
     def test_rerun_is_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         cfg = _write_cfg(tmp_path, mc_samples=5000, seed=11)

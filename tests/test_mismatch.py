@@ -164,11 +164,62 @@ class TestReport:
     def test_mc_requires_seed(self):
         with pytest.raises(ValueError):
             report(Gaussian(0, 1), Gaussian(0, 2), 1, mc_samples=1000)
+        with pytest.raises(ValueError):
+            report(Gaussian(0, 1), Gaussian(0, 2), 1, mc_samples=1, seed=0)
 
     def test_distant_truth_reports_substituted_bins(self):
         r = report(Gaussian(0, 1), Gaussian(50.0, 0.1), 2, include_ideal=False)
         assert r.substituted_bins == (0, 1, 2)
         assert r.d_gen < r.d_fix
+
+    @pytest.mark.parametrize("true_d", [Gaussian(0.3, 1.4), Laplace(-0.2, 0.9)])
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4])
+    def test_monte_carlo_scores_one_draw_with_both_codebooks(self, true_d, bits):
+        self._assert_mc_matches_two_calls(Gaussian(0, 1), true_d, bits, 20_000, 5)
+
+    def test_monte_carlo_reaches_the_top_sixteen_bit_index(self):
+        # The widest bins of a 16-bit Laplace design start near 31 scales
+        # out; a true law five times wider still lands draws in the last one.
+        design_d, true_d = Laplace(), Laplace(0.0, 5.0)
+        q = lloyd_max_design(design_d, 16)
+        assert q.converged
+        assert q.encode(true_d.sample(3, 50_000)).max() == (1 << 16) - 1
+        self._assert_mc_matches_two_calls(design_d, true_d, 16, 50_000, 3)
+
+    @staticmethod
+    def _assert_mc_matches_two_calls(design_d, true_d, bits, n, seed):
+        r = report(design_d, true_d, bits, include_ideal=False, mc_samples=n, seed=seed)
+        q = lloyd_max_design(design_d, bits)
+        gen = generative_codebook(q.partition, true_d, fallback=q.design_codebook)
+        fix_mc, se_fix = monte_carlo_distortion(q.partition, q.design_codebook,
+                                                true_d, n, seed)
+        gen_mc, se_gen = monte_carlo_distortion(q.partition, gen, true_d, n, seed)
+        assert (r.d_fix_mc, r.d_gen_mc, r.mc_stderr) == (fix_mc, gen_mc,
+                                                         max(se_fix, se_gen))
+
+
+class TestIdealDistortion:
+    # Expanding sum(m2) - 2 c m1 + c^2 m0 about the origin cancels when
+    # |mean| >> std: a redesign of each law on its own reported converged
+    # designs whose d_ideal was off by 1.1e-2, 2.0 and 1.0 relative for
+    # N(1e6, 1) at 4, 8 and 12 bits, 4.7 for N(1000, 1e-3) at 8 bits and
+    # 0.33 and 1.0 for Laplace(-50, 1e-4) at 8 and 12 bits.
+    @pytest.mark.parametrize("d, standard, scale", [
+        (Gaussian(1e6, 1.0), Gaussian(), 1.0),
+        (Gaussian(1000.0, 1e-3), Gaussian(), 1e-3),
+        (Laplace(-50.0, 1e-4), Laplace(), 1e-4 / math.sqrt(0.5)),
+    ])
+    @pytest.mark.parametrize("bits", [4, 8, 12])
+    def test_far_off_law_scales_the_standard_distortion(self, d, standard, scale, bits):
+        want = scale * scale * ideal_distortion(standard, bits)
+        assert ideal_distortion(d, bits) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("d", [
+        Gaussian(), Laplace(), GaussianMixture(((0.5, -1.5, 0.6), (0.5, 1.5, 0.6)))])
+    def test_directly_designed_law_gives_the_expanded_sum(self, d):
+        q = lloyd_max_design(d, 5)
+        assert ideal_distortion(d, 5) == expected_distortion(
+            q.partition, q.design_codebook, d)
 
 
 class TestMonteCarloDistortion:

@@ -24,7 +24,7 @@ from mismatch_quant import (
     centroid_codebook,
     lloyd_max_design,
 )
-from mismatch_quant.quantizer import _cube_root_quantiles
+from mismatch_quant.quantizer import _cube_root_quantiles, _standard_design
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -327,6 +327,93 @@ class TestLloydMaxDesign:
         want, _ = integrate.quad(err, -12, 12, limit=500,
                                  points=list(cuts))
         assert q.distortion_history[-1] == pytest.approx(want, rel=1e-8)
+
+
+class TestStandardMemberDesign:
+    """Gaussian and Laplace laws are designed at their family's zero-mean,
+    unit-variance member, memoised, and mapped by ``loc + scale * t0``."""
+
+    @staticmethod
+    def _count_edge_stats(monkeypatch, family):
+        calls = []
+        kernel = family.edge_stats
+
+        def counted(self, *args, **kwargs):
+            calls.append(self)
+            return kernel(self, *args, **kwargs)
+
+        monkeypatch.setattr(family, "edge_stats", counted)
+        return calls
+
+    @pytest.mark.parametrize("family", [Gaussian, Laplace])
+    @pytest.mark.parametrize("init", ["quantile", "cube_root"])
+    def test_mapped_thresholds_match_a_direct_design(self, family, init):
+        # A direct design of the shifted law converges to the same fixed
+        # point from its own start; the largest gap, 8.6e-10 relative, is
+        # Laplace(-3, 0.3) at 11 bits, along the weakly pinned tail mode.
+        direct = _standard_design.__wrapped__
+        for m in (-3.0, 0.5):
+            for s in (0.3, 0.7, 5.0):
+                d = family(m, s)
+                for bits in range(1, 13):
+                    q = lloyd_max_design(d, bits, init=init)
+                    ref = direct(d, bits, 500, 1e-10, init)
+                    t = np.asarray(q.partition.boundaries)
+                    gap = np.max(np.abs(t - np.asarray(ref.partition.boundaries)))
+                    assert gap <= 1e-9 * max(1.0, float(np.max(np.abs(t)))), (m, s, bits)
+
+    @pytest.mark.parametrize("d", [Gaussian(-3.0, 0.3), Gaussian(1e6, 1.0),
+                                   Laplace(0.5, 5.0), Laplace(-50.0, 1e-4)])
+    @pytest.mark.parametrize("bits", [1, 4, 12])
+    def test_mapped_design_is_centroidal_with_its_own_residual(self, d, bits):
+        q = lloyd_max_design(d, bits)
+        assert q.design_law is d
+        assert q.design_codebook.values == centroid_codebook(q.partition, d).values
+        t = np.asarray(q.partition.boundaries)
+        v = q.design_codebook.as_array()
+        assert q.residual == float(np.max(np.abs(t - 0.5 * (v[:-1] + v[1:]))))
+
+    @pytest.mark.parametrize("d", [Gaussian(), Laplace()])
+    def test_standard_member_is_the_memoised_design(self, d):
+        q = lloyd_max_design(d, 6)
+        ref = _standard_design.__wrapped__(d, 6, 500, 1e-10, "quantile")
+        assert q.partition.boundaries == ref.partition.boundaries
+        assert q.design_codebook.values == ref.design_codebook.values
+        assert q.distortion_history == ref.distortion_history
+        assert (q.converged, q.iterations, q.residual) == (
+            ref.converged, ref.iterations, ref.residual)
+
+    def test_record_of_a_mapped_design(self):
+        scale = 0.5 / Laplace().scale
+        ref = lloyd_max_design(Laplace(), 5)
+        q = lloyd_max_design(Laplace(2.0, 0.5), 5)
+        assert q.distortion_history == tuple(scale * scale * h
+                                             for h in ref.distortion_history)
+        assert (q.converged, q.iterations) == (ref.converged, ref.iterations)
+
+    @pytest.mark.parametrize("family", [Gaussian, Laplace])
+    def test_memo_hit_makes_no_kernel_call(self, family, monkeypatch):
+        lloyd_max_design(family(), 7)
+        calls = self._count_edge_stats(monkeypatch, family)
+        lloyd_max_design(family(), 7)
+        assert calls == []
+        shifted = family(0.25, 3.0)
+        lloyd_max_design(shifted, 7)
+        assert calls == [shifted]
+
+    def test_mixtures_are_not_memoised(self, monkeypatch):
+        d = GaussianMixture(((0.5, -1.5, 0.6), (0.5, 1.5, 0.6)))
+        calls = self._count_edge_stats(monkeypatch, GaussianMixture)
+        first = lloyd_max_design(d, 4)
+        n_first = len(calls)
+        second = lloyd_max_design(d, 4)
+        assert first.iterations >= 1 and n_first > 1
+        assert len(calls) == 2 * n_first
+        assert second.partition == first.partition
+
+    def test_collapsed_thresholds_are_degenerate(self):
+        with pytest.raises(DegenerateDesign):
+            lloyd_max_design(Gaussian(1e6, 1e-12), 8)
 
 
 class TestQuantizerRoundTrip:
