@@ -9,8 +9,9 @@ table for the given channel).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,20 +37,18 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 STRATEGIES = ("standard_separation", "hard_generative", "soft_generative")
 
 
-@dataclass(frozen=True)
 class Channel:
     """Row-stochastic index transition matrix ``P(received j | sent i)``.
 
-    ``matrix`` accepts any square array-like and is stored as a tuple of
-    tuples, which equality and hashing use; the validated array is kept
-    alongside, read-only, for the decoders.
+    ``matrix`` accepts any square array-like.  The validated array, kept
+    read-only, is the one representation: the decoders read it and
+    equality compares it.  The ``matrix`` attribute gives the same values
+    as a tuple of tuples of floats, built on first access, which hashing
+    and ``repr`` go through.  Instances are immutable.
     """
 
-    matrix: tuple[tuple[float, ...], ...]
-    _array: np.ndarray = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=float)
+    def __init__(self, matrix) -> None:
+        m = np.array(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"transition matrix must be square, got shape {m.shape}")
         if not np.all(np.isfinite(m)) or np.any(m < 0.0):
@@ -59,11 +58,35 @@ class Channel:
             raise ValueError(f"rows must sum to 1 within 1e-12, got {rows}")
         m.flags.writeable = False
         object.__setattr__(self, "_array", m)
-        object.__setattr__(self, "matrix", tuple(tuple(row) for row in m))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: Channel is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: Channel is immutable")
+
+    @functools.cached_property
+    def matrix(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(map(tuple, self._array.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Channel):
+            return NotImplemented
+        return np.array_equal(self._array, other._array)
+
+    def __hash__(self) -> int:
+        return hash(self.matrix)
+
+    def __repr__(self) -> str:
+        return f"Channel(matrix={self.matrix!r})"
+
+    def __reduce__(self):
+        # Rebuild through __init__, so a copy is validated and read-only too.
+        return Channel, (self._array,)
 
     @property
     def n(self) -> int:
-        return len(self.matrix)
+        return self._array.shape[0]
 
     def as_array(self) -> np.ndarray:
         """The transition matrix as a read-only array (no copy)."""
@@ -95,15 +118,18 @@ def bsc_channel(bits: int, epsilon: float) -> Channel:
         raise ValueError(f"bits must be an integer in [1, 12], got {bits!r}")
     if not 0.0 <= epsilon <= 0.5:
         raise ValueError(f"epsilon must lie in [0, 0.5], got {epsilon}")
+    # The entry depends only on the Hamming weight of i ^ j, so it is looked
+    # up among the bits + 1 distinct values.  Popcounts of 0..n-1 follow by
+    # doubling (setting bit k adds one to the weights of 0..2^k - 1), which
+    # gives row 0; row i is row 0 at the columns j ^ i.
     n = 1 << bits
-    idx = np.arange(n)
-    xor = idx[:, None] ^ idx[None, :]
-    hamming = np.zeros_like(xor)
-    while np.any(xor):
-        hamming += xor & 1
-        xor >>= 1
-    matrix = (epsilon**hamming) * (1.0 - epsilon) ** (bits - hamming)
-    return Channel(matrix=matrix)
+    weight = np.zeros(n, dtype=np.uint8)
+    for k in range(bits):
+        weight[1 << k : 2 << k] = weight[: 1 << k] + 1
+    h = np.arange(bits + 1)
+    row = ((epsilon**h) * (1.0 - epsilon) ** (bits - h))[weight]
+    idx = np.arange(n, dtype=np.uint16)
+    return Channel(row[idx[:, None] ^ idx])
 
 
 def index_posterior(ch: Channel, priors, received: int) -> np.ndarray:
@@ -147,8 +173,7 @@ def soft_codebook(
     """
     if ch.n != p.n_bins:
         raise ValueError(f"channel size {ch.n} does not match {p.n_bins} bins")
-    gen, _ = _generative_values(p, true_d, fallback)
-    (mass,) = true_d.edge_stats(p.edges(), order=0)
+    gen, mass, _ = _generative_values(p, true_d, fallback)
     priors = mass / mass.sum()
     joint = ch.as_array() * priors[:, None]
     evidence = joint.sum(axis=0)
@@ -168,7 +193,7 @@ def make_noisy_decoder(
     if strategy == "standard_separation":
         table = quantizer.design_codebook
     elif strategy == "hard_generative":
-        values, _ = _generative_values(p, true_d, quantizer.design_codebook)
+        values, _, _ = _generative_values(p, true_d, quantizer.design_codebook)
         table = Codebook(values)
     elif strategy == "soft_generative":
         if ch is None:

@@ -94,7 +94,9 @@ def expected_distortion(p: Partition, c: Codebook, d: Distribution) -> float:
 
 def _generative_values(
     p: Partition, true_d: Distribution, fallback: Codebook | None
-) -> tuple[np.ndarray, tuple[int, ...]]:
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Conditional means under ``true_d``, the bin masses they came from,
+    and the bins that fell back to ``fallback``."""
     mass, m1 = true_d.edge_stats(p.edges(), order=1)
     empty = mass < ZERO_MASS_TOL
     if np.any(empty) and fallback is None:
@@ -106,7 +108,7 @@ def _generative_values(
         values = np.where(empty, 0.0, m1) / np.where(empty, 1.0, mass)
     if np.any(empty):
         values = np.where(empty, fallback.as_array(), values)
-    return values, tuple(np.flatnonzero(empty).tolist())
+    return values, mass, tuple(np.flatnonzero(empty).tolist())
 
 
 def generative_codebook(
@@ -118,7 +120,7 @@ def generative_codebook(
     corresponding value of ``fallback`` when one is given; otherwise
     ``ZeroMassBin`` is raised.
     """
-    values, _ = _generative_values(p, true_d, fallback)
+    values, _, _ = _generative_values(p, true_d, fallback)
     return Codebook(values)
 
 
@@ -181,7 +183,7 @@ def report(
     ``monte_carlo_distortion`` calls with that seed, bit for bit.
     """
     q = lloyd_max_design(design_d, bits, max_iters=max_iters, tol=tol, init=init)
-    gen_values, substituted = _generative_values(
+    gen_values, _, substituted = _generative_values(
         q.partition, true_d, fallback=q.design_codebook
     )
     gen_codebook = Codebook(gen_values)

@@ -10,6 +10,7 @@ encoder.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -183,7 +184,11 @@ def task_codebook(
     return Codebook(values)
 
 
-def _rician_moments(k_factor: float) -> np.ndarray:
+# Each Rice factor's moments are computed once per process: the CSI
+# experiments ask for the same few factors many times over.  An entry is
+# five floats, so the bound only guards against unbounded sweeps.
+@functools.lru_cache(maxsize=256)
+def _rician_moments(k_factor: float) -> tuple[float, ...]:
     """Conditional moments ``M_0..M_4`` of the positive-part fading amplitude.
 
     The unit-power Rice-``K`` coefficient is reduced to a real Gaussian with
@@ -191,13 +196,14 @@ def _rician_moments(k_factor: float) -> np.ndarray:
     ``1/(K+1)`` as variance, conditioned on the positive half-line.  That
     convention pins the K = 0 anchors ``M_2 = 1``, ``M_3 = 2 sqrt(2/pi)``
     and ``M_4 = 3``, and collapses to a unit point mass as K grows.
+    The result is a tuple, since it is shared by every caller.
     """
     if not math.isfinite(k_factor) or k_factor < 0.0:
         raise ValueError(f"k_factor must be finite and >= 0, got {k_factor}")
     g = Gaussian(mean=math.sqrt(k_factor / (k_factor + 1.0)),
                  std=math.sqrt(1.0 / (k_factor + 1.0)))
     raw = np.concatenate(g.edge_stats([0.0, math.inf], order=4))
-    return raw / raw[0]
+    return tuple((raw / raw[0]).tolist())
 
 
 def rician_moment(k_factor: float, n: int) -> float:
@@ -298,8 +304,8 @@ def map_labels(p: Partition, src: LabeledSource) -> tuple[str, ...]:
     bad = np.flatnonzero(totals < ZERO_MASS_TOL)
     if bad.size:
         raise ZeroMassBin(f"bins {bad.tolist()} carry no mass under any class")
-    winners = np.argmax(joint, axis=0)
-    return tuple(src.classes[int(w)].label for w in winners)
+    labels = [c.label for c in src.classes]
+    return tuple([labels[w] for w in np.argmax(joint, axis=0).tolist()])
 
 
 def _label_accuracy(p: Partition, labels: tuple[str, ...], src: LabeledSource) -> float:

@@ -12,7 +12,9 @@ The second changes sign once eps crosses (sigma1 - sigma0)/(4 sigma1), so
 is fine".
 """
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -73,6 +75,64 @@ class TestChannel:
         source[0, 0] = 0.5  # the caller's array stays writable and unshared
         assert ch.matrix[0][0] == 0.9
 
+    def test_equality_and_hash_ignore_the_input_type_and_zero_sign(self):
+        rows = [[0.9, 0.1], [0.2, 0.8]]
+        a, b = Channel(rows), Channel(np.array(rows))
+        assert a == b and hash(a) == hash(b)
+        signed = Channel(((1.0, -0.0), (0.0, 1.0)))
+        plain = Channel(((1.0, 0.0), (0.0, 1.0)))
+        assert signed == plain and hash(signed) == hash(plain)
+
+    def test_never_equal_to_other_types(self):
+        ch = Channel(((1.0, 0.0), (0.0, 1.0)))
+        assert ch != object()
+        assert not ch == ((1.0, 0.0), (0.0, 1.0))
+
+    def test_matrix_holds_python_floats_equal_to_the_array(self):
+        ch = bsc_channel(3, 0.123456789)
+        assert ch.matrix is ch.matrix
+        assert all(type(v) is float for row in ch.matrix for v in row)
+        np.testing.assert_array_equal(np.array(ch.matrix), ch.as_array())
+        assert repr(ch) == f"Channel(matrix={ch.matrix!r})"
+        assert "np.float64" not in repr(ch)
+
+    def test_is_immutable(self):
+        ch = bsc_channel(1, 0.1)
+        with pytest.raises(AttributeError):
+            ch.matrix = ((1.0, 0.0), (0.0, 1.0))
+        with pytest.raises(AttributeError):
+            ch._array = np.eye(2)
+        with pytest.raises(AttributeError):
+            ch.label = "bsc"
+        with pytest.raises(AttributeError):
+            del ch.matrix
+        np.testing.assert_array_equal(ch.as_array(), [[0.9, 0.1], [0.1, 0.9]])
+
+    def test_copies_stay_equal_and_read_only(self):
+        ch = bsc_channel(2, 0.1)
+        for other in (pickle.loads(pickle.dumps(ch)), copy.deepcopy(ch)):
+            assert other == ch and hash(other) == hash(ch)
+            assert not other.as_array().flags.writeable
+
+
+def _reference_hamming(bits: int) -> np.ndarray:
+    """Hamming distances between all pairs of ``bits``-bit labels, from a
+    shift-and-mask loop, built a block of rows at a time."""
+    n = 1 << bits
+    idx = np.arange(n, dtype=np.uint16)
+    out = np.empty((n, n), dtype=np.uint8)
+    for start in range(0, n, 256):
+        xor = idx[start:start + 256, None] ^ idx[None, :]
+        hamming = np.zeros_like(xor)
+        while np.any(xor):
+            hamming += xor & 1
+            xor >>= 1
+        out[start:start + 256] = hamming
+    return out
+
+
+BSC_EPSILONS = (0.0, 0.02, 0.1, 0.123456789, 0.25, 0.3, 0.45, 0.5)
+
 
 class TestBscChannel:
     def test_one_bit_matrix(self):
@@ -97,6 +157,25 @@ class TestBscChannel:
         np.testing.assert_array_equal(bsc_channel(2, 0.0).as_array(), np.eye(4))
         np.testing.assert_allclose(bsc_channel(2, 0.5).as_array(),
                                    np.full((4, 4), 0.25), atol=1e-15)
+
+    @pytest.mark.parametrize("bits", range(1, 13))
+    def test_bitwise_equal_to_the_defining_formula(self, bits):
+        # eps^h (1-eps)^(bits-h) entry by entry, with int64 exponents,
+        # a block of rows at a time to bound the memory at 12 bits.
+        hamming = _reference_hamming(bits)
+        for eps in BSC_EPSILONS:
+            m = bsc_channel(bits, eps).as_array()
+            for start in range(0, 1 << bits, 256):
+                h = hamming[start:start + 256].astype(np.int64)
+                want = (eps**h) * (1.0 - eps) ** (bits - h)
+                assert np.array_equal(m[start:start + 256], want), (bits, eps, start)
+
+    def test_twelve_bits_is_a_full_row_stochastic_matrix(self):
+        m = bsc_channel(12, 0.1).as_array()
+        assert m.shape == (4096, 4096)
+        assert m.dtype == np.float64
+        assert np.all(m > 0.0)
+        np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):

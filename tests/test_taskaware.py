@@ -29,6 +29,7 @@ from mismatch_quant import (
     task_codebook,
     weighted_mse_csi,
 )
+from mismatch_quant.taskaware import _rician_moments
 
 
 class TestGoldenSection:
@@ -188,6 +189,53 @@ class TestPhiEta:
             assert eta(kt, kd) > 0.0
 
 
+class TestRicianMemo:
+    def test_each_factor_is_computed_once(self, monkeypatch):
+        calls = []
+        edge_stats = Gaussian.edge_stats
+
+        def counted(self, edges, order=2):
+            calls.append(self)
+            return edge_stats(self, edges, order)
+
+        monkeypatch.setattr(Gaussian, "edge_stats", counted)
+        _rician_moments.cache_clear()
+        for n in (2, 3, 4):
+            rician_moment(4.0, n)
+        eta(4.0, 9.0)
+        phi(9.0)
+        assert len(calls) == 2
+
+    def test_cached_result_is_immutable(self):
+        m = _rician_moments(2.0)
+        assert m is _rician_moments(2.0)
+        assert isinstance(m, tuple) and len(m) == 5
+        with pytest.raises(TypeError):
+            m[2] = 0.0
+
+    @pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 10.0, 200.0, 1e6])
+    def test_bitwise_equal_to_the_uncached_computation(self, k):
+        _rician_moments.cache_clear()
+        fresh = _rician_moments.__wrapped__(k)
+        assert _rician_moments(k) == fresh
+        for n in (2, 3, 4):
+            assert rician_moment(k, n) == fresh[n]
+        assert phi(k) == fresh[3] / fresh[2]
+
+    def test_int_and_float_factors_give_the_same_moments(self):
+        _rician_moments.cache_clear()
+        assert _rician_moments(3) == _rician_moments(3.0)
+        assert _rician_moments(3) == _rician_moments.__wrapped__(3.0)
+        assert eta(3, 1) == eta(3.0, 1.0)
+
+    def test_invalid_factors_are_not_cached(self):
+        _rician_moments.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                rician_moment(-1.0, 2)
+        assert _rician_moments.cache_info().currsize == 0
+
+
 def _two_class_source(w_first: float) -> LabeledSource:
     return LabeledSource(classes=(
         LabeledClass("low", w_first, Gaussian(-1.0, 0.5)),
@@ -250,6 +298,18 @@ class TestMapLabels:
             LabeledClass("second", 0.5, Gaussian(0, 1)),
         ))
         assert map_labels(Partition((0.0,)), src) == ("first", "first")
+
+    def test_labels_are_the_per_bin_argmax_of_the_joint_mass(self):
+        src = LabeledSource(classes=tuple(
+            LabeledClass(f"c{k}", 0.25, Gaussian(m, 0.5))
+            for k, m in enumerate((-1.5, -0.5, 0.5, 1.5))
+        ))
+        p = lloyd_max_design(src.marginal(), 6).partition
+        labels = map_labels(p, src)
+        joint = np.array([c.weight * c.distribution.edge_stats(p.edges(), order=0)[0]
+                          for c in src.classes])
+        assert labels == tuple(f"c{k}" for k in np.argmax(joint, axis=0))
+        assert all(type(lab) is str for lab in labels)
 
     def test_massless_bins_raise(self):
         src = _two_class_source(0.5)
