@@ -40,6 +40,12 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # steps and bisection alone would need about 60 to exhaust a double.
 _PPF_MAX_ITERS = 100
 
+# Most component-by-edge entries a mixture's moments evaluate in one kernel
+# call.  Batching components removes per-call overhead on small partitions;
+# past about this size a broadcast block is slower than one call per
+# component, so large partitions take their components one at a time.
+_MIXTURE_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -64,18 +70,19 @@ def _std_normal_pdf(z: np.ndarray) -> np.ndarray:
     return _INV_SQRT_2PI * np.exp(-0.5 * np.square(z))
 
 
-def _powers(x: float, order: int) -> list[float]:
+def _powers(x, order: int) -> list:
     out = [1.0]
     for _ in range(order):
         out.append(out[-1] * x)
     return out
 
 
-def _shift(loc: float, scale: float, centered: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+def _shift(loc, scale, centered: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     """Raw moments of ``loc + scale * U`` from the per-bin moments of ``U``.
 
     Binomial expansion ``E[X^k] = sum_j C(k, j) loc^(k-j) scale^j E[U^j]``,
-    summed in increasing ``j``.
+    summed in increasing ``j``.  ``loc`` and ``scale`` are floats or columns
+    that broadcast against the moments.
     """
     lp = _powers(loc, len(centered) - 1)
     sp = _powers(scale, len(centered) - 1)
@@ -88,14 +95,14 @@ def _shift(loc: float, scale: float, centered: list[np.ndarray]) -> tuple[np.nda
     return tuple(out)
 
 
-def _gaussian_edge_stats(
-    mean: float, std: float, edges: np.ndarray, order: int
-) -> tuple[np.ndarray, ...]:
+def _gaussian_edge_stats(mean, std, edges: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
     """Unnormalized raw moments ``0..order`` of N(mean, std^2) per bin.
 
     ``edges`` is the increasing array of bin edges including the outer
-    ``+/-inf``.  Returns arrays of length ``len(edges) - 1``.  Masses in the
-    far tail are formed from the survival function on whichever side avoids
+    ``+/-inf``.  ``mean`` and ``std`` are floats, giving arrays of length
+    ``len(edges) - 1``, or ``(k, 1)`` columns of ``k`` laws, giving one row
+    per law; bins run along the last axis.  Masses in the far tail are
+    formed from the survival function on whichever side avoids
     cancellation.  The standard-normal moments follow the recursion
     ``I_k = (k-1) I_(k-2) + za^(k-1) phi(za) - zb^(k-1) phi(zb)``.
     """
@@ -103,17 +110,21 @@ def _gaussian_edge_stats(
     below = special.ndtr(z)
     above = special.ndtr(-z)
     mass = np.where(
-        z[:-1] >= 0.0, above[:-1] - above[1:], below[1:] - below[:-1]
+        z[..., :-1] >= 0.0,
+        above[..., :-1] - above[..., 1:],
+        below[..., 1:] - below[..., :-1],
     )
     moments = [mass]
     if order:
         # z^(k-1) phi(z) -> 0 as |z| -> inf; zero z there to avoid inf * 0.
         z_finite = np.where(np.isfinite(z), z, 0.0)
         edge_term = _std_normal_pdf(z)
-        moments.append(edge_term[:-1] - edge_term[1:])
+        moments.append(edge_term[..., :-1] - edge_term[..., 1:])
         for k in range(2, order + 1):
             edge_term = z_finite * edge_term
-            moments.append((k - 1) * moments[k - 2] + edge_term[:-1] - edge_term[1:])
+            moments.append(
+                (k - 1) * moments[k - 2] + edge_term[..., :-1] - edge_term[..., 1:]
+            )
     return _shift(mean, std, moments)
 
 
@@ -461,11 +472,23 @@ class GaussianMixture(Distribution):
         return out if out.ndim else float(out)
 
     def edge_stats(self, edges, order=2):
+        # Components go through the kernel in consecutive blocks of at most
+        # _MIXTURE_BLOCK component-by-edge entries, one call per block.  The
+        # weighted rows are added onto the totals one at a time, in component
+        # order, so each bin sums its components exactly as a loop over them
+        # would.  A reduction over the block would reassociate the sum (and
+        # go pairwise along a contiguous axis); an accumulate along it is
+        # exact but runs column by column, slower than these row adds.
         edges = np.asarray(edges, dtype=float)
+        w, m, s = (np.array(col)[:, None] for col in zip(*self.components))
+        step = max(1, _MIXTURE_BLOCK // len(edges))
         out = [np.zeros(len(edges) - 1) for _ in range(order + 1)]
-        for w, m, s in self.components:
-            for acc, part in zip(out, _gaussian_edge_stats(m, s, edges, order)):
-                acc += w * part
+        for lo in range(0, len(w), step):
+            block = slice(lo, lo + step)
+            parts = _gaussian_edge_stats(m[block], s[block], edges, order)
+            for acc, part in zip(out, parts):
+                for row in w[block] * part:
+                    acc += row
         return tuple(out)
 
     def sample(self, seed, n):

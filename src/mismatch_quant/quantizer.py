@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import linalg
+from scipy.linalg import lapack
 
 from .distributions import ZERO_MASS_TOL, Distribution, Gaussian, Interval, Laplace
 from .errors import DegenerateDesign, ZeroMassBin
@@ -204,20 +204,25 @@ def _damped_newton_step(d: Distribution, t, mass, c, r, damping: float):
     from ``dc_i/dt = f(t) (t - c_i) / mass_i`` at each edge of bin ``i``.
     ``damping = 0`` is Newton's step and ``damping = 1`` is Lloyd's step
     ``s = r``; in between, the slow modes that Lloyd's step barely moves are
-    amplified by up to ``1 / damping``.  Returns None if the solve fails.
+    amplified by up to ``1 / damping``.  The system goes straight to
+    LAPACK's tridiagonal ``gtsv``, the routine ``linalg.solve_banded((1, 1),
+    ...)`` calls, without its band buffer and checks; a single threshold is
+    the division ``r / diag``, as ``solve_banded`` does it.  Returns None if
+    the solve fails.
     """
     f = np.asarray(d.pdf(t), dtype=float)
     phi = 1.0 - damping
     right = 0.5 * f * (t - c[:-1]) / mass[:-1]  # dc_i/dt_i / 2, t_i ends bin i
     left = 0.5 * f * (c[1:] - t) / mass[1:]  # dc_(i+1)/dt_i / 2, t_i starts bin i+1
-    ab = np.zeros((3, len(t)))
-    ab[0, 1:] = -phi * right[1:]  # -phi L[i, i + 1]
-    ab[1] = 1.0 - phi * (right + left)
-    ab[2, :-1] = -phi * left[:-1]  # -phi L[i + 1, i]
-    try:
-        return linalg.solve_banded((1, 1), ab, r, check_finite=False)
-    except linalg.LinAlgError:
-        return None
+    diag = 1.0 - phi * (right + left)
+    if len(t) == 1:
+        return r / diag
+    upper = -phi * right[1:]  # -phi L[i, i + 1]
+    lower = -phi * left[:-1]  # -phi L[i + 1, i]
+    *_, step, info = lapack.dgtsv(
+        lower, diag, upper, r, overwrite_dl=True, overwrite_d=True, overwrite_du=True
+    )
+    return None if info else step
 
 
 def _check_masses(mass: np.ndarray) -> None:

@@ -291,15 +291,8 @@ def _joint_mass(p: Partition, src: LabeledSource) -> np.ndarray:
     return np.asarray(rows)
 
 
-def map_labels(p: Partition, src: LabeledSource) -> tuple[str, ...]:
-    """Maximum-posterior class label per bin; ties go to the earliest class.
-
-    Raises
-    ------
-    ZeroMassBin
-        If some bin has no mass under any class.
-    """
-    joint = _joint_mass(p, src)
+def _labels_from_joint(joint: np.ndarray, src: LabeledSource) -> tuple[str, ...]:
+    """The ``map_labels`` of the ``_joint_mass`` table ``joint`` of ``src``."""
     totals = joint.sum(axis=0)
     bad = np.flatnonzero(totals < ZERO_MASS_TOL)
     if bad.size:
@@ -308,8 +301,21 @@ def map_labels(p: Partition, src: LabeledSource) -> tuple[str, ...]:
     return tuple([labels[w] for w in np.argmax(joint, axis=0).tolist()])
 
 
-def _label_accuracy(p: Partition, labels: tuple[str, ...], src: LabeledSource) -> float:
-    joint = _joint_mass(p, src)
+def map_labels(p: Partition, src: LabeledSource) -> tuple[str, ...]:
+    """Maximum-posterior class label per bin; ties go to the earliest class.
+
+    Raises
+    ------
+    ZeroMassBin
+        If some bin has no mass under any class.
+    """
+    return _labels_from_joint(_joint_mass(p, src), src)
+
+
+def _label_accuracy(joint: np.ndarray, labels: tuple[str, ...], src: LabeledSource) -> float:
+    """Probability under ``src``, whose ``_joint_mass`` table is ``joint``,
+    that a bin's label is the class drawn; labels ``src`` lacks score zero.
+    The bins are summed in order by a Python sum."""
     index = {c.label: k for k, c in enumerate(src.classes)}
     return float(
         sum(
@@ -346,18 +352,21 @@ def classification_report(
 
     All accuracies are evaluated under ``src_true``.  The ideal decoder
     redesigns the partition for the true marginal at the same bit depth and
-    labels it with the true mix.
+    labels it with the true mix.  Each (partition, source) pair builds its
+    joint-mass table once, and labels and accuracies are read from it.
     """
-    labels_fix = map_labels(p, src_design)
-    labels_gen = map_labels(p, src_true)
-    acc_fix = _label_accuracy(p, labels_fix, src_true)
-    acc_gen = _label_accuracy(p, labels_gen, src_true)
+    labels_fix = _labels_from_joint(_joint_mass(p, src_design), src_design)
+    joint_true = _joint_mass(p, src_true)
+    labels_gen = _labels_from_joint(joint_true, src_true)
+    acc_fix = _label_accuracy(joint_true, labels_fix, src_true)
+    acc_gen = _label_accuracy(joint_true, labels_gen, src_true)
 
     ideal_q = lloyd_max_design(
         src_true.marginal(), p.bits, max_iters=max_iters, tol=tol
     )
-    labels_ideal = map_labels(ideal_q.partition, src_true)
-    acc_ideal = _label_accuracy(ideal_q.partition, labels_ideal, src_true)
+    joint_ideal = _joint_mass(ideal_q.partition, src_true)
+    labels_ideal = _labels_from_joint(joint_ideal, src_true)
+    acc_ideal = _label_accuracy(joint_ideal, labels_ideal, src_true)
 
     gap = acc_ideal - acc_fix
     recovery = 100.0 * (acc_gen - acc_fix) / gap if abs(gap) > 1e-9 else None

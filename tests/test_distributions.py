@@ -18,6 +18,7 @@ from mismatch_quant import (
     from_config,
     inverse_mills,
 )
+from mismatch_quant.distributions import _MIXTURE_BLOCK
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -255,6 +256,64 @@ class TestEdgeStatsOracle:
             assert len(part) == order + 1
             for a, b in zip(part, full):
                 assert np.array_equal(a, b)
+
+
+def _component_loop_edge_stats(mix, edges, order):
+    """Mixture moments by one kernel call per component, each added in turn
+    onto a zero-initialised total: the reference the blocked kernel keeps."""
+    out = [np.zeros(len(edges) - 1) for _ in range(order + 1)]
+    for w, m, s in mix.components:
+        for acc, part in zip(out, Gaussian(m, s).edge_stats(edges, order)):
+            acc += w * part
+    return tuple(out)
+
+
+def _random_mixture(rng, k):
+    weights = rng.uniform(0.1, 1.0, k)
+    weights /= weights.sum()
+    return GaussianMixture(tuple(zip(
+        weights.tolist(), rng.normal(0.0, 3.0, k).tolist(), rng.uniform(0.2, 2.0, k).tolist()
+    )))
+
+
+class TestMixtureBlocks:
+    """The blocked mixture kernel against the per-component loop, bit for bit.
+
+    Bin counts cover one and two bins, 16 and 4096, and partitions whose
+    component-by-edge count falls just below, at and just above the block
+    budget, both for a block holding every component and for one component
+    per block.  A single bin with eight or more components is the case a
+    reduction over the components would sum pairwise and change in the
+    last bit.  Edges run into both far tails, so some bins carry masses and
+    moments that underflow to zero.
+    """
+
+    @staticmethod
+    def _bin_counts(k):
+        whole = _MIXTURE_BLOCK // k  # edges at which one block holds all k components
+        counts = {1, 2, 16, 4096}
+        for n_edges in (whole - 1, whole, whole + 1,
+                        _MIXTURE_BLOCK - 1, _MIXTURE_BLOCK, _MIXTURE_BLOCK + 1):
+            counts.add(max(1, n_edges - 1))
+        return sorted(counts)
+
+    @pytest.mark.parametrize("k", [1, 3, 8, 10, 17])
+    def test_bitwise_equal_to_the_component_loop(self, k):
+        rng = np.random.default_rng(1000 + k)
+        mix = _random_mixture(rng, k)
+        for n_bins in self._bin_counts(k):
+            inner = np.unique(rng.normal(0.0, 15.0, n_bins - 1))
+            while inner.size < n_bins - 1:
+                inner = np.unique(np.append(inner, rng.normal(0.0, 15.0)))
+            edges = np.concatenate(([-np.inf], inner, [np.inf]))
+            for order in range(5):
+                got = mix.edge_stats(edges, order)
+                want = _component_loop_edge_stats(mix, edges, order)
+                assert len(got) == order + 1
+                for g, w in zip(got, want):
+                    assert g.shape == (n_bins,)
+                    assert np.array_equal(g, w), (k, n_bins, order)
+                    assert np.array_equal(np.signbit(g), np.signbit(w)), (k, n_bins, order)
 
 
 class TestInverseMills:

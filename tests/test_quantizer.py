@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, linalg
 
 from mismatch_quant import (
     Codebook,
@@ -24,7 +24,13 @@ from mismatch_quant import (
     centroid_codebook,
     lloyd_max_design,
 )
-from mismatch_quant.quantizer import _cube_root_quantiles, _standard_design
+from mismatch_quant import quantizer
+from mismatch_quant.quantizer import (
+    _cube_root_quantiles,
+    _damped_newton_step,
+    _design_state,
+    _standard_design,
+)
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -327,6 +333,70 @@ class TestLloydMaxDesign:
         want, _ = integrate.quad(err, -12, 12, limit=500,
                                  points=list(cuts))
         assert q.distortion_history[-1] == pytest.approx(want, rel=1e-8)
+
+
+def _banded_newton_step(d, t, mass, c, r, damping):
+    """The damped Newton step through ``linalg.solve_banded`` on a 3 x n
+    band: the reference the direct tridiagonal solve keeps."""
+    f = np.asarray(d.pdf(t), dtype=float)
+    phi = 1.0 - damping
+    right = 0.5 * f * (t - c[:-1]) / mass[:-1]
+    left = 0.5 * f * (c[1:] - t) / mass[1:]
+    ab = np.zeros((3, len(t)))
+    ab[0, 1:] = -phi * right[1:]
+    ab[1] = 1.0 - phi * (right + left)
+    ab[2, :-1] = -phi * left[:-1]
+    return linalg.solve_banded((1, 1), ab, r, check_finite=False)
+
+
+class _UnitDensity:
+    """A stand-in law whose density is 1 at every threshold."""
+
+    @staticmethod
+    def pdf(x):
+        return np.ones_like(np.asarray(x, dtype=float))
+
+
+class TestNewtonStepSolve:
+    MIXTURE = GaussianMixture(((0.3, -2.0, 0.7), (0.5, 0.4, 1.0), (0.2, 2.5, 0.5)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 15, 4095])
+    @pytest.mark.parametrize("damping", [0.0, 0.5, 1.0])
+    def test_bitwise_equal_to_solve_banded(self, n, damping):
+        # Thresholds off the fixed point, so the residual and every band
+        # entry are nonzero.
+        d = self.MIXTURE
+        t = np.asarray(d.ppf((np.arange(n) + 1.0) / (n + 1)), dtype=float)
+        t = t + 0.01 * np.sin(np.arange(n))
+        mass, c, _, r, _ = _design_state(d, t)
+        got = _damped_newton_step(d, t, mass, c, r, damping)
+        want = _banded_newton_step(d, t, mass, c, r, damping)
+        assert got.shape == (n,)
+        assert np.array_equal(got, want)
+
+    def test_singular_system_returns_none(self):
+        # t = (0, 1), centroids (-1, 0, 2), masses 1/2 and a unit density:
+        # the first column of the matrix is zero.
+        t = np.array([0.0, 1.0])
+        mass = np.full(3, 0.5)
+        c = np.array([-1.0, 0.0, 2.0])
+        r = np.array([1.0, 1.0])
+        with pytest.raises(linalg.LinAlgError):
+            _banded_newton_step(_UnitDensity, t, mass, c, r, 0.0)
+        assert _damped_newton_step(_UnitDensity, t, mass, c, r, 0.0) is None
+
+    def test_one_bit_mixture_design_takes_newton_steps(self, monkeypatch):
+        sizes = []
+
+        def counted(d, t, *args):
+            sizes.append(len(t))
+            return _damped_newton_step(d, t, *args)
+
+        monkeypatch.setattr(quantizer, "_damped_newton_step", counted)
+        q = lloyd_max_design(self.MIXTURE, 1)
+        assert sizes and set(sizes) == {1}
+        assert q.converged
+        assert q.residual <= 1e-12
 
 
 class TestStandardMemberDesign:

@@ -29,6 +29,7 @@ from mismatch_quant import (
     task_codebook,
     weighted_mse_csi,
 )
+from mismatch_quant import cli
 from mismatch_quant.taskaware import _rician_moments
 
 
@@ -338,6 +339,61 @@ class TestClassificationReport:
         rep = classification_report(p, src, src)
         assert rep.acc_fix == pytest.approx(rep.acc_gen, abs=1e-12)
         assert rep.recovery_pct is None
+
+    @staticmethod
+    def _reference_report(p, src_true, src_design):
+        """The report composed from ``map_labels`` per partition and source
+        and a per-bin Python sum of true-mix joint masses per labeling."""
+
+        def accuracy(part, labels):
+            index = {c.label: k for k, c in enumerate(src_true.classes)}
+            joint = [c.weight * c.distribution.edge_stats(part.edges(), order=0)[0]
+                     for c in src_true.classes]
+            return float(sum(joint[index[lab]][i]
+                             for i, lab in enumerate(labels) if lab in index))
+
+        acc_fix = accuracy(p, map_labels(p, src_design))
+        acc_gen = accuracy(p, map_labels(p, src_true))
+        ideal = lloyd_max_design(src_true.marginal(), p.bits).partition
+        acc_ideal = accuracy(ideal, map_labels(ideal, src_true))
+        gap = acc_ideal - acc_fix
+        recovery = 100.0 * (acc_gen - acc_fix) / gap if abs(gap) > 1e-9 else None
+        return acc_fix, acc_gen, acc_ideal, recovery
+
+    def test_bitwise_equal_to_the_composed_reference_on_the_cli_grid(self):
+        cfg = cli.ExperimentConfig(experiment="semantic_mixture")
+        src_design = cli._semantic_source(cfg, cfg.n_classes)
+        marginal = src_design.marginal()
+        parts = {bits: lloyd_max_design(marginal, bits).partition for bits in cfg.bits}
+        assert cfg.bits == [1, 2, 3, 4] and cfg.n_classes == 10
+        for k in range(1, cfg.n_classes + 1):
+            src_true = cli._semantic_source(cfg, k)
+            for bits, p in parts.items():
+                rep = classification_report(p, src_true, src_design)
+                got = (rep.acc_fix, rep.acc_gen, rep.acc_ideal, rep.recovery_pct)
+                assert got == self._reference_report(p, src_true, src_design), (k, bits)
+
+    def test_design_labels_missing_from_the_true_mix_score_zero(self):
+        src_design = _two_class_source(0.5)
+        src_true = LabeledSource(classes=(LabeledClass("low", 1.0, Gaussian(-1.0, 0.5)),))
+        p = Partition((0.0,))
+        rep = classification_report(p, src_true, src_design)
+        (mass,) = Gaussian(-1.0, 0.5).edge_stats(p.edges(), order=0)
+        # The design labels the right bin "high", a class the true mix lacks.
+        assert map_labels(p, src_design) == ("low", "high")
+        assert rep.acc_fix == float(mass[0])
+        assert rep.acc_gen == float(mass[0] + mass[1])
+
+    def test_bin_without_design_mass_raises(self):
+        src_design = _two_class_source(0.5)
+        src_true = LabeledSource(classes=(
+            LabeledClass("low", 0.5, Gaussian(-1.0, 0.5)),
+            LabeledClass("high", 0.5, Gaussian(51.0, 1.0)),
+        ))
+        p = Partition((50.0, 51.0, 52.0))
+        map_labels(p, src_true)  # the true mix covers every bin
+        with pytest.raises(ZeroMassBin):
+            classification_report(p, src_true, src_design)
 
     def test_report_is_a_plain_record(self):
         rep = ClassificationReport(acc_fix=0.5, acc_gen=0.6, acc_ideal=0.7,
