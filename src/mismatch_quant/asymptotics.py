@@ -16,11 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .distributions import Distribution
 from .errors import DivergentIntegral
-from .mismatch import expected_distortion, generative_codebook
+from .mismatch import _conditional_means, _expanded_distortion
 from .quantizer import Codebook, Partition, Quantizer, lloyd_max_design
 
 __all__ = [
@@ -36,6 +35,8 @@ __all__ = [
 
 _QUAD_LIMIT = 10_000
 _QUAD_EPSABS = 1e-10
+_QUAD_EPSREL = 1e-10
+_QUAD_START_PANELS = 4
 
 
 @dataclass(frozen=True)
@@ -70,23 +71,113 @@ class HighRateReport:
     penalty_factor: float
 
 
+# The Gauss-Kronrod (7, 15) pair of QUADPACK's qk15 (Piessens et al.,
+# 1983) on [-1, 1]: the 15 Kronrod nodes, their weights, and the weights of
+# the 7-point Gauss rule on every second node (zero elsewhere).
+_GK_X = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+])
+_GK_X = np.concatenate((-_GK_X, [0.0], _GK_X[::-1]))
+_GK_WK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+])
+_GK_WK = np.concatenate((_GK_WK, [0.209482141084727828012999174891714], _GK_WK[::-1]))
+_GK_WG = np.array([
+    0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975, 0.0,
+])
+_GK_WG = np.concatenate((_GK_WG, [0.417959183673469387755102040816327], _GK_WG[::-1]))
+_GK_W = np.stack((_GK_WK, _GK_WG), axis=1)
+
+
+def _gk15(fn, panels):
+    """Kronrod values and qk15 error estimates of ``panels``, all from one
+    call of ``fn``.  The estimates leave out qk15's round-off floor
+    ``50 eps int |f|``, far below the tolerance for the non-negative
+    integrands of this module.
+
+    Each row of ``panels`` is ``(a, b, side, anchor)``.  A row with
+    ``side == 0`` is the interval ``[a, b]`` of the real line; any other
+    row is ``[a, b]`` in ``t`` in ``(0, 1]``, mapped to a half-line by
+    ``x = anchor + side (1 - t) / t`` with Jacobian ``1 / t^2``, as in qagi.
+    """
+    a, b, side, anchor = panels.T
+    half = 0.5 * (b - a)
+    t = (a + half)[:, None] + half[:, None] * _GK_X
+    tail = (side != 0.0)[:, None]
+    u = np.where(tail, t, 1.0)
+    x = np.where(tail, anchor[:, None] + side[:, None] * ((1.0 - u) / u), t)
+    f = np.asarray(fn(x), dtype=float) / (u * u)
+    if not np.all(np.isfinite(f)):
+        raise DivergentIntegral("integrand is not finite on the integration range")
+    res_k, res_g = (f @ _GK_W).T
+    err = np.abs((res_k - res_g) * half)
+    # qk15 scales |K - G| by the spread of f about its mean on the panel.
+    res_asc = np.abs(f - 0.5 * res_k[:, None]) @ _GK_W[:, 0] * half
+    ratio = np.divide(200.0 * err, res_asc, out=np.zeros_like(err), where=res_asc > 0.0)
+    err = np.where((res_asc > 0.0) & (err > 0.0), res_asc * np.minimum(1.0, ratio) ** 1.5, err)
+    return res_k * half, err
+
+
 def _quad(fn, lo: float, hi: float, *, breakpoints=()) -> float:
-    """Adaptive quadrature that refuses to return a dubious value."""
-    pieces = [lo, *[b for b in breakpoints if lo < b < hi], hi]
-    total = 0.0
-    for a, b in zip(pieces, pieces[1:]):
-        val, abserr, *rest = integrate.quad(
-            fn, a, b, epsabs=_QUAD_EPSABS, epsrel=1e-10,
-            limit=_QUAD_LIMIT, full_output=1,
-        )
-        if len(rest) > 1:  # QUADPACK attached an explanation: did not converge
+    """Adaptive Gauss-Kronrod (7, 15) quadrature of the array function ``fn``.
+
+    ``breakpoints`` cut ``[lo, hi]`` into pieces, an infinite piece is
+    mapped onto ``t`` in ``(0, 1]``, and each piece starts as
+    ``_QUAD_START_PANELS`` equal panels.  Each round evaluates every new
+    panel in one call of ``fn``, then bisects every panel whose error
+    estimate exceeds an equal share of half the tolerance
+    ``max(_QUAD_EPSABS, _QUAD_EPSREL |value|)``, until the estimates sum to
+    at most the tolerance.  ``DivergentIntegral`` is raised for a
+    non-finite integrand or value, and when more than ``_QUAD_LIMIT``
+    panels would be needed.
+    """
+    cuts = [lo, *[b for b in breakpoints if lo < b < hi], hi]
+    if len(cuts) == 2 and math.isinf(lo) and math.isinf(hi):
+        cuts = [lo, 0.0, hi]
+    pieces = []  # (a, b, side, anchor), as in _gk15
+    for a, b in zip(cuts, cuts[1:]):
+        if math.isinf(a):
+            pieces.append((0.0, 1.0, -1.0, b))
+        elif math.isinf(b):
+            pieces.append((0.0, 1.0, 1.0, a))
+        elif a < b:
+            pieces.append((a, b, 0.0, 0.0))
+    if not pieces:
+        return 0.0
+    a, b, side, anchor = np.array(pieces).T
+    ends = a[:, None] + (b - a)[:, None] * (np.arange(_QUAD_START_PANELS + 1) / _QUAD_START_PANELS)
+    ends[:, -1] = b  # a + (b - a) may round away from b
+    panels = np.column_stack((
+        ends[:, :-1].ravel(), ends[:, 1:].ravel(),
+        np.repeat(side, _QUAD_START_PANELS), np.repeat(anchor, _QUAD_START_PANELS),
+    ))
+    val, err = _gk15(fn, panels)
+    while True:
+        total = math.fsum(val)
+        if not math.isfinite(total):
+            raise DivergentIntegral(f"quadrature on [{lo}, {hi}] returned {total}")
+        tol = max(_QUAD_EPSABS, _QUAD_EPSREL * abs(total))
+        if math.fsum(err) <= tol:
+            return total
+        split = err > 0.5 * tol / len(err)
+        if len(err) + np.count_nonzero(split) > _QUAD_LIMIT:
             raise DivergentIntegral(
-                f"quadrature on [{a}, {b}] failed: {rest[1].strip().splitlines()[0]}"
+                f"quadrature on [{lo}, {hi}] did not converge within {_QUAD_LIMIT} panels"
             )
-        if not math.isfinite(val):
-            raise DivergentIntegral(f"quadrature on [{a}, {b}] returned {val}")
-        total += val
-    return total
+        left, right = panels[split], panels[split]
+        left[:, 1] = right[:, 0] = 0.5 * (left[:, 0] + left[:, 1])
+        new = np.concatenate((left, right))
+        new_val, new_err = _gk15(fn, new)
+        panels = np.concatenate((panels[~split], new))
+        val = np.concatenate((val[~split], new_val))
+        err = np.concatenate((err[~split], new_err))
 
 
 def _breakpoints(*dists: Distribution) -> list[float]:
@@ -108,7 +199,7 @@ def _cube_root_mass(d: Distribution, lo: float = -np.inf, hi: float = np.inf,
     g = d.cube_root_law()
     if g is None:
         brk = _breakpoints(d) if breakpoints is None else breakpoints
-        return _quad(lambda x: d.pdf(x) ** (1.0 / 3.0), lo, hi, breakpoints=brk)
+        return _quad(lambda x: np.cbrt(d.pdf(x)), lo, hi, breakpoints=brk)
     m = d.mean
     (mass,) = g.edge_stats(np.array([lo, hi]), order=0)
     return math.exp(d.log_pdf(m) / 3.0 - g.log_pdf(m)) * float(mass[0])
@@ -147,6 +238,10 @@ def bennett_granular(
     _check_levels(n_levels)
     if quantizer is None:
         quantizer = lloyd_max_design(design_d, n_levels.bit_length() - 1)
+    elif quantizer.partition.n_bins != n_levels:
+        raise ValueError(
+            f"quantizer has {quantizer.partition.n_bins} bins, not n_levels={n_levels}"
+        )
     bnd = quantizer.partition.boundaries
     lo, hi = bnd[0], bnd[-1]
     if not lo < hi:  # 1-bit design: no interior span
@@ -160,22 +255,27 @@ def bennett_granular(
     return c * c * ratio / (12.0 * n_levels**2)
 
 
-def overload_split(p: Partition, c: Codebook, true_d: Distribution) -> OverloadSplit:
-    """Variance/bias split of the two outer (overload) bins under ``true_d``."""
-    if len(c) != p.n_bins:
-        raise ValueError(f"codebook size {len(c)} does not match {p.n_bins} bins")
-    mass, m1, m2 = true_d.edge_stats(p.edges())
-    a = c.as_array()
+def _overload_from_table(table, codebook: np.ndarray) -> OverloadSplit:
+    """``overload_split`` from the true law's moment table ``(mass, m1, m2)``
+    and the codebook array."""
+    mass, m1, m2 = table
     variance = 0.0
     bias = 0.0
-    for i in (0, p.n_bins - 1):
+    for i in (0, len(mass) - 1):
         if mass[i] <= 0.0:
             continue
         mean_i = m1[i] / mass[i]
         var_i = m2[i] / mass[i] - mean_i * mean_i
         variance += mass[i] * max(var_i, 0.0)
-        bias += mass[i] * (mean_i - a[i]) ** 2
+        bias += mass[i] * (mean_i - codebook[i]) ** 2
     return OverloadSplit(variance_part=variance, bias_part=bias)
+
+
+def overload_split(p: Partition, c: Codebook, true_d: Distribution) -> OverloadSplit:
+    """Variance/bias split of the two outer (overload) bins under ``true_d``."""
+    if len(c) != p.n_bins:
+        raise ValueError(f"codebook size {len(c)} does not match {p.n_bins} bins")
+    return _overload_from_table(true_d.edge_stats(p.edges()), c.as_array())
 
 
 def mismatch_penalty_factor(design_d: Distribution, true_d: Distribution) -> float:
@@ -197,26 +297,25 @@ def mismatch_penalty_factor(design_d: Distribution, true_d: Distribution) -> flo
     def log_integrand(x):
         lfd = design_d.log_pdf(x)
         lft = true_d.log_pdf(x)
-        if math.isinf(lfd) and lfd < 0.0:
-            if math.isinf(lft) and lft < 0.0:
-                return -math.inf
-            raise DivergentIntegral(f"design density vanishes at x={x}")
-        return lft - (2.0 / 3.0) * lfd
+        vanish = lfd == -np.inf
+        bad = vanish & (lft > -np.inf)
+        if bad.any():
+            raise DivergentIntegral(f"design density vanishes at x={x[bad][0]}")
+        return np.where(vanish, -np.inf, lft - (2.0 / 3.0) * np.where(vanish, 0.0, lfd))
 
     def integrand(x):
-        return math.exp(min(log_integrand(x), 700.0))
+        return np.exp(np.minimum(log_integrand(x), 700.0))
 
     # A divergent integrand over an infinite range can fool the adaptive
     # rule into a finite answer; probe the far tails for growth first.
-    probes = [center + s * k * span for s in (-1.0, 1.0) for k in (12.0, 18.0, 24.0)]
-    for s in (-1.0, 1.0):
-        vals = [log_integrand(center + s * k * span) for k in (12.0, 18.0, 24.0)]
-        if vals[2] == -math.inf:
+    probes = center + np.array([[-12.0, -18.0, -24.0], [12.0, 18.0, 24.0]]) * span
+    for vals in log_integrand(probes):
+        if vals[2] == -np.inf:
             continue
         if vals[1] >= vals[0] or vals[2] >= vals[1]:
             raise DivergentIntegral(
                 "true-law tail is too heavy for the design point density "
-                f"(integrand not decaying near x={probes})"
+                f"(integrand not decaying near x={probes.ravel().tolist()})"
             )
     c_design = _cube_root_mass(design_d)
     numerator = c_design * c_design * _quad(
@@ -227,6 +326,8 @@ def mismatch_penalty_factor(design_d: Distribution, true_d: Distribution) -> flo
 
 def fit_decay_slope(bits_seq, values, n_points: int = 4) -> float:
     """Least-squares slope of ``log2(values)`` against bits, last ``n_points``."""
+    if n_points < 2:
+        raise ValueError(f"n_points must be at least 2, got {n_points}")
     bits_arr = np.asarray(list(bits_seq), dtype=float)[-n_points:]
     vals = np.asarray(list(values), dtype=float)[-n_points:]
     if len(bits_arr) < 2 or len(bits_arr) != len(vals):
@@ -260,12 +361,15 @@ def rate_recovery_sweep(
     for bits in bits_list:
         q = lloyd_max_design(design_d, bits, max_iters=max_iters, tol=tol, init=init)
         p = q.partition
-        gen = generative_codebook(p, true_d, fallback=q.design_codebook)
-        d_fix = expected_distortion(p, q.design_codebook, true_d)
-        d_gen = expected_distortion(p, gen, true_d)
+        # One moment table of the true law serves every exact term of the row.
+        table = true_d.edge_stats(p.edges())
+        fix = q.design_codebook.as_array()
+        gen, _ = _conditional_means(table, true_d, q.design_codebook)
+        d_fix = _expanded_distortion(table, fix)
+        d_gen = _expanded_distortion(table, gen)
         granular = bennett_granular(design_d, true_d, p.n_bins, quantizer=q)
-        over_fix = overload_split(p, q.design_codebook, true_d)
-        over_gen = overload_split(p, gen, true_d)
+        over_fix = _overload_from_table(table, fix)
+        over_gen = _overload_from_table(table, gen)
         pd_floor = panter_dite(true_d, p.n_bins)
         reports.append(
             HighRateReport(

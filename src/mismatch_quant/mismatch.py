@@ -80,6 +80,13 @@ class OneBitGaussianReport:
     gain_pct: float
 
 
+def _expanded_distortion(table, codebook: np.ndarray) -> float:
+    """``sum_i E[(X - a_i)^2 1_bin_i]`` from a moment table ``(mass, m1, m2)``
+    and the codebook array ``a``, expanded about the origin."""
+    mass, m1, m2 = table
+    return float(np.sum(m2) - 2.0 * np.dot(codebook, m1) + np.dot(codebook * codebook, mass))
+
+
 def expected_distortion(p: Partition, c: Codebook, d: Distribution) -> float:
     """Exact MSE of the fixed map (partition ``p``, codebook ``c``) under ``d``.
 
@@ -87,17 +94,15 @@ def expected_distortion(p: Partition, c: Codebook, d: Distribution) -> float:
     """
     if len(c) != p.n_bins:
         raise ValueError(f"codebook size {len(c)} does not match {p.n_bins} bins")
-    mass, m1, m2 = d.edge_stats(p.edges())
-    a = c.as_array()
-    return float(np.sum(m2) - 2.0 * np.dot(a, m1) + np.dot(a * a, mass))
+    return _expanded_distortion(d.edge_stats(p.edges()), c.as_array())
 
 
-def _generative_values(
-    p: Partition, true_d: Distribution, fallback: Codebook | None
-) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """Conditional means under ``true_d``, the bin masses they came from,
+def _conditional_means(
+    table, true_d: Distribution, fallback: Codebook | None
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Conditional means from ``true_d``'s moment table ``(mass, m1, ...)``
     and the bins that fell back to ``fallback``."""
-    mass, m1 = true_d.edge_stats(p.edges(), order=1)
+    mass, m1 = table[:2]
     empty = mass < ZERO_MASS_TOL
     if np.any(empty) and fallback is None:
         raise ZeroMassBin(
@@ -108,7 +113,17 @@ def _generative_values(
         values = np.where(empty, 0.0, m1) / np.where(empty, 1.0, mass)
     if np.any(empty):
         values = np.where(empty, fallback.as_array(), values)
-    return values, mass, tuple(np.flatnonzero(empty).tolist())
+    return values, tuple(np.flatnonzero(empty).tolist())
+
+
+def _generative_values(
+    p: Partition, true_d: Distribution, fallback: Codebook | None
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Conditional means under ``true_d``, the bin masses they came from,
+    and the bins that fell back to ``fallback``."""
+    table = true_d.edge_stats(p.edges(), order=1)
+    values, substituted = _conditional_means(table, true_d, fallback)
+    return values, table[0], substituted
 
 
 def generative_codebook(
@@ -183,12 +198,11 @@ def report(
     ``monte_carlo_distortion`` calls with that seed, bit for bit.
     """
     q = lloyd_max_design(design_d, bits, max_iters=max_iters, tol=tol, init=init)
-    gen_values, _, substituted = _generative_values(
-        q.partition, true_d, fallback=q.design_codebook
-    )
+    table = true_d.edge_stats(q.partition.edges())
+    gen_values, substituted = _conditional_means(table, true_d, q.design_codebook)
     gen_codebook = Codebook(gen_values)
-    d_fix = expected_distortion(q.partition, q.design_codebook, true_d)
-    d_gen = expected_distortion(q.partition, gen_codebook, true_d)
+    d_fix = _expanded_distortion(table, q.design_codebook.as_array())
+    d_gen = _expanded_distortion(table, gen_values)
     d_ideal = (
         ideal_distortion(true_d, bits, max_iters=max_iters, tol=tol, init=init)
         if include_ideal

@@ -1,4 +1,4 @@
-"""Shared 40-digit ``mpmath`` oracle for raw interval moments."""
+"""Shared 40-digit ``mpmath`` oracles: densities and raw interval moments."""
 
 import pytest
 
@@ -6,10 +6,8 @@ from mismatch_quant import Gaussian, GaussianMixture, Laplace
 
 
 @pytest.fixture(scope="session")
-def mp_raw_moment():
-    """``mp_raw_moment(d, a, b, k)``: ``E[X^k 1{a <= X < b}]`` under ``d`` as
-    an ``mpf``, by tanh-sinh quadrature at 40 digits, split at the law's
-    centers so each piece is smooth."""
+def mp_density():
+    """``mp_density(d)``: the density of ``d`` as a function of an ``mpf``."""
     mp = pytest.importorskip("mpmath").mp
 
     def density(d):
@@ -21,8 +19,18 @@ def mp_raw_moment():
             return lambda x: mp.fsum(w * mp.npdf(x, m, s) for w, m, s in d.components)
         raise TypeError(type(d).__name__)
 
+    return density
+
+
+@pytest.fixture(scope="session")
+def mp_raw_moment(mp_density):
+    """``mp_raw_moment(d, a, b, k)``: ``E[X^k 1{a <= X < b}]`` under ``d`` as
+    an ``mpf``, by tanh-sinh quadrature at 40 digits, split at the law's
+    centers so each piece is smooth."""
+    mp = pytest.importorskip("mpmath").mp
+
     def raw_moment(d, a, b, k):
-        f = density(d)
+        f = mp_density(d)
         with mp.workdps(40):
             cuts = sorted(c for c in d.centers() if a < c < b)
             pts = [mp.mpf(x) for x in (a, *cuts, b)]

@@ -29,8 +29,13 @@ from mismatch_quant import (
     overload_split,
     panter_dite,
     rate_recovery_sweep,
+    report,
 )
-from mismatch_quant.asymptotics import _cube_root_mass
+from mismatch_quant.asymptotics import _cube_root_mass, _quad
+from mismatch_quant.distributions import ZERO_MASS_TOL
+
+MIX_DESIGN = GaussianMixture(((0.3, -1.5, 0.6), (0.4, 0.0, 0.8), (0.3, 1.5, 0.6)))
+MIX_TRUE = GaussianMixture(((0.25, -1.4, 0.7), (0.45, 0.1, 0.9), (0.3, 1.6, 0.65)))
 
 
 def _gaussian_penalty(s0, s1):
@@ -118,6 +123,13 @@ class TestBennettGranular:
         b = bennett_granular(g, Laplace(0.0, 1.0), 32)
         assert a == pytest.approx(b, rel=1e-12)
 
+    def test_quantizer_must_have_n_levels_bins(self):
+        g = Gaussian(0, 1)
+        q = lloyd_max_design(g, 6)
+        with pytest.raises(ValueError, match="64 bins"):
+            bennett_granular(g, Gaussian(0, 2), 16, quantizer=q)
+        assert bennett_granular(g, Gaussian(0, 2), 64, quantizer=q) > 0.0
+
 
 class TestOverloadSplit:
     def test_generative_codebook_zeroes_the_bias(self):
@@ -202,6 +214,13 @@ class TestFitDecaySlope:
         with pytest.raises(ValueError):
             fit_decay_slope([4, 5], [1.0, 0.0])
 
+    @pytest.mark.parametrize("n_points", [1, 0, -1, -3])
+    def test_fewer_than_two_points_rejected(self, n_points):
+        bits = [6, 7, 8, 9, 10]
+        vals = [2.0 ** (-2 * b) for b in bits]
+        with pytest.raises(ValueError, match="n_points"):
+            fit_decay_slope(bits, vals, n_points=n_points)
+
 
 class TestRateRecoverySweep:
     def test_reports_are_structured_and_consistent(self):
@@ -235,3 +254,161 @@ class TestRateRecoverySweep:
             gaps = np.abs(ratios - target)
             assert np.all(np.diff(gaps) < 0.0)
             assert gaps[-1] / target < 0.15
+
+
+class TestQuadrature:
+    """The vectorised Gauss-Kronrod rule against 40-digit mpmath."""
+
+    @staticmethod
+    def _rel(got, want):
+        return abs(got - float(want)) / abs(float(want))
+
+    def test_mixture_cube_root_mass_over_the_line(self, mp_density):
+        mp = pytest.importorskip("mpmath").mp
+        f = mp_density(MIX_TRUE)
+        with mp.workdps(40):
+            pts = [-mp.inf, *MIX_TRUE.centers(), mp.inf]
+            want = mp.quad(lambda x: mp.cbrt(f(x)), pts)
+        assert self._rel(_cube_root_mass(MIX_TRUE), want) < 1e-13
+
+    def test_mixture_cube_root_mass_over_a_span(self, mp_density):
+        mp = pytest.importorskip("mpmath").mp
+        f = mp_density(MIX_DESIGN)
+        lo, hi = -2.25, 3.125
+        with mp.workdps(40):
+            want = mp.quad(lambda x: mp.cbrt(f(x)), [lo, *MIX_DESIGN.centers(), hi])
+        assert self._rel(_cube_root_mass(MIX_DESIGN, lo, hi), want) < 1e-13
+
+    @pytest.mark.parametrize("design_d, true_d, bits", [
+        (Gaussian(0, 1), Gaussian(0, 2), 8),
+        (MIX_DESIGN, MIX_TRUE, 7),
+    ])
+    def test_bennett_granular(self, mp_density, design_d, true_d, bits):
+        mp = pytest.importorskip("mpmath").mp
+        q = lloyd_max_design(design_d, bits, init="cube_root")
+        lo, hi = q.partition.boundaries[0], q.partition.boundaries[-1]
+        fd, ft = mp_density(design_d), mp_density(true_d)
+        with mp.workdps(40):
+            pts = [lo, *sorted(set(design_d.centers()) | set(true_d.centers())), hi]
+            c = mp.quad(lambda x: mp.cbrt(fd(x)), pts)
+            ratio = mp.quad(lambda x: ft(x) / mp.cbrt(fd(x)) ** 2, pts)
+            want = c * c * ratio / (12 * mp.mpf(2) ** (2 * bits))
+        got = bennett_granular(design_d, true_d, 1 << bits, quantizer=q)
+        assert self._rel(got, want) < 1e-13
+
+    def test_mixture_penalty_factor(self, mp_density):
+        mp = pytest.importorskip("mpmath").mp
+        fd, ft = mp_density(MIX_DESIGN), mp_density(MIX_TRUE)
+        with mp.workdps(40):
+            pts = [-mp.inf, *sorted(MIX_DESIGN.centers() + MIX_TRUE.centers()), mp.inf]
+            c_design = mp.quad(lambda x: mp.cbrt(fd(x)), pts)
+            c_true = mp.quad(lambda x: mp.cbrt(ft(x)), pts)
+            ratio = mp.quad(lambda x: ft(x) / mp.cbrt(fd(x)) ** 2, pts)
+            want = c_design**2 * ratio / c_true**3
+        assert self._rel(mismatch_penalty_factor(MIX_DESIGN, MIX_TRUE), want) < 1e-13
+
+    def test_integrand_is_called_on_arrays(self):
+        shapes = []
+
+        def fn(x):
+            shapes.append(np.shape(x))
+            return np.exp(-x * x)
+
+        got = _quad(fn, -np.inf, np.inf)  # no breakpoint: split at 0
+        assert got == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+        assert all(len(shape) == 2 and shape[1] == 15 for shape in shapes)
+
+    def test_non_finite_integrand_raises(self):
+        with pytest.raises(DivergentIntegral, match="not finite"):
+            _quad(lambda x: np.where(x < 0.25, np.nan, 1.0), 0.0, 1.0)
+        with pytest.raises(DivergentIntegral, match="not finite"):
+            _quad(lambda x: np.full_like(x, np.inf), -np.inf, 0.0)
+
+    def test_exhausted_panel_budget_raises(self):
+        # About 16,000 periods on [0, 1]: more panels than the budget holds.
+        with pytest.raises(DivergentIntegral, match="panels"):
+            _quad(lambda x: np.cos(1e5 * x), 0.0, 1.0)
+
+    def test_empty_range_is_zero(self):
+        assert _quad(lambda x: np.ones_like(x), 2.0, 2.0) == 0.0
+
+
+def _separate_call_row(q, true_d):
+    """``d_fix``, ``d_gen``, the two overload totals, the substituted bins
+    and the generative codebook of one row, composed from
+    ``generative_codebook``, ``expected_distortion`` and ``overload_split``
+    with one kernel call each: the reference the shared table must match."""
+    p = q.partition
+    design = q.design_codebook.as_array()
+    mass1, m11 = true_d.edge_stats(p.edges(), order=1)
+    empty = mass1 < ZERO_MASS_TOL
+    with np.errstate(invalid="ignore", divide="ignore"):
+        gen = np.where(empty, 0.0, m11) / np.where(empty, 1.0, mass1)
+    if np.any(empty):
+        gen = np.where(empty, design, gen)
+    gen = np.asarray(tuple(gen.tolist()))
+
+    def distortion(a):
+        mass, m1, m2 = true_d.edge_stats(p.edges())
+        return float(np.sum(m2) - 2.0 * np.dot(a, m1) + np.dot(a * a, mass))
+
+    def overload(a):
+        mass, m1, m2 = true_d.edge_stats(p.edges())
+        variance = bias = 0.0
+        for i in (0, p.n_bins - 1):
+            if mass[i] <= 0.0:
+                continue
+            mean_i = m1[i] / mass[i]
+            var_i = m2[i] / mass[i] - mean_i * mean_i
+            variance += mass[i] * max(var_i, 0.0)
+            bias += mass[i] * (mean_i - a[i]) ** 2
+        return variance + bias
+
+    subst = tuple(np.flatnonzero(empty).tolist())
+    return distortion(design), distortion(gen), overload(design), overload(gen), subst, gen
+
+
+_SHARED_CASES = [
+    (Gaussian(0, 1), Gaussian(0, 2), (1, 3, 6, 9)),
+    (Laplace(0.0, math.sqrt(0.5)), Laplace(0.0, 1.0), (2, 5, 10)),
+    (Gaussian(0, 1), Laplace(0.3, 0.8), (4, 7)),
+    (MIX_DESIGN, MIX_TRUE, (3, 7)),
+    # N(40, 0.5) puts no mass on the lower bins of an N(0, 1) design,
+    # which fall back to the design codewords.
+    (Gaussian(0, 1), Gaussian(40.0, 0.5), (2, 5)),
+]
+
+
+class TestSharedMomentTable:
+    """One moment table per row gives the numbers of separate calls, bit for bit."""
+
+    @pytest.mark.parametrize("design_d, true_d, bits", _SHARED_CASES)
+    def test_rate_sweep_matches_separate_calls(self, design_d, true_d, bits):
+        reps = rate_recovery_sweep(design_d, true_d, bits)
+        for r in reps:
+            q = lloyd_max_design(design_d, r.bits)
+            d_fix, d_gen, over_fix, over_gen, _, _ = _separate_call_row(q, true_d)
+            assert (r.d_total_fix, r.d_total_gen) == (d_fix, d_gen)
+            assert (r.d_overload_fix, r.d_overload_gen) == (over_fix, over_gen)
+
+    @pytest.mark.parametrize("design_d, true_d, bits", _SHARED_CASES)
+    def test_report_matches_separate_calls(self, design_d, true_d, bits):
+        for b in bits:
+            rep = report(design_d, true_d, b, include_ideal=False)
+            q = lloyd_max_design(design_d, b)
+            d_fix, d_gen, _, _, subst, gen = _separate_call_row(q, true_d)
+            assert (rep.d_fix, rep.d_gen, rep.substituted_bins) == (d_fix, d_gen, subst)
+            codebook = generative_codebook(q.partition, true_d, fallback=q.design_codebook)
+            assert codebook.as_array().tobytes() == gen.tobytes()
+
+    def test_fallback_case_substitutes_bins(self):
+        rep = report(Gaussian(0, 1), Gaussian(40.0, 0.5), 5, include_ideal=False)
+        assert 0 < len(rep.substituted_bins) < 32
+
+    def test_public_wrappers_agree_with_the_sweep(self):
+        q = lloyd_max_design(MIX_DESIGN, 5)
+        (r,) = rate_recovery_sweep(MIX_DESIGN, MIX_TRUE, [5])
+        gen = generative_codebook(q.partition, MIX_TRUE, fallback=q.design_codebook)
+        assert overload_split(q.partition, gen, MIX_TRUE).total == r.d_overload_gen
+        assert (overload_split(q.partition, q.design_codebook, MIX_TRUE).total
+                == r.d_overload_fix)
