@@ -12,7 +12,6 @@ from .distributions import (
     Distribution,
     Gaussian,
     GaussianMixture,
-    Interval,
     Laplace,
     from_config,
     inverse_mills,
@@ -21,11 +20,10 @@ from .errors import (
     DegenerateDesign,
     DivergentIntegral,
     MismatchQuantError,
-    NoBracket,
     ZeroEvidence,
     ZeroMassBin,
 )
-from .quantizer import Codebook, Partition, Quantizer, centroid_codebook, lloyd_max_design
+from .quantizer import Codebook, Partition, Quantizer, lloyd_max_design
 from .mismatch import (
     DistortionReport,
     expected_distortion,
@@ -64,7 +62,6 @@ from .taskaware import (
     TaskLoss,
     classification_report,
     eta,
-    golden_section_minimize,
     map_labels,
     phi,
     rician_moment,

@@ -285,7 +285,10 @@ def mismatch_penalty_factor(design_d: Distribution, true_d: Distribution) -> flo
     whole line, this is ``int f_t / lam^2`` divided by ``(int f_t^{1/3})^3``.
     It is 1 exactly when the laws agree and greater otherwise; when the true
     tails are too heavy for the design density the integral diverges and
-    ``DivergentIntegral`` is raised.
+    ``DivergentIntegral`` is raised.  No experiment calls this: it stays as
+    the high-rate limit that ``rate_recovery_sweep``'s ``penalty_factor``
+    column converges to, the reference the tests hold that column to, and
+    the only mixture caller of ``GaussianMixture.log_pdf``.
     """
     brk = _breakpoints(design_d, true_d)
     center = 0.5 * (brk[0] + brk[-1])

@@ -17,11 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import ZeroMassBin
-
 __all__ = [
     "ZERO_MASS_TOL",
-    "Interval",
     "Distribution",
     "Gaussian",
     "Laplace",
@@ -45,24 +42,6 @@ _PPF_MAX_ITERS = 100
 # past about this size a broadcast block is slower than one call per
 # component, so large partitions take their components one at a time.
 _MIXTURE_BLOCK = 4096
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Half-open interval ``[lo, hi)``; either endpoint may be infinite."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        lo = float(self.lo)
-        hi = float(self.hi)
-        if math.isnan(lo) or math.isnan(hi):
-            raise ValueError("interval endpoints must not be NaN")
-        if not lo < hi:
-            raise ValueError(f"interval requires lo < hi, got [{lo}, {hi})")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
 
 
 def _std_normal_pdf(z: np.ndarray) -> np.ndarray:
@@ -163,11 +142,9 @@ class Distribution(ABC):
     def pdf(self, x):
         """Density at ``x`` (scalar or ndarray)."""
 
+    @abstractmethod
     def log_pdf(self, x):
-        """Log density at ``x``; overridden where the direct form underflows."""
-        with np.errstate(divide="ignore"):
-            out = np.log(np.asarray(self.pdf(x), dtype=float))
-        return out if out.ndim else float(out)
+        """Log density at ``x``, finite where ``pdf`` underflows to zero."""
 
     @abstractmethod
     def cdf(self, x):
@@ -218,29 +195,6 @@ class Distribution(ABC):
         exponent; None where no such closed form exists (mixtures).
         """
         return None
-
-    def mass(self, r: Interval) -> float:
-        """Probability assigned to the interval ``r``."""
-        (p,) = self.edge_stats(np.array([r.lo, r.hi]), order=0)
-        return float(p[0])
-
-    def truncated_moment(self, n: int, r: Interval) -> float:
-        """Conditional moment ``E[X^n | X in r]`` for ``n`` in {1, 2}.
-
-        Raises
-        ------
-        ZeroMassBin
-            If the law places no numerical mass on ``r``.
-        """
-        if n not in (1, 2):
-            raise ValueError(f"truncated_moment supports n in {{1, 2}}, got {n}")
-        p, m1, m2 = self.edge_stats(np.array([r.lo, r.hi]))
-        mass = float(p[0])
-        if mass < ZERO_MASS_TOL:
-            raise ZeroMassBin(
-                f"no mass on [{r.lo}, {r.hi}) under {self!r} (mass={mass:.3e})"
-            )
-        return float(m1[0] / mass) if n == 1 else float(m2[0] / mass)
 
 
 @dataclass(frozen=True)

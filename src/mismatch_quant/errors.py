@@ -8,7 +8,6 @@ __all__ = [
     "DegenerateDesign",
     "DivergentIntegral",
     "ZeroEvidence",
-    "NoBracket",
 ]
 
 
@@ -30,7 +29,3 @@ class DivergentIntegral(MismatchQuantError):
 
 class ZeroEvidence(MismatchQuantError):
     """A channel output has zero marginal probability under the source."""
-
-
-class NoBracket(MismatchQuantError):
-    """A scalar minimization bracket does not contain an interior minimum."""

@@ -153,9 +153,9 @@ def ideal_distortion(true_d: Distribution, bits: int, **lloyd_kwargs) -> float:
 
 
 def _sampled_mse(x: np.ndarray, idx: np.ndarray, c: Codebook) -> tuple[float, float]:
-    """``monte_carlo_distortion`` on draws ``x`` already encoded as ``idx``,
-    with the same arithmetic.  The errors are squared in place in the array
-    the lookup returns, so no other draw-sized temporary is live."""
+    """Sampled MSE of ``c`` on draws ``x`` already encoded as ``idx``, and
+    its standard error.  The errors are squared in place in the array the
+    lookup returns, so no other draw-sized temporary is live."""
     err = c.as_array()[idx]
     np.subtract(x, err, out=err)
     np.square(err, out=err)
@@ -169,11 +169,7 @@ def monte_carlo_distortion(
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     x = d.sample(seed, n_samples)
-    table = c.as_array()
-    err = np.square(x - table[p.encode(x)])
-    mean = float(np.mean(err))
-    stderr = float(np.std(err, ddof=1) / math.sqrt(n_samples))
-    return mean, stderr
+    return _sampled_mse(x, p.encode(x), c)
 
 
 def report(
@@ -250,7 +246,9 @@ def one_bit_gaussian_report(
 
     and ``d_fix`` is the same expectation with the design codewords kept,
     evaluated from the normalized codeword offsets.  Both match
-    ``expected_distortion`` to within rounding.
+    ``expected_distortion`` to within rounding.  No experiment calls this:
+    it stays as the paper's closed-form 1-bit result, against which the
+    tests cross-check the general moment path.
     """
     if sigma0 <= 0.0 or sigma1 <= 0.0:
         raise ValueError("standard deviations must be positive")

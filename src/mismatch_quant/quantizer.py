@@ -9,14 +9,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import lapack
 
-from .distributions import ZERO_MASS_TOL, Distribution, Gaussian, Interval, Laplace
-from .errors import DegenerateDesign, ZeroMassBin
+from .distributions import ZERO_MASS_TOL, Distribution, Gaussian, Laplace
+from .errors import DegenerateDesign
 
 __all__ = [
     "Partition",
     "Codebook",
     "Quantizer",
-    "centroid_codebook",
     "lloyd_max_design",
 ]
 
@@ -64,13 +63,6 @@ class Partition:
     def edges(self) -> np.ndarray:
         """All bin edges including the infinite outer ones."""
         return np.concatenate(([-np.inf], self.boundaries, [np.inf]))
-
-    def interval(self, i: int) -> Interval:
-        edges = self.edges()
-        return Interval(float(edges[i]), float(edges[i + 1]))
-
-    def bins(self) -> tuple[Interval, ...]:
-        return tuple(self.interval(i) for i in range(self.n_bins))
 
     def encode(self, x):
         """Map values to 0-based bin indices; boundary points go right."""
@@ -140,24 +132,6 @@ class Quantizer:
             "codebook": list(self.design_codebook.values),
             "design_law": self.design_law.to_config(),
         }
-
-
-def centroid_codebook(p: Partition, d: Distribution) -> Codebook:
-    """Per-bin conditional means of ``d`` on the partition ``p``.
-
-    Raises
-    ------
-    ZeroMassBin
-        If ``d`` places no numerical mass on some bin.
-    """
-    mass, m1 = d.edge_stats(p.edges(), order=1)
-    bad = np.flatnonzero(mass < ZERO_MASS_TOL)
-    if bad.size:
-        raise ZeroMassBin(
-            f"bins {bad.tolist()} carry no mass under {d!r}; "
-            "no conditional mean exists"
-        )
-    return Codebook(m1 / mass)
 
 
 def _cube_root_quantiles(d: Distribution, q: np.ndarray) -> np.ndarray:

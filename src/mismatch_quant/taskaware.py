@@ -13,19 +13,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
-from .distributions import (
-    ZERO_MASS_TOL,
-    Distribution,
-    Gaussian,
-    GaussianMixture,
-    Interval,
-)
-from .errors import NoBracket, ZeroMassBin
+from .distributions import ZERO_MASS_TOL, Distribution, Gaussian, GaussianMixture
+from .errors import ZeroMassBin
 from .quantizer import Codebook, Partition, lloyd_max_design
 
 __all__ = [
@@ -35,7 +27,6 @@ __all__ = [
     "TaskLoss",
     "classification_report",
     "eta",
-    "golden_section_minimize",
     "map_labels",
     "phi",
     "rician_moment",
@@ -49,21 +40,14 @@ __all__ = [
 class TaskLoss:
     """A per-sample loss ``d(x, a)`` the decoder should minimize in mean.
 
-    ``kind`` selects a built-in ("squared_error", "weighted_mse_csi") or
-    marks a user loss ("custom", with ``evaluate`` supplied).
+    ``kind`` is "squared_error" or "weighted_mse_csi"; both have closed-form
+    per-bin minimizers.
     """
 
     kind: str
-    evaluate: Callable[[float, float], float] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind in ("squared_error", "weighted_mse_csi"):
-            if self.evaluate is not None:
-                raise ValueError(f"{self.kind} does not take a custom evaluator")
-        elif self.kind == "custom":
-            if self.evaluate is None:
-                raise ValueError("custom loss needs an evaluate(x, a) callable")
-        else:
+        if self.kind not in ("squared_error", "weighted_mse_csi"):
             raise ValueError(f"unknown loss kind: {self.kind!r}")
 
 
@@ -76,112 +60,31 @@ def weighted_mse_csi() -> TaskLoss:
     return TaskLoss(kind="weighted_mse_csi")
 
 
-def golden_section_minimize(
-    fn: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10
-) -> float:
-    """Golden-section search for the minimum of a unimodal ``fn`` on [lo, hi].
-
-    Raises
-    ------
-    NoBracket
-        If the search collapses onto an endpoint, meaning the bracket does
-        not contain an interior minimum.
-    """
-    if not lo < hi:
-        raise ValueError(f"bracket requires lo < hi, got [{lo}, {hi}]")
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    inv_phi2 = (3.0 - math.sqrt(5.0)) / 2.0
-    a, b = lo, hi
-    h = b - a
-    c = a + inv_phi2 * h
-    d = a + inv_phi * h
-    fc = fn(c)
-    fd = fn(d)
-    while h > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + inv_phi2 * h
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + inv_phi * h
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    guard = max(tol * 10.0, 1e-12 * (hi - lo))
-    if x - lo < guard or hi - x < guard:
-        raise NoBracket(
-            f"minimum of bracket [{lo}, {hi}] sits at the edge (x={x}); "
-            "the interval does not bracket an interior minimum"
-        )
-    return x
-
-
-def _bin_objective(
-    d: Distribution, loss: TaskLoss, r: Interval, mass: float
-) -> Callable[[float], float]:
-    """Conditional expected custom loss on the bin as a function of ``a``."""
-
-    def objective(a: float) -> float:
-        val, _ = integrate.quad(
-            lambda x: loss.evaluate(x, a) * d.pdf(x), r.lo, r.hi,
-            epsabs=1e-12, epsrel=1e-10, limit=500,
-        )
-        return val / mass
-
-    return objective
-
-
-def task_codebook(
-    p: Partition,
-    true_d: Distribution,
-    loss: TaskLoss,
-    *,
-    bracket_sigmas: float = 5.0,
-    tol: float = 1e-10,
-) -> Codebook:
+def task_codebook(p: Partition, true_d: Distribution, loss: TaskLoss) -> Codebook:
     """Per-bin minimizers of the conditional expected task loss.
 
-    The built-in losses have closed-form minimizers in the per-bin raw
-    moments ``m_k``: ``m1/m0`` for squared error and ``m3/m2`` for the
+    Both losses have closed-form minimizers in the per-bin raw moments
+    ``m_k``: ``m1/m0`` for squared error and ``m3/m2`` for the
     power-weighted loss, whose conditional risk ``m4 - 2a m3 + a^2 m2`` is a
-    quadratic in ``a``.  A custom loss is minimized by golden-section search
-    with each bin's bracket at its conditional mean plus/minus
-    ``bracket_sigmas`` conditional standard deviations.
+    quadratic in ``a``.
 
     Raises
     ------
     ZeroMassBin
         If some bin has no mass under ``true_d``.
-    NoBracket
-        If a custom loss's bracket does not contain an interior minimum.
     """
-    moments = true_d.edge_stats(p.edges(), order=3 if loss.kind == "weighted_mse_csi" else 2)
+    csi = loss.kind == "weighted_mse_csi"
+    moments = true_d.edge_stats(p.edges(), order=3 if csi else 1)
     mass = moments[0]
     empty = np.flatnonzero(mass < ZERO_MASS_TOL)
     if empty.size:
         raise ZeroMassBin(f"bin {empty[0]} carries no mass under {true_d!r}")
     mean = moments[1] / mass
-    if loss.kind == "squared_error":
+    if not csi:
         return Codebook(mean)
-    if loss.kind == "weighted_mse_csi":
-        # A bin whose second moment underflows has a flat risk; keep its mean.
-        m2, m3 = moments[2], moments[3]
-        return Codebook(np.divide(m3, m2, out=mean, where=m2 > 0.0))
-
-    sigma = np.sqrt(np.maximum(moments[2] / mass - mean * mean, 0.0))
-    values = []
-    for i, r in enumerate(p.bins()):
-        if sigma[i] == 0.0:
-            values.append(mean[i])
-            continue
-        objective = _bin_objective(true_d, loss, r, mass[i])
-        span = bracket_sigmas * sigma[i]
-        values.append(
-            golden_section_minimize(objective, mean[i] - span, mean[i] + span, tol=tol)
-        )
-    return Codebook(values)
+    # A bin whose second moment underflows has a flat risk; keep its mean.
+    m2, m3 = moments[2], moments[3]
+    return Codebook(np.divide(m3, m2, out=mean, where=m2 > 0.0))
 
 
 # Each Rice factor's moments are computed once per process: the CSI

@@ -37,6 +37,18 @@ def _write_cfg(tmp_path, name="cfg.json", **overrides):
     return path
 
 
+def _package_env():
+    """The environment with this checkout's package first on PYTHONPATH.
+
+    The package root must be absolute: subprocesses may run from tmp_path.
+    """
+    pkg_root = str(Path(mismatch_quant.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def _read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -374,11 +386,7 @@ class TestConsoleScript:
         script = tmp_path / "mismatch-quant"
         script.write_text(f"import sys\nfrom {module} import {attr}\n"
                           f"sys.exit({attr}())\n")
-        # The package root must be absolute: the script runs from tmp_path.
-        pkg_root = str(Path(mismatch_quant.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+        env = _package_env()
         cfg = _write_cfg(tmp_path, output=str(tmp_path / "out.csv"))
         proc = subprocess.run(
             [sys.executable, str(script), "run", "--config", str(cfg)],
@@ -387,10 +395,7 @@ class TestConsoleScript:
         assert (tmp_path / "out.csv").exists()
 
     def test_module_runs_as_a_script(self, tmp_path):
-        pkg_root = str(Path(mismatch_quant.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+        env = _package_env()
         good = tmp_path / "good.json"
         good.write_text('{"experiment": "rician_csi"}')
         bad = tmp_path / "bad.json"
@@ -412,3 +417,16 @@ class TestConsoleScript:
              "from mismatch_quant.cli import main; raise SystemExit(main([]))"],
             capture_output=True, text=True)
         assert proc.returncode == 2
+
+    def test_import_leaves_quadrature_and_search_modules_unloaded(self):
+        # Loading scipy.integrate, which pulls in scipy.optimize, takes several
+        # times as long as the rest of the package's import.
+        env = _package_env()
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, mismatch_quant; "
+             "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
+             "if m in sys.modules))"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -16,12 +16,11 @@ from mismatch_quant import (
     DegenerateDesign,
     Gaussian,
     GaussianMixture,
-    Interval,
     Laplace,
     Partition,
     Quantizer,
     ZeroMassBin,
-    centroid_codebook,
+    generative_codebook,
     lloyd_max_design,
 )
 from mismatch_quant import quantizer
@@ -101,13 +100,11 @@ class TestPartition:
         assert p.boundaries == tuple(float(b) for b in t)
         assert Partition((-1, 0, 2)).boundaries == (-1.0, 0.0, 2.0)
 
-    def test_intervals_tile_the_line(self):
+    def test_edges_tile_the_line(self):
         p = Partition((-2.0, 0.0, 2.0))
-        bins = p.bins()
-        assert bins[0].lo == -math.inf
-        assert bins[-1].hi == math.inf
-        for left, right in zip(bins[:-1], bins[1:]):
-            assert left.hi == right.lo
+        edges = p.edges()
+        assert edges.tolist() == [-math.inf, -2.0, 0.0, 2.0, math.inf]
+        assert len(edges) == p.n_bins + 1
 
 
 class TestCodebook:
@@ -132,13 +129,13 @@ class TestCodebook:
 
 class TestCentroidCodebook:
     def test_one_bit_gaussian(self):
-        c = centroid_codebook(Partition((0.0,)), Gaussian(0, 2.0))
+        c = generative_codebook(Partition((0.0,)), Gaussian(0, 2.0))
         assert c.values[0] == pytest.approx(-2.0 * SQRT_2_OVER_PI, abs=1e-14)
         assert c.values[1] == pytest.approx(2.0 * SQRT_2_OVER_PI, abs=1e-14)
 
     def test_shifted_one_bit_uses_both_mills_ratios(self):
         mu1, s1 = 0.7, 1.4
-        c = centroid_codebook(Partition((0.0,)), Gaussian(mu1, s1))
+        c = generative_codebook(Partition((0.0,)), Gaussian(mu1, s1))
         a = -mu1 / s1
         phi = math.exp(-0.5 * a * a) / math.sqrt(2 * math.pi)
         big_phi = 0.5 * (1.0 + math.erf(a / math.sqrt(2)))
@@ -149,14 +146,14 @@ class TestCentroidCodebook:
 
     def test_design_codebook_is_a_fixed_point(self):
         q = lloyd_max_design(Gaussian(0, 1), 3)
-        again = centroid_codebook(q.partition, Gaussian(0, 1))
+        again = generative_codebook(q.partition, Gaussian(0, 1))
         np.testing.assert_allclose(again.as_array(),
                                    q.design_codebook.as_array(), atol=1e-12)
 
     def test_empty_bin_raises_with_indices(self):
         p = Partition((50.0, 51.0, 52.0))
         with pytest.raises(ZeroMassBin):
-            centroid_codebook(p, Gaussian(0, 1))
+            generative_codebook(p, Gaussian(0, 1))
 
 
 class TestLloydMaxDesign:
@@ -209,14 +206,14 @@ class TestLloydMaxDesign:
         v = q.design_codebook.as_array()
         midpoints = 0.5 * (v[:-1] + v[1:])
         np.testing.assert_allclose(q.partition.boundaries, midpoints, atol=1e-12)
-        cents = centroid_codebook(q.partition, Gaussian(0.3, 1.1)).as_array()
+        cents = generative_codebook(q.partition, Gaussian(0.3, 1.1)).as_array()
         np.testing.assert_allclose(v, cents, atol=1e-12)
 
     def test_returned_codebook_is_exactly_centroidal(self):
         # The codebook is the centroid table of the returned partition by
         # construction, so the equality is bitwise, not just within tol.
         q = lloyd_max_design(Laplace(0.2, 0.9), 2)
-        cents = centroid_codebook(q.partition, Laplace(0.2, 0.9))
+        cents = generative_codebook(q.partition, Laplace(0.2, 0.9))
         assert q.design_codebook.values == cents.values
 
     def test_cube_root_init_reaches_the_same_design(self):
@@ -438,7 +435,7 @@ class TestStandardMemberDesign:
     def test_mapped_design_is_centroidal_with_its_own_residual(self, d, bits):
         q = lloyd_max_design(d, bits)
         assert q.design_law is d
-        assert q.design_codebook.values == centroid_codebook(q.partition, d).values
+        assert q.design_codebook.values == generative_codebook(q.partition, d).values
         t = np.asarray(q.partition.boundaries)
         v = q.design_codebook.as_array()
         assert q.residual == float(np.max(np.abs(t - 0.5 * (v[:-1] + v[1:]))))

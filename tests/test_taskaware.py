@@ -13,14 +13,12 @@ from mismatch_quant import (
     Laplace,
     LabeledClass,
     LabeledSource,
-    NoBracket,
     Partition,
     TaskLoss,
     ZeroMassBin,
     classification_report,
     eta,
     generative_codebook,
-    golden_section_minimize,
     lloyd_max_design,
     map_labels,
     phi,
@@ -33,40 +31,15 @@ from mismatch_quant import cli
 from mismatch_quant.taskaware import _rician_moments
 
 
-class TestGoldenSection:
-    def test_quadratic(self):
-        x = golden_section_minimize(lambda t: (t - 1.3) ** 2, 0.0, 3.0)
-        assert x == pytest.approx(1.3, abs=1e-8)
-
-    def test_quartic_well(self):
-        x = golden_section_minimize(lambda t: t**4 - 2.0 * t * t, 0.5, 2.0)
-        assert x == pytest.approx(1.0, abs=1e-8)
-
-    def test_edge_minimum_raises(self):
-        with pytest.raises(NoBracket):
-            golden_section_minimize(lambda t: t, 0.0, 1.0)
-        with pytest.raises(NoBracket):
-            golden_section_minimize(lambda t: -t, 0.0, 1.0)
-
-    def test_bad_bracket_rejected(self):
-        with pytest.raises(ValueError):
-            golden_section_minimize(lambda t: t * t, 1.0, 1.0)
-
-
 class TestTaskLoss:
     def test_builtin_kinds(self):
         assert squared_error().kind == "squared_error"
         assert weighted_mse_csi().kind == "weighted_mse_csi"
 
-    def test_builtin_rejects_evaluator(self):
-        with pytest.raises(ValueError):
-            TaskLoss(kind="squared_error", evaluate=lambda x, a: 0.0)
-
-    def test_custom_requires_evaluator(self):
-        with pytest.raises(ValueError):
-            TaskLoss(kind="custom")
-        with pytest.raises(ValueError):
-            TaskLoss(kind="huber")
+    def test_unknown_kind_rejected(self):
+        for kind in ("custom", "huber"):
+            with pytest.raises(ValueError):
+                TaskLoss(kind=kind)
 
 
 class TestTaskCodebook:
@@ -75,16 +48,17 @@ class TestTaskCodebook:
         true_d = Gaussian(0.4, 1.3)
         got = task_codebook(q.partition, true_d, squared_error())
         want = generative_codebook(q.partition, true_d)
-        np.testing.assert_allclose(got.as_array(), want.as_array(), atol=1e-8)
+        assert got.values == want.values
 
     def test_csi_loss_minimizer_is_a_moment_ratio(self):
         """For |x|^2 |x-a|^2 the per-bin optimum is E[X^3 | bin]/E[X^2 | bin]."""
         d = Gaussian(3.0, 0.5)
         q = lloyd_max_design(d, 2)
         got = task_codebook(q.partition, d, weighted_mse_csi()).as_array()
-        for i, r in enumerate(q.partition.bins()):
-            lo = r.lo if math.isfinite(r.lo) else 3.0 - 40 * 0.5
-            hi = r.hi if math.isfinite(r.hi) else 3.0 + 40 * 0.5
+        edges = q.partition.edges()
+        for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+            lo = lo if math.isfinite(lo) else 3.0 - 40 * 0.5
+            hi = hi if math.isfinite(hi) else 3.0 + 40 * 0.5
             m3, _ = integrate.quad(lambda x: x**3 * d.pdf(x), lo, hi,
                                    epsabs=1e-13, limit=300)
             m2, _ = integrate.quad(lambda x: x**2 * d.pdf(x), lo, hi,
@@ -100,8 +74,9 @@ class TestTaskCodebook:
     ])
     def test_csi_codebook_against_40_digit_moments(self, d, p, mp_raw_moment):
         got = task_codebook(p, d, weighted_mse_csi()).as_array()
-        for i, r in enumerate(p.bins()):
-            want = mp_raw_moment(d, r.lo, r.hi, 3) / mp_raw_moment(d, r.lo, r.hi, 2)
+        edges = p.edges()
+        for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+            want = mp_raw_moment(d, lo, hi, 3) / mp_raw_moment(d, lo, hi, 2)
             assert got[i] == pytest.approx(float(want), rel=1e-11)
 
     def test_csi_pulls_codewords_above_the_mean(self):
@@ -112,22 +87,9 @@ class TestTaskCodebook:
         mmse = generative_codebook(q.partition, d).as_array()
         assert np.all(csi > mmse)
 
-    def test_custom_loss_matches_builtin(self):
-        q = lloyd_max_design(Gaussian(0, 1), 1)
-        custom = TaskLoss(kind="custom", evaluate=lambda x, a: (x - a) ** 2)
-        got = task_codebook(q.partition, Gaussian(0, 1), custom)
-        want = generative_codebook(q.partition, Gaussian(0, 1))
-        np.testing.assert_allclose(got.as_array(), want.as_array(), atol=1e-6)
-
     def test_empty_bin_raises(self):
         with pytest.raises(ZeroMassBin):
             task_codebook(Partition((50.0,)), Gaussian(0, 1), squared_error())
-
-    def test_monotone_loss_has_no_interior_minimum(self):
-        q = lloyd_max_design(Gaussian(0, 1), 1)
-        runaway = TaskLoss(kind="custom", evaluate=lambda x, a: -a)
-        with pytest.raises(NoBracket):
-            task_codebook(q.partition, Gaussian(0, 1), runaway)
 
 
 class TestRicianMoments:
