@@ -10,10 +10,14 @@ import pytest
 from scipy import integrate, optimize
 
 from mismatch_quant import (
+    Distribution,
     Gaussian,
     GaussianMixture,
     Laplace,
+    Partition,
+    ZeroMassBin,
     from_config,
+    generative_codebook,
     inverse_mills,
 )
 from mismatch_quant.distributions import _MIXTURE_BLOCK
@@ -45,6 +49,16 @@ def _quad_conditional_moment(d, n, lo, hi):
     mass, _ = integrate.quad(d.pdf, span_lo, span_hi, limit=300)
     num, _ = integrate.quad(lambda x: x**n * d.pdf(x), span_lo, span_hi, limit=300)
     return num / mass
+
+
+class TestAbstractBase:
+    def test_log_pdf_is_abstract(self):
+        # Every law supplies its own log density; the base class has no body.
+        assert "log_pdf" in Distribution.__abstractmethods__
+        methods = {name: getattr(Gaussian, name)
+                   for name in Distribution.__abstractmethods__ - {"log_pdf"}}
+        with pytest.raises(TypeError, match="log_pdf"):
+            type("NoLogPdf", (Distribution,), methods)()
 
 
 class TestDensities:
@@ -117,6 +131,20 @@ class TestMass:
         assert got == pytest.approx(oracle, rel=1e-10)
         assert got > 0
 
+    def test_far_tail_laplace_mass_matches_closed_form(self):
+        # 0.5 (e^(-20/b) - e^(-21/b)) with b = 1, formed without a difference.
+        got = _mass(Laplace(0.0, 1.0), 20.0, 21.0)
+        want = 0.5 * math.exp(-20.0) * -math.expm1(-1.0)
+        assert got == pytest.approx(want, rel=1e-13)
+
+    def test_far_tail_mixture_mass_is_weight_combined(self):
+        mix = GaussianMixture(((0.3, -1.0, 0.5), (0.7, 1.5, 1.2)))
+        want = sum(w * _mass(Gaussian(m, s), 20.0, 21.0)
+                   for w, m, s in mix.components)
+        got = _mass(mix, 20.0, 21.0)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert got > 0
+
 
 class TestTruncatedMoments:
     def test_half_gaussian_mean(self):
@@ -130,6 +158,14 @@ class TestTruncatedMoments:
     def test_symmetric_interval_mean_is_zero(self):
         got = _conditional_moment(Gaussian(0, 1), 1, -1.0, 1.0)
         assert got == pytest.approx(0.0, abs=1e-15)
+
+    def test_zero_mass_bin_raises(self):
+        # [60, 61) has exactly zero mass, so m1/m0 is undefined there; the
+        # kernel reports the zero and the conditional-mean table refuses it.
+        (mass,) = Gaussian(0, 1).edge_stats([60.0, 61.0], order=0)
+        assert mass.tolist() == [0.0]
+        with pytest.raises(ZeroMassBin):
+            generative_codebook(Partition((60.0,)), Gaussian(0, 1))
 
     def test_agrees_with_quadrature_on_random_intervals(self):
         """100 random intervals per law against an adaptive quadrature oracle."""

@@ -231,6 +231,24 @@ class TestMonteCarloDistortion:
                                    Gaussian(0, 1.5), 10_000, seed=3)
         assert a == b
 
+    @pytest.mark.parametrize("design_d, true_d", [
+        (Gaussian(0, 1), Gaussian(0.4, 1.3)),
+        (Laplace(0.0, 1.0), Laplace(-0.3, 1.6)),
+        (GaussianMixture(((0.5, -1.5, 0.6), (0.5, 1.5, 0.6))),
+         GaussianMixture(((0.3, -1.0, 0.5), (0.7, 1.5, 1.2)))),
+    ])
+    @pytest.mark.parametrize("n", [2, 1_001])
+    def test_is_the_mean_squared_error_of_one_seeded_draw(self, design_d,
+                                                          true_d, n):
+        q = lloyd_max_design(design_d, 3)
+        x = true_d.sample(5, n)
+        err = np.square(x - q.design_codebook.as_array()[q.encode(x)])
+        want = (float(np.mean(err)),
+                float(np.std(err, ddof=1) / math.sqrt(n)))
+        got = monte_carlo_distortion(q.partition, q.design_codebook, true_d,
+                                     n, seed=5)
+        assert got == want
+
     def test_tiny_sample_rejected(self):
         q = one_bit_quantizer(0.0, 1.0)
         with pytest.raises(ValueError):

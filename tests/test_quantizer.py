@@ -100,7 +100,8 @@ class TestPartition:
         assert p.boundaries == tuple(float(b) for b in t)
         assert Partition((-1, 0, 2)).boundaries == (-1.0, 0.0, 2.0)
 
-    def test_edges_tile_the_line(self):
+    def test_intervals_tile_the_line(self):
+        # Bin i is [edges[i], edges[i + 1]); consecutive bins share an edge.
         p = Partition((-2.0, 0.0, 2.0))
         edges = p.edges()
         assert edges.tolist() == [-math.inf, -2.0, 0.0, 2.0, math.inf]

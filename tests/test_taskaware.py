@@ -50,6 +50,19 @@ class TestTaskCodebook:
         want = generative_codebook(q.partition, true_d)
         assert got.values == want.values
 
+    @pytest.mark.parametrize("design_d, true_d", [
+        (Gaussian(0, 1), Gaussian(0.4, 1.3)),
+        (Laplace(0.0, 1.0), Laplace(-0.3, 1.6)),
+        (GaussianMixture(((0.5, -1.5, 0.6), (0.5, 1.5, 0.6))),
+         GaussianMixture(((0.3, -1.0, 0.5), (0.7, 1.5, 1.2)))),
+    ])
+    @pytest.mark.parametrize("bits", [1, 4, 8, 12])
+    def test_squared_error_is_bitwise_the_generative_codebook(self, design_d,
+                                                               true_d, bits):
+        q = lloyd_max_design(design_d, bits)
+        got = task_codebook(q.partition, true_d, squared_error())
+        assert got.values == generative_codebook(q.partition, true_d).values
+
     def test_csi_loss_minimizer_is_a_moment_ratio(self):
         """For |x|^2 |x-a|^2 the per-bin optimum is E[X^3 | bin]/E[X^2 | bin]."""
         d = Gaussian(3.0, 0.5)
