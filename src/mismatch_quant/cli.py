@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -80,6 +81,9 @@ class ExperimentConfig:
         return self.true or _RUNNERS[self.experiment].true or dict(self.design)
 
 
+_type_hints = functools.cache(typing.get_type_hints)  # resolved once per process
+
+
 def _conforms(value, tp) -> bool:
     """Whether a JSON value has the annotated type; floats must be finite."""
     if isinstance(tp, types.UnionType):
@@ -96,7 +100,7 @@ def _conforms(value, tp) -> bool:
 
 def validate(cfg: ExperimentConfig) -> list[str]:
     """Collect human-readable diagnostics; an empty list means runnable."""
-    hints = typing.get_type_hints(ExperimentConfig)
+    hints = _type_hints(ExperimentConfig)
     problems = [
         f"{f.name} must be {f.type.replace('float', 'finite float')}, "
         f"got {getattr(cfg, f.name)!r}"
@@ -373,6 +377,7 @@ def _parse_bits(text: str) -> list[int]:
         raise ConfigError(f"cannot parse bits list {text!r}") from exc
 
 
+@functools.cache  # built once per process; each parse fills a fresh namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mismatch-quant",

@@ -37,10 +37,10 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # steps and bisection alone would need about 60 to exhaust a double.
 _PPF_MAX_ITERS = 100
 
-# Most component-by-edge entries a mixture's moments evaluate in one kernel
-# call.  Batching components removes per-call overhead on small partitions;
-# past about this size a broadcast block is slower than one call per
-# component, so large partitions take their components one at a time.
+# Most component-by-edge entries one kernel call evaluates for a mixture's
+# moments or a labeled source's class masses.  Batching removes per-call
+# overhead on small partitions; past about this size a broadcast block is
+# slower than one call per law, so large partitions take one law at a time.
 _MIXTURE_BLOCK = 4096
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .distributions import ZERO_MASS_TOL, Distribution, Gaussian, inverse_mills
 from .errors import ZeroMassBin
-from .quantizer import Codebook, Partition, Quantizer, lloyd_max_design
+from .quantizer import Codebook, Partition, Quantizer, _standard_member, lloyd_max_design
 
 __all__ = [
     "DistortionReport",
@@ -145,11 +145,15 @@ def ideal_distortion(true_d: Distribution, bits: int, **lloyd_kwargs) -> float:
     This is the final design distortion of ``lloyd_max_design``.  For a
     law designed directly (a family's standard member, or a mixture) it is
     bit for bit the expanded sum ``expected_distortion`` forms for the
-    returned quantizer.  For any other Gaussian or Laplace law it is
-    exactly ``scale**2`` times the standard member's, where that expanded
-    sum of moments about the origin would cancel when ``|mean| >> std``.
+    returned quantizer.  Any other Gaussian or Laplace law, ``loc + scale *
+    X`` for its standard member ``X``, gets ``scale**2 * D*`` of the
+    standard design (Max 1960) with no quantizer mapped: bit for bit what
+    its mapped design reports, even where that design would raise
+    ``DegenerateDesign`` because its thresholds coincide in floating point.
     """
-    return lloyd_max_design(true_d, bits, **lloyd_kwargs).distortion_history[-1]
+    member = _standard_member(true_d)
+    law, scale = (true_d, 1.0) if member is None else (member[0], member[2])
+    return scale * scale * lloyd_max_design(law, bits, **lloyd_kwargs).distortion_history[-1]
 
 
 def _sampled_mse(x: np.ndarray, idx: np.ndarray, c: Codebook) -> tuple[float, float]:

@@ -65,9 +65,19 @@ class Partition:
         return np.concatenate(([-np.inf], self.boundaries, [np.inf]))
 
     def encode(self, x):
-        """Map values to 0-based bin indices; boundary points go right."""
-        idx = np.searchsorted(np.asarray(self.boundaries), x, side="right")
-        return idx if np.ndim(x) else int(idx)
+        """Map values to 0-based bin indices; boundary points go right.  As
+        ``np.searchsorted(boundaries, x, side="right")``, an ``int`` for a
+        scalar; below 64 thresholds an array is counted instead, ``n - sum_i
+        (x < t_i)`` in ``uint8``, faster there, and NaN still goes last."""
+        t = self.boundaries
+        if not np.ndim(x) or len(t) >= 64:
+            idx = np.searchsorted(np.asarray(t), x, side="right")
+            return idx if np.ndim(x) else int(idx)
+        x = np.asarray(x, dtype=float)
+        below = np.zeros(x.shape, dtype=np.uint8)
+        for ti in t:
+            below += x < ti
+        return np.subtract(len(t), below, dtype=np.intp)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ZERO_MASS_TOL, Distribution, Gaussian, GaussianMixture
+from .distributions import (
+    _MIXTURE_BLOCK, ZERO_MASS_TOL, Distribution, Gaussian, GaussianMixture, _gaussian_edge_stats)
 from .errors import ZeroMassBin
 from .quantizer import Codebook, Partition, lloyd_max_design
 
@@ -185,13 +186,22 @@ class LabeledSource:
 
 
 def _joint_mass(p: Partition, src: LabeledSource) -> np.ndarray:
-    """Matrix of ``P(class y, bin i)``, classes by bins."""
+    """Matrix of ``P(class y, bin i)``, classes by bins.  Gaussian class laws
+    go through the kernel as ``(k, 1)`` columns, in blocks as mixture moments
+    do (one call for small partitions); order 0 is elementwise, so each row
+    is bit for bit the law's own ``edge_stats``.  Other laws go one by one."""
     edges = p.edges()
-    rows = []
-    for c in src.classes:
-        (mass,) = c.distribution.edge_stats(edges, order=0)
-        rows.append(c.weight * mass)
-    return np.asarray(rows)
+    laws = [c.distribution for c in src.classes]
+    gauss = [k for k, d in enumerate(laws) if type(d) is Gaussian]
+    joint = np.empty((len(laws), len(edges) - 1))
+    mean = np.array([[laws[k].mean] for k in gauss])
+    std = np.array([[laws[k].std] for k in gauss])
+    step = max(1, _MIXTURE_BLOCK // len(edges))
+    for rows in (slice(lo, lo + step) for lo in range(0, len(gauss), step)):
+        (joint[gauss[rows]],) = _gaussian_edge_stats(mean[rows], std[rows], edges, 0)
+    for k in set(range(len(laws))).difference(gauss):
+        (joint[k],) = laws[k].edge_stats(edges, order=0)
+    return np.array([[c.weight] for c in src.classes]) * joint
 
 
 def _labels_from_joint(joint: np.ndarray, src: LabeledSource) -> tuple[str, ...]:

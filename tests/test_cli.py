@@ -206,6 +206,25 @@ class TestRunCommand:
         rows = _read_csv(out)
         assert [r[1] for r in rows[1:]] == ["1", "2", "1", "2"]
 
+    def test_consecutive_calls_parse_independently(self, tmp_path, capsys):
+        # The parser is built once per process; no override may outlive its call.
+        cfg = _write_cfg(tmp_path, bits=[1])
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert main(["run", "--config", str(cfg), "--bits", "1,2", "--seed", "4",
+                     "--mc-samples", "500", "--out", str(first)]) == 0
+        assert main(["report", "--design", '{"kind": "gaussian"}',
+                     "--true", '{"kind": "laplace"}', "--bits", "3"]) == 0
+        assert "bits:        3" in capsys.readouterr().out
+        assert main(["validate", "--config", str(cfg)]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(second)]) == 0
+        head1, *rows1 = _read_csv(first)
+        head2, *rows2 = _read_csv(second)
+        assert head1 == ["mu1"] + REPORT_HEADER + MC_HEADER
+        assert [r[1] for r in rows1] == ["1", "2", "1", "2"]
+        assert head2 == ["mu1"] + REPORT_HEADER
+        assert [r[1] for r in rows2] == ["1", "1"]
+        assert cli._build_parser() is cli._build_parser()
+
     def test_invalid_config_does_not_run(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, bits=[])
         assert main(["run", "--config", str(cfg)]) == 2

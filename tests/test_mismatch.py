@@ -17,6 +17,7 @@ from scipy import integrate
 
 from mismatch_quant import (
     Codebook,
+    DegenerateDesign,
     Gaussian,
     GaussianMixture,
     Laplace,
@@ -213,6 +214,36 @@ class TestIdealDistortion:
     def test_far_off_law_scales_the_standard_distortion(self, d, standard, scale, bits):
         want = scale * scale * ideal_distortion(standard, bits)
         assert ideal_distortion(d, bits) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("init", ["quantile", "cube_root"])
+    @pytest.mark.parametrize("d", [
+        Gaussian(), Gaussian(2.5, 1.0), Gaussian(0.0, 3.7), Gaussian(-40.0, 0.02),
+        Laplace(), Laplace(-1.5, 1.0 / math.sqrt(2.0)), Laplace(0.0, 2.2),
+        Laplace(300.0, 0.05),
+    ])
+    def test_bitwise_equal_to_the_design_distortion(self, d, init):
+        for bits in range(1, 13):
+            want = lloyd_max_design(d, bits, init=init).distortion_history[-1]
+            got = ideal_distortion(d, bits, init=init)
+            assert type(got) is float and got == want, bits
+
+    def test_coinciding_mapped_thresholds_still_scale_the_standard(self):
+        # lloyd_max_design rejects this law (its mapped thresholds coincide),
+        # but its redesign distortion is still scale**2 D* of N(0, 1).
+        d = Gaussian(1e6, 1e-12)
+        with pytest.raises(DegenerateDesign):
+            lloyd_max_design(d, 8)
+        assert ideal_distortion(d, 8) == 1e-12 * 1e-12 * ideal_distortion(Gaussian(), 8)
+
+    @pytest.mark.parametrize("d", [
+        Gaussian(), Gaussian(1.0, 2.0), Laplace(0.5, 2.0),
+        GaussianMixture(((0.5, -1.5, 0.6), (0.5, 1.5, 0.6)))])
+    @pytest.mark.parametrize("kwargs", [
+        {"bits": 0}, {"bits": 17}, {"bits": 2.0}, {"bits": 3, "init": "uniform"},
+        {"bits": 3, "max_iters": 0}])
+    def test_bad_settings_raise(self, d, kwargs):
+        with pytest.raises(ValueError):
+            ideal_distortion(d, **kwargs)
 
     @pytest.mark.parametrize("d", [
         Gaussian(), Laplace(), GaussianMixture(((0.5, -1.5, 0.6), (0.5, 1.5, 0.6)))])

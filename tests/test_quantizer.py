@@ -484,6 +484,61 @@ class TestStandardMemberDesign:
             lloyd_max_design(Gaussian(1e6, 1e-12), 8)
 
 
+class TestEncode:
+    """``Partition.encode`` counts thresholds below 64 of them and searches
+    from 64 on; both must be ``np.searchsorted(t, x, side="right")``."""
+
+    @staticmethod
+    def _partition(bits):
+        # Sorted distinct thresholds with one of them exactly 0.0, so that
+        # -0.0 and +0.0 draws tie with a threshold.
+        t = np.unique(np.random.default_rng(bits).normal(size=(1 << bits) + 64))
+        t = t[: (1 << bits) - 1]
+        return Partition(t - t[len(t) // 2])
+
+    @staticmethod
+    def _draws(t):
+        t = np.asarray(t)
+        rng = np.random.default_rng(len(t))
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, t[0], t[-1]]
+        return np.concatenate([
+            rng.normal(scale=1.5, size=2000), t, np.nextafter(t, -np.inf),
+            np.nextafter(t, np.inf), np.repeat(special, 3)])
+
+    @pytest.mark.parametrize("bits", range(1, 17))
+    def test_arrays_match_searchsorted(self, bits):
+        p = self._partition(bits)
+        t = np.asarray(p.boundaries)
+        assert (len(t) < 64) == (bits <= 6)
+        x = self._draws(t)
+        got = p.encode(x)
+        assert got.dtype == np.intp and got.shape == x.shape
+        np.testing.assert_array_equal(got, np.searchsorted(t, x, side="right"))
+        assert got[x == 0.0].tolist() == [len(t) // 2 + 1] * int(np.sum(x == 0.0))
+        assert got[np.isnan(x)].tolist() == [len(t)] * 3
+        grid = x[: 2000].reshape(40, 50)
+        got2 = p.encode(grid)
+        assert got2.dtype == np.intp and got2.shape == grid.shape
+        np.testing.assert_array_equal(got2, np.searchsorted(t, grid, side="right"))
+        np.testing.assert_array_equal(p.encode(x.tolist()), got)
+
+    @pytest.mark.parametrize("bits", [1, 4, 6, 7, 12])
+    def test_scalars_and_zero_d_arrays_give_ints(self, bits):
+        p = self._partition(bits)
+        t = np.asarray(p.boundaries)
+        for v in (0.0, -0.0, math.inf, -math.inf, math.nan, t[0], float(t[-1]), 0.3):
+            want = int(np.searchsorted(t, v, side="right"))
+            for arg in (v, np.float64(v), np.array(v)):
+                got = p.encode(arg)
+                assert type(got) is int and got == want, (v, arg)
+
+    def test_integer_and_float32_draws_compare_as_doubles(self):
+        p = Partition((-1.5, 0.1, 2.0))
+        for x in (np.arange(-3, 4), np.array([0.1, -1.5, 2.0], dtype=np.float32)):
+            np.testing.assert_array_equal(
+                p.encode(x), np.searchsorted(np.asarray(p.boundaries), x, side="right"))
+
+
 class TestQuantizerRoundTrip:
     def test_encode_decode_shapes(self):
         q = lloyd_max_design(Gaussian(0, 1), 2)

@@ -28,7 +28,7 @@ from mismatch_quant import (
     weighted_mse_csi,
 )
 from mismatch_quant import cli
-from mismatch_quant.taskaware import _rician_moments
+from mismatch_quant.taskaware import _joint_mass, _rician_moments
 
 
 class TestTaskLoss:
@@ -291,6 +291,93 @@ class TestMapLabels:
         src = _two_class_source(0.5)
         with pytest.raises(ZeroMassBin):
             map_labels(Partition((50.0, 51.0, 52.0)), src)
+
+
+def _reference_joint(p, src):
+    """``P(class y, bin i)`` from each class law's own ``edge_stats``."""
+    return np.array([c.weight * c.distribution.edge_stats(p.edges(), order=0)[0]
+                     for c in src.classes])
+
+
+def _reference_classification(p, src_true, src_design):
+    """``classification_report`` from per-class joint masses alone."""
+
+    def labels(part, src):
+        names = [c.label for c in src.classes]
+        return [names[k] for k in np.argmax(_reference_joint(part, src), axis=0)]
+
+    def accuracy(part, labs):
+        joint = _reference_joint(part, src_true)
+        index = {c.label: k for k, c in enumerate(src_true.classes)}
+        return float(sum(joint[index[lab], i] for i, lab in enumerate(labs) if lab in index))
+
+    acc_fix = accuracy(p, labels(p, src_design))
+    acc_gen = accuracy(p, labels(p, src_true))
+    ideal = lloyd_max_design(src_true.marginal(), p.bits).partition
+    acc_ideal = accuracy(ideal, labels(ideal, src_true))
+    gap = acc_ideal - acc_fix
+    return acc_fix, acc_gen, acc_ideal, (
+        100.0 * (acc_gen - acc_fix) / gap if abs(gap) > 1e-9 else None)
+
+
+def _gaussian_source(seed, n):
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.5, 1.5, n)
+    return LabeledSource(classes=tuple(
+        LabeledClass(f"g{k}", float(w), Gaussian(float(m), float(s)))
+        for k, (w, m, s) in enumerate(zip(weights / weights.sum(),
+                                          rng.uniform(-2.0, 2.0, n),
+                                          rng.uniform(0.3, 1.2, n)))))
+
+
+class TestJointMass:
+    """The Gaussian classes of a source share one kernel call; every table,
+    label and accuracy must be bit for bit the per-class result."""
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_gaussian_sources_match_the_per_class_tables(self, bits):
+        for seed, n in ((bits, 1), (bits + 10, 3), (bits + 20, 7)):
+            src_true, src_design = _gaussian_source(seed, n), _gaussian_source(seed + 1, 4)
+            p = lloyd_max_design(src_design.marginal(), bits).partition
+            joint = _joint_mass(p, src_true)
+            want = _reference_joint(p, src_true)
+            assert joint.shape == want.shape == (n, 1 << bits)
+            assert joint.tobytes() == want.tobytes()
+            labels = map_labels(p, src_true)
+            names = [c.label for c in src_true.classes]
+            assert labels == tuple(names[k] for k in np.argmax(want, axis=0))
+            rep = classification_report(p, src_true, src_design)
+            got = (rep.acc_fix, rep.acc_gen, rep.acc_ideal, rep.recovery_pct)
+            assert got == _reference_classification(p, src_true, src_design), (seed, n)
+
+    @pytest.mark.parametrize("bits", [9, 10, 12])
+    def test_blocked_sources_match_the_per_class_tables(self, bits):
+        # 10 classes on 513, 1025 and 4097 edges take blocks of 7, 3 and 1.
+        src = _gaussian_source(bits, 10)
+        p = lloyd_max_design(Gaussian(0.1, 1.3), bits).partition
+        want = _reference_joint(p, src)
+        assert _joint_mass(p, src).tobytes() == want.tobytes()
+        names = [c.label for c in src.classes]
+        assert map_labels(p, src) == tuple(names[k] for k in np.argmax(want, axis=0))
+
+    def test_other_class_laws_keep_their_own_tables(self):
+        mix = GaussianMixture(((0.3, -0.5, 0.4), (0.7, 0.8, 0.6)))
+        src = LabeledSource(classes=(
+            LabeledClass("a", 0.2, Gaussian(-1.0, 0.5)),
+            LabeledClass("mix", 0.3, mix),
+            LabeledClass("lap", 0.25, Laplace(0.5, 0.7)),
+            LabeledClass("b", 0.25, Gaussian(1.5, 0.8)),
+        ))
+        p = lloyd_max_design(Gaussian(0.2, 1.2), 5).partition
+        want = _reference_joint(p, src)
+        assert _joint_mass(p, src).tobytes() == want.tobytes()
+        names = [c.label for c in src.classes]
+        assert map_labels(p, src) == tuple(names[k] for k in np.argmax(want, axis=0))
+        src_true = LabeledSource(classes=(
+            LabeledClass("mix", 0.6, mix), LabeledClass("b", 0.4, Gaussian(1.5, 0.8))))
+        rep = classification_report(p, src_true, src)
+        got = (rep.acc_fix, rep.acc_gen, rep.acc_ideal, rep.recovery_pct)
+        assert got == _reference_classification(p, src_true, src)
 
 
 class TestClassificationReport:
