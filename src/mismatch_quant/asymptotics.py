@@ -19,7 +19,7 @@ import numpy as np
 
 from .distributions import Distribution
 from .errors import DivergentIntegral
-from .mismatch import _conditional_means, _expanded_distortion
+from .mismatch import _exact_terms
 from .quantizer import Codebook, Partition, Quantizer, lloyd_max_design
 
 __all__ = [
@@ -346,7 +346,6 @@ def rate_recovery_sweep(
     bits_list,
     *,
     max_iters: int = 500,
-    tol: float = 1e-10,
     init: str = "quantile",
 ) -> list[HighRateReport]:
     """Exact and model distortion terms across bit depths.
@@ -362,16 +361,12 @@ def rate_recovery_sweep(
     """
     reports = []
     for bits in bits_list:
-        q = lloyd_max_design(design_d, bits, max_iters=max_iters, tol=tol, init=init)
+        q = lloyd_max_design(design_d, bits, max_iters=max_iters, init=init)
         p = q.partition
         # One moment table of the true law serves every exact term of the row.
-        table = true_d.edge_stats(p.edges())
-        fix = q.design_codebook.as_array()
-        gen, _ = _conditional_means(table, true_d, q.design_codebook)
-        d_fix = _expanded_distortion(table, fix)
-        d_gen = _expanded_distortion(table, gen)
+        table, gen, _, d_fix, d_gen = _exact_terms(q, true_d)
         granular = bennett_granular(design_d, true_d, p.n_bins, quantizer=q)
-        over_fix = _overload_from_table(table, fix)
+        over_fix = _overload_from_table(table, q.design_codebook.as_array())
         over_gen = _overload_from_table(table, gen)
         pd_floor = panter_dite(true_d, p.n_bins)
         reports.append(

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution
+from .distributions import ZERO_MASS_TOL, Distribution, _conditional_means, _table_distortion
 from .errors import ZeroEvidence
-from .mismatch import _generative_values
+from .mismatch import generative_codebook
 from .quantizer import Codebook, Partition, Quantizer
 
 __all__ = [
@@ -149,7 +149,7 @@ def index_posterior(ch: Channel, priors, received: int) -> np.ndarray:
         raise ValueError(f"received index {received} out of range [0, {ch.n})")
     weights = ch.as_array()[:, received] * pri
     evidence = float(weights.sum())
-    if evidence < 1e-300:
+    if evidence < ZERO_MASS_TOL:
         raise ZeroEvidence(
             f"received index {received} has zero marginal probability"
         )
@@ -173,12 +173,14 @@ def soft_codebook(
     """
     if ch.n != p.n_bins:
         raise ValueError(f"channel size {ch.n} does not match {p.n_bins} bins")
-    gen, mass, _ = _generative_values(p, true_d, fallback)
+    mass, m1 = true_d.edge_stats(p.edges(), order=1)
+    spare = None if fallback is None else fallback.values
+    gen, _ = _conditional_means((mass, m1), true_d, spare)
     priors = mass / mass.sum()
     joint = ch.as_array() * priors[:, None]
     evidence = joint.sum(axis=0)
     values = np.full(ch.n, priors @ gen)
-    np.divide(gen @ joint, evidence, out=values, where=evidence >= 1e-300)
+    np.divide(gen @ joint, evidence, out=values, where=evidence >= ZERO_MASS_TOL)
     return Codebook(values)
 
 
@@ -193,8 +195,7 @@ def make_noisy_decoder(
     if strategy == "standard_separation":
         table = quantizer.design_codebook
     elif strategy == "hard_generative":
-        values, _, _ = _generative_values(p, true_d, quantizer.design_codebook)
-        table = Codebook(values)
+        table = generative_codebook(p, true_d, quantizer.design_codebook)
     elif strategy == "soft_generative":
         if ch is None:
             raise ValueError("soft_generative needs the channel")
@@ -214,10 +215,9 @@ def noisy_distortion(
     """
     if ch.n != p.n_bins or len(dec.table) != p.n_bins:
         raise ValueError("partition, channel, and table sizes must agree")
-    mass, m1, m2 = true_d.edge_stats(p.edges())
     t = ch.as_array()
     a = dec.table.as_array()
-    return float(np.sum(m2) - 2.0 * np.dot(m1, t @ a) + np.dot(mass, t @ (a * a)))
+    return _table_distortion(true_d.edge_stats(p.edges()), t @ a, t @ (a * a))
 
 
 @dataclass(frozen=True)

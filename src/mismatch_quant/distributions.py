@@ -6,6 +6,10 @@ to raw moments of a law restricted to an interval, so those are computed
 here in closed form, up to the fourth, for the supported families.
 Semi-infinite intervals are first-class: every formula is written so that
 ``+/-inf`` endpoints are exact, not limits taken numerically.
+
+The arithmetic every reader of a moment table shares lives beside
+``edge_stats``: ``_table_distortion``, ``_conditional_means`` (with the one
+empty-bin rule) and ``_gaussian_blocks``, the block walk over Gaussian laws.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+
+from .errors import ZeroMassBin
 
 __all__ = [
     "ZERO_MASS_TOL",
@@ -105,6 +111,44 @@ def _gaussian_edge_stats(mean, std, edges: np.ndarray, order: int) -> tuple[np.n
                 (k - 1) * moments[k - 2] + edge_term[..., :-1] - edge_term[..., 1:]
             )
     return _shift(mean, std, moments)
+
+
+def _gaussian_blocks(mean, std, edges: np.ndarray, order: int):
+    """Yield ``(rows, moments)``: the kernel's moments of the Gaussian laws in
+    rows ``rows`` of the ``(k, 1)`` columns ``mean`` and ``std``, one call per
+    block of at most ``_MIXTURE_BLOCK`` law-by-edge entries."""
+    step = max(1, _MIXTURE_BLOCK // len(edges))
+    for lo in range(0, len(mean), step):
+        rows = slice(lo, lo + step)
+        yield rows, _gaussian_edge_stats(mean[rows], std[rows], edges, order)
+
+
+def _table_distortion(table, first, second) -> float:
+    """``sum_i E[(X - a_i)^2 1_bin_i]`` from a moment table ``(mass, m1, m2)``,
+    as ``sum m2 - 2 first.m1 + second.mass``: ``(a, a * a)`` for a codebook
+    ``a``, the per-bin means of ``a_J`` and ``a_J^2`` for a random index ``J``."""
+    mass, m1, m2 = table
+    return float(np.sum(m2) - 2.0 * np.dot(first, m1) + np.dot(second, mass))
+
+
+def _conditional_means(table, law: Distribution, fallback, *,
+                       offers_fallback: bool = True) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Per-bin means ``m1 / mass`` from ``law``'s moment table, and the bins
+    with mass below ``ZERO_MASS_TOL``, which take their entry of the array-like
+    ``fallback`` (read only then, so a codebook's tuple goes in unconverted).
+    Without one, ``ZeroMassBin`` names every such bin, and says that no
+    fallback codebook was given when the caller ``offers_fallback``."""
+    mass, m1 = table[:2]
+    empty = mass < ZERO_MASS_TOL
+    bad = np.flatnonzero(empty).tolist()
+    if not bad:
+        return m1 / mass, ()
+    if fallback is None:
+        raise ZeroMassBin(f"bins {bad} carry no mass under {law!r}"
+                          + (" and no fallback codebook was given" if offers_fallback else ""))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        values = np.where(empty, 0.0, m1) / np.where(empty, 1.0, mass)
+    return np.where(empty, fallback, values), tuple(bad)
 
 
 def _laplace_left_moments(
@@ -435,11 +479,8 @@ class GaussianMixture(Distribution):
         # exact but runs column by column, slower than these row adds.
         edges = np.asarray(edges, dtype=float)
         w, m, s = (np.array(col)[:, None] for col in zip(*self.components))
-        step = max(1, _MIXTURE_BLOCK // len(edges))
         out = [np.zeros(len(edges) - 1) for _ in range(order + 1)]
-        for lo in range(0, len(w), step):
-            block = slice(lo, lo + step)
-            parts = _gaussian_edge_stats(m[block], s[block], edges, order)
+        for block, parts in _gaussian_blocks(m, s, edges, order):
             for acc, part in zip(out, parts):
                 for row in w[block] * part:
                     acc += row

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ZERO_MASS_TOL, Distribution, Gaussian, inverse_mills
-from .errors import ZeroMassBin
+from .distributions import (
+    Distribution, Gaussian, _conditional_means, _table_distortion, inverse_mills)
 from .quantizer import Codebook, Partition, Quantizer, _standard_member, lloyd_max_design
 
 __all__ = [
@@ -80,13 +80,6 @@ class OneBitGaussianReport:
     gain_pct: float
 
 
-def _expanded_distortion(table, codebook: np.ndarray) -> float:
-    """``sum_i E[(X - a_i)^2 1_bin_i]`` from a moment table ``(mass, m1, m2)``
-    and the codebook array ``a``, expanded about the origin."""
-    mass, m1, m2 = table
-    return float(np.sum(m2) - 2.0 * np.dot(codebook, m1) + np.dot(codebook * codebook, mass))
-
-
 def expected_distortion(p: Partition, c: Codebook, d: Distribution) -> float:
     """Exact MSE of the fixed map (partition ``p``, codebook ``c``) under ``d``.
 
@@ -94,36 +87,8 @@ def expected_distortion(p: Partition, c: Codebook, d: Distribution) -> float:
     """
     if len(c) != p.n_bins:
         raise ValueError(f"codebook size {len(c)} does not match {p.n_bins} bins")
-    return _expanded_distortion(d.edge_stats(p.edges()), c.as_array())
-
-
-def _conditional_means(
-    table, true_d: Distribution, fallback: Codebook | None
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Conditional means from ``true_d``'s moment table ``(mass, m1, ...)``
-    and the bins that fell back to ``fallback``."""
-    mass, m1 = table[:2]
-    empty = mass < ZERO_MASS_TOL
-    if np.any(empty) and fallback is None:
-        raise ZeroMassBin(
-            f"bins {np.flatnonzero(empty).tolist()} carry no mass under {true_d!r} "
-            "and no fallback codebook was given"
-        )
-    with np.errstate(invalid="ignore", divide="ignore"):
-        values = np.where(empty, 0.0, m1) / np.where(empty, 1.0, mass)
-    if np.any(empty):
-        values = np.where(empty, fallback.as_array(), values)
-    return values, tuple(np.flatnonzero(empty).tolist())
-
-
-def _generative_values(
-    p: Partition, true_d: Distribution, fallback: Codebook | None
-) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """Conditional means under ``true_d``, the bin masses they came from,
-    and the bins that fell back to ``fallback``."""
-    table = true_d.edge_stats(p.edges(), order=1)
-    values, substituted = _conditional_means(table, true_d, fallback)
-    return values, table[0], substituted
+    a = c.as_array()
+    return _table_distortion(d.edge_stats(p.edges()), a, a * a)
 
 
 def generative_codebook(
@@ -135,7 +100,8 @@ def generative_codebook(
     corresponding value of ``fallback`` when one is given; otherwise
     ``ZeroMassBin`` is raised.
     """
-    values, _, _ = _generative_values(p, true_d, fallback)
+    spare = None if fallback is None else fallback.values
+    values, _ = _conditional_means(true_d.edge_stats(p.edges(), order=1), true_d, spare)
     return Codebook(values)
 
 
@@ -176,6 +142,17 @@ def monte_carlo_distortion(
     return _sampled_mse(x, p.encode(x), c)
 
 
+def _exact_terms(q: Quantizer, true_d: Distribution):
+    """``(table, gen, substituted, d_fix, d_gen)`` of ``q`` under ``true_d``:
+    its moment table on the partition, the conditional means (design codewords
+    in the ``substituted`` empty bins), and both exact distortions from it."""
+    table = true_d.edge_stats(q.partition.edges())
+    fix = q.design_codebook.as_array()
+    gen, substituted = _conditional_means(table, true_d, fix)
+    return (table, gen, substituted,
+            _table_distortion(table, fix, fix * fix), _table_distortion(table, gen, gen * gen))
+
+
 def report(
     design_d: Distribution,
     true_d: Distribution,
@@ -185,7 +162,6 @@ def report(
     mc_samples: int = 0,
     seed: int | None = None,
     max_iters: int = 500,
-    tol: float = 1e-10,
     init: str = "quantile",
 ) -> DistortionReport:
     """Design under ``design_d``, evaluate everything under ``true_d``.
@@ -197,14 +173,11 @@ def report(
     codebooks on those draws, so ``d_fix_mc`` and ``d_gen_mc`` equal two
     ``monte_carlo_distortion`` calls with that seed, bit for bit.
     """
-    q = lloyd_max_design(design_d, bits, max_iters=max_iters, tol=tol, init=init)
-    table = true_d.edge_stats(q.partition.edges())
-    gen_values, substituted = _conditional_means(table, true_d, q.design_codebook)
+    q = lloyd_max_design(design_d, bits, max_iters=max_iters, init=init)
+    _, gen_values, substituted, d_fix, d_gen = _exact_terms(q, true_d)
     gen_codebook = Codebook(gen_values)
-    d_fix = _expanded_distortion(table, q.design_codebook.as_array())
-    d_gen = _expanded_distortion(table, gen_values)
     d_ideal = (
-        ideal_distortion(true_d, bits, max_iters=max_iters, tol=tol, init=init)
+        ideal_distortion(true_d, bits, max_iters=max_iters, init=init)
         if include_ideal
         else None
     )

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import lapack
 
-from .distributions import ZERO_MASS_TOL, Distribution, Gaussian, Laplace
+from .distributions import ZERO_MASS_TOL, Distribution, Gaussian, Laplace, _table_distortion
 from .errors import DegenerateDesign
 
 __all__ = [
@@ -18,6 +18,8 @@ __all__ = [
     "Quantizer",
     "lloyd_max_design",
 ]
+
+_STEP_TOL = 1e-10  # a smaller accepted Newton step (relative to max(1, max|t|)) converges
 
 
 def _finite_vector(values, what: str) -> np.ndarray:
@@ -170,14 +172,13 @@ def _cube_root_quantiles(d: Distribution, q: np.ndarray) -> np.ndarray:
 
 
 def _design_state(d: Distribution, t: np.ndarray):
-    """Bin masses, centroids, design distortion, midpoint residual and
-    ``sum(m2)`` of the partition cut at thresholds ``t``, from one kernel call."""
-    mass, m1, m2 = d.edge_stats(np.concatenate(([-np.inf], t, [np.inf])))
+    """Bin masses, centroids, design distortion, midpoint residual and second
+    moments ``m2`` of the partition cut at thresholds ``t``, from one kernel call."""
+    mass, m1, m2 = table = d.edge_stats(np.concatenate(([-np.inf], t, [np.inf])))
     with np.errstate(invalid="ignore", divide="ignore"):
         c = m1 / mass
-    m2_sum = float(np.sum(m2))
-    distortion = m2_sum - 2.0 * float(np.dot(c, m1)) + float(np.dot(c**2, mass))
-    return mass, c, distortion, t - 0.5 * (c[:-1] + c[1:]), m2_sum
+    distortion = _table_distortion(table, c, c * c)
+    return mass, c, distortion, t - 0.5 * (c[:-1] + c[1:]), m2
 
 
 def _damped_newton_step(d: Distribution, t, mass, c, r, damping: float):
@@ -232,7 +233,6 @@ def lloyd_max_design(
     bits: int,
     *,
     max_iters: int = 500,
-    tol: float = 1e-10,
     init: str = "quantile",
 ) -> Quantizer:
     """Design a minimum-MSE scalar quantizer for ``d`` at ``bits`` bits.
@@ -248,14 +248,17 @@ def lloyd_max_design(
     the region where Newton converges, and the damping grows.  For
     log-concave laws the fixed point is unique.  By default the start is
     the ``(i + 0.5) / N`` quantiles of ``d``, which keeps every bin
-    populated for the supported families.
+    populated for the supported families.  The loop stops, converged, once
+    an accepted Newton step moves no threshold by more than ``1e-10`` of
+    ``max(1, max|t|)``, or once the residual ``max|r|`` is down to a few
+    ulps of that scale.
 
     Both optimality conditions are equivariant under ``x -> loc + scale x``,
     so a Gaussian or Laplace law is designed once, at the zero-mean,
     unit-variance member of its family (``Gaussian()`` or ``Laplace()``),
     and its thresholds are mapped to ``t = loc + scale * t0``.  The standard
     designs are kept in a bounded per-process memo keyed by the law, the bit
-    depth and the three settings below, so every law of a family shares one
+    depth and the two settings below, so every law of a family shares one
     design per bit depth.  The standard members themselves come out of the
     memo as designed.  Mixtures are designed directly on every call.
 
@@ -267,11 +270,6 @@ def lloyd_max_design(
         Bit depth, 1 through 16; the codebook has ``2**bits`` entries.
     max_iters : int
         Iteration cap; a design that reaches it reports ``converged=False``.
-    tol : float
-        Convergence threshold on the size of an accepted Newton step: its
-        largest threshold movement, relative to ``max(1, max|t|)``.  The loop
-        also stops, converged, once the residual ``max|r|`` is down to a few
-        ulps of ``max(1, max|t|)``.
     init : str
         Initialization scheme.  ``"quantile"`` spreads codewords at the
         design-law quantiles; ``"cube_root"`` uses quantiles of the
@@ -310,9 +308,9 @@ def lloyd_max_design(
         raise ValueError("max_iters must be at least 1")
     member = _standard_member(d)
     if member is None:
-        return _design(d, bits, max_iters, tol, init)
+        return _design(d, bits, max_iters, init)
     standard, loc, scale = member
-    q = _standard_design(standard, bits, max_iters, tol, init)
+    q = _standard_design(standard, bits, max_iters, init)
     if d == standard:
         return replace(q, design_law=d)
     t = loc + scale * np.asarray(q.partition.boundaries)
@@ -331,7 +329,7 @@ def lloyd_max_design(
     )
 
 
-def _design(d: Distribution, bits: int, max_iters: int, tol: float, init: str) -> Quantizer:
+def _design(d: Distribution, bits: int, max_iters: int, init: str) -> Quantizer:
     """The damped Newton Lloyd-Max iteration of ``lloyd_max_design`` on ``d``
     itself, with arguments already checked."""
     n = 1 << bits
@@ -363,13 +361,13 @@ def _design(d: Distribution, bits: int, max_iters: int, tol: float, init: str) -
         step = _damped_newton_step(d, t, mass, c, r, damping)
         trial = None if step is None else t - step
         if trial is not None and np.all(np.diff(trial) > 0.0):
-            t_mass, t_c, t_dist, t_r, m2_sum = _design_state(d, trial)
-            slack = 8.0 * eps * m2_sum if np.max(np.abs(t_r)) < residual else 0.0
+            t_mass, t_c, t_dist, t_r, t_m2 = _design_state(d, trial)
+            slack = 8.0 * eps * float(np.sum(t_m2)) if np.max(np.abs(t_r)) < residual else 0.0
             if np.all(t_mass >= ZERO_MASS_TOL) and t_dist <= distortion + slack:
                 t, mass, c, distortion, r = trial, t_mass, t_c, t_dist, t_r
                 history.append(distortion)
                 damping *= 0.25
-                small_step = float(np.max(np.abs(step))) < tol * scale
+                small_step = float(np.max(np.abs(step))) < _STEP_TOL * scale
                 continue
         damping = min(1.0, 4.0 * damping)
         t = 0.5 * (c[:-1] + c[1:])

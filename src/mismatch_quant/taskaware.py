@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
-    _MIXTURE_BLOCK, ZERO_MASS_TOL, Distribution, Gaussian, GaussianMixture, _gaussian_edge_stats)
+    ZERO_MASS_TOL, Distribution, Gaussian, GaussianMixture, _conditional_means, _gaussian_blocks)
 from .errors import ZeroMassBin
 from .quantizer import Codebook, Partition, lloyd_max_design
 
@@ -76,11 +76,7 @@ def task_codebook(p: Partition, true_d: Distribution, loss: TaskLoss) -> Codeboo
     """
     csi = loss.kind == "weighted_mse_csi"
     moments = true_d.edge_stats(p.edges(), order=3 if csi else 1)
-    mass = moments[0]
-    empty = np.flatnonzero(mass < ZERO_MASS_TOL)
-    if empty.size:
-        raise ZeroMassBin(f"bin {empty[0]} carries no mass under {true_d!r}")
-    mean = moments[1] / mass
+    mean, _ = _conditional_means(moments, true_d, None, offers_fallback=False)
     if not csi:
         return Codebook(mean)
     # A bin whose second moment underflows has a flat risk; keep its mean.
@@ -196,9 +192,8 @@ def _joint_mass(p: Partition, src: LabeledSource) -> np.ndarray:
     joint = np.empty((len(laws), len(edges) - 1))
     mean = np.array([[laws[k].mean] for k in gauss])
     std = np.array([[laws[k].std] for k in gauss])
-    step = max(1, _MIXTURE_BLOCK // len(edges))
-    for rows in (slice(lo, lo + step) for lo in range(0, len(gauss), step)):
-        (joint[gauss[rows]],) = _gaussian_edge_stats(mean[rows], std[rows], edges, 0)
+    for rows, (mass,) in _gaussian_blocks(mean, std, edges, 0):
+        joint[gauss[rows]] = mass
     for k in set(range(len(laws))).difference(gauss):
         (joint[k],) = laws[k].edge_stats(edges, order=0)
     return np.array([[c.weight] for c in src.classes]) * joint
@@ -254,12 +249,7 @@ class ClassificationReport:
 
 
 def classification_report(
-    p: Partition,
-    src_true: LabeledSource,
-    src_design: LabeledSource,
-    *,
-    max_iters: int = 500,
-    tol: float = 1e-10,
+    p: Partition, src_true: LabeledSource, src_design: LabeledSource
 ) -> ClassificationReport:
     """Accuracy of design-mix labels, true-mix labels, and a full redesign.
 
@@ -274,9 +264,7 @@ def classification_report(
     acc_fix = _label_accuracy(joint_true, labels_fix, src_true)
     acc_gen = _label_accuracy(joint_true, labels_gen, src_true)
 
-    ideal_q = lloyd_max_design(
-        src_true.marginal(), p.bits, max_iters=max_iters, tol=tol
-    )
+    ideal_q = lloyd_max_design(src_true.marginal(), p.bits)
     joint_ideal = _joint_mass(ideal_q.partition, src_true)
     labels_ideal = _labels_from_joint(joint_ideal, src_true)
     acc_ideal = _label_accuracy(joint_ideal, labels_ideal, src_true)

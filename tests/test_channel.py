@@ -22,6 +22,7 @@ import pytest
 from mismatch_quant import (
     Channel,
     Gaussian,
+    GaussianMixture,
     Laplace,
     NoisyDecoder,
     ZeroEvidence,
@@ -35,6 +36,7 @@ from mismatch_quant import (
     soft_codebook,
     strategy_report,
 )
+from mismatch_quant.channel import STRATEGIES
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -252,13 +254,20 @@ class TestSoftCodebook:
 
 
 class TestNoisyDistortion:
-    def test_identity_channel_reduces_to_plain_distortion(self):
-        q = lloyd_max_design(Gaussian(0, 1), 3)
-        true_d = Laplace(0.0, 1.0)
-        dec = make_noisy_decoder("standard_separation", q, true_d)
-        got = noisy_distortion(q.partition, bsc_channel(3, 0.0), dec, true_d)
-        want = expected_distortion(q.partition, q.design_codebook, true_d)
-        assert got == pytest.approx(want, rel=1e-12)
+    # An identity channel maps each table to itself exactly, so both paths
+    # hand the same arrays to the same expanded sum.
+    @pytest.mark.parametrize("true_d", [
+        Gaussian(0.4, 1.3), Laplace(0.0, 1.0),
+        GaussianMixture(((0.5, -1.5, 0.6), (0.5, 1.5, 0.6)))],
+        ids=["gaussian", "laplace", "mixture"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_identity_channel_reduces_to_plain_distortion(self, true_d, strategy, bits):
+        q = lloyd_max_design(Gaussian(0, 1), bits)
+        ch = bsc_channel(bits, 0.0)
+        dec = make_noisy_decoder(strategy, q, true_d, ch)
+        got = noisy_distortion(q.partition, ch, dec, true_d)
+        assert got == expected_distortion(q.partition, dec.table, true_d)
 
     def test_matches_strategy_closed_forms(self):
         s0, s1, eps = 1.0, 2.0, 0.1

@@ -23,6 +23,11 @@ from mismatch_quant.cli import ExperimentConfig, main, validate
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
+DEFAULT_CSV = Path(__file__).resolve().parent / "data" / "default_csv"
+# Columns that echo the experiment grid or name the method; every other
+# column is a computed number.
+GRID_COLUMNS = {"mu1", "sigma1", "sigma0", "epsilon", "bits", "k_t", "k_d", "k",
+                "design", "true", "method"}
 REPORT_HEADER = ["bits", "d_fix", "d_gen", "d_ideal", "gain_pct",
                  "ideal_gain_pct", "method"]
 MC_HEADER = ["d_fix_mc", "d_gen_mc", "mc_stderr"]
@@ -331,6 +336,32 @@ class TestRunCommand:
                            "bias_part", "penalty_factor"]
         for row in rows[1:]:
             assert float(row[2]) <= float(row[1])
+
+
+class TestDefaultTables:
+    """Each experiment's default CSV against the table committed in
+    ``tests/data/default_csv``.  Headers, grid cells and ``method`` must match
+    exactly; computed numbers within ``rel=1e-12`` / ``abs=1e-14``, which
+    leaves room for another BLAS build's last-bit differences."""
+
+    @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+    def test_default_csv_matches_the_committed_table(self, tmp_path, experiment):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": experiment}))
+        out = tmp_path / "out.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        header, *rows = _read_csv(out)
+        want_header, *want_rows = _read_csv(DEFAULT_CSV / f"{experiment}.csv")
+        assert header == want_header
+        assert len(rows) == len(want_rows)
+        for row, want in zip(rows, want_rows):
+            assert len(row) == len(want)
+            for name, got, ref in zip(header, row, want):
+                if name in GRID_COLUMNS or ref == "na":
+                    assert got == ref, (name, want)
+                else:
+                    assert float(got) == pytest.approx(float(ref), rel=1e-12, abs=1e-14), (
+                        name, want)
 
 
 class TestReportCommand:

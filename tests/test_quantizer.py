@@ -425,7 +425,7 @@ class TestStandardMemberDesign:
                 d = family(m, s)
                 for bits in range(1, 13):
                     q = lloyd_max_design(d, bits, init=init)
-                    ref = direct(d, bits, 500, 1e-10, init)
+                    ref = direct(d, bits, 500, init)
                     t = np.asarray(q.partition.boundaries)
                     gap = np.max(np.abs(t - np.asarray(ref.partition.boundaries)))
                     assert gap <= 1e-9 * max(1.0, float(np.max(np.abs(t)))), (m, s, bits)
@@ -444,7 +444,7 @@ class TestStandardMemberDesign:
     @pytest.mark.parametrize("d", [Gaussian(), Laplace()])
     def test_standard_member_is_the_memoised_design(self, d):
         q = lloyd_max_design(d, 6)
-        ref = _standard_design.__wrapped__(d, 6, 500, 1e-10, "quantile")
+        ref = _standard_design.__wrapped__(d, 6, 500, "quantile")
         assert q.partition.boundaries == ref.partition.boundaries
         assert q.design_codebook.values == ref.design_codebook.values
         assert q.distortion_history == ref.distortion_history

@@ -103,6 +103,12 @@ class TestTaskCodebook:
     def test_empty_bin_raises(self):
         with pytest.raises(ZeroMassBin):
             task_codebook(Partition((50.0,)), Gaussian(0, 1), squared_error())
+        # The message names every empty bin, as generative_codebook's does,
+        # and mentions no fallback, which task_codebook does not take.
+        for loss in (squared_error(), weighted_mse_csi()):
+            with pytest.raises(ZeroMassBin, match=r"^bins \[1, 2, 3\] carry no mass") as err:
+                task_codebook(Partition((50.0, 51.0, 52.0)), Gaussian(0, 1), loss)
+            assert "fallback" not in str(err.value)
 
 
 class TestRicianMoments:
