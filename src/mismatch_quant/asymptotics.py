@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution
+from .distributions import ZERO_MASS_TOL, Distribution
 from .errors import DivergentIntegral
 from .mismatch import _exact_terms
 from .quantizer import Codebook, Partition, Quantizer, lloyd_max_design
@@ -262,7 +262,7 @@ def _overload_from_table(table, codebook: np.ndarray) -> OverloadSplit:
     variance = 0.0
     bias = 0.0
     for i in (0, len(mass) - 1):
-        if mass[i] <= 0.0:
+        if mass[i] < ZERO_MASS_TOL:
             continue
         mean_i = m1[i] / mass[i]
         var_i = m2[i] / mass[i] - mean_i * mean_i
@@ -364,7 +364,7 @@ def rate_recovery_sweep(
         q = lloyd_max_design(design_d, bits, max_iters=max_iters, init=init)
         p = q.partition
         # One moment table of the true law serves every exact term of the row.
-        table, gen, _, d_fix, d_gen = _exact_terms(q, true_d)
+        table, gen, _, d_fix, d_gen, _ = _exact_terms(q, true_d)
         granular = bennett_granular(design_d, true_d, p.n_bins, quantizer=q)
         over_fix = _overload_from_table(table, q.design_codebook.as_array())
         over_gen = _overload_from_table(table, gen)

@@ -190,18 +190,16 @@ def make_noisy_decoder(
     true_d: Distribution,
     ch: Channel | None = None,
 ) -> NoisyDecoder:
-    """Build the reconstruction table for one of the three strategies."""
+    """Build the reconstruction table for one of the three strategies;
+    ``NoisyDecoder`` rejects any other strategy."""
     p = quantizer.partition
-    if strategy == "standard_separation":
-        table = quantizer.design_codebook
-    elif strategy == "hard_generative":
+    table = quantizer.design_codebook
+    if strategy == "hard_generative":
         table = generative_codebook(p, true_d, quantizer.design_codebook)
     elif strategy == "soft_generative":
         if ch is None:
             raise ValueError("soft_generative needs the channel")
         table = soft_codebook(p, true_d, ch, fallback=quantizer.design_codebook)
-    else:
-        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     return NoisyDecoder(strategy=strategy, table=table)
 
 

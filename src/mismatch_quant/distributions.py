@@ -131,21 +131,19 @@ def _table_distortion(table, first, second) -> float:
     return float(np.sum(m2) - 2.0 * np.dot(first, m1) + np.dot(second, mass))
 
 
-def _conditional_means(table, law: Distribution, fallback, *,
-                       offers_fallback: bool = True) -> tuple[np.ndarray, tuple[int, ...]]:
+def _conditional_means(table, law: Distribution, fallback) -> tuple[np.ndarray, tuple[int, ...]]:
     """Per-bin means ``m1 / mass`` from ``law``'s moment table, and the bins
     with mass below ``ZERO_MASS_TOL``, which take their entry of the array-like
     ``fallback`` (read only then, so a codebook's tuple goes in unconverted).
-    Without one, ``ZeroMassBin`` names every such bin, and says that no
-    fallback codebook was given when the caller ``offers_fallback``."""
+    Without one, ``ZeroMassBin`` names every such bin.  A tilted table
+    ``(m_k, m_{k+1})`` gives the means under the weight ``x^k`` the same way."""
     mass, m1 = table[:2]
     empty = mass < ZERO_MASS_TOL
     bad = np.flatnonzero(empty).tolist()
     if not bad:
         return m1 / mass, ()
     if fallback is None:
-        raise ZeroMassBin(f"bins {bad} carry no mass under {law!r}"
-                          + (" and no fallback codebook was given" if offers_fallback else ""))
+        raise ZeroMassBin(f"bins {bad} carry no mass under {law!r}")
     with np.errstate(invalid="ignore", divide="ignore"):
         values = np.where(empty, 0.0, m1) / np.where(empty, 1.0, mass)
     return np.where(empty, fallback, values), tuple(bad)

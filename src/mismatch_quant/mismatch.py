@@ -42,8 +42,10 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 class DistortionReport:
     """Exact distortions for one (design law, true law, bit depth) setup.
 
-    ``excess = d_fix - d_gen`` is what decoder-side adaptation saves;
-    ``relative_gain_pct`` expresses it relative to ``d_fix``.  ``method``
+    ``excess = d_fix - d_gen`` is what decoder-side adaptation saves,
+    computed as ``sum_i mass_i (a_i - g_i)^2`` (design codewords ``a``,
+    conditional means ``g``); ``relative_gain_pct`` expresses it relative
+    to ``d_fix``.  ``method``
     records how the exact numbers were produced.  The ``*_mc`` fields are
     present when a Monte Carlo cross-check was requested; ``mc_stderr`` is
     the larger of the two standard errors.  ``substituted_bins`` lists bins
@@ -52,7 +54,7 @@ class DistortionReport:
 
     d_fix: float
     d_gen: float
-    d_ideal: float | None
+    d_ideal: float
     excess: float
     relative_gain_pct: float
     method: str
@@ -62,9 +64,7 @@ class DistortionReport:
     substituted_bins: tuple[int, ...] = ()
 
     @property
-    def ideal_gain_pct(self) -> float | None:
-        if self.d_ideal is None:
-            return None
+    def ideal_gain_pct(self) -> float:
         return 100.0 * (1.0 - self.d_ideal / self.d_fix)
 
 
@@ -108,17 +108,16 @@ def generative_codebook(
 def ideal_distortion(true_d: Distribution, bits: int, **lloyd_kwargs) -> float:
     """Distortion of a quantizer redesigned from scratch for ``true_d``.
 
-    This is the final design distortion of ``lloyd_max_design``.  For a
-    law designed directly (a family's standard member, or a mixture) it is
-    bit for bit the expanded sum ``expected_distortion`` forms for the
-    returned quantizer.  Any other Gaussian or Laplace law, ``loc + scale *
-    X`` for its standard member ``X``, gets ``scale**2 * D*`` of the
-    standard design (Max 1960) with no quantizer mapped: bit for bit what
-    its mapped design reports, even where that design would raise
-    ``DegenerateDesign`` because its thresholds coincide in floating point.
+    ``true_d`` is ``loc + scale * X`` for its standard member ``X`` (see
+    ``lloyd_max_design``), and this is ``scale**2 * D*``, ``D*`` the final
+    design distortion of ``X`` (Max 1960), with no quantizer mapped.  For a
+    standard member or a mixture (``scale = 1``) it is bit for bit the
+    expanded sum ``expected_distortion`` forms for the returned quantizer.
+    Any other Gaussian or Laplace law gets bit for bit what its mapped
+    design reports, even where that design would raise ``DegenerateDesign``
+    because its thresholds coincide in floating point.
     """
-    member = _standard_member(true_d)
-    law, scale = (true_d, 1.0) if member is None else (member[0], member[2])
+    law, _, scale = _standard_member(true_d)
     return scale * scale * lloyd_max_design(law, bits, **lloyd_kwargs).distortion_history[-1]
 
 
@@ -143,14 +142,18 @@ def monte_carlo_distortion(
 
 
 def _exact_terms(q: Quantizer, true_d: Distribution):
-    """``(table, gen, substituted, d_fix, d_gen)`` of ``q`` under ``true_d``:
-    its moment table on the partition, the conditional means (design codewords
-    in the ``substituted`` empty bins), and both exact distortions from it."""
+    """``(table, gen, substituted, d_fix, d_gen, excess)`` of ``q`` under
+    ``true_d``: its moment table on the partition, the conditional means
+    (design codewords in the ``substituted`` empty bins), both exact
+    distortions from it, and ``excess = d_fix - d_gen`` by the identity
+    ``sum_i mass_i (a_i - gen_i)^2``, which has no cancellation."""
     table = true_d.edge_stats(q.partition.edges())
     fix = q.design_codebook.as_array()
     gen, substituted = _conditional_means(table, true_d, fix)
+    shift = fix - gen
     return (table, gen, substituted,
-            _table_distortion(table, fix, fix * fix), _table_distortion(table, gen, gen * gen))
+            _table_distortion(table, fix, fix * fix), _table_distortion(table, gen, gen * gen),
+            float(np.dot(table[0], shift * shift)))
 
 
 def report(
@@ -158,7 +161,6 @@ def report(
     true_d: Distribution,
     bits: int,
     *,
-    include_ideal: bool = True,
     mc_samples: int = 0,
     seed: int | None = None,
     max_iters: int = 500,
@@ -167,20 +169,16 @@ def report(
     """Design under ``design_d``, evaluate everything under ``true_d``.
 
     ``d_fix`` and ``d_gen`` are exact expectations on the design partition;
-    ``d_ideal`` (when ``include_ideal``) is ``ideal_distortion``.  With
-    ``mc_samples`` the Monte Carlo cross-check draws ``mc_samples`` values
-    from ``true_d`` with ``seed`` once, encodes them once and scores both
-    codebooks on those draws, so ``d_fix_mc`` and ``d_gen_mc`` equal two
+    ``d_ideal`` is ``ideal_distortion``.  With ``mc_samples`` the Monte
+    Carlo cross-check draws ``mc_samples`` values from ``true_d`` with
+    ``seed`` once, encodes them once and scores both codebooks on those
+    draws, so ``d_fix_mc`` and ``d_gen_mc`` equal two
     ``monte_carlo_distortion`` calls with that seed, bit for bit.
     """
     q = lloyd_max_design(design_d, bits, max_iters=max_iters, init=init)
-    _, gen_values, substituted, d_fix, d_gen = _exact_terms(q, true_d)
+    _, gen_values, substituted, d_fix, d_gen, excess = _exact_terms(q, true_d)
     gen_codebook = Codebook(gen_values)
-    d_ideal = (
-        ideal_distortion(true_d, bits, max_iters=max_iters, init=init)
-        if include_ideal
-        else None
-    )
+    d_ideal = ideal_distortion(true_d, bits, max_iters=max_iters, init=init)
 
     mc_stderr = d_fix_mc = d_gen_mc = None
     if mc_samples:
@@ -198,8 +196,8 @@ def report(
         d_fix=d_fix,
         d_gen=d_gen,
         d_ideal=d_ideal,
-        excess=d_fix - d_gen,
-        relative_gain_pct=100.0 * (1.0 - d_gen / d_fix),
+        excess=excess,
+        relative_gain_pct=100.0 * excess / d_fix,
         method="closed_form",
         mc_stderr=mc_stderr,
         d_fix_mc=d_fix_mc,

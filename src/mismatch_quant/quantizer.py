@@ -218,14 +218,15 @@ def _check_masses(mass: np.ndarray) -> None:
 
 def _standard_member(d: Distribution):
     """``(standard, loc, scale)`` with ``d`` the law of ``loc + scale * X``,
-    ``X`` following the zero-mean, unit-variance member ``standard`` of the
-    family of ``d``; None for laws outside a location-scale family."""
+    ``X`` following ``standard``: the zero-mean, unit-variance member of the
+    family of a Gaussian or Laplace law, and ``d`` itself (``loc = 0``,
+    ``scale = 1``) for a law outside a location-scale family."""
     if type(d) is Gaussian:
         return Gaussian(), d.mean, d.std
     if type(d) is Laplace:
         standard = Laplace()
         return standard, d.loc, d.scale / standard.scale
-    return None
+    return d, 0.0, 1.0
 
 
 def lloyd_max_design(
@@ -256,11 +257,12 @@ def lloyd_max_design(
     Both optimality conditions are equivariant under ``x -> loc + scale x``,
     so a Gaussian or Laplace law is designed once, at the zero-mean,
     unit-variance member of its family (``Gaussian()`` or ``Laplace()``),
-    and its thresholds are mapped to ``t = loc + scale * t0``.  The standard
-    designs are kept in a bounded per-process memo keyed by the law, the bit
-    depth and the two settings below, so every law of a family shares one
-    design per bit depth.  The standard members themselves come out of the
-    memo as designed.  Mixtures are designed directly on every call.
+    and its thresholds are mapped to ``t = loc + scale * t0``.  A mixture
+    is its own standard member.  The standard designs are kept in a
+    bounded per-process memo keyed by the law, the bit depth and the two
+    settings below, so every law of a family shares one design per bit
+    depth, and a repeated mixture is designed once.  The standard members
+    themselves come out of the memo as designed.
 
     Parameters
     ----------
@@ -306,10 +308,7 @@ def lloyd_max_design(
         raise ValueError(f"unsupported init scheme: {init!r}")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    member = _standard_member(d)
-    if member is None:
-        return _design(d, bits, max_iters, init)
-    standard, loc, scale = member
+    standard, loc, scale = _standard_member(d)
     q = _standard_design(standard, bits, max_iters, init)
     if d == standard:
         return replace(q, design_law=d)
@@ -385,6 +384,7 @@ def _design(d: Distribution, bits: int, max_iters: int, init: str) -> Quantizer:
     )
 
 
-# The memo of standard designs.  A 16-bit design holds two tuples of 65,536
-# floats, about 4 MB, so the memo is bounded.
+# The memo of standard designs (a family's standard member, or a mixture).
+# A 16-bit design holds two tuples of 65,536 floats, about 4 MB, so the memo
+# is bounded.
 _standard_design = functools.lru_cache(maxsize=64)(_design)

@@ -76,12 +76,12 @@ def task_codebook(p: Partition, true_d: Distribution, loss: TaskLoss) -> Codeboo
     """
     csi = loss.kind == "weighted_mse_csi"
     moments = true_d.edge_stats(p.edges(), order=3 if csi else 1)
-    mean, _ = _conditional_means(moments, true_d, None, offers_fallback=False)
+    mean, _ = _conditional_means(moments, true_d, None)
     if not csi:
         return Codebook(mean)
     # A bin whose second moment underflows has a flat risk; keep its mean.
-    m2, m3 = moments[2], moments[3]
-    return Codebook(np.divide(m3, m2, out=mean, where=m2 > 0.0))
+    tilted, _ = _conditional_means(moments[2:], true_d, mean)
+    return Codebook(tilted)
 
 
 # Each Rice factor's moments are computed once per process: the CSI
@@ -123,15 +123,16 @@ def phi(k_factor: float) -> float:
 
 def eta(k_true: float, k_design: float) -> float:
     """Percentage task-loss saving from adapting the reconstruction to the
-    true Rice factor instead of keeping the design one."""
+    true Rice factor instead of keeping the design one.
+
+    The loss ``M4 - 2 a M3 + a^2 M2`` of the true moments is a quadratic
+    minimised at ``phi(k_true)``, so the saving is ``M2 (a_d - a_t)^2``
+    exactly, ``a = phi(k)``, with no difference of two near-equal losses."""
     _, _, m2, m3, m4 = _rician_moments(k_true)
-
-    def task_loss(a: float) -> float:
-        return m4 - 2.0 * a * m3 + a * a * m2
-
-    adapted = task_loss(m3 / m2)
-    stale = task_loss(phi(k_design))
-    return float(100.0 * (1.0 - adapted / stale))
+    a_d = phi(k_design)
+    stale = m4 - 2.0 * a_d * m3 + a_d * a_d * m2
+    gap = a_d - phi(k_true)
+    return float(100.0 * m2 * gap * gap / stale)
 
 
 @dataclass(frozen=True)

@@ -91,8 +91,7 @@ def test_c02_variance_mismatch_asymptote():
     """1-bit gain under growing scale mismatch approaches 2/pi of the
     distortion, 63.66%, monotonically; within 0.5 points at sigma1=1000."""
     t0 = time.perf_counter()
-    gains = [report(Gaussian(0, 1), Gaussian(0, s), 1,
-                    include_ideal=False).relative_gain_pct
+    gains = [report(Gaussian(0, 1), Gaussian(0, s), 1).relative_gain_pct
              for s in (10.0, 100.0, 1000.0)]
     elapsed = time.perf_counter() - t0
     asymptote = 100.0 * 2.0 / math.pi
@@ -110,12 +109,9 @@ def test_c03_mean_drift_curve():
     sym_worst = 0.0
     window = {}
     for bits in (1, 2, 3, 4):
-        g0 = report(Gaussian(0, 1), Gaussian(0.0, 1.0), bits,
-                    include_ideal=False).relative_gain_pct
-        gp = report(Gaussian(0, 1), Gaussian(2.0, 1.0), bits,
-                    include_ideal=False).relative_gain_pct
-        gm = report(Gaussian(0, 1), Gaussian(-2.0, 1.0), bits,
-                    include_ideal=False).relative_gain_pct
+        g0 = report(Gaussian(0, 1), Gaussian(0.0, 1.0), bits).relative_gain_pct
+        gp = report(Gaussian(0, 1), Gaussian(2.0, 1.0), bits).relative_gain_pct
+        gm = report(Gaussian(0, 1), Gaussian(-2.0, 1.0), bits).relative_gain_pct
         zero_ok = zero_ok and abs(g0) <= 1e-9
         sym_worst = max(sym_worst, abs(gp - gm))
         window[bits] = gp

@@ -394,7 +394,7 @@ class TestSharedMomentTable:
     @pytest.mark.parametrize("design_d, true_d, bits", _SHARED_CASES)
     def test_report_matches_separate_calls(self, design_d, true_d, bits):
         for b in bits:
-            rep = report(design_d, true_d, b, include_ideal=False)
+            rep = report(design_d, true_d, b)
             q = lloyd_max_design(design_d, b)
             d_fix, d_gen, _, _, subst, gen = _separate_call_row(q, true_d)
             assert (rep.d_fix, rep.d_gen, rep.substituted_bins) == (d_fix, d_gen, subst)
@@ -402,7 +402,7 @@ class TestSharedMomentTable:
             assert codebook.as_array().tobytes() == gen.tobytes()
 
     def test_fallback_case_substitutes_bins(self):
-        rep = report(Gaussian(0, 1), Gaussian(40.0, 0.5), 5, include_ideal=False)
+        rep = report(Gaussian(0, 1), Gaussian(40.0, 0.5), 5)
         assert 0 < len(rep.substituted_bins) < 32
 
     def test_public_wrappers_agree_with_the_sweep(self):

@@ -469,15 +469,23 @@ class TestStandardMemberDesign:
         lloyd_max_design(shifted, 7)
         assert calls == [shifted]
 
-    def test_mixtures_are_not_memoised(self, monkeypatch):
+    def test_mixtures_share_the_memo(self, monkeypatch):
+        # A mixture is its own standard member: designed once per bit depth
+        # and setting, then served from the memo.
         d = GaussianMixture(((0.5, -1.5, 0.6), (0.5, 1.5, 0.6)))
-        calls = self._count_edge_stats(monkeypatch, GaussianMixture)
         first = lloyd_max_design(d, 4)
-        n_first = len(calls)
+        calls = self._count_edge_stats(monkeypatch, GaussianMixture)
         second = lloyd_max_design(d, 4)
-        assert first.iterations >= 1 and n_first > 1
-        assert len(calls) == 2 * n_first
-        assert second.partition == first.partition
+        assert calls == []
+        assert second == first
+        assert second.distortion_history == first.distortion_history
+        assert (second.converged, second.iterations, second.residual) == (
+            first.converged, first.iterations, first.residual)
+        lloyd_max_design(d, 4, max_iters=499)
+        assert calls
+        del calls[:]
+        lloyd_max_design(d, 4, init="cube_root")
+        assert calls
 
     def test_collapsed_thresholds_are_degenerate(self):
         with pytest.raises(DegenerateDesign):

@@ -170,6 +170,17 @@ class TestPhiEta:
         for kt, kd in ((0.0, 10.0), (10.0, 0.0), (5.0, 4.0)):
             assert eta(kt, kd) > 0.0
 
+    def test_eta_on_the_cli_grid(self):
+        # eta is M2 (phi(k_d) - phi(k_t))^2 over the stale loss: exactly zero
+        # when the factors agree and never negative, with no tolerance.
+        grid = cli.ExperimentConfig(experiment="rician_csi").k_t_values
+        for kd in grid:
+            for kt in grid:
+                if kt == kd:
+                    assert eta(kt, kd) == 0.0
+                else:
+                    assert eta(kt, kd) >= 0.0
+
 
 class TestRicianMemo:
     def test_each_factor_is_computed_once(self, monkeypatch):
