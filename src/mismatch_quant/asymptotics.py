@@ -20,7 +20,7 @@ import numpy as np
 from .distributions import ZERO_MASS_TOL, Distribution
 from .errors import DivergentIntegral
 from .mismatch import _exact_terms
-from .quantizer import Codebook, Partition, Quantizer, lloyd_max_design
+from .quantizer import Codebook, Partition, Quantizer, _moment_table, lloyd_max_design
 
 __all__ = [
     "HighRateReport",
@@ -255,27 +255,20 @@ def bennett_granular(
     return c * c * ratio / (12.0 * n_levels**2)
 
 
-def _overload_from_table(table, codebook: np.ndarray) -> OverloadSplit:
-    """``overload_split`` from the true law's moment table ``(mass, m1, m2)``
-    and the codebook array."""
-    mass, m1, m2 = table
-    variance = 0.0
-    bias = 0.0
+def overload_split(p: Partition, c: Codebook, true_d: Distribution) -> OverloadSplit:
+    """Variance/bias split of the two outer (overload) bins under ``true_d``."""
+    if len(c) != p.n_bins:
+        raise ValueError(f"codebook size {len(c)} does not match {p.n_bins} bins")
+    mass, m1, m2 = _moment_table(true_d, p)
+    variance = bias = 0.0
     for i in (0, len(mass) - 1):
         if mass[i] < ZERO_MASS_TOL:
             continue
         mean_i = m1[i] / mass[i]
         var_i = m2[i] / mass[i] - mean_i * mean_i
         variance += mass[i] * max(var_i, 0.0)
-        bias += mass[i] * (mean_i - codebook[i]) ** 2
+        bias += mass[i] * (mean_i - c.values[i]) ** 2
     return OverloadSplit(variance_part=variance, bias_part=bias)
-
-
-def overload_split(p: Partition, c: Codebook, true_d: Distribution) -> OverloadSplit:
-    """Variance/bias split of the two outer (overload) bins under ``true_d``."""
-    if len(c) != p.n_bins:
-        raise ValueError(f"codebook size {len(c)} does not match {p.n_bins} bins")
-    return _overload_from_table(true_d.edge_stats(p.edges()), c.as_array())
 
 
 def mismatch_penalty_factor(design_d: Distribution, true_d: Distribution) -> float:
@@ -363,11 +356,11 @@ def rate_recovery_sweep(
     for bits in bits_list:
         q = lloyd_max_design(design_d, bits, max_iters=max_iters, init=init)
         p = q.partition
-        # One moment table of the true law serves every exact term of the row.
-        table, gen, _, d_fix, d_gen, _ = _exact_terms(q, true_d)
+        # Every exact term of the row reads one memoised moment table.
+        gen, _, d_fix, d_gen, _ = _exact_terms(q, true_d)
         granular = bennett_granular(design_d, true_d, p.n_bins, quantizer=q)
-        over_fix = _overload_from_table(table, q.design_codebook.as_array())
-        over_gen = _overload_from_table(table, gen)
+        over_fix = overload_split(p, q.design_codebook, true_d)
+        over_gen = overload_split(p, Codebook(gen), true_d)
         pd_floor = panter_dite(true_d, p.n_bins)
         reports.append(
             HighRateReport(

@@ -18,7 +18,7 @@ import numpy as np
 from .distributions import ZERO_MASS_TOL, Distribution, _conditional_means, _table_distortion
 from .errors import ZeroEvidence
 from .mismatch import generative_codebook
-from .quantizer import Codebook, Partition, Quantizer
+from .quantizer import Codebook, Partition, Quantizer, _moment_table
 
 __all__ = [
     "Channel",
@@ -173,7 +173,7 @@ def soft_codebook(
     """
     if ch.n != p.n_bins:
         raise ValueError(f"channel size {ch.n} does not match {p.n_bins} bins")
-    mass, m1 = true_d.edge_stats(p.edges(), order=1)
+    mass, m1 = _moment_table(true_d, p, 1)
     spare = None if fallback is None else fallback.values
     gen, _ = _conditional_means((mass, m1), true_d, spare)
     priors = mass / mass.sum()
@@ -215,7 +215,7 @@ def noisy_distortion(
         raise ValueError("partition, channel, and table sizes must agree")
     t = ch.as_array()
     a = dec.table.as_array()
-    return _table_distortion(true_d.edge_stats(p.edges()), t @ a, t @ (a * a))
+    return _table_distortion(_moment_table(true_d, p), t @ a, t @ (a * a))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .distributions import (
     Distribution, Gaussian, _conditional_means, _table_distortion, inverse_mills)
-from .quantizer import Codebook, Partition, Quantizer, _standard_member, lloyd_max_design
+from .quantizer import Codebook, Partition, Quantizer, _moment_table, _standard_member, lloyd_max_design
 
 __all__ = [
     "DistortionReport",
@@ -88,7 +88,7 @@ def expected_distortion(p: Partition, c: Codebook, d: Distribution) -> float:
     if len(c) != p.n_bins:
         raise ValueError(f"codebook size {len(c)} does not match {p.n_bins} bins")
     a = c.as_array()
-    return _table_distortion(d.edge_stats(p.edges()), a, a * a)
+    return _table_distortion(_moment_table(d, p), a, a * a)
 
 
 def generative_codebook(
@@ -101,7 +101,7 @@ def generative_codebook(
     ``ZeroMassBin`` is raised.
     """
     spare = None if fallback is None else fallback.values
-    values, _ = _conditional_means(true_d.edge_stats(p.edges(), order=1), true_d, spare)
+    values, _ = _conditional_means(_moment_table(true_d, p, 1), true_d, spare)
     return Codebook(values)
 
 
@@ -142,16 +142,16 @@ def monte_carlo_distortion(
 
 
 def _exact_terms(q: Quantizer, true_d: Distribution):
-    """``(table, gen, substituted, d_fix, d_gen, excess)`` of ``q`` under
-    ``true_d``: its moment table on the partition, the conditional means
+    """``(gen, substituted, d_fix, d_gen, excess)`` of ``q`` under ``true_d``,
+    all from its moment table on the partition: the conditional means
     (design codewords in the ``substituted`` empty bins), both exact
-    distortions from it, and ``excess = d_fix - d_gen`` by the identity
+    distortions, and ``excess = d_fix - d_gen`` by the identity
     ``sum_i mass_i (a_i - gen_i)^2``, which has no cancellation."""
-    table = true_d.edge_stats(q.partition.edges())
+    table = _moment_table(true_d, q.partition)
     fix = q.design_codebook.as_array()
     gen, substituted = _conditional_means(table, true_d, fix)
     shift = fix - gen
-    return (table, gen, substituted,
+    return (gen, substituted,
             _table_distortion(table, fix, fix * fix), _table_distortion(table, gen, gen * gen),
             float(np.dot(table[0], shift * shift)))
 
@@ -176,7 +176,7 @@ def report(
     ``monte_carlo_distortion`` calls with that seed, bit for bit.
     """
     q = lloyd_max_design(design_d, bits, max_iters=max_iters, init=init)
-    _, gen_values, substituted, d_fix, d_gen, excess = _exact_terms(q, true_d)
+    gen_values, substituted, d_fix, d_gen, excess = _exact_terms(q, true_d)
     gen_codebook = Codebook(gen_values)
     d_ideal = ideal_distortion(true_d, bits, max_iters=max_iters, init=init)
 

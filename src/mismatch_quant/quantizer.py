@@ -388,3 +388,22 @@ def _design(d: Distribution, bits: int, max_iters: int, init: str) -> Quantizer:
 # A 16-bit design holds two tuples of 65,536 floats, about 4 MB, so the memo
 # is bounded.
 _standard_design = functools.lru_cache(maxsize=64)(_design)
+
+
+# The memo of ``_moment_table``.  An entry keeps its partition (N - 1 boxed
+# floats, 32 bytes each) and at most five arrays of N floats: 72 bytes a bin,
+# 0.3 MB at 12 bits and 4.7 MB at 16, so 32 entries hold at most 151 MB.
+@functools.lru_cache(maxsize=32)
+def _moment_tables(d: Distribution, p: Partition, order: int) -> tuple[np.ndarray, ...]:
+    table = d.edge_stats(p.edges(), order)
+    for moment in table:
+        moment.flags.writeable = False
+    return table
+
+
+def _moment_table(d: Distribution, p: Partition, order: int = 2) -> tuple[np.ndarray, ...]:
+    """``d.edge_stats(p.edges(), order)`` as read-only arrays, from a bounded
+    memo keyed by ``(d, p, max(order, 2))`` and compared by value: the decoders
+    of one encoder read one table many times.  An order below 2 gets the
+    leading arrays of the order-2 table, bit for bit the kernel's at that order."""
+    return _moment_tables(d, p, max(order, 2))[: order + 1]

@@ -19,7 +19,7 @@ import numpy as np
 from .distributions import (
     ZERO_MASS_TOL, Distribution, Gaussian, GaussianMixture, _conditional_means, _gaussian_blocks)
 from .errors import ZeroMassBin
-from .quantizer import Codebook, Partition, lloyd_max_design
+from .quantizer import Codebook, Partition, _moment_table, lloyd_max_design
 
 __all__ = [
     "ClassificationReport",
@@ -75,7 +75,7 @@ def task_codebook(p: Partition, true_d: Distribution, loss: TaskLoss) -> Codeboo
         If some bin has no mass under ``true_d``.
     """
     csi = loss.kind == "weighted_mse_csi"
-    moments = true_d.edge_stats(p.edges(), order=3 if csi else 1)
+    moments = _moment_table(true_d, p, 3 if csi else 1)
     mean, _ = _conditional_means(moments, true_d, None)
     if not csi:
         return Codebook(mean)

@@ -1,8 +1,36 @@
-"""Shared 40-digit ``mpmath`` oracles: densities and raw interval moments."""
+"""Shared fixtures: an empty moment-table memo for every test, a recorder of
+kernel calls, and 40-digit ``mpmath`` oracles (densities and raw interval
+moments)."""
 
 import pytest
 
-from mismatch_quant import Gaussian, GaussianMixture, Laplace
+from mismatch_quant import Gaussian, GaussianMixture, Laplace, quantizer
+
+
+@pytest.fixture(autouse=True)
+def _fresh_moment_tables():
+    """Start every test with an empty moment-table memo, so a test that counts
+    or patches ``edge_stats`` sees the same calls whatever ran before it."""
+    quantizer._moment_tables.cache_clear()
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """``kernel_calls(family)``: a list that records the law of every
+    ``family.edge_stats`` call made from then on in the test."""
+
+    def record(family):
+        calls = []
+        kernel = family.edge_stats
+
+        def counted(self, *args, **kwargs):
+            calls.append(self)
+            return kernel(self, *args, **kwargs)
+
+        monkeypatch.setattr(family, "edge_stats", counted)
+        return calls
+
+    return record
 
 
 @pytest.fixture(scope="session")

@@ -28,6 +28,7 @@ from mismatch_quant import (
     ZeroEvidence,
     bsc_channel,
     expected_distortion,
+    generative_codebook,
     index_posterior,
     lloyd_max_design,
     make_noisy_decoder,
@@ -293,6 +294,22 @@ class TestNoisyDistortion:
                            "soft_generative")}
         assert ds["soft_generative"] <= ds["hard_generative"] + 1e-14
         assert ds["soft_generative"] <= ds["standard_separation"] + 1e-14
+
+    @pytest.mark.parametrize("true_d", [
+        Laplace(0.2, 0.8), GaussianMixture(((0.5, -1.5, 0.6), (0.5, 1.5, 0.6)))],
+        ids=["laplace", "mixture"])
+    def test_decoders_of_one_source_share_its_moment_table(self, true_d, kernel_calls):
+        q = lloyd_max_design(Gaussian(0, 1), 4)
+        p = q.partition
+        calls = kernel_calls(type(true_d))
+        # One kernel call serves the first epsilon; the second makes none.
+        for eps in (0.05, 0.2):
+            ch = bsc_channel(4, eps)
+            tables = (q.design_codebook, generative_codebook(p, true_d),
+                      soft_codebook(p, true_d, ch))
+            for strategy, table in zip(STRATEGIES, tables):
+                noisy_distortion(p, ch, NoisyDecoder(strategy, table), true_d)
+            assert calls == [true_d], eps
 
     def test_size_mismatch_rejected(self):
         q = lloyd_max_design(Gaussian(0, 1), 2)

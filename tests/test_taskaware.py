@@ -183,15 +183,8 @@ class TestPhiEta:
 
 
 class TestRicianMemo:
-    def test_each_factor_is_computed_once(self, monkeypatch):
-        calls = []
-        edge_stats = Gaussian.edge_stats
-
-        def counted(self, edges, order=2):
-            calls.append(self)
-            return edge_stats(self, edges, order)
-
-        monkeypatch.setattr(Gaussian, "edge_stats", counted)
+    def test_each_factor_is_computed_once(self, kernel_calls):
+        calls = kernel_calls(Gaussian)
         _rician_moments.cache_clear()
         for n in (2, 3, 4):
             rician_moment(4.0, n)
@@ -395,6 +388,22 @@ class TestJointMass:
         rep = classification_report(p, src_true, src)
         got = (rep.acc_fix, rep.acc_gen, rep.acc_ideal, rep.recovery_pct)
         assert got == _reference_classification(p, src_true, src)
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_one_source_serves_many_partitions(self, n):
+        # One source read over partitions of every size and block layout
+        # matches the per-class reference on each.
+        src, src_design = _gaussian_source(n + 30, n), _gaussian_source(n + 31, 3)
+        names = [c.label for c in src.classes]
+        for bits in (3, 1, 9, 5, 12, 3):
+            p = lloyd_max_design(Gaussian(0.1 * bits, 1.0 + 0.05 * bits), bits).partition
+            want = _reference_joint(p, src)
+            assert _joint_mass(p, src).tobytes() == want.tobytes(), bits
+            assert map_labels(p, src) == tuple(names[k] for k in np.argmax(want, axis=0))
+            if bits <= 5:
+                rep = classification_report(p, src, src_design)
+                got = (rep.acc_fix, rep.acc_gen, rep.acc_ideal, rep.recovery_pct)
+                assert got == _reference_classification(p, src, src_design), bits
 
 
 class TestClassificationReport:
