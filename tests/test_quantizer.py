@@ -250,17 +250,15 @@ class TestLloydMaxDesign:
         assert qa.converged and qb.converged
         ta = np.asarray(qa.partition.boundaries)
         tb = np.asarray(qb.partition.boundaries)
-        # A Laplace tail is memoryless: shifting its far thresholds together
-        # moves their centroids by the same amount, so the residual pins
-        # them only weakly.  At 12 bits the two designs, both at a residual
-        # of a few ulps, differ by 1.8e-8 near t = 11.4 (the previous
-        # grid start gave 2.1e-8).  At the converged Laplace design the
-        # residual's Jacobian is numerically singular (smallest |eigenvalue|
-        # 2.5e-13 at 3 bits, 5.6e-13 at 8; the Gaussian's is 3.7e-5 at 8
-        # bits and 1.5e-7 at 12), and at 1 bit r(t) ~ t|t|/(2b), so a
-        # residual at rounding level fixes that mode only to about 1e-8.
-        # A residual-scaled damping that cut 12-bit designs from 17 to 7
-        # iterations broke this test at 4 and 8 bits for the Laplace law.
+        # A Laplace law is mapped from the half-line design of Laplace(),
+        # whose centre threshold is pinned at 0: the two starts agree to
+        # 7.6e-15 at 4 bits, 2.6e-14 at 8 and 3.0e-11 at 12 (near t = -3.1).
+        # On the full line the residual's Jacobian at the Laplace design is
+        # numerically singular (smallest |eigenvalue| 2.5e-13 at 3 bits,
+        # 5.6e-13 at 8; the Gaussian's is 3.7e-5 at 8 bits and 1.5e-7 at
+        # 12), along a uniform translation of every threshold, and there the
+        # two starts ended 2.1e-9 apart at 12 bits; the 12-bit Laplace atol
+        # covers that full-line gap.
         atol = 5e-8 if isinstance(d, Laplace) and bits == 12 else 1e-9
         np.testing.assert_allclose(ta, tb, rtol=0.0, atol=atol)
         assert qa.distortion_history[-1] == pytest.approx(
@@ -341,6 +339,51 @@ class TestLloydMaxDesign:
         assert q.distortion_history[-1] == pytest.approx(want, rel=1e-8)
 
 
+class TestHalfLineLaplaceDesign:
+    """``Laplace()`` is solved on its positive half-line, with the centre
+    threshold pinned at 0, and mirrored."""
+
+    @pytest.mark.parametrize("init", ["quantile", "cube_root"])
+    def test_thresholds_mirror_bit_for_bit(self, init):
+        for bits in range(1, 17):
+            t = np.asarray(lloyd_max_design(Laplace(), bits, init=init).partition.boundaries)
+            c = len(t) // 2
+            assert t[c] == 0.0, bits
+            assert np.array_equal(t[:c][::-1], -t[c + 1:]), bits
+            for loc, s in ((-3.0, 0.3), (0.5, 5.0), (-50.0, 1e-4)):
+                mapped = lloyd_max_design(Laplace(loc, s), bits, init=init)
+                assert mapped.partition.boundaries[c] == loc, (bits, loc, s)
+
+    @pytest.mark.parametrize("init", ["quantile", "cube_root"])
+    def test_thresholds_match_the_recursion(self, init, laplace_recursion):
+        # Worst measured gap: 5.5e-12·max(1, |t|) at 12 bits (cube-root
+        # start).  A full-line solve, whose centre drifts along the
+        # translation mode, was off by up to 1.5e-9 there.
+        for bits in range(1, 13):
+            t = np.asarray(lloyd_max_design(Laplace(), bits, init=init).partition.boundaries)
+            want = laplace_recursion(bits)
+            assert np.all(np.abs(t - want) <= 2e-11 * np.maximum(1.0, np.abs(want))), bits
+
+    def test_a_rejected_step_is_followed_by_lloyd_then_undamped_newton(
+            self, monkeypatch, laplace_recursion):
+        # The damping starts at 0, and a rejection multiplies it by 4, so it
+        # stays 0: each rejected Newton step is replaced by one Lloyd step
+        # and the next Newton step is again undamped.
+        dampings = []
+
+        def first_fails(d, t, mass, c, r, damping):
+            dampings.append(damping)
+            return None if len(dampings) == 1 else _damped_newton_step(d, t, mass, c, r, damping)
+
+        monkeypatch.setattr(quantizer, "_damped_newton_step", first_fails)
+        q = _standard_design.__wrapped__(Laplace(), 8, 500, "quantile")
+        assert len(dampings) > 2 and set(dampings) == {0.0}
+        assert q.converged and q.iterations == len(dampings)
+        want = laplace_recursion(8)
+        t = np.asarray(q.partition.boundaries)
+        assert np.all(np.abs(t - want) <= 2e-11 * np.maximum(1.0, np.abs(want)))
+
+
 def _banded_newton_step(d, t, mass, c, r, damping):
     """The damped Newton step through ``linalg.solve_banded`` on a 3 x n
     band: the reference the direct tridiagonal solve keeps."""
@@ -413,8 +456,12 @@ class TestStandardMemberDesign:
     @pytest.mark.parametrize("init", ["quantile", "cube_root"])
     def test_mapped_thresholds_match_a_direct_design(self, family, init):
         # A direct design of the shifted law converges to the same fixed
-        # point from its own start; the largest gap, 8.6e-10 relative, is
-        # Laplace(-3, 0.3) at 11 bits, along the weakly pinned tail mode.
+        # point from its own start.  For Laplace the mapped design comes
+        # from the half-line solve of Laplace() and the direct one from the
+        # full line, whose translation mode is nearly free, so the gap is
+        # mostly the direct design's: the largest, 8.3e-10 relative, is
+        # Laplace(-3, 0.3) at 11 bits from the quantile start.  The largest
+        # Gaussian gap is 2.5e-11, N(-3, 0.7) at 12 bits.
         direct = _standard_design.__wrapped__
         for m in (-3.0, 0.5):
             for s in (0.3, 0.7, 5.0):
