@@ -348,10 +348,10 @@ def rate_recovery_sweep(
     integral converges this ratio approaches it from above as bits grow.
 
     At high bit depths the design step dominates the cost.  At 8-12 bits a
-    Gaussian or mixture design converges in 13-18 Newton iterations from
-    either start; a Laplace design, solved on one half-line with its centre
-    threshold pinned and its Newton steps undamped, takes 7-8 from the
-    quantile start and 5 from the cube-root start.  The cube-root start is
+    mixture design converges in 13-18 Newton iterations from either start;
+    a Gaussian or Laplace design, solved on one half-line with its centre
+    threshold pinned and its Newton steps undamped, takes 6-8 from the
+    quantile start and 5-6 from the cube-root start.  The cube-root start is
     closed-form for Gaussian and Laplace laws and a ``64 N + 1``-point grid
     for mixtures.
     """
@@ -360,17 +360,17 @@ def rate_recovery_sweep(
         q = lloyd_max_design(design_d, bits, max_iters=max_iters, init=init)
         p = q.partition
         # Every exact term of the row reads one memoised moment table.
-        gen, _, d_fix, d_gen, _ = _exact_terms(q, true_d)
+        _, _, d_fix, d_gen, _ = _exact_terms(q, true_d)
         granular = bennett_granular(design_d, true_d, p.n_bins, quantizer=q)
+        # The generative split is all variance: its outer codewords are the tail means.
         over_fix = overload_split(p, q.design_codebook, true_d)
-        over_gen = overload_split(p, Codebook(gen), true_d)
         pd_floor = panter_dite(true_d, p.n_bins)
         reports.append(
             HighRateReport(
                 bits=bits,
                 d_granular=granular,
                 d_overload_fix=over_fix.total,
-                d_overload_gen=over_gen.total,
+                d_overload_gen=over_fix.variance_part,
                 d_total_fix=d_fix,
                 d_total_gen=d_gen,
                 d_ideal_pd=pd_floor,

@@ -248,23 +248,23 @@ def lloyd_max_design(
     Lloyd's step ``t <- (c[:-1] + c[1:]) / 2``, which cannot raise the
     distortion and carries laws that are not log-concave (mixtures) towards
     the region where Newton converges, and the damping grows.  For
-    log-concave laws the fixed point is unique.  A Laplace law symmetric
-    about 0 (the standard member ``Laplace()``) has its centre threshold at
-    exactly 0.0, and only its ``N/2 - 1`` positive thresholds are iterated,
-    on the bins ``[0, t..., inf)``, at half the kernel work per step; they
-    are then mirrored, and the mirrored partition is evaluated once on the
-    full line.  On the full line the residual's Jacobian has a nearly free
-    uniform-translation mode, along which the centre would drift; without
-    it the Jacobian is well conditioned, so these Newton steps start
-    undamped.  A rejection multiplies the damping by 4 and leaves it at 0,
-    so each rejected step is replaced by one Lloyd step and the next Newton
-    step is again undamped.  Gaussian laws and mixtures are iterated on the
-    full line from a damping of 0.5.  By default the start is
-    the ``(i + 0.5) / N`` quantiles of ``d``, which keeps every bin
-    populated for the supported families.  The loop stops, converged, once
-    an accepted Newton step moves no threshold by more than ``1e-10`` of
-    ``max(1, max|t|)``, or once the residual ``max|r|`` is down to a few
-    ulps of that scale.
+    log-concave laws the fixed point is unique, so symmetric for a symmetric
+    law: ``Gaussian()`` and ``Laplace()`` have their centre threshold at
+    exactly 0.0, and only their ``N/2 - 1`` positive thresholds are
+    iterated, on the bins ``[0, t..., inf)``, at half the kernel work per
+    step; they are then mirrored, and the mirrored partition is evaluated
+    once on the full line.  On the full line the residual's Jacobian has a
+    nearly free uniform-translation mode, along which the centre would
+    drift; without it the Jacobian is well conditioned, so these Newton
+    steps start undamped.  A rejection multiplies the damping by 4 and
+    leaves it at 0, so each rejected step is replaced by one Lloyd step and
+    the next Newton step is again undamped.  A symmetric mixture can have
+    asymmetric optima, so mixtures are iterated on the full line from a
+    damping of 0.5.  By default the start is the ``(i + 0.5) / N`` quantiles
+    of ``d``, which keeps every bin populated for the supported families.
+    The loop stops, converged, once an accepted Newton step moves no
+    threshold by more than ``1e-10`` of ``max(1, max|t|)``, or once the
+    residual ``max|r|`` is down to a few ulps of that scale.
 
     Both optimality conditions are equivariant under ``x -> loc + scale x``,
     so a Gaussian or Laplace law is designed once, at the zero-mean,
@@ -345,8 +345,8 @@ def lloyd_max_design(
 
 def _design(d: Distribution, bits: int, max_iters: int, init: str) -> Quantizer:
     """The damped Newton Lloyd-Max iteration of ``lloyd_max_design`` on ``d``
-    itself, on the half-line for a Laplace law symmetric about 0, with
-    arguments already checked."""
+    itself, on the half-line for a Gaussian or Laplace law centred at 0,
+    with arguments already checked."""
     n = 1 << bits
     q = (np.arange(n) + 0.5) / n
     if init == "quantile":
@@ -357,10 +357,10 @@ def _design(d: Distribution, bits: int, max_iters: int, init: str) -> Quantizer:
         raise DegenerateDesign(f"{init} initialization produced coincident codewords")
 
     t = 0.5 * (codebook[:-1] + codebook[1:])
-    # With the centre pinned, the smallest |eigenvalue| of the residual's
-    # Jacobian at 3 bits is 0.118; on the full line it is 2.55e-13, along a
-    # uniform translation of every threshold.
-    half = type(d) is Laplace and d.loc == 0.0
+    # A log-concave law has one fixed point, symmetric if the law is; a mixture's
+    # need not be.  Pinned centre: smallest |eigenvalue| of the residual Jacobian
+    # at 3 bits 0.118 (Laplace), 0.125 (Gaussian); full-line Laplace 2.55e-13.
+    half = type(d) in (Gaussian, Laplace) and d.mean == 0.0
     if half:
         t, lower, damping = t[n // 2 :], 0.0, 0.0
     else:

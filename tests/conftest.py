@@ -1,6 +1,7 @@
 """Shared fixtures: an empty moment-table memo for every test, a recorder of
 kernel calls, a double-precision oracle of the Laplace Lloyd-Max design, and
-40-digit ``mpmath`` oracles (densities and raw interval moments)."""
+40-digit ``mpmath`` oracles (densities, raw interval moments and the Gaussian
+Lloyd-Max design)."""
 
 import math
 
@@ -110,3 +111,67 @@ def mp_raw_moment(mp_density):
             return mp.quad(lambda x: x**k * f(x), pts)
 
     return raw_moment
+
+
+@pytest.fixture(scope="session")
+def gaussian_mp_design():
+    """``gaussian_mp_design(bits)``: the Lloyd-Max thresholds of ``Gaussian()``
+    at ``bits`` bits as ``mpf`` values, by Newton's method on the midpoint
+    residual over the whole line at 40 digits.
+
+    A bin ``[a, b)`` has mass ``Phi(b) - Phi(a)`` and first moment ``phi(a) -
+    phi(b)``.  The residual ``r_i = t_i - (c_i + c_{i+1}) / 2`` has the
+    tridiagonal Jacobian ``I - L``, ``L`` from ``dc_i/dt = phi(t) (t - c_i) /
+    mass_i`` at each edge of bin ``i``, as in ``bench/oracle.py``; each step
+    is halved until the residual falls.  The start is the midpoints of the
+    ``(i + 0.5) / N`` quantiles, and the loop stops below a residual of
+    1e-35.
+    """
+    mp = pytest.importorskip("mpmath").mp
+    designs = {}
+
+    def residual(t):
+        edges = [-mp.inf, *t, mp.inf]
+        mass = [mp.ncdf(b) - mp.ncdf(a) for a, b in zip(edges[:-1], edges[1:])]
+        dens = [mp.npdf(x) for x in edges]
+        c = [(dens[i] - dens[i + 1]) / mass[i] for i in range(len(mass))]
+        return [x - (c[i] + c[i + 1]) / 2 for i, x in enumerate(t)], c, mass
+
+    def thresholds(bits):
+        if bits in designs:
+            return designs[bits]
+        n = 1 << bits
+        with mp.workdps(40):
+            levels = [mp.sqrt(2) * mp.erfinv(2 * (mp.mpf(i) + 0.5) / n - 1) for i in range(n)]
+            t = [(a + b) / 2 for a, b in zip(levels[:-1], levels[1:])]
+            r, c, mass = residual(t)
+            while max(abs(x) for x in r) >= mp.mpf("1e-35"):
+                f = [mp.npdf(x) for x in t]
+                right = [f[i] * (t[i] - c[i]) / mass[i] / 2 for i in range(n - 1)]
+                left = [f[i] * (c[i + 1] - t[i]) / mass[i + 1] / 2 for i in range(n - 1)]
+                diag = [1 - right[i] - left[i] for i in range(n - 1)]
+                # Thomas elimination with sub-diagonal -left[i - 1] and
+                # super-diagonal -right[i + 1] (a dense mp.lu_solve takes
+                # seconds at 6 bits).
+                dp, rp = [diag[0]], [r[0]]
+                for i in range(1, n - 1):
+                    w = -left[i - 1] / dp[-1]
+                    dp.append(diag[i] + w * right[i])
+                    rp.append(r[i] - w * rp[-1])
+                step = [rp[-1] / dp[-1]]
+                for i in range(n - 3, -1, -1):
+                    step.insert(0, (rp[i] + right[i + 1] * step[0]) / dp[i])
+                norm, lam = max(abs(x) for x in r), mp.mpf(1)
+                while True:
+                    trial = [x - lam * s for x, s in zip(t, step)]
+                    if all(a < b for a, b in zip(trial, trial[1:])):
+                        r2, c2, mass2 = residual(trial)
+                        if max(abs(x) for x in r2) < norm:
+                            break
+                    lam /= 2
+                    assert lam > 1e-20, "the Newton line search stalled"
+                t, r, c, mass = trial, r2, c2, mass2
+        designs[bits] = t
+        return t
+
+    return thresholds

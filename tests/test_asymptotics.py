@@ -401,6 +401,25 @@ class TestSharedMomentTable:
             codebook = generative_codebook(q.partition, true_d, fallback=q.design_codebook)
             assert codebook.as_array().tobytes() == gen.tobytes()
 
+    @pytest.mark.parametrize("design_d, true_d", [
+        (Gaussian(0, 1), Gaussian(0, 2)),
+        (Laplace(0.0, math.sqrt(0.5)), Laplace(0.0, 1.0)),
+        (MIX_DESIGN, MIX_TRUE),
+        (Gaussian(0, 1), Laplace(0.3, 0.8)),
+        (Laplace(0.0, 1.0), Gaussian(-0.2, 1.3)),
+        (Gaussian(0, 1), Gaussian(8.0, 0.1)),
+    ])
+    def test_generative_overload_is_the_fixed_variance_part(self, design_d, true_d):
+        # The generative codebook's outer entries are the outer bins'
+        # conditional means, so its split has no bias part, and the sweep's
+        # variance part of the fixed split is bitwise the generative total.
+        for r in rate_recovery_sweep(design_d, true_d, range(1, 13)):
+            q = lloyd_max_design(design_d, r.bits)
+            gen = generative_codebook(q.partition, true_d, fallback=q.design_codebook)
+            split = overload_split(q.partition, gen, true_d)
+            assert split.bias_part == 0.0, r.bits
+            assert r.d_overload_gen == split.total, r.bits
+
     def test_fallback_case_substitutes_bins(self):
         rep = report(Gaussian(0, 1), Gaussian(40.0, 0.5), 5)
         assert 0 < len(rep.substituted_bins) < 32

@@ -253,6 +253,8 @@ class TestLloydMaxDesign:
         # A Laplace law is mapped from the half-line design of Laplace(),
         # whose centre threshold is pinned at 0: the two starts agree to
         # 7.6e-15 at 4 bits, 2.6e-14 at 8 and 3.0e-11 at 12 (near t = -3.1).
+        # The Gaussian is mapped from Gaussian()'s half-line design too:
+        # 7.1e-15, 2.6e-13 and 4.0e-11.
         # On the full line the residual's Jacobian at the Laplace design is
         # numerically singular (smallest |eigenvalue| 2.5e-13 at 3 bits,
         # 5.6e-13 at 8; the Gaussian's is 3.7e-5 at 8 bits and 1.5e-7 at
@@ -364,11 +366,16 @@ class TestHalfLineLaplaceDesign:
             want = laplace_recursion(bits)
             assert np.all(np.abs(t - want) <= 2e-11 * np.maximum(1.0, np.abs(want))), bits
 
+    @pytest.mark.parametrize("d", [Laplace(), Gaussian()], ids=["Laplace", "Gaussian"])
     def test_a_rejected_step_is_followed_by_lloyd_then_undamped_newton(
-            self, monkeypatch, laplace_recursion):
+            self, d, monkeypatch, laplace_recursion):
         # The damping starts at 0, and a rejection multiplies it by 4, so it
         # stays 0: each rejected Newton step is replaced by one Lloyd step
-        # and the next Newton step is again undamped.
+        # and the next Newton step is again undamped.  The Laplace design is
+        # held to the recursion, the Gaussian one to the unpatched design.
+        design = _standard_design.__wrapped__
+        want = (laplace_recursion(8) if isinstance(d, Laplace)
+                else np.asarray(design(d, 8, 500, "quantile").partition.boundaries))
         dampings = []
 
         def first_fails(d, t, mass, c, r, damping):
@@ -376,12 +383,43 @@ class TestHalfLineLaplaceDesign:
             return None if len(dampings) == 1 else _damped_newton_step(d, t, mass, c, r, damping)
 
         monkeypatch.setattr(quantizer, "_damped_newton_step", first_fails)
-        q = _standard_design.__wrapped__(Laplace(), 8, 500, "quantile")
+        q = design(d, 8, 500, "quantile")
         assert len(dampings) > 2 and set(dampings) == {0.0}
         assert q.converged and q.iterations == len(dampings)
-        want = laplace_recursion(8)
         t = np.asarray(q.partition.boundaries)
         assert np.all(np.abs(t - want) <= 2e-11 * np.maximum(1.0, np.abs(want)))
+
+
+class TestHalfLineGaussianDesign:
+    """``Gaussian()`` takes the half-line path of ``Laplace()``: a
+    log-concave law has one fixed point, so a symmetric one has a symmetric
+    design.  16 bits is left out: its cube-root design runs to the cap."""
+
+    @pytest.mark.parametrize("init", ["quantile", "cube_root"])
+    def test_thresholds_mirror_bit_for_bit(self, init):
+        for bits in range(1, 16):
+            t = np.asarray(lloyd_max_design(Gaussian(), bits, init=init).partition.boundaries)
+            c = len(t) // 2
+            assert t[c] == 0.0, bits
+            assert np.array_equal(t[:c][::-1], -t[c + 1:]), bits
+            for loc, s in ((-3.0, 0.3), (0.5, 5.0), (-50.0, 1e-4)):
+                mapped = lloyd_max_design(Gaussian(loc, s), bits, init=init)
+                assert mapped.partition.boundaries[c] == loc, (bits, loc, s)
+
+    @pytest.mark.parametrize("init", ["quantile", "cube_root"])
+    def test_few_iterations_at_every_bit_depth(self, init):
+        # Measured: 4-8 iterations.
+        for bits in range(2, 16):
+            q = lloyd_max_design(Gaussian(), bits, init=init)
+            assert q.converged and q.iterations <= 10, (bits, q.iterations)
+
+    @pytest.mark.parametrize("init", ["quantile", "cube_root"])
+    def test_thresholds_match_40_digits(self, init, gaussian_mp_design):
+        # Worst measured gap: 4.7e-14·max(1, |t|) at 6 bits (quantile start).
+        for bits in range(2, 7):
+            t = np.asarray(lloyd_max_design(Gaussian(), bits, init=init).partition.boundaries)
+            want = np.array([float(x) for x in gaussian_mp_design(bits)])
+            assert np.all(np.abs(t - want) <= 1e-13 * np.maximum(1.0, np.abs(want))), bits
 
 
 def _banded_newton_step(d, t, mass, c, r, damping):
@@ -456,12 +494,12 @@ class TestStandardMemberDesign:
     @pytest.mark.parametrize("init", ["quantile", "cube_root"])
     def test_mapped_thresholds_match_a_direct_design(self, family, init):
         # A direct design of the shifted law converges to the same fixed
-        # point from its own start.  For Laplace the mapped design comes
-        # from the half-line solve of Laplace() and the direct one from the
-        # full line, whose translation mode is nearly free, so the gap is
+        # point from its own start.  The mapped design comes from the
+        # half-line solve of the standard member and the direct one from
+        # the full line, whose translation mode is nearly free, so the gap is
         # mostly the direct design's: the largest, 8.3e-10 relative, is
         # Laplace(-3, 0.3) at 11 bits from the quantile start.  The largest
-        # Gaussian gap is 2.5e-11, N(-3, 0.7) at 12 bits.
+        # Gaussian gap is 2.1e-11, N(-3, 0.7) at 12 bits.
         direct = _standard_design.__wrapped__
         for m in (-3.0, 0.5):
             for s in (0.3, 0.7, 5.0):
