@@ -20,7 +20,7 @@ import numpy as np
 from .distributions import ZERO_MASS_TOL, Distribution
 from .errors import DivergentIntegral
 from .mismatch import _exact_terms
-from .quantizer import Codebook, Partition, Quantizer, _moment_table, lloyd_max_design
+from .quantizer import Codebook, Partition, Quantizer, _bin_arrays, _moment_table, lloyd_max_design
 
 __all__ = [
     "HighRateReport",
@@ -242,8 +242,7 @@ def bennett_granular(
         raise ValueError(
             f"quantizer has {quantizer.partition.n_bins} bins, not n_levels={n_levels}"
         )
-    bnd = quantizer.partition.boundaries
-    lo, hi = bnd[0], bnd[-1]
+    lo, hi = quantizer.partition.as_array()[[0, -1]].tolist()
     if not lo < hi:  # 1-bit design: no interior span
         return 0.0
     brk = [b for b in _breakpoints(design_d, true_d) if lo < b < hi]
@@ -257,8 +256,7 @@ def bennett_granular(
 
 def overload_split(p: Partition, c: Codebook, true_d: Distribution) -> OverloadSplit:
     """Variance/bias split of the two outer (overload) bins under ``true_d``."""
-    if len(c) != p.n_bins:
-        raise ValueError(f"codebook size {len(c)} does not match {p.n_bins} bins")
+    [a] = _bin_arrays(p, c)
     mass, m1, m2 = _moment_table(true_d, p)
     variance = bias = 0.0
     for i in (0, len(mass) - 1):
@@ -267,7 +265,7 @@ def overload_split(p: Partition, c: Codebook, true_d: Distribution) -> OverloadS
         mean_i = m1[i] / mass[i]
         var_i = m2[i] / mass[i] - mean_i * mean_i
         variance += mass[i] * max(var_i, 0.0)
-        bias += mass[i] * (mean_i - c.values[i]) ** 2
+        bias += mass[i] * (mean_i - a[i]) ** 2
     return OverloadSplit(variance_part=variance, bias_part=bias)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from .distributions import ZERO_MASS_TOL, Distribution, _conditional_means, _table_distortion
 from .errors import ZeroEvidence
 from .mismatch import generative_codebook
-from .quantizer import Codebook, Partition, Quantizer, _moment_table
+from .quantizer import Codebook, Partition, Quantizer, _bin_arrays, _FrozenArray, _moment_table
 
 __all__ = [
     "Channel",
@@ -37,60 +38,22 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 STRATEGIES = ("standard_separation", "hard_generative", "soft_generative")
 
 
-class Channel:
-    """Row-stochastic index transition matrix ``P(received j | sent i)``.
+class Channel(_FrozenArray):
+    """Row-stochastic index transition matrix ``P(received j | sent i)`` from
+    a square array-like; ``matrix`` is its tuple of tuples of floats."""
 
-    ``matrix`` accepts any square array-like.  The validated array, kept
-    read-only, is the one representation: the decoders read it and
-    equality compares it.  The ``matrix`` attribute gives the same values
-    as a tuple of tuples of floats, built on first access, which hashing
-    and ``repr`` go through.  Instances are immutable.
-    """
+    _NDIM, _VIEW = 2, "matrix"
+    matrix = functools.cached_property(_FrozenArray._as_tuple)
 
-    def __init__(self, matrix) -> None:
-        m = np.array(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    def _check(self, m: np.ndarray) -> None:
+        if m.shape[0] != m.shape[1]:
             raise ValueError(f"transition matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)) or np.any(m < 0.0):
-            raise ValueError("transition probabilities must be finite and >= 0")
-        rows = m.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > 1e-12):
-            raise ValueError(f"rows must sum to 1 within 1e-12, got {rows}")
-        m.flags.writeable = False
-        object.__setattr__(self, "_array", m)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: Channel is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete {name!r}: Channel is immutable")
-
-    @functools.cached_property
-    def matrix(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(map(tuple, self._array.tolist()))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Channel):
-            return NotImplemented
-        return np.array_equal(self._array, other._array)
-
-    def __hash__(self) -> int:
-        return hash(self.matrix)
-
-    def __repr__(self) -> str:
-        return f"Channel(matrix={self.matrix!r})"
-
-    def __reduce__(self):
-        # Rebuild through __init__, so a copy is validated and read-only too.
-        return Channel, (self._array,)
+        if np.any(m < 0.0) or np.any(np.abs(m.sum(axis=1) - 1.0) > 1e-12):
+            raise ValueError("transition probabilities must be >= 0, each row summing to 1 within 1e-12")
 
     @property
     def n(self) -> int:
         return self._array.shape[0]
-
-    def as_array(self) -> np.ndarray:
-        """The transition matrix as a read-only array (no copy)."""
-        return self._array
 
 
 @dataclass(frozen=True)
@@ -145,9 +108,10 @@ def index_posterior(ch: Channel, priors, received: int) -> np.ndarray:
         raise ValueError(f"priors must have shape ({ch.n},), got {pri.shape}")
     if np.any(pri < 0.0):
         raise ValueError("priors must be non-negative")
-    if not 0 <= received < ch.n:
-        raise ValueError(f"received index {received} out of range [0, {ch.n})")
-    weights = ch.as_array()[:, received] * pri
+    j = operator.index(received) if hasattr(type(received), "__index__") else -1
+    if isinstance(received, bool) or not 0 <= j < ch.n:
+        raise ValueError(f"received index {received!r} is not an integer in [0, {ch.n})")
+    weights = ch.as_array()[:, j] * pri
     evidence = float(weights.sum())
     if evidence < ZERO_MASS_TOL:
         raise ZeroEvidence(
@@ -171,13 +135,11 @@ def soft_codebook(
     the prior-weighted mean of the conditional means, which is the best
     guess with no usable observation.
     """
-    if ch.n != p.n_bins:
-        raise ValueError(f"channel size {ch.n} does not match {p.n_bins} bins")
+    m, spare = _bin_arrays(p, ch, fallback)
     mass, m1 = _moment_table(true_d, p, 1)
-    spare = None if fallback is None else fallback.values
     gen, _ = _conditional_means((mass, m1), true_d, spare)
     priors = mass / mass.sum()
-    joint = ch.as_array() * priors[:, None]
+    joint = m * priors[:, None]
     evidence = joint.sum(axis=0)
     values = np.full(ch.n, priors @ gen)
     np.divide(gen @ joint, evidence, out=values, where=evidence >= ZERO_MASS_TOL)
@@ -211,10 +173,7 @@ def noisy_distortion(
     Averages the per-bin moments over the transition matrix:
     ``sum_i sum_j P(x in bin i) P(j | i) E[(X - a_j)^2 | bin i]``.
     """
-    if ch.n != p.n_bins or len(dec.table) != p.n_bins:
-        raise ValueError("partition, channel, and table sizes must agree")
-    t = ch.as_array()
-    a = dec.table.as_array()
+    t, a = _bin_arrays(p, ch, dec.table)
     return _table_distortion(_moment_table(true_d, p), t @ a, t @ (a * a))
 
 

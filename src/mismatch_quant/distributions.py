@@ -134,9 +134,9 @@ def _table_distortion(table, first, second) -> float:
 def _conditional_means(table, law: Distribution, fallback) -> tuple[np.ndarray, tuple[int, ...]]:
     """Per-bin means ``m1 / mass`` from ``law``'s moment table, and the bins
     with mass below ``ZERO_MASS_TOL``, which take their entry of the array-like
-    ``fallback`` (read only then, so a codebook's tuple goes in unconverted).
-    Without one, ``ZeroMassBin`` names every such bin.  A tilted table
-    ``(m_k, m_{k+1})`` gives the means under the weight ``x^k`` the same way."""
+    ``fallback`` (read only then).  Without one, ``ZeroMassBin`` names every
+    such bin.  A tilted table ``(m_k, m_{k+1})`` gives the means under the
+    weight ``x^k`` the same way."""
     mass, m1 = table[:2]
     empty = mass < ZERO_MASS_TOL
     bad = np.flatnonzero(empty).tolist()

@@ -21,7 +21,8 @@ import numpy as np
 
 from .distributions import (
     Distribution, Gaussian, _conditional_means, _table_distortion, inverse_mills)
-from .quantizer import Codebook, Partition, Quantizer, _moment_table, _standard_member, lloyd_max_design
+from .quantizer import (
+    Codebook, Partition, Quantizer, _bin_arrays, _moment_table, _standard_member, lloyd_max_design)
 
 __all__ = [
     "DistortionReport",
@@ -85,9 +86,7 @@ def expected_distortion(p: Partition, c: Codebook, d: Distribution) -> float:
 
     Bins without mass contribute nothing, whatever their codeword.
     """
-    if len(c) != p.n_bins:
-        raise ValueError(f"codebook size {len(c)} does not match {p.n_bins} bins")
-    a = c.as_array()
+    [a] = _bin_arrays(p, c)
     return _table_distortion(_moment_table(d, p), a, a * a)
 
 
@@ -100,7 +99,7 @@ def generative_codebook(
     corresponding value of ``fallback`` when one is given; otherwise
     ``ZeroMassBin`` is raised.
     """
-    spare = None if fallback is None else fallback.values
+    [spare] = _bin_arrays(p, fallback)
     values, _ = _conditional_means(_moment_table(true_d, p, 1), true_d, spare)
     return Codebook(values)
 
@@ -137,6 +136,7 @@ def monte_carlo_distortion(
     """Sampled MSE of the map and its standard error."""
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
+    _bin_arrays(p, c)
     x = d.sample(seed, n_samples)
     return _sampled_mse(x, p.encode(x), c)
 

@@ -22,41 +22,84 @@ __all__ = [
 _STEP_TOL = 1e-10  # a smaller accepted Newton step (relative to max(1, max|t|)) converges
 
 
-def _finite_vector(values, what: str) -> np.ndarray:
-    """``values`` as a one-dimensional float array with no NaN or inf."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{what} must be a flat sequence of numbers")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{what} must be finite")
-    return arr
+class _FrozenArray:
+    """A validated, read-only float64 array, compared and hashed by value.
+
+    The constructor copies its argument and checks it once (finite,
+    non-empty, ``_NDIM`` dimensions, then the subclass's ``_check``).
+    Readers take the array from ``as_array()``.  Equality is
+    ``np.array_equal`` within one type; the hash, computed once, is that of
+    the bytes with ``-0.0`` mapped to ``+0.0``.  Copies and pickles go back
+    through the constructor, so no salted hash travels in a pickle.  The
+    tuple view named ``_VIEW`` is built on first access; ``repr`` shows it.
+    """
+
+    _NDIM, _VIEW = 1, ""
+
+    def __init__(self, values) -> None:
+        arr = np.array(values, dtype=float)
+        if arr.ndim != self._NDIM or not arr.size or not np.isfinite(arr).all():
+            raise ValueError(f"{type(self).__name__} needs a non-empty finite {self._NDIM}-d array")
+        self._check(arr)
+        arr.flags.writeable = False
+        object.__setattr__(self, "_array", arr)
+
+    def _check(self, arr: np.ndarray) -> None:
+        """Raise ValueError unless ``arr`` obeys the subclass's own rules."""
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and np.array_equal(self._array, other._array)
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self._array + 0.0).tobytes())
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def _as_tuple(self) -> tuple:
+        """The values as (nested) tuples of floats, for the view ``_VIEW``."""
+        v = self._array.tolist()
+        return tuple(map(tuple, v)) if self._NDIM == 2 else tuple(v)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._VIEW}={getattr(self, self._VIEW)!r})"
+
+    def __reduce__(self):
+        return type(self), (self._array,)
+
+    def as_array(self) -> np.ndarray:
+        """The values as a read-only array (no copy)."""
+        return self._array
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_FrozenArray):
     """N bins cut by N-1 strictly increasing finite thresholds.
 
     Bins follow the half-open convention: bin ``i`` (0-based) is
     ``[t_{i-1}, t_i)`` with the outer bins extended to ``-inf`` and ``+inf``.
     N must be a power of two so every partition corresponds to a bit depth.
+    ``boundaries`` holds the thresholds as a tuple of floats.
     """
 
-    boundaries: tuple[float, ...]
+    _VIEW = "boundaries"
+    boundaries = functools.cached_property(_FrozenArray._as_tuple)
 
-    def __post_init__(self) -> None:
-        bnd = _finite_vector(self.boundaries, "boundaries")
-        if not bnd.size:
-            raise ValueError("a partition needs at least one boundary")
-        if (bnd[1:] <= bnd[:-1]).any():
+    def _check(self, t: np.ndarray) -> None:
+        if (t[1:] <= t[:-1]).any():
             raise ValueError("boundaries must be strictly increasing")
-        n = bnd.size + 1
+        n = t.size + 1
         if n & (n - 1):
             raise ValueError(f"bin count must be a power of two, got {n}")
-        object.__setattr__(self, "boundaries", tuple(bnd.tolist()))
 
     @property
     def n_bins(self) -> int:
-        return len(self.boundaries) + 1
+        return self._array.size + 1
 
     @property
     def bits(self) -> int:
@@ -64,41 +107,42 @@ class Partition:
 
     def edges(self) -> np.ndarray:
         """All bin edges including the infinite outer ones."""
-        return np.concatenate(([-np.inf], self.boundaries, [np.inf]))
+        return np.concatenate(([-np.inf], self._array, [np.inf]))
 
     def encode(self, x):
         """Map values to 0-based bin indices; boundary points go right.  As
         ``np.searchsorted(boundaries, x, side="right")``, an ``int`` for a
         scalar; below 64 thresholds an array is counted instead, ``n - sum_i
         (x < t_i)`` in ``uint8``, faster there, and NaN still goes last."""
-        t = self.boundaries
-        if not np.ndim(x) or len(t) >= 64:
-            idx = np.searchsorted(np.asarray(t), x, side="right")
+        t = self._array
+        if not np.ndim(x) or t.size >= 64:
+            idx = np.searchsorted(t, x, side="right")
             return idx if np.ndim(x) else int(idx)
         x = np.asarray(x, dtype=float)
         below = np.zeros(x.shape, dtype=np.uint8)
         for ti in t:
             below += x < ti
-        return np.subtract(len(t), below, dtype=np.intp)
+        return np.subtract(t.size, below, dtype=np.intp)
 
 
-@dataclass(frozen=True)
-class Codebook:
-    """Reconstruction values, one per bin."""
+def _bin_arrays(p: Partition, *tables) -> list:
+    """The arrays of ``tables``, each a ``Codebook`` or ``Channel`` with one
+    entry or row per bin of ``p`` (else ValueError), or None, kept as None."""
+    arrays = [None if t is None else t.as_array() for t in tables]
+    for t, a in zip(tables, arrays):
+        if a is not None and len(a) != p.n_bins:
+            raise ValueError(f"{type(t).__name__} size {len(a)} does not match {p.n_bins} bins")
+    return arrays
 
-    values: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        vals = _finite_vector(self.values, "codebook values")
-        if not vals.size:
-            raise ValueError("a codebook needs at least one value")
-        object.__setattr__(self, "values", tuple(vals.tolist()))
+class Codebook(_FrozenArray):
+    """Reconstruction values, one per bin; ``values`` is their tuple of floats."""
+
+    _VIEW = "values"
+    values = functools.cached_property(_FrozenArray._as_tuple)
 
     def __len__(self) -> int:
-        return len(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values)
+        return self._array.size
 
 
 @dataclass(frozen=True)
@@ -117,11 +161,7 @@ class Quantizer:
     residual: float = field(default=math.nan, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.design_codebook) != self.partition.n_bins:
-            raise ValueError(
-                f"codebook size {len(self.design_codebook)} does not match "
-                f"{self.partition.n_bins} bins"
-            )
+        _bin_arrays(self.partition, self.design_codebook)
 
     @property
     def bits(self) -> int:
@@ -132,7 +172,7 @@ class Quantizer:
 
     def decode(self, idx, codebook: Codebook | None = None):
         """Reconstruction for encoded indices, by default the design codebook."""
-        table = (codebook or self.design_codebook).as_array()
+        [table] = _bin_arrays(self.partition, codebook or self.design_codebook)
         out = table[np.asarray(idx)]
         return out if np.ndim(idx) else float(out)
 
@@ -140,8 +180,8 @@ class Quantizer:
         """Plain serializable description of the designed quantizer."""
         return {
             "bits": self.bits,
-            "boundaries": list(self.partition.boundaries),
-            "codebook": list(self.design_codebook.values),
+            "boundaries": self.partition.as_array().tolist(),
+            "codebook": self.design_codebook.as_array().tolist(),
             "design_law": self.design_law.to_config(),
         }
 
@@ -327,7 +367,7 @@ def lloyd_max_design(
     q = _standard_design(standard, bits, max_iters, init)
     if d == standard:
         return replace(q, design_law=d)
-    t = loc + scale * np.asarray(q.partition.boundaries)
+    t = loc + scale * q.partition.as_array()
     if np.any(np.diff(t) <= 0.0):
         raise DegenerateDesign(f"the thresholds of {d!r} coincide in floating point")
     mass, c, _, r, _ = _design_state(d, t)
@@ -418,14 +458,15 @@ def _design(d: Distribution, bits: int, max_iters: int, init: str) -> Quantizer:
 
 
 # The memo of standard designs (a family's standard member, or a mixture).
-# A 16-bit design holds two tuples of 65,536 floats, about 4 MB, so the memo
-# is bounded.
+# A 16-bit design holds two arrays of 65,536 floats and its distortion
+# history, about 1.1 MB by tracemalloc, so the memo is bounded.
 _standard_design = functools.lru_cache(maxsize=64)(_design)
 
 
-# The memo of ``_moment_table``.  An entry keeps its partition (N - 1 boxed
-# floats, 32 bytes each) and at most five arrays of N floats: 72 bytes a bin,
-# 0.3 MB at 12 bits and 4.7 MB at 16, so 32 entries hold at most 151 MB.
+# The memo of ``_moment_table``.  An entry keeps its partition's array of N - 1
+# floats and at most five arrays of N floats: 48 bytes a bin, 0.20 MB at 12 bits
+# and 3.1 MB at 16 by tracemalloc, so 32 entries hold at most 101 MB.  A
+# partition whose ``boundaries`` tuple was read holds 32 bytes a bin more.
 @functools.lru_cache(maxsize=32)
 def _moment_tables(d: Distribution, p: Partition, order: int) -> tuple[np.ndarray, ...]:
     table = d.edge_stats(p.edges(), order)

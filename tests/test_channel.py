@@ -21,6 +21,7 @@ import pytest
 
 from mismatch_quant import (
     Channel,
+    Codebook,
     Gaussian,
     GaussianMixture,
     Laplace,
@@ -34,12 +35,95 @@ from mismatch_quant import (
     make_noisy_decoder,
     noisy_distortion,
     one_bit_quantizer,
+    Partition,
     soft_codebook,
     strategy_report,
 )
 from mismatch_quant.channel import STRATEGIES
 
 TWO_OVER_PI = 2.0 / math.pi
+
+
+# (type, values, a differing value, the same values with one -0.0, the
+# tuple-view attribute, the repr the frozen-dataclass forms printed).
+VALUE_TYPES = [
+    pytest.param(Partition, [-0.5, 0.25, 1.5], [-0.5, 0.25, 2.5], [-1.0, -0.0, 1.0],
+                 "boundaries", "Partition(boundaries=(-0.5, 0.25, 1.5))", id="partition"),
+    pytest.param(Codebook, [-1.5, 0.1, 0.7], [-1.5, 0.1, 0.8], [-0.0, 1.0],
+                 "values", "Codebook(values=(-1.5, 0.1, 0.7))", id="codebook"),
+    pytest.param(Channel, [[0.9, 0.1], [0.2, 0.8]], [[0.9, 0.1], [0.3, 0.7]],
+                 [[1.0, -0.0], [0.0, 1.0]], "matrix",
+                 "Channel(matrix=((0.9, 0.1), (0.2, 0.8)))", id="channel"),
+]
+
+
+@pytest.mark.parametrize("kind, values, other, signed, view, text", VALUE_TYPES)
+class TestArrayValueTypes:
+    """``Partition``, ``Codebook`` and ``Channel`` share one read-only array
+    type: value equality and hashing, immutability, copies and a tuple view."""
+
+    def test_equality_and_hash_ignore_the_input_type_and_zero_sign(
+            self, kind, values, other, signed, view, text):
+        a, b = kind(values), kind(np.array(values))
+        c = kind(tuple(map(tuple, values)) if kind is Channel else tuple(values))
+        assert a == b == c and hash(a) == hash(b) == hash(c)
+        assert len({a, b, c}) == 1
+        assert a != kind(other)
+        plain = kind(np.where(np.array(signed) == 0.0, 0.0, signed))
+        assert np.signbit(kind(signed).as_array()).sum() > np.signbit(plain.as_array()).sum()
+        assert kind(signed) == plain and hash(kind(signed)) == hash(plain)
+
+    def test_never_equal_to_other_types(self, kind, values, other, signed, view, text):
+        x = kind(values)
+        assert x != object()
+        assert not x == getattr(x, view)
+        assert not x == x.as_array()
+
+    def test_array_is_read_only_and_not_shared(self, kind, values, other, signed, view, text):
+        source = np.array(values)
+        x = kind(source)
+        arr = x.as_array()
+        assert arr is x.as_array()
+        assert arr.dtype == np.float64 and not np.shares_memory(arr, source)
+        np.testing.assert_array_equal(arr, source)
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+        source[0] = 0.5  # the caller's array stays writable and unshared
+        assert x == kind(values)
+        assert np.array(getattr(x, view)).tolist() == values
+
+    def test_is_immutable(self, kind, values, other, signed, view, text):
+        x = kind(values)
+        for name in (view, "_array", "label"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, values)
+        for name in (view, "_array"):
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert x == kind(values)
+
+    def test_copies_stay_equal_and_read_only(self, kind, values, other, signed, view, text):
+        x = kind(values)
+        hash(x)
+        for copied in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+            assert type(copied) is kind
+            assert copied == x and hash(copied) == hash(x)
+            assert not copied.as_array().flags.writeable
+
+    def test_repr_is_the_tuple_view(self, kind, values, other, signed, view, text):
+        x = kind(values)
+        assert repr(x) == text
+        assert getattr(x, view) is getattr(x, view)
+        flat = getattr(x, view)
+        flat = [v for row in flat for v in row] if kind is Channel else flat
+        assert all(type(v) is float for v in flat)
+
+    def test_a_partition_and_a_codebook_of_the_same_floats_differ(
+            self, kind, values, other, signed, view, text):
+        floats = [-0.5, 0.25, 1.5] if kind is Channel else values
+        others = [t(floats) for t in (Partition, Codebook) if t is not kind]
+        x = kind(values)
+        assert all(x != y and not x == y for y in others)
 
 
 class TestChannel:
@@ -67,30 +151,6 @@ class TestChannel:
         assert built.matrix == ((0.75, 0.25), (0.25, 0.75))
         assert "_array" not in repr(built)
 
-    def test_array_is_built_once_and_read_only(self):
-        source = np.array([[0.9, 0.1], [0.2, 0.8]])
-        ch = Channel(source)
-        m = ch.as_array()
-        assert m is ch.as_array()
-        np.testing.assert_array_equal(m, source)
-        with pytest.raises(ValueError):
-            m[0, 0] = 0.5
-        source[0, 0] = 0.5  # the caller's array stays writable and unshared
-        assert ch.matrix[0][0] == 0.9
-
-    def test_equality_and_hash_ignore_the_input_type_and_zero_sign(self):
-        rows = [[0.9, 0.1], [0.2, 0.8]]
-        a, b = Channel(rows), Channel(np.array(rows))
-        assert a == b and hash(a) == hash(b)
-        signed = Channel(((1.0, -0.0), (0.0, 1.0)))
-        plain = Channel(((1.0, 0.0), (0.0, 1.0)))
-        assert signed == plain and hash(signed) == hash(plain)
-
-    def test_never_equal_to_other_types(self):
-        ch = Channel(((1.0, 0.0), (0.0, 1.0)))
-        assert ch != object()
-        assert not ch == ((1.0, 0.0), (0.0, 1.0))
-
     def test_matrix_holds_python_floats_equal_to_the_array(self):
         ch = bsc_channel(3, 0.123456789)
         assert ch.matrix is ch.matrix
@@ -99,23 +159,10 @@ class TestChannel:
         assert repr(ch) == f"Channel(matrix={ch.matrix!r})"
         assert "np.float64" not in repr(ch)
 
-    def test_is_immutable(self):
-        ch = bsc_channel(1, 0.1)
-        with pytest.raises(AttributeError):
-            ch.matrix = ((1.0, 0.0), (0.0, 1.0))
-        with pytest.raises(AttributeError):
-            ch._array = np.eye(2)
-        with pytest.raises(AttributeError):
-            ch.label = "bsc"
-        with pytest.raises(AttributeError):
-            del ch.matrix
-        np.testing.assert_array_equal(ch.as_array(), [[0.9, 0.1], [0.1, 0.9]])
-
-    def test_copies_stay_equal_and_read_only(self):
-        ch = bsc_channel(2, 0.1)
-        for other in (pickle.loads(pickle.dumps(ch)), copy.deepcopy(ch)):
-            assert other == ch and hash(other) == hash(ch)
-            assert not other.as_array().flags.writeable
+    def test_hash_leaves_the_matrix_view_unbuilt(self):
+        ch = bsc_channel(10, 0.1)
+        assert hash(ch) == hash(bsc_channel(10, 0.1))
+        assert "matrix" not in vars(ch)
 
 
 def _reference_hamming(bits: int) -> np.ndarray:
@@ -224,6 +271,18 @@ class TestIndexPosterior:
             index_posterior(ch, [0.5, -0.5], 0)
         with pytest.raises(ValueError):
             index_posterior(ch, [0.5, 0.5], 2)
+
+    @pytest.mark.parametrize("received", [True, False, np.True_, 1.5, np.float64(1.0), "1", None])
+    def test_received_must_be_an_integer(self, received):
+        with pytest.raises(ValueError, match="not an integer"):
+            index_posterior(bsc_channel(2, 0.1), [0.25] * 4, received)
+
+    @pytest.mark.parametrize("received", [np.int64(1), np.uint16(1), np.intp(1)])
+    def test_numpy_integers_are_indices(self, received):
+        ch, priors = bsc_channel(2, 0.1), [0.1, 0.2, 0.3, 0.4]
+        got = index_posterior(ch, priors, received)
+        assert got.shape == (4,)
+        np.testing.assert_array_equal(got, index_posterior(ch, priors, 1))
 
 
 class TestSoftCodebook:

@@ -6,22 +6,36 @@ erf, so they do not share code with the implementation under test.
 """
 
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate, linalg
 
+import mismatch_quant
 from mismatch_quant import (
     Codebook,
     DegenerateDesign,
     Gaussian,
     GaussianMixture,
     Laplace,
+    NoisyDecoder,
     Partition,
     Quantizer,
     ZeroMassBin,
+    bsc_channel,
+    expected_distortion,
     generative_codebook,
     lloyd_max_design,
+    monte_carlo_distortion,
+    noisy_distortion,
+    one_bit_quantizer,
+    overload_split,
+    soft_codebook,
 )
 from mismatch_quant import quantizer
 from mismatch_quant.quantizer import (
@@ -108,6 +122,33 @@ class TestPartition:
         edges = p.edges()
         assert edges.tolist() == [-math.inf, -2.0, 0.0, 2.0, math.inf]
         assert len(edges) == p.n_bins + 1
+
+
+# Every public reader of a table against a partition, given a table of the
+# wrong size.  Under FAR, bins 0-2 of P2 are empty, so a fallback is read.
+P1, P2 = Partition((0.0,)), Partition((-1.0, 0.0, 1.0))
+BOOK2, BOOK4 = Codebook((-1.0, 1.0)), Codebook((-1.5, -0.5, 0.5, 1.5))
+FAR = Gaussian(50.0, 0.1)
+SEPARATED2 = NoisyDecoder("standard_separation", BOOK2)
+WRONG_SIZE = {
+    "Quantizer": lambda: Quantizer(P1, BOOK4, Gaussian()),
+    "decode": lambda: one_bit_quantizer(0.0, 1.0).decode(np.array([0, 1]), BOOK4),
+    "expected_distortion": lambda: expected_distortion(P1, BOOK4, Gaussian()),
+    "monte_carlo_distortion": lambda: monte_carlo_distortion(P1, BOOK4, Gaussian(), 100, 1),
+    "overload_split": lambda: overload_split(P1, BOOK4, Gaussian()),
+    "generative_codebook": lambda: generative_codebook(P2, FAR, Codebook((7.0,))),
+    "soft_codebook-fallback1": lambda: soft_codebook(P2, FAR, bsc_channel(2, 0.1), Codebook((7.0,))),
+    "soft_codebook-fallback2": lambda: soft_codebook(P2, FAR, bsc_channel(2, 0.1), BOOK2),
+    "soft_codebook-channel": lambda: soft_codebook(P2, Gaussian(), bsc_channel(1, 0.1)),
+    "noisy_distortion-table": lambda: noisy_distortion(P2, bsc_channel(2, 0.1), SEPARATED2, Gaussian()),
+    "noisy_distortion-channel": lambda: noisy_distortion(P1, bsc_channel(2, 0.1), SEPARATED2, Gaussian()),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_SIZE.values(), ids=WRONG_SIZE.keys())
+def test_a_table_of_the_wrong_size_is_rejected(call):
+    with pytest.raises(ValueError, match=r"(Codebook|Channel) size \d+ does not match \d+ bins"):
+        call()
 
 
 class TestCodebook:
@@ -601,13 +642,41 @@ class TestMomentTableMemo:
                     moment[0] = 1.0
         assert Gaussian().edge_stats(p.edges())[0].flags.writeable
 
-    def test_equal_laws_and_partitions_share_an_entry(self, kernel_calls):
+    @pytest.mark.parametrize("t, same", [
+        ([-1.0, -0.25, 0.5], (-1.0, -0.25, 0.5)),
+        (np.array([-1.0, -0.0, 0.5]), [-1.0, 0.0, 0.5]),
+    ], ids=["list-tuple", "signed-zero"])
+    def test_equal_laws_and_partitions_share_an_entry(self, kernel_calls, t, same):
         calls = kernel_calls(Laplace)
-        t = [-1.0, -0.25, 0.5]
         first = _moment_table(Laplace(0.1, 0.6), Partition(t))
-        again = _moment_table(Laplace(0.1, 0.6), Partition(tuple(t)), 1)
+        again = _moment_table(Laplace(0.1, 0.6), Partition(same), 1)
         assert len(calls) == 1
         assert all(a is b for a, b in zip(again, first))
+
+    def test_a_quantizer_pickled_under_another_hash_seed_hits_the_memo(self, tmp_path):
+        # bytes hashes are salted per process, so a hash that travelled in
+        # the pickle would differ from the one this process computes.
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            p for p in (str(Path(mismatch_quant.__file__).resolve().parents[1]),
+                        os.environ.get("PYTHONPATH")) if p))
+        script = ("import pickle, sys\n"
+                  "from mismatch_quant import Laplace, lloyd_max_design\n"
+                  "q = lloyd_max_design(Laplace(0.1, 0.6), 5)\n"
+                  "hash(q.partition), hash(q.design_codebook), hash(q)\n"
+                  "sys.stdout.buffer.write(pickle.dumps(q))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              env=env, cwd=tmp_path, check=True)
+        loaded = pickle.loads(proc.stdout)
+        local = lloyd_max_design(Laplace(0.1, 0.6), 5)
+        assert loaded == local and hash(loaded) == hash(local)
+        assert hash(loaded.partition) == hash(local.partition)
+        assert not loaded.partition.as_array().flags.writeable
+        table = _moment_table(Laplace(0.1, 0.6), local.partition)
+        hits = _moment_tables.cache_info().hits
+        again = _moment_table(Laplace(0.1, 0.6), loaded.partition)
+        assert all(a is b for a, b in zip(again, table))
+        assert _moment_tables.cache_info().hits == hits + 1
 
     def test_the_oldest_entry_is_recomputed_past_the_bound(self, kernel_calls):
         calls = kernel_calls(Gaussian)
