@@ -92,7 +92,7 @@ def bsc_channel(bits: int, epsilon: float) -> Channel:
     h = np.arange(bits + 1)
     row = ((epsilon**h) * (1.0 - epsilon) ** (bits - h))[weight]
     idx = np.arange(n, dtype=np.uint16)
-    return Channel(row[idx[:, None] ^ idx])
+    return Channel._adopt(row[idx[:, None] ^ idx])  # no defensive copy of n^2 floats
 
 
 def index_posterior(ch: Channel, priors, received: int) -> np.ndarray:

@@ -9,11 +9,14 @@ Semi-infinite intervals are first-class: every formula is written so that
 
 The arithmetic every reader of a moment table shares lives beside
 ``edge_stats``: ``_table_distortion``, ``_conditional_means`` (with the one
-empty-bin rule) and ``_gaussian_blocks``, the block walk over Gaussian laws.
+empty-bin rule) and ``_blocks``, the one block bound of a walk over Gaussian
+laws, which mixture components and the class laws of a source both take.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -43,10 +46,11 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # steps and bisection alone would need about 60 to exhaust a double.
 _PPF_MAX_ITERS = 100
 
-# Most component-by-edge entries one kernel call evaluates for a mixture's
-# moments or a labeled source's class masses.  Batching removes per-call
-# overhead on small partitions; past about this size a broadcast block is
-# slower than one call per law, so large partitions take one law at a time.
+# Most component-by-point entries one block of a mixture's density,
+# distribution function or moments (points are edges there), or of a labeled
+# source's class masses, evaluates at once.  Blocks remove per-component
+# overhead on small inputs; past about this size a broadcast block is slower
+# than one law at a time, which large inputs take, so memory stays bounded.
 _MIXTURE_BLOCK = 4096
 
 
@@ -113,14 +117,20 @@ def _gaussian_edge_stats(mean, std, edges: np.ndarray, order: int) -> tuple[np.n
     return _shift(mean, std, moments)
 
 
-def _gaussian_blocks(mean, std, edges: np.ndarray, order: int):
-    """Yield ``(rows, moments)``: the kernel's moments of the Gaussian laws in
-    rows ``rows`` of the ``(k, 1)`` columns ``mean`` and ``std``, one call per
-    block of at most ``_MIXTURE_BLOCK`` law-by-edge entries."""
-    step = max(1, _MIXTURE_BLOCK // len(edges))
-    for lo in range(0, len(mean), step):
-        rows = slice(lo, lo + step)
-        yield rows, _gaussian_edge_stats(mean[rows], std[rows], edges, order)
+def _blocks(k: int, size: int) -> list[tuple[int, int]]:
+    """``(lo, hi)`` bounds of consecutive blocks of ``k`` laws with ``size``
+    entries each, at most ``_MIXTURE_BLOCK`` entries (one law at least)."""
+    step = max(1, _MIXTURE_BLOCK // max(size, 1))
+    return [(lo, min(lo + step, k)) for lo in range(0, k, step)]
+
+
+def _fold(total, block: np.ndarray) -> np.ndarray:
+    """``total + block[0] + block[1] + ...`` in order, overwriting ``block``
+    (1-d: one row).  numpy sums a single column pairwise, so it accumulates."""
+    if block.ndim == 1:
+        return np.add(block, total, out=block)
+    block[0] += total
+    return block.sum(axis=0) if block.shape[1] > 1 else np.cumsum(block, axis=0)[-1]
 
 
 def _table_distortion(table, first, second) -> float:
@@ -396,12 +406,36 @@ class GaussianMixture(Distribution):
             raise ValueError(f"weights must sum to 1, got {total}")
         object.__setattr__(self, "components", comps)
 
-    def pdf(self, x):
+    @functools.cached_property
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        """``(k, 1)`` weight, mean and std columns; not a field, so equality,
+        hash and pickles see ``components`` only."""
+        return tuple(np.array(col)[:, None] for col in zip(*self.components))
+
+    def __getstate__(self) -> dict:
+        return {"components": self.components}
+
+    def _sum_components(self, size: int, terms) -> list[np.ndarray]:
+        """``sum_j terms(w_j, m_j, s_j)`` per output, bit for bit a loop over the
+        components in order.  ``terms`` maps the ``(b, 1)`` columns of a block
+        (floats for one component) to arrays with a row per component; a block
+        holds at most ``_MIXTURE_BLOCK`` component-by-``size`` entries."""
+        w, m, s = self._columns
+        totals = itertools.repeat(0.0)
+        for lo, hi in _blocks(len(w), size):
+            cols = self.components[lo] if hi - lo == 1 else (w[lo:hi], m[lo:hi], s[lo:hi])
+            totals = [_fold(total, part) for total, part in zip(totals, terms(*cols))]
+        return totals
+
+    def _pointwise(self, x, term):
+        """``sum_j term(x, w_j, m_j, s_j)`` at each point, shaped as ``x``."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x, dtype=float)
-        for w, m, s in self.components:
-            out = out + w * _std_normal_pdf((x - m) / s) / s
-        return out if out.ndim else float(out)
+        flat = x.ravel()
+        [out] = self._sum_components(flat.size, lambda *cols: (term(flat, *cols),))
+        return out.reshape(x.shape) if x.ndim else float(out[0])
+
+    def pdf(self, x):
+        return self._pointwise(x, lambda y, w, m, s: w * _std_normal_pdf((y - m) / s) / s)
 
     def log_pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -417,11 +451,7 @@ class GaussianMixture(Distribution):
         return out if np.ndim(out) else float(out)
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x, dtype=float)
-        for w, m, s in self.components:
-            out = out + w * special.ndtr((x - m) / s)
-        return out if out.ndim else float(out)
+        return self._pointwise(x, lambda y, w, m, s: w * special.ndtr((y - m) / s))
 
     def ppf(self, q):
         """Quantiles by one bracketed Newton iteration over all ``q`` at once.
@@ -438,7 +468,7 @@ class GaussianMixture(Distribution):
         flat = q.ravel()
         sign = np.where(flat > 0.5, -1.0, 1.0)
         p = np.where(flat > 0.5, 1.0 - flat, flat)
-        w, m, s = (np.array(col)[:, None] for col in zip(*self.components))
+        w, m, s = self._columns
         m = m * sign  # component means of the mirrored mixture where sign < 0
         ends = m + s * special.ndtri(p)
         lo, hi = ends.min(axis=0), ends.max(axis=0)
@@ -468,29 +498,16 @@ class GaussianMixture(Distribution):
         return out if out.ndim else float(out)
 
     def edge_stats(self, edges, order=2):
-        # Components go through the kernel in consecutive blocks of at most
-        # _MIXTURE_BLOCK component-by-edge entries, one call per block.  The
-        # weighted rows are added onto the totals one at a time, in component
-        # order, so each bin sums its components exactly as a loop over them
-        # would.  A reduction over the block would reassociate the sum (and
-        # go pairwise along a contiguous axis); an accumulate along it is
-        # exact but runs column by column, slower than these row adds.
+        # One kernel call per block of components (floats for one component).
         edges = np.asarray(edges, dtype=float)
-        w, m, s = (np.array(col)[:, None] for col in zip(*self.components))
-        out = [np.zeros(len(edges) - 1) for _ in range(order + 1)]
-        for block, parts in _gaussian_blocks(m, s, edges, order):
-            for acc, part in zip(out, parts):
-                for row in w[block] * part:
-                    acc += row
-        return tuple(out)
+        return tuple(self._sum_components(len(edges), lambda w, m, s: [
+            w * part for part in _gaussian_edge_stats(m, s, edges, order)]))
 
     def sample(self, seed, n):
         rng = np.random.default_rng(seed)
-        weights = np.array([w for w, _, _ in self.components])
-        means = np.array([m for _, m, _ in self.components])
-        stds = np.array([s for _, _, s in self.components])
-        idx = rng.choice(len(weights), size=n, p=weights)
-        return rng.normal(means[idx], stds[idx])
+        w, m, s = (col.ravel() for col in self._columns)
+        idx = rng.choice(len(w), size=n, p=w)
+        return rng.normal(m[idx], s[idx])
 
     @property
     def mean(self) -> float:

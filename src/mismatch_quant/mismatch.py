@@ -120,14 +120,24 @@ def ideal_distortion(true_d: Distribution, bits: int, **lloyd_kwargs) -> float:
     return scale * scale * lloyd_max_design(law, bits, **lloyd_kwargs).distortion_history[-1]
 
 
-def _sampled_mse(x: np.ndarray, idx: np.ndarray, c: Codebook) -> tuple[float, float]:
-    """Sampled MSE of ``c`` on draws ``x`` already encoded as ``idx``, and
-    its standard error.  The errors are squared in place in the array the
+def _sampled_mse(p: Partition, books, d: Distribution, n_samples: int, seed: int) -> list:
+    """``(np.mean, np.std(ddof=1) / sqrt(n))`` of the squared errors of each
+    codebook in ``books``, bit for bit, on one seeded draw from ``d``, encoded
+    once (1 byte a draw to 8 bits, 2 to 16).  The mean is formed
+    once, and the errors are squared and centred in place in the array the
     lookup returns, so no other draw-sized temporary is live."""
-    err = c.as_array()[idx]
-    np.subtract(x, err, out=err)
-    np.square(err, out=err)
-    return float(np.mean(err)), float(np.std(err, ddof=1) / math.sqrt(err.size))
+    x = d.sample(seed, n_samples)
+    idx = p._narrow_index(x)
+    out = []
+    for c in books:
+        err = c.as_array()[idx]  # indexing casts the narrow index a chunk at a time
+        np.square(np.subtract(x, err, out=err), out=err)
+        mean = np.mean(err)
+        np.square(np.subtract(err, mean, out=err), out=err)
+        se = np.sqrt(np.sum(err) / (n_samples - 1)) / math.sqrt(n_samples)
+        out.append((float(mean), float(se)))
+        del err  # before the next lookup
+    return out
 
 
 def monte_carlo_distortion(
@@ -137,8 +147,7 @@ def monte_carlo_distortion(
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     _bin_arrays(p, c)
-    x = d.sample(seed, n_samples)
-    return _sampled_mse(x, p.encode(x), c)
+    return _sampled_mse(p, [c], d, n_samples, seed)[0]
 
 
 def _exact_terms(q: Quantizer, true_d: Distribution):
@@ -186,10 +195,8 @@ def report(
             raise ValueError("a seed is required when mc_samples > 0")
         if mc_samples < 2:
             raise ValueError("mc_samples must be 0 or at least 2")
-        x = true_d.sample(seed, mc_samples)
-        idx = q.encode(x).astype(np.uint16)  # 16 bits at most
-        d_fix_mc, se_fix = _sampled_mse(x, idx, q.design_codebook)
-        d_gen_mc, se_gen = _sampled_mse(x, idx, gen_codebook)
+        (d_fix_mc, se_fix), (d_gen_mc, se_gen) = _sampled_mse(
+            q.partition, (q.design_codebook, gen_codebook), true_d, mc_samples, seed)
         mc_stderr = max(se_fix, se_gen)
 
     return DistortionReport(

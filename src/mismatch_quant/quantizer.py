@@ -36,13 +36,20 @@ class _FrozenArray:
 
     _NDIM, _VIEW = 1, ""
 
-    def __init__(self, values) -> None:
-        arr = np.array(values, dtype=float)
+    def __new__(cls, values):
+        return cls._adopt(np.array(values, dtype=float))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> _FrozenArray:
+        """The instance holding the float64 array ``arr`` itself, which no
+        caller may keep (the constructor passes a copy), checked and frozen."""
+        self = object.__new__(cls)
         if arr.ndim != self._NDIM or not arr.size or not np.isfinite(arr).all():
-            raise ValueError(f"{type(self).__name__} needs a non-empty finite {self._NDIM}-d array")
+            raise ValueError(f"{cls.__name__} needs a non-empty finite {self._NDIM}-d array")
         self._check(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "_array", arr)
+        return self
 
     def _check(self, arr: np.ndarray) -> None:
         """Raise ValueError unless ``arr`` obeys the subclass's own rules."""
@@ -112,17 +119,24 @@ class Partition(_FrozenArray):
     def encode(self, x):
         """Map values to 0-based bin indices; boundary points go right.  As
         ``np.searchsorted(boundaries, x, side="right")``, an ``int`` for a
-        scalar; below 64 thresholds an array is counted instead, ``n - sum_i
-        (x < t_i)`` in ``uint8``, faster there, and NaN still goes last."""
+        scalar; below 64 thresholds an array is counted instead (see
+        ``_narrow_index``), faster there, and NaN still goes last."""
+        if np.ndim(x) and self._array.size < 64:
+            return self._narrow_index(np.asarray(x, dtype=float)).astype(np.intp)
+        idx = np.searchsorted(self._array, x, side="right")
+        return idx if np.ndim(x) else int(idx)
+
+    def _narrow_index(self, x: np.ndarray) -> np.ndarray:
+        """``encode`` of the float array ``x`` in the narrowest unsigned type
+        that holds every index (one byte to 8 bits, two to 16): counted into
+        ``uint8`` below 64 thresholds, ``n - sum_i (x < t_i)``, else searched."""
         t = self._array
-        if not np.ndim(x) or t.size >= 64:
-            idx = np.searchsorted(t, x, side="right")
-            return idx if np.ndim(x) else int(idx)
-        x = np.asarray(x, dtype=float)
+        if t.size >= 64:
+            return np.searchsorted(t, x, side="right").astype(np.min_scalar_type(t.size))
         below = np.zeros(x.shape, dtype=np.uint8)
         for ti in t:
             below += x < ti
-        return np.subtract(t.size, below, dtype=np.intp)
+        return np.subtract(t.size, below, out=below)
 
 
 def _bin_arrays(p: Partition, *tables) -> list:

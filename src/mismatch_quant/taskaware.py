@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
-    ZERO_MASS_TOL, Distribution, Gaussian, GaussianMixture, _conditional_means, _gaussian_blocks)
+    ZERO_MASS_TOL, Distribution, Gaussian, GaussianMixture, _blocks, _conditional_means,
+    _gaussian_edge_stats)
 from .errors import ZeroMassBin
 from .quantizer import Codebook, Partition, _moment_table, lloyd_max_design
 
@@ -193,8 +194,8 @@ def _joint_mass(p: Partition, src: LabeledSource) -> np.ndarray:
     joint = np.empty((len(laws), len(edges) - 1))
     mean = np.array([[laws[k].mean] for k in gauss])
     std = np.array([[laws[k].std] for k in gauss])
-    for rows, (mass,) in _gaussian_blocks(mean, std, edges, 0):
-        joint[gauss[rows]] = mass
+    for lo, hi in _blocks(len(gauss), len(edges)):
+        joint[gauss[lo:hi]] = _gaussian_edge_stats(mean[lo:hi], std[lo:hi], edges, 0)[0]
     for k in set(range(len(laws))).difference(gauss):
         (joint[k],) = laws[k].edge_stats(edges, order=0)
     return np.array([[c.weight] for c in src.classes]) * joint

@@ -1,15 +1,81 @@
 """Shared fixtures: an empty moment-table memo for every test, a recorder of
-kernel calls, a double-precision oracle of the Laplace Lloyd-Max design, and
-40-digit ``mpmath`` oracles (densities, raw interval moments and the Gaussian
-Lloyd-Max design)."""
+kernel calls, a ``tracemalloc`` peak, per-component loop references of the
+mixture density, distribution function and moments, a double-precision
+oracle of the Laplace Lloyd-Max design, and 40-digit ``mpmath`` oracles
+(densities, raw interval moments and the Gaussian Lloyd-Max design)."""
 
 import math
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import optimize, special
 
 from mismatch_quant import Gaussian, GaussianMixture, Laplace, quantizer
+
+INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _component_loop_pdf(mix, x):
+    """The mixture density as one term per component, each added in turn onto
+    a zero-initialised total; a float for a scalar ``x``."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for w, m, s in mix.components:
+        out = out + w * (INV_SQRT_2PI * np.exp(-0.5 * np.square((x - m) / s))) / s
+    return out if out.ndim else float(out)
+
+
+def _component_loop_cdf(mix, x):
+    """The mixture distribution function as ``_component_loop_pdf`` forms the
+    density."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for w, m, s in mix.components:
+        out = out + w * special.ndtr((x - m) / s)
+    return out if out.ndim else float(out)
+
+
+def _component_loop_edge_stats(mix, edges, order):
+    """Mixture moments by one kernel call per component, each added in turn
+    onto a zero-initialised total: the reference the blocked kernel keeps."""
+    out = [np.zeros(len(edges) - 1) for _ in range(order + 1)]
+    for w, m, s in mix.components:
+        for acc, part in zip(out, Gaussian(m, s).edge_stats(edges, order)):
+            acc += w * part
+    return tuple(out)
+
+
+@pytest.fixture(scope="session")
+def component_loop():
+    """``component_loop.pdf(mix, x)``, ``.cdf(mix, x)`` and
+    ``.edge_stats(mix, edges, order)``: a mixture's values summed by a loop
+    over its components, the references its blocked evaluation keeps bit for
+    bit."""
+    return types.SimpleNamespace(
+        pdf=_component_loop_pdf, cdf=_component_loop_cdf, edge_stats=_component_loop_edge_stats)
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn)``: ``(fn(), peak)``, with ``peak`` the most bytes
+    ``tracemalloc`` saw allocated during the call beyond those live before."""
+
+    def run(fn):
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+
+    return run
 
 
 @pytest.fixture(autouse=True)

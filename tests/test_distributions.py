@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 import re
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from mismatch_quant import (
     generative_codebook,
     inverse_mills,
 )
-from mismatch_quant.distributions import _MIXTURE_BLOCK
+from mismatch_quant.distributions import _MIXTURE_BLOCK, _blocks
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -279,16 +280,6 @@ class TestEdgeStatsOracle:
                 assert np.array_equal(a, b)
 
 
-def _component_loop_edge_stats(mix, edges, order):
-    """Mixture moments by one kernel call per component, each added in turn
-    onto a zero-initialised total: the reference the blocked kernel keeps."""
-    out = [np.zeros(len(edges) - 1) for _ in range(order + 1)]
-    for w, m, s in mix.components:
-        for acc, part in zip(out, Gaussian(m, s).edge_stats(edges, order)):
-            acc += w * part
-    return tuple(out)
-
-
 def _random_mixture(rng, k):
     weights = rng.uniform(0.1, 1.0, k)
     weights /= weights.sum()
@@ -300,26 +291,32 @@ def _random_mixture(rng, k):
 class TestMixtureBlocks:
     """The blocked mixture kernel against the per-component loop, bit for bit.
 
-    Bin counts cover one and two bins, 16 and 4096, and partitions whose
-    component-by-edge count falls just below, at and just above the block
-    budget, both for a block holding every component and for one component
-    per block.  A single bin with eight or more components is the case a
-    reduction over the components would sum pairwise and change in the
-    last bit.  Edges run into both far tails, so some bins carry masses and
+    Bin counts cover one and two bins, 16, 100 and 4096, and partitions
+    whose component-by-edge count falls just below, at and just above the
+    block budget, both for a block holding every component and for one
+    component per block.  A single bin with eight or more components is the
+    case a reduction over the components would sum pairwise and change in
+    the last bit.  50 components on 100 bins come in blocks of 40 and 10,
+    so a second block of several rows must add onto the first block's
+    totals row by row too (reducing each block, then adding, would change
+    bits).  Edges run into both far tails, so some bins carry masses and
     moments that underflow to zero.
     """
 
     @staticmethod
     def _bin_counts(k):
         whole = _MIXTURE_BLOCK // k  # edges at which one block holds all k components
-        counts = {1, 2, 16, 4096}
+        counts = {1, 2, 16, 100, 4096}
         for n_edges in (whole - 1, whole, whole + 1,
                         _MIXTURE_BLOCK - 1, _MIXTURE_BLOCK, _MIXTURE_BLOCK + 1):
             counts.add(max(1, n_edges - 1))
         return sorted(counts)
 
-    @pytest.mark.parametrize("k", [1, 3, 8, 10, 17])
-    def test_bitwise_equal_to_the_component_loop(self, k):
+    def test_fifty_components_on_a_hundred_bins_take_blocks_of_forty_and_ten(self):
+        assert [hi - lo for lo, hi in _blocks(50, 101)] == [40, 10]
+
+    @pytest.mark.parametrize("k", [1, 3, 8, 10, 17, 50])
+    def test_bitwise_equal_to_the_component_loop(self, k, component_loop):
         rng = np.random.default_rng(1000 + k)
         mix = _random_mixture(rng, k)
         for n_bins in self._bin_counts(k):
@@ -329,12 +326,50 @@ class TestMixtureBlocks:
             edges = np.concatenate(([-np.inf], inner, [np.inf]))
             for order in range(5):
                 got = mix.edge_stats(edges, order)
-                want = _component_loop_edge_stats(mix, edges, order)
+                want = component_loop.edge_stats(mix, edges, order)
                 assert len(got) == order + 1
                 for g, w in zip(got, want):
                     assert g.shape == (n_bins,)
                     assert np.array_equal(g, w), (k, n_bins, order)
                     assert np.array_equal(np.signbit(g), np.signbit(w)), (k, n_bins, order)
+
+
+class TestMixturePointwise:
+    """``GaussianMixture.pdf`` and ``cdf`` against a loop over the components,
+    bit for bit, signed zeros and the float of a scalar included.  The
+    shapes cover one block of every component (a single point, which numpy
+    would sum pairwise, and up to 15 points), several blocks (127 points of
+    50 components, and the (28, 15) grid of the quadrature panels from 10
+    components on) and one component at a time (8193 points).  Points run past both tails and
+    include the infinities, where the terms are exactly 0 and 1."""
+
+    @pytest.mark.parametrize("k", [1, 3, 8, 10, 17, 50])
+    @pytest.mark.parametrize("shape", [(), (1,), (3,), (15,), (127,), (28, 15), (8193,)])
+    def test_bitwise_equal_to_the_component_loop(self, k, shape, component_loop):
+        rng = np.random.default_rng(2000 + k)
+        mix = _random_mixture(rng, k)
+        x = rng.normal(0.0, 15.0, shape)
+        if x.size >= 3:
+            x.flat[:2] = -np.inf, np.inf
+        points = float(x) if x.ndim == 0 else x
+        for name in ("pdf", "cdf"):
+            got = getattr(mix, name)(points)
+            want = getattr(component_loop, name)(mix, points)
+            assert type(got) is type(want), (name, k, shape)
+            assert np.shape(got) == shape
+            assert np.array_equal(got, want), (name, k, shape)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (name, k, shape)
+
+    def test_columns_stay_out_of_equality_hash_and_pickles(self):
+        mix = GaussianMixture(((0.25, -1.0, 0.5), (0.75, 2.0, 1.5)))
+        fresh = pickle.dumps(mix)
+        mix.pdf(0.5)  # builds the cached columns
+        assert "_columns" in vars(mix)
+        assert pickle.dumps(mix) == fresh
+        twin = GaussianMixture(((0.25, -1.0, 0.5), (0.75, 2.0, 1.5)))
+        assert mix == twin and hash(mix) == hash(twin)
+        again = pickle.loads(fresh)
+        assert again == mix and again.pdf(0.5) == mix.pdf(0.5)
 
 
 class TestInverseMills:

@@ -347,10 +347,14 @@ class TestMonteCarloDistortion:
         (GaussianMixture(((0.5, -1.5, 0.6), (0.5, 1.5, 0.6))),
          GaussianMixture(((0.3, -1.0, 0.5), (0.7, 1.5, 1.2)))),
     ])
-    @pytest.mark.parametrize("n", [2, 1_001])
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 1_001, 400_000])
+    @pytest.mark.parametrize("bits", [1, 4, 7])
     def test_is_the_mean_squared_error_of_one_seeded_draw(self, design_d,
-                                                          true_d, n):
-        q = lloyd_max_design(design_d, 3)
+                                                          true_d, n, bits):
+        # Counted indices below 64 thresholds (1 and 4 bits), searched ones
+        # from 64 on (7 bits); sample sizes on both sides of the unrolled
+        # blocks of numpy's pairwise sum.
+        q = lloyd_max_design(design_d, bits)
         x = true_d.sample(5, n)
         err = np.square(x - q.design_codebook.as_array()[q.encode(x)])
         want = (float(np.mean(err)),
@@ -358,6 +362,48 @@ class TestMonteCarloDistortion:
         got = monte_carlo_distortion(q.partition, q.design_codebook, true_d,
                                      n, seed=5)
         assert got == want
+
+    @pytest.mark.parametrize("bits", [1, 6, 7, 8, 9, 12])
+    def test_report_scores_one_index_of_at_most_two_bytes_a_draw(self, bits, monkeypatch):
+        # Records every lookup of a codebook at an array of n indices.
+        n, lookups, as_array = 20_000, [], Codebook.as_array
+
+        class Recorder(np.ndarray):
+            def __getitem__(self, key):
+                if isinstance(key, np.ndarray) and key.size == n:
+                    lookups.append(key)
+                return np.asarray(self)[key]
+
+        monkeypatch.setattr(Codebook, "as_array", lambda c: as_array(c).view(Recorder))
+        true_d = Laplace(0.1, 0.9)
+        r = report(Gaussian(), true_d, bits, mc_samples=n, seed=4)
+        assert r.d_fix_mc is not None and len(lookups) == 2
+        idx = lookups[0]
+        assert lookups[1] is idx and idx.itemsize == (1 if bits <= 8 else 2)
+        q = lloyd_max_design(Gaussian(), bits)
+        np.testing.assert_array_equal(idx, q.encode(true_d.sample(4, n)))
+
+    @pytest.mark.parametrize("bits", [4, 8, 10])
+    def test_report_keeps_one_error_array_live(self, bits, traced_peak):
+        # The draws (8 bytes each), their index (1 or 2) and one codebook's
+        # errors (8): 17.7 n bytes at peak at 4 and 8 bits, 18.9 n at 10,
+        # where searchsorted's intp result lives until its narrow copy is
+        # made (26.1 n when every index went through intp, two error arrays
+        # were live and np.std formed its own deviations).
+        n, design_d, true_d = 100_000, Laplace(), Laplace(0.2, 1.1)
+        report(design_d, true_d, bits)  # designs and moment tables first
+        r, peak = traced_peak(lambda: report(design_d, true_d, bits, mc_samples=n, seed=2))
+        assert r.d_gen_mc is not None
+        assert peak < 20 * n
+
+    def test_seventeen_bit_indices_are_not_truncated(self):
+        # 131,071 thresholds: the index needs more than two bytes.
+        p = Partition(np.linspace(-6.0, 6.0, (1 << 17) - 1))
+        c = Codebook(np.concatenate(([-6.0], p.as_array())))
+        x = Gaussian(0.0, 3.0).sample(8, 20_000)
+        err = np.square(x - c.as_array()[np.searchsorted(p.as_array(), x, side="right")])
+        got = monte_carlo_distortion(p, c, Gaussian(0.0, 3.0), 20_000, seed=8)
+        assert got == (float(np.mean(err)), float(np.std(err, ddof=1) / math.sqrt(20_000)))
 
     def test_tiny_sample_rejected(self):
         q = one_bit_quantizer(0.0, 1.0)

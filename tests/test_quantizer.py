@@ -318,6 +318,17 @@ class TestLloydMaxDesign:
         assert q.distortion_history[-1] == pytest.approx(
             2.5893758376188149567e-06, rel=1e-9)
 
+    def test_a_fourteen_bit_mixture_cube_root_start_stays_in_its_memory(self, traced_peak):
+        # The 64 N + 1 = 1,048,577-point grid of the cube-root start takes the
+        # density one component at a time (_MIXTURE_BLOCK); one unbounded
+        # (10, 1,048,577) broadcast once raised the peak resident memory of
+        # this design from 122 to 330 MB.  A loop over the components peaked
+        # at 42,078,630 bytes under tracemalloc; the bound is 1.2 times that.
+        mix = GaussianMixture(tuple((0.1, j - 4.5, 0.5 + 0.05 * j) for j in range(10)))
+        q, peak = traced_peak(lambda: lloyd_max_design(mix, 14, init="cube_root"))
+        assert q.converged
+        assert peak <= 1.2 * 42_078_630
+
     @pytest.mark.parametrize("d", [
         Gaussian(0.3, 1.1), Laplace(0.0, 0.8),
         GaussianMixture(((0.5, -1.5, 0.6), (0.5, 1.5, 0.6)))])
