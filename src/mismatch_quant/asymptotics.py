@@ -245,7 +245,7 @@ def bennett_granular(
     lo, hi = quantizer.partition.as_array()[[0, -1]].tolist()
     if not lo < hi:  # 1-bit design: no interior span
         return 0.0
-    brk = [b for b in _breakpoints(design_d, true_d) if lo < b < hi]
+    brk = _breakpoints(design_d, true_d)
     c = _cube_root_mass(design_d, lo, hi, breakpoints=brk)
     ratio = _quad(
         lambda x: true_d.pdf(x) / design_d.pdf(x) ** (2.0 / 3.0),

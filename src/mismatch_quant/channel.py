@@ -10,7 +10,6 @@ table for the given channel).
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .distributions import ZERO_MASS_TOL, Distribution, _conditional_means, _table_distortion
 from .errors import ZeroEvidence
-from .mismatch import generative_codebook
+from .mismatch import _SQRT_2_OVER_PI, generative_codebook
 from .quantizer import Codebook, Partition, Quantizer, _bin_arrays, _FrozenArray, _moment_table
 
 __all__ = [
@@ -32,8 +31,6 @@ __all__ = [
     "soft_codebook",
     "strategy_report",
 ]
-
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 STRATEGIES = ("standard_separation", "hard_generative", "soft_generative")
 

@@ -98,6 +98,31 @@ def _conforms(value, tp) -> bool:
     return isinstance(value, tp)
 
 
+# One range rule per key an experiment can read: (what each value must be,
+# its test).  A list key's rule applies to every entry.
+_RANGES = {
+    "bits": ("in [1, 16]", lambda b, cfg: 1 <= b <= 16),
+    "sigma1_values": ("> 0", lambda s, cfg: s > 0),
+    "epsilon_values": ("in [0, 0.5]", lambda e, cfg: 0 <= e <= 0.5),
+    "sigma0": ("> 0", lambda s, cfg: s > 0),
+    "bsc_sigma1_values": ("> 0", lambda s, cfg: s > 0),
+    "k_t_values": (">= 0", lambda k, cfg: k >= 0),
+    "k_d": (">= 0", lambda k, cfg: k >= 0),
+    "n_classes": (">= 1", lambda n, cfg: n >= 1),
+    "class_std": ("> 0", lambda s, cfg: s > 0),
+    "class_spacing": ("> 0", lambda s, cfg: s > 0),
+    "k_values": ("in [1, n_classes]", lambda k, cfg: 1 <= k <= cfg.n_classes),
+}
+
+
+def _out_of_range(key: str, value, cfg) -> list[str]:
+    """The diagnostic of ``key``'s range rule for ``value``, if it breaks it."""
+    text, holds = _RANGES[key]
+    if all(holds(v, cfg) for v in (value if isinstance(value, list) else [value])):
+        return []
+    return [f"{key} must be {text}, got {value!r}"]
+
+
 def validate(cfg: ExperimentConfig) -> list[str]:
     """Collect human-readable diagnostics; an empty list means runnable."""
     hints = _type_hints(ExperimentConfig)
@@ -110,52 +135,28 @@ def validate(cfg: ExperimentConfig) -> list[str]:
         return problems
     if cfg.experiment not in _RUNNERS:
         return [f"unknown experiment {cfg.experiment!r}; choose from {', '.join(EXPERIMENTS)}"]
-    if not cfg.bits:
-        problems.append("bits grid is empty")
-    if any(not 1 <= b <= 16 for b in cfg.bits):
-        problems.append(f"bits must be integers in [1, 16], got {cfg.bits}")
+    reads = _RUNNERS[cfg.experiment].reads
     if cfg.mc_samples < 0 or cfg.mc_samples == 1:
         problems.append("mc_samples must be 0 or at least 2")
     if cfg.mc_samples > 0 and cfg.seed is None:
         problems.append("mc_samples > 0 requires an explicit seed")
-    if cfg.mc_samples > 0 and not _RUNNERS[cfg.experiment].mc:
+    if cfg.mc_samples > 0 and "mc_samples" not in reads:
         problems.append(f"Monte Carlo cross-checks are not available for {cfg.experiment}")
     checked = []
-    for name in _RUNNERS[cfg.experiment].laws:
-        rec = cfg.design if name == "design" else cfg.default_true
-        if rec in checked:  # a true law that defaults to the design law
-            continue
-        checked.append(rec)
-        try:
-            distributions.from_config(rec)
-        except ValueError as exc:
-            problems.append(f"{name} law: {exc}")
-    if cfg.experiment == "mean_sweep" and not cfg.mu1_values:
-        problems.append("mu1_values grid is empty")
-    if cfg.experiment == "variance_sweep":
-        if not cfg.sigma1_values:
-            problems.append("sigma1_values grid is empty")
-        if any(s <= 0 for s in cfg.sigma1_values):
-            problems.append("sigma1_values must be positive")
-    if cfg.experiment == "bsc_sweep":
-        if not cfg.epsilon_values:
-            problems.append("epsilon_values grid is empty")
-        if any(not 0.0 <= e <= 0.5 for e in cfg.epsilon_values):
-            problems.append("epsilon_values must lie in [0, 0.5]")
-        if cfg.sigma0 <= 0 or any(s <= 0 for s in cfg.bsc_sigma1_values):
-            problems.append("sigma0 and bsc_sigma1_values must be positive")
-    if cfg.experiment == "rician_csi":
-        if not cfg.k_t_values:
-            problems.append("k_t_values grid is empty")
-        if any(k < 0 for k in cfg.k_t_values) or cfg.k_d < 0:
-            problems.append("Rice factors must be >= 0")
-    if cfg.experiment == "semantic_mixture":
-        if cfg.n_classes < 1:
-            problems.append("n_classes must be at least 1")
-        if cfg.class_std <= 0 or cfg.class_spacing <= 0:
-            problems.append("class_std and class_spacing must be positive")
-        if any(not 1 <= k <= cfg.n_classes for k in cfg.k_values or ()):
-            problems.append(f"k_values entries must lie in [1, {cfg.n_classes}]")
+    for key in reads:  # only what the experiment reads is range-checked
+        value = cfg.default_true if key == "true" else getattr(cfg, key)
+        if key in ("design", "true"):
+            if value in checked:  # a true law that defaults to the design law
+                continue
+            checked.append(value)
+            try:
+                distributions.from_config(value)
+            except ValueError as exc:
+                problems.append(f"{key} law: {exc}")
+        elif value == []:
+            problems.append(f"{key} grid is empty")
+        elif key in _RANGES and value is not None:
+            problems += _out_of_range(key, value, cfg)
     return problems
 
 
@@ -266,18 +267,11 @@ def _run_bsc_sweep(cfg: ExperimentConfig):
 def _bsc_monte_carlo(sigma0, sigma1, eps, n, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(0.0, sigma1, size=n)
-    sent = (x >= 0.0).astype(int)
-    flip = rng.random(n) < eps
-    received = np.where(flip, 1 - sent, sent)
-    sign = 2.0 * received - 1.0
-    k = math.sqrt(2.0 / math.pi)
-    out = []
-    errs = []
-    for a in (sigma0 * k, sigma1 * k, (1.0 - 2.0 * eps) * sigma1 * k):
-        err = np.square(x - sign * a)
-        out.append(float(err.mean()))
-        errs.append(float(err.std(ddof=1) / math.sqrt(n)))
-    return out + [max(errs)]
+    sign = np.where((x >= 0.0) != (rng.random(n) < eps), 1.0, -1.0)  # received bit, as +-1
+    k = mismatch._SQRT_2_OVER_PI
+    errs = [np.square(x - sign * (s * k)) for s in (sigma0, sigma1, (1.0 - 2.0 * eps) * sigma1)]
+    stderr = max(float(e.std(ddof=1)) for e in errs) / math.sqrt(n)
+    return [float(e.mean()) for e in errs] + [stderr]
 
 
 def _run_rician_csi(cfg: ExperimentConfig):
@@ -323,27 +317,32 @@ def _run_semantic_mixture(cfg: ExperimentConfig):
 
 class _Experiment(typing.NamedTuple):
     runner: typing.Callable[[ExperimentConfig], tuple[list[str], list[list]]]
-    laws: tuple[str, ...] = ()  # which of the "design" and "true" laws it reads
-    mc: bool = False  # takes Monte Carlo cross-checks
+    # The config keys the runner reads besides experiment, output and seed:
+    # its laws, grids and settings, and mc_samples if it takes Monte Carlo.
+    reads: tuple[str, ...]
     true: dict | None = None  # default true law; None means the design law
 
 
 # The experiments, in the order the CLI lists them.
 _RUNNERS = {
-    "mean_sweep": _Experiment(_run_mean_sweep, ("design",), mc=True),
-    "variance_sweep": _Experiment(_run_variance_sweep, ("design",), mc=True),
+    "mean_sweep": _Experiment(_run_mean_sweep, ("design", "mu1_values", "bits", "mc_samples")),
+    "variance_sweep": _Experiment(
+        _run_variance_sweep, ("design", "sigma1_values", "bits", "mc_samples")),
     "laplace_table": _Experiment(
-        _run_laplace_table, ("design", "true"), mc=True,
+        _run_laplace_table, ("design", "true", "bits", "mc_samples"),
         true={"kind": "laplace", "loc": 0.0, "scale": math.sqrt(0.5)},
     ),
     "rate_recovery": _Experiment(
-        _run_rate_recovery, ("design", "true"),
+        _run_rate_recovery, ("design", "true", "bits"),
         true={"kind": "gaussian", "mean": 0.0, "std": 2.0},
     ),
-    "bsc_sweep": _Experiment(_run_bsc_sweep, mc=True),
-    "rician_csi": _Experiment(_run_rician_csi),
-    "semantic_mixture": _Experiment(_run_semantic_mixture),
-    "single_report": _Experiment(_run_single_report, ("design", "true"), mc=True),
+    "bsc_sweep": _Experiment(
+        _run_bsc_sweep, ("epsilon_values", "sigma0", "bsc_sigma1_values", "mc_samples")),
+    "rician_csi": _Experiment(_run_rician_csi, ("k_t_values", "k_d")),
+    "semantic_mixture": _Experiment(
+        _run_semantic_mixture,
+        ("n_classes", "class_std", "class_spacing", "k_values", "bits")),
+    "single_report": _Experiment(_run_single_report, ("design", "true", "bits", "mc_samples")),
 }
 
 EXPERIMENTS = tuple(_RUNNERS)
@@ -427,8 +426,8 @@ def _print_report(args) -> None:
         raise ConfigError(f"law specs must be valid JSON: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"law spec: {exc}") from exc
-    if not 1 <= args.bits <= 16:
-        raise ConfigError(f"bits must lie in [1, 16], got {args.bits}")
+    if problems := _out_of_range("bits", args.bits, None):
+        raise ConfigError(problems[0])
     if args.mc_samples < 0 or args.mc_samples == 1:
         raise ConfigError("--mc-samples must be 0 or at least 2")
     if args.mc_samples and (args.seed is None or args.seed < 0):

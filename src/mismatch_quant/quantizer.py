@@ -119,12 +119,10 @@ class Partition(_FrozenArray):
     def encode(self, x):
         """Map values to 0-based bin indices; boundary points go right.  As
         ``np.searchsorted(boundaries, x, side="right")``, an ``int`` for a
-        scalar; below 64 thresholds an array is counted instead (see
-        ``_narrow_index``), faster there, and NaN still goes last."""
-        if np.ndim(x) and self._array.size < 64:
+        scalar; an array goes through ``_narrow_index``, and NaN still goes last."""
+        if np.ndim(x):
             return self._narrow_index(np.asarray(x, dtype=float)).astype(np.intp)
-        idx = np.searchsorted(self._array, x, side="right")
-        return idx if np.ndim(x) else int(idx)
+        return int(np.searchsorted(self._array, x, side="right"))
 
     def _narrow_index(self, x: np.ndarray) -> np.ndarray:
         """``encode`` of the float array ``x`` in the narrowest unsigned type

@@ -31,6 +31,7 @@ from mismatch_quant import (
     rate_recovery_sweep,
     report,
 )
+from mismatch_quant import asymptotics
 from mismatch_quant.asymptotics import _cube_root_mass, _quad
 from mismatch_quant.distributions import ZERO_MASS_TOL
 
@@ -188,6 +189,25 @@ class TestPenaltyFactor:
         with pytest.raises(DivergentIntegral):
             mismatch_penalty_factor(Gaussian(0, 1), Laplace(0.0, 1.0))
 
+    def test_vanishing_design_density_raises(self):
+        # The design log density overflows to -inf beyond |x| of about 1e-6,
+        # where the true law still has mass.
+        with np.errstate(over="ignore"), pytest.raises(
+                DivergentIntegral, match="design density vanishes"):
+            mismatch_penalty_factor(Gaussian(0, 1e-160), Gaussian(0, 1))
+
+    def test_a_true_tail_that_vanishes_passes_the_growth_probe(self):
+        # A true law whose log density reads -inf beyond 20 standard
+        # deviations, as a law of bounded support would: the far probes see
+        # no tail, and the mass left out (below exp(-200)) moves nothing.
+        class Cut(Gaussian):
+            def log_pdf(self, x):
+                z = (np.asarray(x, dtype=float) - self.mean) / self.std
+                return np.where(np.abs(z) > 20.0, -np.inf, super().log_pdf(x))
+
+        got = mismatch_penalty_factor(Gaussian(0, 1), Cut(0, 0.5))
+        assert got == pytest.approx(_gaussian_penalty(1.0, 0.5), rel=1e-9)
+
     def test_gaussian_truth_under_laplace_design_converges(self):
         got = mismatch_penalty_factor(Laplace(0.0, 1.0), Gaussian(0, 1))
         assert math.isfinite(got)
@@ -328,6 +348,21 @@ class TestQuadrature:
         # About 16,000 periods on [0, 1]: more panels than the budget holds.
         with pytest.raises(DivergentIntegral, match="panels"):
             _quad(lambda x: np.cos(1e5 * x), 0.0, 1.0)
+
+    def test_panel_budget_is_read_at_call_time(self, monkeypatch):
+        def fn(x):
+            return np.sqrt(np.abs(x))
+
+        assert _quad(fn, -1.0, 1.0) == pytest.approx(4.0 / 3.0, rel=1e-10)
+        monkeypatch.setattr(asymptotics, "_QUAD_LIMIT", 8)
+        with pytest.raises(DivergentIntegral, match="within 8 panels"):
+            _quad(fn, -1.0, 1.0)
+
+    def test_an_overflowing_value_raises(self):
+        # The integrand is finite, but each panel's value, 5e307 times its
+        # width of 25, overflows.
+        with np.errstate(over="ignore"), pytest.raises(DivergentIntegral, match="returned inf"):
+            _quad(lambda x: np.full_like(x, 5e307), 0.0, 100.0)
 
     def test_empty_range_is_zero(self):
         assert _quad(lambda x: np.ones_like(x), 2.0, 2.0) == 0.0

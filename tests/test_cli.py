@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,26 @@ GRID_COLUMNS = {"mu1", "sigma1", "sigma0", "epsilon", "bits", "k_t", "k_d", "k",
 REPORT_HEADER = ["bits", "d_fix", "d_gen", "d_ideal", "gain_pct",
                  "ideal_gain_pct", "method"]
 MC_HEADER = ["d_fix_mc", "d_gen_mc", "mc_stderr"]
+# Values each key's check refuses: an unparseable law, an empty grid (listed
+# first) and an out-of-range entry or setting.
+REFUSED = {
+    "design": [{"kind": "nope"}],
+    "true": [{"kind": "gaussian", "std": -1.0}],
+    "bits": [[], [17]],
+    "mu1_values": [[]],
+    "sigma1_values": [[], [1.0, -1.0]],
+    "epsilon_values": [[], [0.6]],
+    "sigma0": [0.0],
+    "bsc_sigma1_values": [[], [0.0]],
+    "k_t_values": [[], [-1.0]],
+    "k_d": [-1.0],
+    "n_classes": [0],
+    "class_std": [0.0],
+    "class_spacing": [-1.0],
+    "k_values": [[], [0]],
+}
+# The keys every experiment reads besides those it declares.
+ALWAYS_READ = {"experiment", "output", "seed"}
 
 
 def _write_cfg(tmp_path, name="cfg.json", **overrides):
@@ -164,6 +185,127 @@ class TestValidateCommand:
                                sigma0=-1.0)
         problems = validate(cfg)
         assert len(problems) == 2
+
+    @pytest.mark.parametrize("experiment, key, value", [
+        (experiment, key, value)
+        for experiment, spec in cli._RUNNERS.items()
+        for key in spec.reads if key != "mc_samples"
+        for value in REFUSED[key]
+    ])
+    def test_every_read_key_is_checked(self, tmp_path, capsys, experiment, key, value):
+        cfg = _write_cfg(tmp_path, experiment=experiment, **{key: value})
+        assert main(["validate", "--config", str(cfg)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        if key in ("design", "true"):
+            assert line.startswith(f"config error: {key} law: ")
+        elif value == []:
+            assert line == f"config error: {key} grid is empty"
+        else:
+            text, _ = cli._RANGES[key]
+            assert line == f"config error: {key} must be {text}, got {value!r}"
+
+    def test_range_edges_validate(self):
+        edges = dict(bits=[1, 16], sigma1_values=[5e-324], epsilon_values=[0.0, 0.5],
+                     sigma0=5e-324, bsc_sigma1_values=[5e-324], k_t_values=[0.0],
+                     k_d=0.0, n_classes=1, class_std=5e-324, class_spacing=5e-324,
+                     k_values=[1])
+        for experiment in cli.EXPERIMENTS:
+            assert validate(ExperimentConfig(experiment=experiment, **edges)) == []
+
+    def test_k_values_must_lie_within_n_classes(self):
+        cfg = ExperimentConfig(experiment="semantic_mixture", n_classes=3, k_values=[3, 4])
+        assert validate(cfg) == ["k_values must be in [1, n_classes], got [3, 4]"]
+
+    @pytest.mark.parametrize("experiment", ["rate_recovery", "rician_csi", "semantic_mixture"])
+    def test_monte_carlo_needs_an_experiment_that_takes_it(self, tmp_path, capsys, experiment):
+        cfg = _write_cfg(tmp_path, experiment=experiment, mc_samples=100, seed=1)
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: Monte Carlo cross-checks are not available for {experiment}\n")
+
+    def test_config_needs_an_experiment(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"bits": [1]}')
+        assert main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "config error: config needs an 'experiment' key\n"
+
+    def test_unparseable_bits_flag(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path)
+        assert main(["run", "--config", str(cfg), "--bits", "1,x",
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == "config error: cannot parse bits list '1,x'\n"
+        assert not (tmp_path / "out.csv").exists()
+
+
+class TestReadKeys:
+    """``_RUNNERS[...].reads`` is the one list of the config keys an
+    experiment reads: ``validate`` checks exactly those, and leaves every
+    other key to its JSON type check."""
+
+    @pytest.mark.parametrize("experiment, key", [("bsc_sweep", "bsc_sigma1_values"),
+                                                 ("semantic_mixture", "k_values")])
+    def test_an_empty_grid_does_not_run(self, tmp_path, capsys, experiment, key):
+        out = tmp_path / "out.csv"
+        cfg = _write_cfg(tmp_path, experiment=experiment, **{key: []}, output=str(out))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: {key} grid is empty\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, bits", [("rician_csi", []), ("bsc_sweep", [17])])
+    def test_unread_bits_are_not_checked(self, tmp_path, experiment, bits):
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps({"experiment": experiment}))
+        with_bits = tmp_path / "bits.json"
+        with_bits.write_text(json.dumps({"experiment": experiment, "bits": bits}))
+        assert main(["validate", "--config", str(with_bits)]) == 0
+        for cfg, out in ((plain, "plain.csv"), (with_bits, "bits.csv")):
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "bits.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    @pytest.mark.parametrize("variant", [0, -1], ids=["empty", "out_of_range"])
+    @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+    def test_unread_keys_change_nothing(self, tmp_path, experiment, variant):
+        # Every key the experiment does not declare is set to a value its
+        # check refuses; if the runner read one, the CSV would change or the
+        # run would fail.  A config that logs its reads then shows the runner
+        # reads exactly the declared keys.
+        reads = cli._RUNNERS[experiment].reads
+        unread = {key: values[variant] for key, values in REFUSED.items() if key not in reads}
+        assert unread
+        base = ExperimentConfig(experiment=experiment, output=str(tmp_path / "base.csv"))
+        cfg = ExperimentConfig(experiment=experiment, output=str(tmp_path / "unread.csv"),
+                               **unread)
+        assert validate(cfg) == []
+        cli.run(base)
+        cli.run(cfg)
+        assert (tmp_path / "unread.csv").read_bytes() == (tmp_path / "base.csv").read_bytes()
+
+        names = {f.name for f in fields(ExperimentConfig)}
+        logged = set()
+
+        class Logged(ExperimentConfig):
+            def __getattribute__(self, name):
+                if name in names:
+                    logged.add(name)
+                return super().__getattribute__(name)
+
+        cli._RUNNERS[experiment].runner(Logged(experiment=experiment))
+        assert logged - ALWAYS_READ == set(reads)
+
+    def test_readme_table_lists_the_keys_each_experiment_reads(self):
+        text = (ROOT / "README.md").read_text()
+        start = text.index("| experiment | MC | keys read (defaults) |")
+        rows = text[start:text.index("\n\n", start)].splitlines()[2:]
+        table = {}
+        for row in rows:
+            _, name, mc, keys, _ = row.split("|")
+            [name] = re.findall(r"`(\w+)`", name)
+            table[name] = (mc.strip(), set(re.findall(r"`(\w+)`", keys)))
+        assert tuple(table) == cli.EXPERIMENTS
+        for name, (mc, keys) in table.items():
+            reads = set(cli._RUNNERS[name].reads)
+            assert mc == ("yes" if "mc_samples" in reads else "no"), name
+            assert keys == reads - {"mc_samples"}, name
 
 
 class TestRunCommand:
@@ -303,6 +445,25 @@ class TestRunCommand:
         assert d_hard - d_opt == pytest.approx(
             4.0 * 0.01 * 4.0 * 2.0 / math.pi, abs=1e-12)
 
+    def test_bsc_monte_carlo_columns(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "bsc_sweep"}))
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out in outs:
+            assert main(["run", "--config", str(cfg), "--mc-samples", "20000",
+                         "--seed", "3", "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        header, *rows = _read_csv(outs[0])
+        assert header == ["epsilon", "sigma0", "sigma1", "d_std", "d_hard", "d_opt",
+                          "d_std_mc", "d_hard_mc", "d_opt_mc", "mc_stderr"]
+        assert len(rows) == 18
+        for row in rows:
+            rec = {name: float(value) for name, value in zip(header, row)}
+            se = rec["mc_stderr"]
+            assert se > 0.0
+            for name in ("d_std", "d_hard", "d_opt"):
+                assert abs(rec[f"{name}_mc"] - rec[name]) < 5 * se, (name, row)
+
     def test_rician_csi_values(self, tmp_path):
         out = tmp_path / "csi.csv"
         cfg = _write_cfg(tmp_path, experiment="rician_csi",
@@ -393,11 +554,15 @@ class TestReportCommand:
         assert capsys.readouterr().err.startswith("config error: law spec:")
 
     def test_bits_out_of_range(self, capsys):
-        rc = main(["report",
-                   "--design", '{"kind": "gaussian", "mean": 0.0, "std": 1.0}',
-                   "--true", '{"kind": "gaussian", "mean": 0.0, "std": 1.0}',
-                   "--bits", "17"])
-        assert rc == 2
+        for bits in ("17", "0"):
+            rc = main(["report",
+                       "--design", '{"kind": "gaussian", "mean": 0.0, "std": 1.0}',
+                       "--true", '{"kind": "gaussian", "mean": 0.0, "std": 1.0}',
+                       "--bits", bits])
+            assert rc == 2
+            # the rule of the config key bits
+            assert capsys.readouterr().err == (
+                f"config error: bits must be in [1, 16], got {bits}\n")
 
     def test_mc_needs_seed(self, capsys):
         rc = main(["report",

@@ -407,6 +407,29 @@ class TestInverseMills:
             assert left > 0 and right > 0
 
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            inverse_mills(alpha)
+
+
+class TestParameterChecks:
+    @pytest.mark.parametrize("make, match", [
+        (lambda: Gaussian(math.nan, 1.0), "Gaussian parameters must be finite"),
+        (lambda: Gaussian(0.0, math.inf), "Gaussian parameters must be finite"),
+        (lambda: Laplace(math.inf, 1.0), "Laplace parameters must be finite"),
+        (lambda: Laplace(0.0, math.nan), "Laplace parameters must be finite"),
+        (lambda: GaussianMixture(()), "at least one component"),
+        (lambda: GaussianMixture(((0.0, 0.0, 1.0), (1.0, 1.0, 1.0))), "weight must be positive"),
+        (lambda: GaussianMixture(((1.0, 0.0, -1.0),)), "std must be positive"),
+        (lambda: GaussianMixture(((1.0, math.inf, 1.0),)), "parameters must be finite"),
+        (lambda: GaussianMixture(((0.5, 0.0, 1.0), (0.6, 1.0, 1.0))), "weights must sum to 1"),
+    ])
+    def test_bad_parameters_rejected(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
+
 class TestSampling:
     def test_deterministic_streams(self):
         d = Gaussian(1.0, 2.0)
@@ -459,6 +482,17 @@ class TestConfigRoundTrip:
         for kind in ("cauchy", "rician"):
             with pytest.raises(ValueError):
                 from_config({"kind": kind, "k_factor": 3.0})
+
+    @pytest.mark.parametrize("record", [[1], "gaussian", None])
+    def test_a_record_must_be_a_mapping(self, record):
+        with pytest.raises(ValueError, match="must be a mapping"):
+            from_config(record)
+
+    @pytest.mark.parametrize("record", [{"kind": "mixture"},
+                                        {"kind": "mixture", "components": []}])
+    def test_a_mixture_needs_components(self, record):
+        with pytest.raises(ValueError, match="non-empty 'components' list"):
+            from_config(record)
 
     def test_readme_law_examples_parse(self):
         """Every ``{"kind": ...}`` record in the README builds a law."""

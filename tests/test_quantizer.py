@@ -624,6 +624,22 @@ class TestStandardMemberDesign:
         with pytest.raises(DegenerateDesign):
             lloyd_max_design(Gaussian(1e6, 1e-12), 8)
 
+    def test_coincident_start_is_degenerate(self):
+        # Two components 1e-10 wide at 1e6: the quantile start rounds many
+        # codewords to the same double.
+        d = GaussianMixture(((0.5, 1e6, 1e-10), (0.5, 1e6 + 1.0, 1e-10)))
+        with pytest.raises(DegenerateDesign, match="quantile initialization produced coincident"):
+            lloyd_max_design(d, 8)
+
+    def test_a_bin_without_design_mass_is_degenerate(self):
+        # Components 1e5 apart: the cube-root start's trapezoid grid, about
+        # 390 units a step at 2 bits, puts the two middle codewords in the
+        # gap, so the first Lloyd state has two bins below ZERO_MASS_TOL.
+        d = GaussianMixture(((0.5, -5e4, 1.0), (0.5, 5e4, 1.0)))
+        with pytest.raises(DegenerateDesign, match=r"bins \[1, 2\] lost all design mass"):
+            lloyd_max_design(d, 2, init="cube_root")
+        assert lloyd_max_design(d, 2).converged
+
 
 class TestMomentTableMemo:
     """Partition-level moment tables come from one bounded memo keyed by
