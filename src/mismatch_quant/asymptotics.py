@@ -283,39 +283,41 @@ def mismatch_penalty_factor(design_d: Distribution, true_d: Distribution) -> flo
     """
     brk = _breakpoints(design_d, true_d)
     center = 0.5 * (brk[0] + brk[-1])
-    span = max(design_d.std, true_d.std, (brk[-1] - brk[0]) / 2.0, 1.0)
+    span = max(design_d.std, true_d.std, (brk[-1] - brk[0]) / 2.0)
+    log_span = math.log(span)
 
-    # The ratio f_t / f_d^{2/3} must be formed in log space: both densities
-    # underflow far out in the tails while their log-combination is a
-    # perfectly ordinary number there.
-    def log_integrand(x):
-        lfd = design_d.log_pdf(x)
-        lft = true_d.log_pdf(x)
+    # Integrated in u = (x - center) / span, so probes, panels and tolerance
+    # are the same at every scale.  The ratio f_t / f_d^{2/3} must be formed
+    # in log space: both densities underflow far out in the tails while their
+    # log-combination is a perfectly ordinary number there.
+    def log_integrand(u):
+        x = center + span * u
+        lfd = design_d.log_pdf(x) + log_span
+        lft = true_d.log_pdf(x) + log_span
         vanish = lfd == -np.inf
         bad = vanish & (lft > -np.inf)
         if bad.any():
             raise DivergentIntegral(f"design density vanishes at x={x[bad][0]}")
         return np.where(vanish, -np.inf, lft - (2.0 / 3.0) * np.where(vanish, 0.0, lfd))
 
-    def integrand(x):
-        return np.exp(np.minimum(log_integrand(x), 700.0))
+    def integrand(u):
+        return np.exp(np.minimum(log_integrand(u), 700.0))
 
     # A divergent integrand over an infinite range can fool the adaptive
     # rule into a finite answer; probe the far tails for growth first.
-    probes = center + np.array([[-12.0, -18.0, -24.0], [12.0, 18.0, 24.0]]) * span
+    probes = np.array([[-12.0, -18.0, -24.0], [12.0, 18.0, 24.0]])
     for vals in log_integrand(probes):
         if vals[2] == -np.inf:
             continue
         if vals[1] >= vals[0] or vals[2] >= vals[1]:
             raise DivergentIntegral(
                 "true-law tail is too heavy for the design point density "
-                f"(integrand not decaying near x={probes.ravel().tolist()})"
+                f"(integrand not decaying near x={(center + span * probes).ravel().tolist()})"
             )
-    c_design = _cube_root_mass(design_d)
-    numerator = c_design * c_design * _quad(
-        integrand, -np.inf, np.inf, breakpoints=brk
-    )
-    return numerator / _cube_root_mass(true_d) ** 3
+    unit = span ** (2.0 / 3.0)  # int f^{1/3} dx / unit is the same integral in u
+    c_design = _cube_root_mass(design_d) / unit
+    ratio = _quad(integrand, -np.inf, np.inf, breakpoints=[(b - center) / span for b in brk])
+    return c_design * c_design * ratio / (_cube_root_mass(true_d) / unit) ** 3
 
 
 def fit_decay_slope(bits_seq, values, n_points: int = 4) -> float:

@@ -486,11 +486,14 @@ class GaussianMixture(Distribution):
             pdf = _INV_SQRT_2PI * np.sum(w / s * np.exp(-0.5 * z * z), axis=0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 g = np.log(cdf) - log_p[todo]
-                trial = yt - g * cdf / pdf
+                gc = g * cdf
             below = g < 0.0
             lo[todo] = lo_t = np.where(below, yt, lo_t)
             hi[todo] = hi_t = np.where(below, hi_t, yt)
-            # NaN steps (an underflowed density) fail both tests and bisect.
+            # A step longer than twice the bracket (which could overflow), or
+            # NaN from an underflowed density, is not formed: -inf bisects.
+            fits = (np.abs(gc) <= 2.0 * (hi_t - lo_t) * pdf) & (pdf > 0.0)
+            trial = yt - np.divide(gc, pdf, out=np.full_like(yt, np.inf), where=fits)
             inside = (trial >= lo_t) & (trial <= hi_t)
             y[todo] = new = np.where(inside, trial, 0.5 * (lo_t + hi_t))
             todo = todo[np.abs(new - yt) > np.maximum(1e-14 * np.abs(new), tol)]

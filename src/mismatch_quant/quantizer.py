@@ -7,9 +7,12 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import special
 from scipy.linalg import lapack
 
-from .distributions import ZERO_MASS_TOL, Distribution, Gaussian, Laplace, _table_distortion
+from .distributions import (
+    ZERO_MASS_TOL, Distribution, Gaussian, Laplace, _std_normal_pdf, _table_distortion,
+)
 from .errors import DegenerateDesign
 
 __all__ = [
@@ -223,23 +226,81 @@ def _cube_root_quantiles(d: Distribution, q: np.ndarray) -> np.ndarray:
     return np.interp(q, cdf, grid)
 
 
-def _design_state(d: Distribution, t: np.ndarray, lower: float = -np.inf):
+def _design_state(d: Distribution, t: np.ndarray):
+    """``_table_state`` of ``d``'s moment table on the bins that ``t`` cuts."""
+    return _table_state(d.edge_stats(np.concatenate(([-np.inf], t, [np.inf]))), t)
+
+
+def _table_state(table, t: np.ndarray):
     """Bin masses, centroids, design distortion, midpoint residual and second
-    moments ``m2`` of the bins ``[lower, t..., inf)`` that thresholds ``t``
-    cut, from one kernel call."""
-    mass, m1, m2 = table = d.edge_stats(np.concatenate(([lower], t, [np.inf])))
+    moments ``m2`` of the bins that thresholds ``t`` cut, from their moment
+    table ``(mass, m1, m2)``."""
+    mass, m1, m2 = table
     with np.errstate(invalid="ignore", divide="ignore"):
         c = m1 / mass
     distortion = _table_distortion(table, c, c * c)
     return mass, c, distortion, t - 0.5 * (c[:-1] + c[1:]), m2
 
 
-def _damped_newton_step(d: Distribution, t, mass, c, r, damping: float):
+# B_2k / (2k)!, k = 1..10: 1/x - 1/expm1(x) = 1/2 - sum_k B_2k x^(2k-1) / (2k)!,
+# within 1e-16 relative below x = 1, where the closed form is within 7e-16.
+_BERNOULLI = tuple(b / math.factorial(2 * k) for k, b in enumerate(
+    (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+     43867 / 798, -174611 / 330), start=1))
+
+
+def _half_line_state(d: Distribution, t: np.ndarray):
+    """The design state of ``Gaussian()`` or ``Laplace()`` on the bins
+    ``[0, t..., inf)``: ``_table_state``'s five values, the density at ``t``
+    (bit for bit ``d.pdf(t)``) and a function giving the full-line moment
+    table of the mirrored partition.  ``Gaussian()`` runs its general
+    kernel's order-2 recursion on the upper tails ``ndtr(-e)`` alone, bit for
+    bit that kernel's table, and mirrors that table (each negative bin's
+    ``m2`` summed as the kernel sums it).  ``Laplace()`` is exponential on
+    ``[0, inf)`` (Sullivan, IEEE Trans. IT 42(5), 1996): a bin ``[a, a + w)``
+    has mass ``e^(-a/b) (1 - e^(-x)) / 2``, ``x = w / b``, centroid ``a + g``,
+    ``g = w (1/x - 1/expm1(x))``, and variance ``b^2 (1 - (h / sinh h)^2)``,
+    ``h = x / 2``, so the residual is ``(w_i - g_i - g_(i+1)) / 2``; its
+    full-line table comes from ``edge_stats``.
+    """
+    e = np.concatenate(([0.0], t))  # the left edge of every bin
+    if type(d) is Gaussian:
+        up, phi = special.ndtr(-e), _std_normal_pdf(e)
+        ez = e * phi
+        mass, m1 = up - np.append(up[1:], 0.0), phi - np.append(phi[1:], 0.0)
+        m2 = (mass + ez) - np.append(ez[1:], 0.0)
+
+        def full():
+            neg = (mass - np.append(ez[1:], 0.0)) + ez
+            pairs = ((mass[::-1], mass), (-m1[::-1], m1), (neg[::-1], m2))
+            return [np.concatenate(pair) for pair in pairs]
+
+        return (*_table_state((mass, m1, m2), t), phi[1:], full)
+    b = d.scale
+    w = np.diff(e)
+    x = w / b
+    em = -np.expm1(-x)
+    xs = np.minimum(x, 1.0)  # the series' argument, bounded where it is not read
+    x2, acc = xs * xs, _BERNOULLI[-1]
+    for coef in _BERNOULLI[-2::-1]:
+        acc = acc * x2 + coef
+    g = np.append(np.where(x < 1.0, w * (0.5 - xs * acc), b - w * np.exp(-x) / em), b)
+    rate = np.exp(-e / b)
+    mass = 0.5 * rate * np.append(em, 1.0)
+    var = b * b * (1.0 - np.square(np.append(x * np.exp(-0.5 * x) / em, 0.0)))
+    c = e + g
+    r = 0.5 * ((w - g[:-1]) - g[1:])
+    return (mass, c, float(np.dot(mass, var)), r, mass * (var + c * c), rate[1:] / (2.0 * b),
+            lambda: d.edge_stats(np.concatenate(([-np.inf], -t[::-1], e, [np.inf]))))
+
+
+def _damped_newton_step(f: np.ndarray, t, mass, c, r, damping: float):
     """Solve ``((1 - damping) J + damping I) s = r`` for the step ``s``.
 
     ``J = I - L`` is the Jacobian of the midpoint residual ``r``, with ``L``
     the tridiagonal Jacobian of the Lloyd map ``t -> (c[:-1] + c[1:]) / 2``
-    from ``dc_i/dt = f(t) (t - c_i) / mass_i`` at each edge of bin ``i``.
+    from ``dc_i/dt = f(t) (t - c_i) / mass_i`` at each edge of bin ``i``;
+    the array ``f`` holds the density ``f(t)`` at each threshold.
     ``damping = 0`` is Newton's step and ``damping = 1`` is Lloyd's step
     ``s = r``; in between, the slow modes that Lloyd's step barely moves are
     amplified by up to ``1 / damping``.  The system goes straight to
@@ -248,7 +309,6 @@ def _damped_newton_step(d: Distribution, t, mass, c, r, damping: float):
     the division ``r / diag``, as ``solve_banded`` does it.  Returns None if
     the solve fails.
     """
-    f = np.asarray(d.pdf(t), dtype=float)
     phi = 1.0 - damping
     right = 0.5 * f * (t - c[:-1]) / mass[:-1]  # dc_i/dt_i / 2, t_i ends bin i
     left = 0.5 * f * (c[1:] - t) / mass[1:]  # dc_(i+1)/dt_i / 2, t_i starts bin i+1
@@ -303,14 +363,15 @@ def lloyd_max_design(
     log-concave laws the fixed point is unique, so symmetric for a symmetric
     law: ``Gaussian()`` and ``Laplace()`` have their centre threshold at
     exactly 0.0, and only their ``N/2 - 1`` positive thresholds are
-    iterated, on the bins ``[0, t..., inf)``, at half the kernel work per
-    step; they are then mirrored, and the mirrored partition is evaluated
-    once on the full line.  On the full line the residual's Jacobian has a
-    nearly free uniform-translation mode, along which the centre would
-    drift; without it the Jacobian is well conditioned, so these Newton
-    steps start undamped.  A rejection multiplies the damping by 4 and
-    leaves it at 0, so each rejected step is replaced by one Lloyd step and
-    the next Newton step is again undamped.  A symmetric mixture can have
+    iterated, on the bins ``[0, t..., inf)``, by the half-line kernel
+    ``_half_line_state`` (``Gaussian()`` iterates are bit for bit those of
+    ``edge_stats``); they are then mirrored, and the mirrored partition is
+    evaluated once on the full line.  On the full line the residual's
+    Jacobian has a nearly free uniform-translation mode, along which the
+    centre would drift; without it the Jacobian is well conditioned, so
+    these Newton steps start undamped.  A rejection multiplies the damping
+    by 4 and leaves it at 0, so each rejected step is replaced by one Lloyd
+    step and the next Newton step is again undamped.  A symmetric mixture can have
     asymmetric optima, so mixtures are iterated on the full line from a
     damping of 0.5.  By default the start is the ``(i + 0.5) / N`` quantiles
     of ``d``, which keeps every bin populated for the supported families.
@@ -397,8 +458,8 @@ def lloyd_max_design(
 
 def _design(d: Distribution, bits: int, max_iters: int, init: str) -> Quantizer:
     """The damped Newton Lloyd-Max iteration of ``lloyd_max_design`` on ``d``
-    itself, on the half-line for a Gaussian or Laplace law centred at 0,
-    with arguments already checked."""
+    itself, on the half-line for ``Gaussian()`` and ``Laplace()``, with
+    arguments already checked."""
     n = 1 << bits
     q = (np.arange(n) + 0.5) / n
     if init == "quantile":
@@ -412,49 +473,54 @@ def _design(d: Distribution, bits: int, max_iters: int, init: str) -> Quantizer:
     # A log-concave law has one fixed point, symmetric if the law is; a mixture's
     # need not be.  Pinned centre: smallest |eigenvalue| of the residual Jacobian
     # at 3 bits 0.118 (Laplace), 0.125 (Gaussian); full-line Laplace 2.55e-13.
-    half = type(d) in (Gaussian, Laplace) and d.mean == 0.0
+    half = d in (Gaussian(), Laplace())
     if half:
         t, lower, damping = t[n // 2 :], 0.0, 0.0
+        state = functools.partial(_half_line_state, d)
     else:
         lower, damping = -np.inf, 0.5
+        state = functools.partial(_design_state, d)
 
     def lloyd_state(t):
-        state = _design_state(d, t, lower)
-        _check_masses(state[0])
-        return state
+        s = state(t)
+        _check_masses(s[0])
+        return s
 
     eps = float(np.finfo(float).eps)
-    mass, c, distortion, r, _ = lloyd_state(t)
-    history = [distortion]
+    s = lloyd_state(t)
+    history = [s[2]]
     small_step = False
     while True:
+        mass, c, distortion, r = s[:4]
         residual = float(np.max(np.abs(r), initial=0.0))
         scale = max(1.0, float(np.max(np.abs(t), initial=0.0)))
         converged = small_step or residual <= 4.0 * eps * scale
         if converged or len(history) > max_iters:
             break
-        step = _damped_newton_step(d, t, mass, c, r, damping)
+        step = _damped_newton_step(s[5] if half else d.pdf(t), t, mass, c, r, damping)
         trial = None if step is None else t - step
         if trial is not None and np.all(np.diff(trial) > 0.0) and trial[0] > lower:
-            t_mass, t_c, t_dist, t_r, t_m2 = _design_state(d, trial, lower)
+            trial_state = state(trial)
+            t_mass, _, t_dist, t_r, t_m2 = trial_state[:5]
             slack = 8.0 * eps * float(np.sum(t_m2)) if np.max(np.abs(t_r)) < residual else 0.0
             if np.all(t_mass >= ZERO_MASS_TOL) and t_dist <= distortion + slack:
-                t, mass, c, distortion, r = trial, t_mass, t_c, t_dist, t_r
-                history.append(distortion)
+                t, s = trial, trial_state
+                history.append(t_dist)
                 damping *= 0.25
                 small_step = float(np.max(np.abs(step))) < _STEP_TOL * scale
                 continue
         damping = min(1.0, 4.0 * damping)
         t = 0.5 * (c[:-1] + c[1:])
-        mass, c, distortion, r, _ = lloyd_state(t)
-        history.append(distortion)
+        s = lloyd_state(t)
+        history.append(s[2])
 
     if half:
         # The mirrored partition is evaluated once on the full line, so the
         # codebook, residual and last distortion are those of the partition
         # returned; the earlier entries are twice the half-line distortion.
+        table = s[6]()
         t = np.concatenate((-t[::-1], [0.0], t))
-        _, c, distortion, r, _ = _design_state(d, t)
+        _, c, distortion, r, _ = _table_state(table, t)
         history = [2.0 * h for h in history[:-1]] + [distortion]
         residual = float(np.max(np.abs(r)))
 

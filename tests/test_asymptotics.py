@@ -164,6 +164,14 @@ class TestPenaltyFactor:
         for d in (Gaussian(0, 1), Gaussian(2.0, 0.5), Laplace(0.0, 1.0)):
             assert mismatch_penalty_factor(d, d) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("family", [Gaussian, Laplace])
+    @pytest.mark.parametrize("scale", [1e-160, 1e-5, 1.0, 1e5])
+    def test_matched_is_one_at_every_scale(self, family, scale):
+        # The factor is scale invariant: the probes and quadrature panels
+        # sit in units of the laws' own scale, not of x.
+        d = family(3.0 * scale, scale)
+        assert mismatch_penalty_factor(d, d) == pytest.approx(1.0, abs=1e-9)
+
     def test_gaussian_closed_form(self):
         cases = [(1.0, 1.2), (1.0, 0.5), (2.0, 1.0)]
         for s0, s1 in cases:

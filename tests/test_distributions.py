@@ -20,6 +20,7 @@ from mismatch_quant import (
     from_config,
     generative_codebook,
     inverse_mills,
+    lloyd_max_design,
 )
 from mismatch_quant.distributions import _MIXTURE_BLOCK, _blocks
 
@@ -592,6 +593,19 @@ class TestMixturePpf:
         ref = [optimize.brentq(lambda x, p=p: d.cdf(x) - p, lo, hi, xtol=1e-15)
                for p in q]
         np.testing.assert_allclose(d.ppf(q), ref, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("weight", [0.3, 0.1, 0.01])
+    def test_components_far_apart_take_steps_within_the_bracket(self, weight):
+        # Between components 10,000 standard deviations apart the density is
+        # subnormal, and an unbounded Newton step overflowed (a RuntimeWarning,
+        # an error under the suite's filter) before the bisection took over.
+        d = GaussianMixture(((weight, -5000.0, 1.0), (1.0 - weight, 5000.0, 1.0)))
+        for n in (8, 16, 32):
+            q = (np.arange(n) + 0.5) / n
+            x = d.ppf(q)
+            assert np.all(np.diff(x) > 0.0)
+            np.testing.assert_allclose(d.cdf(x), q, rtol=1e-12)
+        assert lloyd_max_design(d, 3).converged
 
     def test_limits(self):
         d = _MIXTURES[0]
