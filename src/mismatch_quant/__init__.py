@@ -23,7 +23,7 @@ from .errors import (
     ZeroEvidence,
     ZeroMassBin,
 )
-from .quantizer import Codebook, Partition, Quantizer, lloyd_max_design
+from .quantizer import Codebook, Partition, Quantizer, lloyd_max_design, lloyd_max_designs
 from .mismatch import (
     DistortionReport,
     expected_distortion,

@@ -184,6 +184,15 @@ def _breakpoints(*dists: Distribution) -> list[float]:
     return sorted(x for d in dists for x in d.centers())
 
 
+def _frame(*dists: Distribution) -> tuple[float, float]:
+    """``(center, span)`` of the laws together: the midpoint of their
+    centres, and the largest of their standard deviations and half the
+    spread of their centres.  Integrals in ``u = (x - center) / span`` have
+    the same probes, panels and tolerance at every scale of the laws."""
+    brk = _breakpoints(*dists)
+    return 0.5 * (brk[0] + brk[-1]), max(*(d.std for d in dists), (brk[-1] - brk[0]) / 2.0)
+
+
 def _cube_root_mass(d: Distribution, lo: float = -np.inf, hi: float = np.inf,
                     breakpoints=None) -> float:
     """``int_lo^hi f^{1/3}``, by default over the whole line.
@@ -194,12 +203,19 @@ def _cube_root_mass(d: Distribution, lo: float = -np.inf, hi: float = np.inf,
     Gaussian and ``6 b (2 b)^{-1/3}`` for a Laplace law, and the integral
     is ``K`` times the ``g``-mass of ``[lo, hi)``.  Mixtures have no
     cube-root law and are integrated numerically, split at
-    ``breakpoints`` (by default the centres of ``d``).
+    ``breakpoints`` (by default the centres of ``d``), in ``u = (x -
+    center) / span`` of ``d``'s own ``_frame``: ``span^{2/3}`` times the
+    integral of the cube root of ``u``'s density ``span f(center + span u)``,
+    which is the same at every scale of ``d``.
     """
     g = d.cube_root_law()
     if g is None:
+        center, span = _frame(d)
         brk = _breakpoints(d) if breakpoints is None else breakpoints
-        return _quad(lambda x: np.cbrt(d.pdf(x)), lo, hi, breakpoints=brk)
+        mass = _quad(lambda u: np.cbrt(span * d.pdf(center + span * u)),
+                     (lo - center) / span, (hi - center) / span,
+                     breakpoints=[(b - center) / span for b in brk])
+        return span ** (2.0 / 3.0) * mass
     m = d.mean
     (mass,) = g.edge_stats(np.array([lo, hi]), order=0)
     return math.exp(d.log_pdf(m) / 3.0 - g.log_pdf(m)) * float(mass[0])
@@ -282,8 +298,7 @@ def mismatch_penalty_factor(design_d: Distribution, true_d: Distribution) -> flo
     the only mixture caller of ``GaussianMixture.log_pdf``.
     """
     brk = _breakpoints(design_d, true_d)
-    center = 0.5 * (brk[0] + brk[-1])
-    span = max(design_d.std, true_d.std, (brk[-1] - brk[0]) / 2.0)
+    center, span = _frame(design_d, true_d)
     log_span = math.log(span)
 
     # Integrated in u = (x - center) / span, so probes, panels and tolerance

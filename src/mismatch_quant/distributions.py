@@ -84,16 +84,22 @@ def _shift(loc, scale, centered: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def _gaussian_edge_stats(mean, std, edges: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
+def _gaussian_edge_stats(
+    mean, std, edges: np.ndarray, order: int, density: bool = False
+) -> tuple[np.ndarray, ...]:
     """Unnormalized raw moments ``0..order`` of N(mean, std^2) per bin.
 
     ``edges`` is the increasing array of bin edges including the outer
     ``+/-inf``.  ``mean`` and ``std`` are floats, giving arrays of length
     ``len(edges) - 1``, or ``(k, 1)`` columns of ``k`` laws, giving one row
-    per law; bins run along the last axis.  Masses in the far tail are
+    per law; bins run along the last axis (edges may have rows of their own
+    that broadcast against the columns).  Masses in the far tail are
     formed from the survival function on whichever side avoids
     cancellation.  The standard-normal moments follow the recursion
-    ``I_k = (k-1) I_(k-2) + za^(k-1) phi(za) - zb^(k-1) phi(zb)``.
+    ``I_k = (k-1) I_(k-2) + za^(k-1) phi(za) - zb^(k-1) phi(zb)``.  With
+    ``density`` (order 1 or more) the standard-normal density ``phi(z)`` at
+    the inner edges follows the moments, from the same pass: divided by
+    ``std`` it is the density at those edges.
     """
     z = (edges - mean) / std
     below = special.ndtr(z)
@@ -107,14 +113,15 @@ def _gaussian_edge_stats(mean, std, edges: np.ndarray, order: int) -> tuple[np.n
     if order:
         # z^(k-1) phi(z) -> 0 as |z| -> inf; zero z there to avoid inf * 0.
         z_finite = np.where(np.isfinite(z), z, 0.0)
-        edge_term = _std_normal_pdf(z)
+        edge_term = phi = _std_normal_pdf(z)
         moments.append(edge_term[..., :-1] - edge_term[..., 1:])
         for k in range(2, order + 1):
             edge_term = z_finite * edge_term
             moments.append(
                 (k - 1) * moments[k - 2] + edge_term[..., :-1] - edge_term[..., 1:]
             )
-    return _shift(mean, std, moments)
+    shifted = _shift(mean, std, moments)
+    return (*shifted, phi[..., 1:-1]) if density else shifted
 
 
 def _blocks(k: int, size: int) -> list[tuple[int, int]]:
@@ -130,15 +137,162 @@ def _fold(total, block: np.ndarray) -> np.ndarray:
     if block.ndim == 1:
         return np.add(block, total, out=block)
     block[0] += total
-    return block.sum(axis=0) if block.shape[1] > 1 else np.cumsum(block, axis=0)[-1]
+    return block.sum(axis=0) if block[0].size > 1 else np.cumsum(block, axis=0)[-1]
+
+
+def _component_grid(mixtures) -> tuple[np.ndarray, ...]:
+    """``(K, L)`` weight, mean and std arrays of ``L`` mixtures, component
+    ``j`` of law ``i`` at ``[j, i]`` (one law: its ``_columns``).  A law with
+    fewer than ``K`` components is padded with copies of its last one at
+    weight 0, which add exactly 0 to a sum and move no minimum or maximum."""
+    if len(mixtures) == 1:
+        return mixtures[0]._columns
+    k = max(len(d.components) for d in mixtures)
+    table = np.array([d.components + d.components[-1:] * (k - len(d.components))
+                      for d in mixtures])
+    for row, d in zip(table, mixtures):
+        row[len(d.components):, 0] = 0.0
+    return tuple(np.ascontiguousarray(table[:, :, j].T) for j in range(3))
+
+
+def _component_sums(mixtures, grid, size: int, terms) -> list[np.ndarray]:
+    """``sum_j terms(w_j, m_j, s_j, laws)`` for each law of ``mixtures``, a
+    row per law, each bit for bit that law's own ``_sum_components``.
+    ``grid`` is ``_component_grid(mixtures)``, or C-ordered columns of it:
+    numpy would sum the components of an F-ordered block pairwise.
+
+    The laws go in blocks of at most ``_MIXTURE_BLOCK // size`` (one law at
+    least).  A block of one law is that law's ``_sum_components``, and
+    ``terms`` gets its columns and ``laws``, the law's index.  A block of
+    several laws walks their padded components in blocks of at most
+    ``_MIXTURE_BLOCK`` component-by-law-by-``size`` entries, and ``terms``
+    gets ``(b, l, 1)`` columns and ``laws``, a slice.  ``laws`` picks the
+    block's rows from an array with a row per law, and ``terms`` returns
+    arrays with a row per component (and per law)."""
+    w, m, s = grid
+    chunks = []
+    for l0, l1 in _blocks(len(mixtures), size):
+        if l1 - l0 == 1:
+            totals = mixtures[l0]._sum_components(size, lambda *cols: terms(*cols, l0))
+        else:
+            laws = slice(l0, l1)
+            totals = itertools.repeat(0.0)
+            for lo, hi in _blocks(len(w), (l1 - l0) * size):
+                cols = (w[lo:hi, laws, None], m[lo:hi, laws, None], s[lo:hi, laws, None])
+                totals = [_fold(total, part) for total, part in zip(totals, terms(*cols, laws))]
+        chunks.append([total.reshape(l1 - l0, -1) for total in totals])
+    return chunks[0] if len(chunks) == 1 else [np.concatenate(rows) for rows in zip(*chunks)]
+
+
+def _mixture_design_stats(mixtures, grid, edges: np.ndarray) -> list[np.ndarray]:
+    """``edge_stats(edges[i])`` (order 2) of each law ``i`` of ``mixtures``,
+    then its density at the inner edges ``edges[i, 1:-1]``: four arrays with
+    a row per law, each bit for bit that law's ``edge_stats`` and ``pdf``,
+    from one walk over the components of every law (``_component_sums``)."""
+
+    def terms(w, m, s, laws):
+        *moments, phi = _gaussian_edge_stats(m, s, edges[laws], 2, density=True)
+        return [w * part for part in moments] + [w * phi / s]
+
+    return _component_sums(mixtures, grid, edges.shape[-1], terms)
+
+
+def _mixture_quantiles(mixtures, q: np.ndarray) -> np.ndarray:
+    """``GaussianMixture.ppf`` of each law of ``mixtures`` at the flat array
+    ``q``, a row per law, bit for bit: one bracketed Newton iteration over
+    the (law, quantile) pairs of a block of laws at once.  The laws run in
+    order of component count, in blocks of at most ``_MIXTURE_BLOCK``
+    component-by-pair entries (one law at least), so memory stays bounded.
+    """
+    order = sorted(range(len(mixtures)), key=lambda i: len(mixtures[i].components))
+    laws = [mixtures[i] for i in order]
+    size = len(laws[-1].components) * q.size
+    blocks = [_quantile_block(laws[lo:hi], q) for lo, hi in _blocks(len(laws), size)]
+    out = np.empty((len(laws), q.size))
+    out[order] = np.concatenate(blocks)
+    return out
+
+
+def _quantile_block(laws, q: np.ndarray) -> np.ndarray:
+    """``_mixture_quantiles`` of ``laws``, in order of component count.
+
+    The pairs are the columns of ``(K, pairs)`` component arrays; a single
+    law keeps its ``(k, 1)`` weight and std columns, which broadcast.  The
+    columns of the pairs still iterating are gathered F-ordered, so a sum
+    over the components is taken as numpy takes one law's own block: in
+    order below 8 components and pairwise from 8.  The laws below 8
+    components therefore sum together (padding adds 0), and each count from
+    8 up sums its own contiguous columns.
+    """
+    n_q = q.size
+    runs = {}  # summing alike: first pair, components summed
+    for i, d in enumerate(laws):
+        k = len(d.components)
+        runs.setdefault(k if k >= 8 else 0, [i * n_q, k])[1] = k
+    starts = np.array([first for first, _ in runs.values()])
+    widths = [k for _, k in runs.values()]
+
+    def component_sum(terms, todo):
+        if len(widths) == 1:
+            return terms[: widths[0]].sum(axis=0)
+        cuts = [*np.searchsorted(todo, starts).tolist(), len(todo)]
+        out = np.empty(len(todo))
+        for lo, hi, k in zip(cuts, cuts[1:], widths):
+            out[lo:hi] = terms[:k, lo:hi].sum(axis=0)
+        return out
+
+    w, m, s = _component_grid(laws)  # (K, L): a column per law
+    sign = np.where(q > 0.5, -1.0, 1.0)
+    p = np.where(q > 0.5, 1.0 - q, q)
+    if len(laws) > 1:
+        pair_law = np.repeat(np.arange(len(laws)), n_q)
+        w, m, s = w[:, pair_law], m[:, pair_law], s[:, pair_law]
+        sign, p = np.tile(sign, len(laws)), np.tile(p, len(laws))
+    ws = w / s
+    m = m * sign  # component means of the mirrored mixture where sign < 0
+    ends = m + s * special.ndtri(p)
+    lo, hi = ends.min(axis=0), ends.max(axis=0)
+    del ends
+    y = lo.copy()
+    with np.errstate(divide="ignore"):
+        log_p = np.log(p)
+    tol = np.broadcast_to(1e-14 * s.min(axis=0), p.shape)
+    todo = np.flatnonzero(lo < hi)
+    for _ in range(_PPF_MAX_ITERS):
+        if not todo.size:
+            break
+        w_t, s_t, ws_t = (a if a.shape[1] == 1 else a[:, todo] for a in (w, s, ws))
+        yt, lo_t, hi_t = y[todo], lo[todo], hi[todo]
+        z = (yt - m[:, todo]) / s_t
+        cdf = component_sum(w_t * special.ndtr(z), todo)
+        pdf = _INV_SQRT_2PI * component_sum(ws_t * np.exp(-0.5 * z * z), todo)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = np.log(cdf) - log_p[todo]
+            gc = g * cdf
+        below = g < 0.0
+        lo[todo] = lo_t = np.where(below, yt, lo_t)
+        hi[todo] = hi_t = np.where(below, hi_t, yt)
+        # A step longer than twice the bracket (which could overflow), or
+        # NaN from an underflowed density, is not formed: -inf bisects.
+        fits = (np.abs(gc) <= 2.0 * (hi_t - lo_t) * pdf) & (pdf > 0.0)
+        trial = yt - np.divide(gc, pdf, out=np.full_like(yt, np.inf), where=fits)
+        inside = (trial >= lo_t) & (trial <= hi_t)
+        y[todo] = new = np.where(inside, trial, 0.5 * (lo_t + hi_t))
+        todo = todo[np.abs(new - yt) > np.maximum(1e-14 * np.abs(new), tol[todo])]
+    return (sign * y).reshape(len(laws), n_q)
 
 
 def _table_distortion(table, first, second) -> float:
     """``sum_i E[(X - a_i)^2 1_bin_i]`` from a moment table ``(mass, m1, m2)``,
     as ``sum m2 - 2 first.m1 + second.mass``: ``(a, a * a)`` for a codebook
-    ``a``, the per-bin means of ``a_J`` and ``a_J^2`` for a random index ``J``."""
+    ``a``, the per-bin means of ``a_J`` and ``a_J^2`` for a random index ``J``.
+    Arrays with a row per law (bins along the last axis) give a list with a
+    value per row, each bit for bit that row's own."""
     mass, m1, m2 = table
-    return float(np.sum(m2) - 2.0 * np.dot(first, m1) + np.dot(second, mass))
+    if mass.ndim == 1:
+        return float(np.sum(m2) - 2.0 * np.dot(first, m1) + np.dot(second, mass))
+    return [float(total - 2.0 * np.dot(first[i], m1[i]) + np.dot(second[i], mass[i]))
+            for i, total in enumerate(m2.sum(axis=1).tolist())]
 
 
 def _conditional_means(table, law: Distribution, fallback) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -465,39 +619,7 @@ class GaussianMixture(Distribution):
         function ``1 - F``, so upper-tail quantiles keep full accuracy.
         """
         q = np.asarray(q, dtype=float)
-        flat = q.ravel()
-        sign = np.where(flat > 0.5, -1.0, 1.0)
-        p = np.where(flat > 0.5, 1.0 - flat, flat)
-        w, m, s = self._columns
-        m = m * sign  # component means of the mirrored mixture where sign < 0
-        ends = m + s * special.ndtri(p)
-        lo, hi = ends.min(axis=0), ends.max(axis=0)
-        y = lo.copy()
-        with np.errstate(divide="ignore"):
-            log_p = np.log(p)
-        tol = 1e-14 * s.min()
-        todo = np.flatnonzero(lo < hi)
-        for _ in range(_PPF_MAX_ITERS):
-            if not todo.size:
-                break
-            yt, lo_t, hi_t = y[todo], lo[todo], hi[todo]
-            z = (yt - m[:, todo]) / s
-            cdf = np.sum(w * special.ndtr(z), axis=0)
-            pdf = _INV_SQRT_2PI * np.sum(w / s * np.exp(-0.5 * z * z), axis=0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                g = np.log(cdf) - log_p[todo]
-                gc = g * cdf
-            below = g < 0.0
-            lo[todo] = lo_t = np.where(below, yt, lo_t)
-            hi[todo] = hi_t = np.where(below, hi_t, yt)
-            # A step longer than twice the bracket (which could overflow), or
-            # NaN from an underflowed density, is not formed: -inf bisects.
-            fits = (np.abs(gc) <= 2.0 * (hi_t - lo_t) * pdf) & (pdf > 0.0)
-            trial = yt - np.divide(gc, pdf, out=np.full_like(yt, np.inf), where=fits)
-            inside = (trial >= lo_t) & (trial <= hi_t)
-            y[todo] = new = np.where(inside, trial, 0.5 * (lo_t + hi_t))
-            todo = todo[np.abs(new - yt) > np.maximum(1e-14 * np.abs(new), tol)]
-        out = (sign * y).reshape(q.shape)
+        out = _mixture_quantiles((self,), q.ravel())[0].reshape(q.shape)
         return out if out.ndim else float(out)
 
     def edge_stats(self, edges, order=2):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import typing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -11,7 +12,8 @@ from scipy import special
 from scipy.linalg import lapack
 
 from .distributions import (
-    ZERO_MASS_TOL, Distribution, Gaussian, Laplace, _std_normal_pdf, _table_distortion,
+    ZERO_MASS_TOL, Distribution, Gaussian, GaussianMixture, Laplace, _component_grid,
+    _mixture_design_stats, _mixture_quantiles, _std_normal_pdf, _table_distortion,
 )
 from .errors import DegenerateDesign
 
@@ -20,6 +22,7 @@ __all__ = [
     "Codebook",
     "Quantizer",
     "lloyd_max_design",
+    "lloyd_max_designs",
 ]
 
 _STEP_TOL = 1e-10  # a smaller accepted Newton step (relative to max(1, max|t|)) converges
@@ -234,12 +237,14 @@ def _design_state(d: Distribution, t: np.ndarray):
 def _table_state(table, t: np.ndarray):
     """Bin masses, centroids, design distortion, midpoint residual and second
     moments ``m2`` of the bins that thresholds ``t`` cut, from their moment
-    table ``(mass, m1, m2)``."""
+    table ``(mass, m1, m2)``.  A table and thresholds with a row per law
+    (bins along the last axis) give a row per law, and a list of
+    distortions."""
     mass, m1, m2 = table
     with np.errstate(invalid="ignore", divide="ignore"):
         c = m1 / mass
     distortion = _table_distortion(table, c, c * c)
-    return mass, c, distortion, t - 0.5 * (c[:-1] + c[1:]), m2
+    return mass, c, distortion, t - 0.5 * (c[..., :-1] + c[..., 1:]), m2
 
 
 # B_2k / (2k)!, k = 1..10: 1/x - 1/expm1(x) = 1/2 - sum_k B_2k x^(2k-1) / (2k)!,
@@ -383,11 +388,14 @@ def lloyd_max_design(
     so a Gaussian or Laplace law is designed once, at the zero-mean,
     unit-variance member of its family (``Gaussian()`` or ``Laplace()``),
     and its thresholds are mapped to ``t = loc + scale * t0``.  A mixture
-    is its own standard member.  The standard designs are kept in a
-    bounded per-process memo keyed by the law, the bit depth and the two
-    settings below, so every law of a family shares one design per bit
-    depth, and a repeated mixture is designed once.  The standard members
-    themselves come out of the memo as designed.
+    is its own standard member.  The standard designs are kept in one
+    bounded per-process memo of 64 designs, keyed by the law, the bit depth
+    and the two settings below, which this function and
+    ``lloyd_max_designs`` both read and fill: every law of a family shares
+    one design per bit depth, and a mixture designed once, alone or in a
+    batch, is served from the memo after that.  The standard members
+    themselves come out of the memo as designed.  This is the one-law call
+    of ``lloyd_max_designs``, with the same iteration.
 
     Parameters
     ----------
@@ -430,16 +438,66 @@ def lloyd_max_design(
         If some bin loses all design mass during iteration, or the mapped
         thresholds of a very narrow law coincide in floating point.
     """
+    return _lloyd_max_designs((d,), bits, max_iters, init)[0]
+
+
+def lloyd_max_designs(laws, bits: int) -> tuple[Quantizer, ...]:
+    """``tuple(lloyd_max_design(d, bits) for d in laws)``, bit for bit, with
+    the designs that are not in the memo run together.
+
+    The mixtures among them take their damped Newton rounds together: each
+    round evaluates the trial thresholds of every mixture in one walk of the
+    Gaussian moment kernel over the components of all of them, which also
+    gives the density at the thresholds, and a second walk evaluates the
+    Lloyd steps of those whose Newton step was rejected.  Their quantile
+    starts are solved in one bracketed Newton iteration.  Only the
+    tridiagonal solve and the distortion's dot products stay per law, so
+    the fixed cost of the small numpy calls of a round is paid once for
+    all the laws of a bit depth.  Every design fills the shared memo of
+    ``lloyd_max_design``.  A failing law raises what ``lloyd_max_design``
+    would, and the first failing law in ``laws`` is the one that raises.
+    """
+    return _lloyd_max_designs(tuple(laws), bits, 500, "quantile")
+
+
+# The memo of standard designs (a family's standard member, or a mixture),
+# least recently used first.  A 16-bit design holds two arrays of 65,536
+# floats and its distortion history, about 1.1 MB by tracemalloc, so the
+# memo is bounded.
+_STANDARD_DESIGNS: dict = {}
+_MEMO_SIZE = 64
+
+
+def _lloyd_max_designs(laws: tuple, bits: int, max_iters: int, init: str) -> tuple:
     if not isinstance(bits, int) or not 1 <= bits <= 16:
         raise ValueError(f"bits must be an integer in [1, 16], got {bits!r}")
     if init not in ("quantile", "cube_root"):
         raise ValueError(f"unsupported init scheme: {init!r}")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    standard, loc, scale = _standard_member(d)
-    q = _standard_design(standard, bits, max_iters, init)
-    if d == standard:
-        return replace(q, design_law=d)
+    members = [_standard_member(d) for d in laws]
+    keys = [(standard, bits, max_iters, init) for standard, _, _ in members]
+    found = {key: _STANDARD_DESIGNS.pop(key, None) for key in keys}
+    todo = [key for key, q in found.items() if q is None]
+    if todo:
+        found.update(zip(todo, _designs([key[0] for key in todo], bits, max_iters, init)))
+    for key, q in found.items():
+        if isinstance(q, Quantizer):
+            _STANDARD_DESIGNS[key] = q  # as the most recently used
+    while len(_STANDARD_DESIGNS) > _MEMO_SIZE:
+        del _STANDARD_DESIGNS[next(iter(_STANDARD_DESIGNS))]
+    out = []
+    for d, key, (standard, loc, scale) in zip(laws, keys, members):
+        q = found[key]
+        if not isinstance(q, Quantizer):
+            raise q
+        out.append(replace(q, design_law=d) if d == standard else _mapped(q, d, loc, scale))
+    return tuple(out)
+
+
+def _mapped(q: Quantizer, d: Distribution, loc: float, scale: float) -> Quantizer:
+    """The design of ``d``, the law of ``loc + scale * X``, from the design
+    ``q`` of ``X``'s law."""
     t = loc + scale * q.partition.as_array()
     if np.any(np.diff(t) <= 0.0):
         raise DegenerateDesign(f"the thresholds of {d!r} coincide in floating point")
@@ -456,89 +514,187 @@ def lloyd_max_design(
     )
 
 
-def _design(d: Distribution, bits: int, max_iters: int, init: str) -> Quantizer:
-    """The damped Newton Lloyd-Max iteration of ``lloyd_max_design`` on ``d``
-    itself, on the half-line for ``Gaussian()`` and ``Laplace()``, with
-    arguments already checked."""
+class _State(typing.NamedTuple):
+    """A design state: ``_table_state``'s masses, centroids, distortion and
+    residual, the density ``f`` at the thresholds, the sum of the second
+    moments, ``max|r|``, ``max(1, max|t|)``, whether a bin
+    lies below ``ZERO_MASS_TOL``, and the full-line table of a half-line
+    state (else None)."""
+
+    mass: np.ndarray
+    c: np.ndarray
+    distortion: float
+    r: np.ndarray
+    f: np.ndarray
+    m2_sum: float
+    residual: float
+    scale: float
+    empty_bin: bool
+    full: typing.Callable | None
+
+
+class _Run:
+    """One law's iteration in ``_designs``: thresholds ``t`` and their state
+    ``s``, damping and distortion history.  ``column`` is a mixture's column
+    of the component grid (None for other laws)."""
+
+    __slots__ = ("index", "d", "column", "half", "lower", "damping", "t", "s", "history",
+                 "small_step")
+
+    def __init__(self, index: int, d: Distribution, column, codebook: np.ndarray):
+        self.index, self.d, self.column = index, d, column
+        self.t = 0.5 * (codebook[:-1] + codebook[1:])
+        # A log-concave law has one fixed point, symmetric if the law is; a
+        # mixture's need not be.  Pinned centre: smallest |eigenvalue| of the
+        # residual Jacobian at 3 bits 0.118 (Laplace), 0.125 (Gaussian);
+        # full-line Laplace 2.55e-13.
+        self.half = d in (Gaussian(), Laplace())
+        if self.half:
+            self.t, self.lower, self.damping = self.t[len(codebook) // 2 :], 0.0, 0.0
+        else:
+            self.lower, self.damping = -np.inf, 0.5
+        self.history, self.small_step = [], False
+
+
+def _single_state(run: _Run, t: np.ndarray) -> _State:
+    """The ``_State`` of one law that is not a mixture."""
+    if run.half:
+        mass, c, distortion, r, m2, f, full = _half_line_state(run.d, t)
+    else:
+        (mass, c, distortion, r, m2), f, full = _design_state(run.d, t), run.d.pdf(t), None
+    return _State(mass, c, distortion, r, f, float(m2.sum()), float(abs(r).max(initial=0.0)),
+                  max(1.0, float(abs(t).max(initial=0.0))), bool((mass < ZERO_MASS_TOL).any()),
+                  full)
+
+
+def _states(runs: list, ts: list, grid) -> list:
+    """The ``_State`` of each run at its thresholds in ``ts``.  The mixtures
+    take one walk of the moment kernel (``_mixture_design_stats``) over the
+    columns of ``grid`` that they own; each row is bit for bit that law's
+    ``_design_state`` and ``pdf``."""
+    out = [None if run.column is not None else _single_state(run, t) for run, t in zip(runs, ts)]
+    mix = [i for i, run in enumerate(runs) if run.column is not None]
+    if not mix:
+        return out
+    edges = np.empty((len(mix), len(ts[mix[0]]) + 2))
+    edges[:, 0], edges[:, -1] = -np.inf, np.inf
+    edges[:, 1:-1] = [ts[i] for i in mix]
+    t = edges[:, 1:-1]
+    cols = [runs[i].column for i in mix]
+    if cols != list(range(grid[0].shape[1])):
+        # C-ordered: numpy would sum an F-ordered block of components pairwise.
+        grid = tuple(np.ascontiguousarray(g[:, cols]) for g in grid)
+    *table, f = _mixture_design_stats([runs[i].d for i in mix], grid, edges)
+    mass, c, distortion, r, m2 = _table_state(table, t)
+    m2_sum = m2.sum(axis=1).tolist()
+    residual = abs(r).max(axis=1, initial=0.0).tolist()
+    scale = abs(t).max(axis=1, initial=0.0).tolist()
+    empty = (mass < ZERO_MASS_TOL).any(axis=1).tolist()
+    for j, i in enumerate(mix):
+        out[i] = _State(mass[j], c[j], distortion[j], r[j], f[j], m2_sum[j],
+                        residual[j], max(1.0, scale[j]), empty[j], None)
+    return out
+
+
+def _designs(laws: list, bits: int, max_iters: int, init: str) -> list:
+    """The damped Newton Lloyd-Max iteration of ``lloyd_max_design`` on each
+    of ``laws`` itself (on the half-line for ``Gaussian()`` and
+    ``Laplace()``), with arguments already checked, and no memo: a
+    ``Quantizer`` per law, or the ``DegenerateDesign`` that ended its design.
+    The laws go round by round together, and the states of the mixtures
+    among them are evaluated together (``_states``)."""
     n = 1 << bits
     q = (np.arange(n) + 0.5) / n
+    mixtures = [i for i, d in enumerate(laws) if type(d) is GaussianMixture]
+    grid = _component_grid([laws[i] for i in mixtures]) if mixtures else None
     if init == "quantile":
-        codebook = np.asarray(d.ppf(q), dtype=float)
+        starts = [None if type(d) is GaussianMixture else np.asarray(d.ppf(q), dtype=float)
+                  for d in laws]
+        if mixtures:
+            for i, row in zip(mixtures, _mixture_quantiles([laws[i] for i in mixtures], q)):
+                starts[i] = row
     else:
-        codebook = _cube_root_quantiles(d, q)
-    if np.any(np.diff(codebook) <= 0.0):
-        raise DegenerateDesign(f"{init} initialization produced coincident codewords")
+        starts = [_cube_root_quantiles(d, q) for d in laws]
 
-    t = 0.5 * (codebook[:-1] + codebook[1:])
-    # A log-concave law has one fixed point, symmetric if the law is; a mixture's
-    # need not be.  Pinned centre: smallest |eigenvalue| of the residual Jacobian
-    # at 3 bits 0.118 (Laplace), 0.125 (Gaussian); full-line Laplace 2.55e-13.
-    half = d in (Gaussian(), Laplace())
-    if half:
-        t, lower, damping = t[n // 2 :], 0.0, 0.0
-        state = functools.partial(_half_line_state, d)
-    else:
-        lower, damping = -np.inf, 0.5
-        state = functools.partial(_design_state, d)
+    results = [None] * len(laws)
+    columns = {i: j for j, i in enumerate(mixtures)}
+    runs = []
+    for i, (d, codebook) in enumerate(zip(laws, starts)):
+        if np.any(np.diff(codebook) <= 0.0):
+            results[i] = DegenerateDesign(f"{init} initialization produced coincident codewords")
+        else:
+            runs.append(_Run(i, d, columns.get(i), codebook))
 
-    def lloyd_state(t):
-        s = state(t)
-        _check_masses(s[0])
-        return s
+    def lloyd(runs):
+        """Each run's Lloyd state at its thresholds, or its failure."""
+        for run, s in zip(runs, _states(runs, [run.t for run in runs], grid)):
+            if s.empty_bin:
+                try:
+                    _check_masses(s.mass)
+                except DegenerateDesign as exc:
+                    results[run.index] = exc
+            else:
+                run.s = s
+                run.history.append(s.distortion)
 
+    lloyd(runs)
     eps = float(np.finfo(float).eps)
-    s = lloyd_state(t)
-    history = [s[2]]
-    small_step = False
-    while True:
-        mass, c, distortion, r = s[:4]
-        residual = float(np.max(np.abs(r), initial=0.0))
-        scale = max(1.0, float(np.max(np.abs(t), initial=0.0)))
-        converged = small_step or residual <= 4.0 * eps * scale
-        if converged or len(history) > max_iters:
-            break
-        step = _damped_newton_step(s[5] if half else d.pdf(t), t, mass, c, r, damping)
-        trial = None if step is None else t - step
-        if trial is not None and np.all(np.diff(trial) > 0.0) and trial[0] > lower:
-            trial_state = state(trial)
-            t_mass, _, t_dist, t_r, t_m2 = trial_state[:5]
-            slack = 8.0 * eps * float(np.sum(t_m2)) if np.max(np.abs(t_r)) < residual else 0.0
-            if np.all(t_mass >= ZERO_MASS_TOL) and t_dist <= distortion + slack:
-                t, s = trial, trial_state
-                history.append(t_dist)
-                damping *= 0.25
-                small_step = float(np.max(np.abs(step))) < _STEP_TOL * scale
+    active = [run for run in runs if results[run.index] is None]
+    while active:
+        trials, rejected = [], []
+        for run in active:
+            s = run.s
+            converged = run.small_step or s.residual <= 4.0 * eps * s.scale
+            if converged or len(run.history) > max_iters:
+                results[run.index] = _finished(run, converged)
                 continue
-        damping = min(1.0, 4.0 * damping)
-        t = 0.5 * (c[:-1] + c[1:])
-        s = lloyd_state(t)
-        history.append(s[2])
+            step = _damped_newton_step(s.f, run.t, s.mass, s.c, s.r, run.damping)
+            trial = None if step is None else run.t - step
+            if trial is not None and (np.diff(trial) > 0.0).all() and trial[0] > run.lower:
+                trials.append((run, trial, step))
+            else:
+                rejected.append(run)
+        trial_states = _states([run for run, _, _ in trials], [t for _, t, _ in trials], grid)
+        for (run, trial, step), ts in zip(trials, trial_states):
+            s = run.s
+            slack = 8.0 * eps * ts.m2_sum if ts.residual < s.residual else 0.0
+            if not ts.empty_bin and ts.distortion <= s.distortion + slack:
+                run.t, run.s = trial, ts
+                run.history.append(ts.distortion)
+                run.damping *= 0.25
+                run.small_step = float(abs(step).max()) < _STEP_TOL * s.scale
+            else:
+                rejected.append(run)
+        for run in rejected:
+            run.damping = min(1.0, 4.0 * run.damping)
+            run.t = 0.5 * (run.s.c[:-1] + run.s.c[1:])
+        lloyd(rejected)
+        active = [run for run in active if results[run.index] is None]
+    return results
 
-    if half:
+
+def _finished(run: _Run, converged: bool) -> Quantizer:
+    """The quantizer of a run that has stopped."""
+    t, s, history, residual = run.t, run.s, run.history, run.s.residual
+    c = s.c
+    if run.half:
         # The mirrored partition is evaluated once on the full line, so the
         # codebook, residual and last distortion are those of the partition
         # returned; the earlier entries are twice the half-line distortion.
-        table = s[6]()
+        table = s.full()
         t = np.concatenate((-t[::-1], [0.0], t))
         _, c, distortion, r, _ = _table_state(table, t)
         history = [2.0 * h for h in history[:-1]] + [distortion]
         residual = float(np.max(np.abs(r)))
-
     return Quantizer(
         partition=Partition(t),
         design_codebook=Codebook(c),
-        design_law=d,
+        design_law=run.d,
         distortion_history=tuple(history),
         converged=converged,
         iterations=len(history) - 1,
         residual=residual,
     )
-
-
-# The memo of standard designs (a family's standard member, or a mixture).
-# A 16-bit design holds two arrays of 65,536 floats and its distortion
-# history, about 1.1 MB by tracemalloc, so the memo is bounded.
-_standard_design = functools.lru_cache(maxsize=64)(_design)
 
 
 # The memo of ``_moment_table``.  An entry keeps its partition's array of N - 1

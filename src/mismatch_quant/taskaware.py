@@ -257,8 +257,11 @@ def classification_report(
 
     All accuracies are evaluated under ``src_true``.  The ideal decoder
     redesigns the partition for the true marginal at the same bit depth and
-    labels it with the true mix.  Each (partition, source) pair builds its
-    joint-mass table once, and labels and accuracies are read from it.
+    labels it with the true mix; that design comes from the design memo of
+    ``lloyd_max_design`` when the marginal was designed before, alone or in
+    a ``lloyd_max_designs`` batch (as ``semantic_mixture`` does for each bit
+    depth), and is run here otherwise.  Each (partition, source) pair builds
+    its joint-mass table once, and labels and accuracies are read from it.
     """
     labels_fix = _labels_from_joint(_joint_mass(p, src_design), src_design)
     joint_true = _joint_mass(p, src_true)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import optimize, special
 
-from mismatch_quant import Gaussian, GaussianMixture, Laplace, quantizer
+from mismatch_quant import Gaussian, GaussianMixture, Laplace, distributions, quantizer
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -99,6 +99,26 @@ def kernel_calls(monkeypatch):
             return kernel(self, *args, **kwargs)
 
         monkeypatch.setattr(family, "edge_stats", counted)
+        return calls
+
+    return record
+
+
+@pytest.fixture
+def gaussian_kernel_calls(monkeypatch):
+    """``gaussian_kernel_calls()``: a list that gets an entry for every call
+    of the Gaussian moment kernel ``distributions._gaussian_edge_stats`` that
+    a law's moments or a mixture design make from then on in the test."""
+
+    def record():
+        calls = []
+        kernel = distributions._gaussian_edge_stats
+
+        def counted(*args, **kwargs):
+            calls.append(args[:2])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(distributions, "_gaussian_edge_stats", counted)
         return calls
 
     return record

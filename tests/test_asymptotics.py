@@ -94,6 +94,22 @@ class TestCubeRootMass:
         assert _cube_root_mass(d, lo, hi) == pytest.approx(
             _cube_root_mass(d) * (g.cdf(hi) - g.cdf(lo)), rel=1e-14)
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-5, 1.0, 1e5])
+    def test_mixture_is_scale_invariant(self, scale):
+        # The quadrature runs in u = (x - center) / span of the law's own
+        # frame, so its tails are sampled at every scale.
+        # At 1e-160 the floor itself, about 1e-326, underflows to 0 on both
+        # sides, so the cube-root mass behind it is held to scale^(2/3).
+        def law(s):
+            return GaussianMixture(((0.4, -1.2 * s, 0.7 * s), (0.6, 0.9 * s, 0.5 * s)))
+
+        d = law(scale)
+        mass = _cube_root_mass(d)
+        assert mass / scale ** (2.0 / 3.0) == pytest.approx(_cube_root_mass(law(1.0)), rel=1e-12)
+        assert panter_dite(d, 256) == pytest.approx(
+            scale**2 * panter_dite(law(1.0), 256), rel=1e-12)
+        assert mismatch_penalty_factor(d, d) == pytest.approx(1.0, abs=1e-12)
+
     def test_mixture_keeps_quadrature(self):
         d = GaussianMixture(((0.4, -1.0, 0.7), (0.6, 1.0, 1.2)))
         x = np.linspace(-25.0, 25.0, 200_001)

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import mismatch_quant
-from mismatch_quant import cli
+from mismatch_quant import cli, quantizer
 from mismatch_quant.cli import ExperimentConfig, main, validate
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -487,6 +487,29 @@ class TestRunCommand:
         k4 = rows[2]
         assert k4[5] == "na"
         assert float(k4[2]) == pytest.approx(float(k4[3]), abs=1e-12)
+
+    def test_semantic_mixture_designs_each_marginal_once(self, tmp_path, monkeypatch):
+        # 17 classes at 4 bit depths: 68 distinct designs (the design
+        # marginal is the k = 17 one), more than the design memo holds, so
+        # a report could only find its design there if each batch is read
+        # before the next one is designed.
+        monkeypatch.setattr(quantizer, "_STANDARD_DESIGNS", {})
+        designed = []
+        designs = quantizer._designs
+
+        def counted(laws, *args):
+            designed.extend(laws)
+            return designs(laws, *args)
+
+        monkeypatch.setattr(quantizer, "_designs", counted)
+        out = tmp_path / "sem.csv"
+        cfg = _write_cfg(tmp_path, experiment="semantic_mixture", n_classes=17,
+                         bits=[1, 2, 3, 4])
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = _read_csv(out)[1:]
+        assert [(int(r[0]), int(r[1])) for r in rows] == [
+            (k, bits) for k in range(1, 18) for bits in (1, 2, 3, 4)]
+        assert len(designed) == 68
 
     def test_rate_recovery_columns(self, tmp_path):
         out = tmp_path / "rr.csv"

@@ -22,7 +22,9 @@ from mismatch_quant import (
     inverse_mills,
     lloyd_max_design,
 )
-from mismatch_quant.distributions import _MIXTURE_BLOCK, _blocks
+from mismatch_quant.distributions import (
+    _MIXTURE_BLOCK, _blocks, _component_grid, _mixture_design_stats, _mixture_quantiles,
+)
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -333,6 +335,44 @@ class TestMixtureBlocks:
                     assert g.shape == (n_bins,)
                     assert np.array_equal(g, w), (k, n_bins, order)
                     assert np.array_equal(np.signbit(g), np.signbit(w)), (k, n_bins, order)
+
+
+    @pytest.mark.parametrize("n_bins", [2, 16, 512, 4096])
+    def test_stacked_laws_bitwise_equal_their_own_sums(self, n_bins):
+        # Laws of 1 to 50 components walked together (at 512 and 4096 bins in
+        # several blocks of laws, and one law at a time), against each law's
+        # own edge_stats, pdf at the inner edges and ppf.  Eight or more
+        # components are where numpy's own sums would go pairwise.
+        rng = np.random.default_rng(3000 + n_bins)
+        laws = [_random_mixture(rng, k) for k in (3, 12, 1, 8, 9, 50, 2, 7, 10, 8)]
+        inner = np.sort(rng.normal(0.0, 15.0, (len(laws), n_bins - 1)), axis=1)
+        assert np.all(np.diff(inner, axis=1) > 0.0)
+        edges = np.concatenate((np.full((len(laws), 1), -np.inf), inner,
+                                np.full((len(laws), 1), np.inf)), axis=1)
+        stacked = _mixture_design_stats(laws, _component_grid(laws), edges)
+        q = (np.arange(n_bins) + 0.5) / n_bins
+        quantiles = _mixture_quantiles(laws, q)
+        for i, d in enumerate(laws):
+            own = [*d.edge_stats(edges[i]), d.pdf(inner[i]), d.ppf(q)]
+            for g, w in zip([row[i] for row in stacked] + [quantiles[i]], own):
+                assert g.shape == w.shape
+                assert np.array_equal(g, w), (i, n_bins)
+                assert np.array_equal(np.signbit(g), np.signbit(w)), (i, n_bins)
+
+    def test_stacked_quantiles_stay_in_one_laws_memory(self, traced_peak):
+        # Four 10-component laws at 14 bits: 163,840 component-by-quantile
+        # entries a law, so each law takes a block of its own.  One block of
+        # all four peaked at 9.0 times one law's 7.5 MB under tracemalloc,
+        # blocks of one law at 1.05 times.
+        laws = [GaussianMixture(tuple((0.1, j - 4.5 + 0.1 * i, 0.5 + 0.05 * j)
+                                      for j in range(10))) for i in range(4)]
+        n = 1 << 14
+        q = (np.arange(n) + 0.5) / n
+        _, one = traced_peak(lambda: _mixture_quantiles(laws[:1], q))
+        quantiles, peak = traced_peak(lambda: _mixture_quantiles(laws, q))
+        assert peak <= 1.25 * one
+        for d, row in zip(laws, quantiles):
+            assert np.array_equal(row, d.ppf(q))
 
 
 class TestMixturePointwise:

@@ -31,6 +31,7 @@ from mismatch_quant import (
     expected_distortion,
     generative_codebook,
     lloyd_max_design,
+    lloyd_max_designs,
     monte_carlo_distortion,
     noisy_distortion,
     one_bit_quantizer,
@@ -42,14 +43,23 @@ from mismatch_quant.quantizer import (
     _cube_root_quantiles,
     _damped_newton_step,
     _design_state,
+    _designs,
     _half_line_state,
     _moment_table,
     _moment_tables,
-    _standard_design,
     _table_state,
 )
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+
+
+def _unmemoised_design(d, bits, max_iters, init):
+    """The design iteration of ``lloyd_max_design`` on ``d`` itself, past
+    the memo and the mapping of a location-scale law."""
+    [q] = _designs([d], bits, max_iters, init)
+    if not isinstance(q, Quantizer):
+        raise q
+    return q
 
 
 def _reference_gaussian_design(n, iters=4000):
@@ -432,7 +442,7 @@ class TestHalfLineLaplaceDesign:
         # stays 0: each rejected Newton step is replaced by one Lloyd step
         # and the next Newton step is again undamped.  The Laplace design is
         # held to the recursion, the Gaussian one to the unpatched design.
-        design = _standard_design.__wrapped__
+        design = _unmemoised_design
         want = (laplace_recursion(8) if isinstance(d, Laplace)
                 else np.asarray(design(d, 8, 500, "quantile").partition.boundaries))
         dampings = []
@@ -530,7 +540,7 @@ class TestHalfLineState:
     def test_a_twelve_bit_design_reads_the_general_kernel_once_for_laplace(self, kernel_calls):
         # Gaussian(): no general kernel call at all; Laplace(): its final
         # full-line table only.
-        design = _standard_design.__wrapped__
+        design = _unmemoised_design
         gaussian, laplace = kernel_calls(Gaussian), kernel_calls(Laplace)
         for d in (Gaussian(), Laplace()):
             assert design(d, 12, 500, "quantile").converged
@@ -607,7 +617,7 @@ class TestStandardMemberDesign:
         # mostly the direct design's: the largest, 8.3e-10 relative, is
         # Laplace(-3, 0.3) at 11 bits from the quantile start.  The largest
         # Gaussian gap is 2.1e-11, N(-3, 0.7) at 12 bits.
-        direct = _standard_design.__wrapped__
+        direct = _unmemoised_design
         for m in (-3.0, 0.5):
             for s in (0.3, 0.7, 5.0):
                 d = family(m, s)
@@ -632,7 +642,7 @@ class TestStandardMemberDesign:
     @pytest.mark.parametrize("d", [Gaussian(), Laplace()])
     def test_standard_member_is_the_memoised_design(self, d):
         q = lloyd_max_design(d, 6)
-        ref = _standard_design.__wrapped__(d, 6, 500, "quantile")
+        ref = _unmemoised_design(d, 6, 500, "quantile")
         assert q.partition.boundaries == ref.partition.boundaries
         assert q.design_codebook.values == ref.design_codebook.values
         assert q.distortion_history == ref.distortion_history
@@ -657,12 +667,13 @@ class TestStandardMemberDesign:
         lloyd_max_design(shifted, 7)
         assert calls == [shifted]
 
-    def test_mixtures_share_the_memo(self, kernel_calls):
+    def test_mixtures_share_the_memo(self, gaussian_kernel_calls):
         # A mixture is its own standard member: designed once per bit depth
-        # and setting, then served from the memo.
+        # and setting, alone or in a batch, then served from the memo.  Its
+        # design reads the Gaussian kernel directly, so that is what counts.
         d = GaussianMixture(((0.5, -1.5, 0.6), (0.5, 1.5, 0.6)))
         first = lloyd_max_design(d, 4)
-        calls = kernel_calls(GaussianMixture)
+        calls = gaussian_kernel_calls()
         second = lloyd_max_design(d, 4)
         assert calls == []
         assert second == first
@@ -674,6 +685,14 @@ class TestStandardMemberDesign:
         del calls[:]
         lloyd_max_design(d, 4, init="cube_root")
         assert calls
+        others = [GaussianMixture(((0.3, -1.0, 0.5), (0.7, 1.0, 0.8))),
+                  GaussianMixture(((0.2, -2.0, 0.4), (0.5, 0.0, 1.0), (0.3, 2.5, 0.6)))]
+        batch = lloyd_max_designs([*others, d, others[0]], 5)
+        del calls[:]
+        for law, q in zip([*others, d], batch):
+            alone = lloyd_max_design(law, 5)
+            assert alone == q and alone.distortion_history == q.distortion_history
+        assert calls == []
 
     def test_collapsed_thresholds_are_degenerate(self):
         with pytest.raises(DegenerateDesign):
@@ -694,6 +713,128 @@ class TestStandardMemberDesign:
         with pytest.raises(DegenerateDesign, match=r"bins \[1, 2\] lost all design mass"):
             lloyd_max_design(d, 2, init="cube_root")
         assert lloyd_max_design(d, 2).converged
+
+
+def _random_mixtures(seed, count):
+    """``count`` seeded mixtures of 1 to 12 components, in turn."""
+    rng = np.random.default_rng(seed)
+    laws = []
+    for i in range(count):
+        k = 1 + i % 12
+        w = rng.uniform(0.1, 1.0, k)
+        w /= w.sum()
+        laws.append(GaussianMixture(tuple(zip(
+            w.tolist(), rng.normal(0.0, 2.0, k).tolist(), rng.uniform(0.2, 1.5, k).tolist()))))
+    return laws
+
+
+# The ten marginals of semantic_mixture at its defaults: k of ten classes
+# N(y - 4.5, 0.5^2), y < k, weighted 1/k.
+SEMANTIC_MARGINALS = [GaussianMixture(tuple((1.0 / k, y - 4.5, 0.5) for y in range(k)))
+                      for k in range(1, 11)]
+
+
+def _same_design(a, b):
+    return (a.partition == b.partition and a.design_codebook == b.design_codebook
+            and a.distortion_history == b.distortion_history
+            and (a.iterations, a.converged) == (b.iterations, b.converged)
+            and a.residual == b.residual and a.design_law == b.design_law)
+
+
+class TestStackedDesigns:
+    """``lloyd_max_designs`` is bit for bit ``lloyd_max_design`` law by law,
+    with its mixtures' rounds, moment walks and quantile starts stacked.
+    The laws are the ten semantic_mixture marginals and 60 seeded mixtures
+    of 1 to 12 components (up to 12 bins' worth of component sums that
+    numpy would take pairwise), at 1 bit (one threshold) to 6; in these sets
+    30-47 (law, bits, start) designs take a Lloyd step."""
+
+    LAWS = SEMANTIC_MARGINALS + _random_mixtures(2024, 60)
+
+    @staticmethod
+    def _one_at_a_time(laws, bits, init):
+        out = []
+        for d in laws:
+            quantizer._STANDARD_DESIGNS.clear()
+            out.append(lloyd_max_design(d, bits, init=init))
+        quantizer._STANDARD_DESIGNS.clear()
+        return out
+
+    @pytest.mark.parametrize("init", ["quantile", "cube_root"])
+    def test_bitwise_equal_to_one_law_at_a_time(self, init, monkeypatch):
+        monkeypatch.setattr(quantizer, "_STANDARD_DESIGNS", {})
+        # A mapped law and a half-line law ride along with the mixtures.
+        laws = [*self.LAWS, Gaussian(0.3, 2.0), Laplace()]
+        for bits in range(1, 7):
+            alone = self._one_at_a_time(laws, bits, init)
+            together = quantizer._lloyd_max_designs(tuple(laws), bits, 500, init)
+            assert len(together) == len(laws)
+            for d, a, b in zip(laws, together, alone):
+                assert _same_design(a, b), (d, bits)
+            assert all(q.converged for q in together), bits
+
+    def test_rounds_with_lloyd_steps_stay_bitwise(self, monkeypatch):
+        # Every Newton step taken at damping 0.5 (the first of each mixture)
+        # is rejected, so whole rounds fall back to Lloyd steps.
+        monkeypatch.setattr(quantizer, "_STANDARD_DESIGNS", {})
+        rejected = []
+
+        def first_fails(f, t, mass, c, r, damping):
+            if damping == 0.5:
+                rejected.append(len(t))
+                return None
+            return _damped_newton_step(f, t, mass, c, r, damping)
+
+        monkeypatch.setattr(quantizer, "_damped_newton_step", first_fails)
+        laws = self.LAWS[::3]
+        for bits in (1, 3, 5):
+            alone = self._one_at_a_time(laws, bits, "quantile")
+            del rejected[:]
+            together = lloyd_max_designs(laws, bits)
+            assert len(rejected) >= len(laws) // 2, bits
+            for d, a, b in zip(laws, together, alone):
+                assert _same_design(a, b), (d, bits)
+
+    def test_a_batch_raises_the_first_failure_of_the_loop(self):
+        good = GaussianMixture(((0.5, -1.5, 0.6), (0.5, 1.5, 0.6)))
+        # The quantile start rounds many codewords to one double.
+        coincident = GaussianMixture(((0.5, 1e6, 1e-10), (0.5, 1e6 + 1.0, 1e-10)))
+        # The mapped thresholds coincide.
+        narrow = Gaussian(1e6, 1e-12)
+        for laws in ([good, coincident, good], [narrow, coincident], [coincident, narrow],
+                     [good, narrow, coincident, good]):
+            with pytest.raises(DegenerateDesign) as loop:
+                for d in laws:
+                    lloyd_max_design(d, 8)
+            with pytest.raises(DegenerateDesign) as batch:
+                lloyd_max_designs(laws, 8)
+            assert str(batch.value) == str(loop.value)
+        # A bin that empties during the iteration, next to one that converges.
+        apart = GaussianMixture(((0.5, -5e4, 1.0), (0.5, 5e4, 1.0)))
+        with pytest.raises(DegenerateDesign, match=r"bins \[1, 2\] lost all design mass"):
+            quantizer._lloyd_max_designs((good, apart), 2, 500, "cube_root")
+
+    def test_an_iteration_cap_stays_bitwise(self, monkeypatch):
+        monkeypatch.setattr(quantizer, "_STANDARD_DESIGNS", {})
+        laws = self.LAWS[::4]
+        alone = []
+        for d in laws:
+            quantizer._STANDARD_DESIGNS.clear()
+            alone.append(lloyd_max_design(d, 4, max_iters=2))
+        quantizer._STANDARD_DESIGNS.clear()
+        together = quantizer._lloyd_max_designs(tuple(laws), 4, 2, "quantile")
+        assert not all(q.converged for q in together)
+        for d, a, b in zip(laws, together, alone):
+            assert _same_design(a, b), d
+
+    def test_empty_batch_and_argument_checks(self):
+        assert lloyd_max_designs([], 3) == ()
+        with pytest.raises(ValueError, match="bits"):
+            lloyd_max_designs([Gaussian()], 0)
+        with pytest.raises(ValueError, match="init"):
+            quantizer._lloyd_max_designs((Gaussian(),), 3, 500, "uniform")
+        with pytest.raises(ValueError, match="max_iters"):
+            quantizer._lloyd_max_designs((Gaussian(),), 3, 0, "quantile")
 
 
 class TestMomentTableMemo:
