@@ -132,21 +132,23 @@ def _blocks(k: int, size: int) -> list[tuple[int, int]]:
 
 
 def _fold(total, block: np.ndarray) -> np.ndarray:
-    """``total + block[0] + block[1] + ...`` in order, overwriting ``block``
-    (1-d: one row).  numpy sums a single column pairwise, so it accumulates."""
+    """``total + block[0] + block[1] + ...`` in order, whatever the layout of
+    ``block`` (1-d: one row), which it may overwrite.  numpy sums along a
+    contiguous axis pairwise, so rows of one entry accumulate, and longer rows
+    are reduced one after another from a C-ordered copy if need be."""
     if block.ndim == 1:
         return np.add(block, total, out=block)
     block[0] += total
-    return block.sum(axis=0) if block[0].size > 1 else np.cumsum(block, axis=0)[-1]
+    if block[0].size == 1:
+        return np.cumsum(block, axis=0)[-1]
+    return np.ascontiguousarray(block).sum(axis=0)
 
 
 def _component_grid(mixtures) -> tuple[np.ndarray, ...]:
     """``(K, L)`` weight, mean and std arrays of ``L`` mixtures, component
-    ``j`` of law ``i`` at ``[j, i]`` (one law: its ``_columns``).  A law with
-    fewer than ``K`` components is padded with copies of its last one at
-    weight 0, which add exactly 0 to a sum and move no minimum or maximum."""
-    if len(mixtures) == 1:
-        return mixtures[0]._columns
+    ``j`` of law ``i`` at ``[j, i]``.  A law with fewer than ``K`` components
+    is padded with copies of its last one at weight 0, which add exactly 0
+    to a sum and move no minimum or maximum."""
     k = max(len(d.components) for d in mixtures)
     table = np.array([d.components + d.components[-1:] * (k - len(d.components))
                       for d in mixtures])
@@ -156,30 +158,26 @@ def _component_grid(mixtures) -> tuple[np.ndarray, ...]:
 
 
 def _component_sums(mixtures, grid, size: int, terms) -> list[np.ndarray]:
-    """``sum_j terms(w_j, m_j, s_j, laws)`` for each law of ``mixtures``, a
-    row per law, each bit for bit that law's own ``_sum_components``.
-    ``grid`` is ``_component_grid(mixtures)``, or C-ordered columns of it:
-    numpy would sum the components of an F-ordered block pairwise.
-
-    The laws go in blocks of at most ``_MIXTURE_BLOCK // size`` (one law at
-    least).  A block of one law is that law's ``_sum_components``, and
-    ``terms`` gets its columns and ``laws``, the law's index.  A block of
-    several laws walks their padded components in blocks of at most
-    ``_MIXTURE_BLOCK`` component-by-law-by-``size`` entries, and ``terms``
-    gets ``(b, l, 1)`` columns and ``laws``, a slice.  ``laws`` picks the
-    block's rows from an array with a row per law, and ``terms`` returns
-    arrays with a row per component (and per law)."""
+    """``sum_j terms(w_j, m_j, s_j, laws)`` for each law of ``mixtures``, a row
+    per law, each term folded in turn onto a zero total (``_fold``): bit for
+    bit a loop over that law's components.  ``grid`` is ``_component_grid``
+    of ``mixtures``, or of a batch holding them gathered to their columns.
+    Blocks hold at most ``_MIXTURE_BLOCK // size`` laws (one at least) and
+    ``_MIXTURE_BLOCK`` component-by-law-by-``size`` entries.  ``terms`` gets
+    ``(b, l, 1)`` columns (over the grid's padded components) and ``laws``, a
+    slice; for one law ``(b, 1)`` columns of its own components (floats for
+    one) and its index.  ``laws`` picks rows of arrays with a row per law;
+    ``terms`` returns a row per component."""
     w, m, s = grid
     chunks = []
     for l0, l1 in _blocks(len(mixtures), size):
-        if l1 - l0 == 1:
-            totals = mixtures[l0]._sum_components(size, lambda *cols: terms(*cols, l0))
-        else:
-            laws = slice(l0, l1)
-            totals = itertools.repeat(0.0)
-            for lo, hi in _blocks(len(w), (l1 - l0) * size):
-                cols = (w[lo:hi, laws, None], m[lo:hi, laws, None], s[lo:hi, laws, None])
-                totals = [_fold(total, part) for total, part in zip(totals, terms(*cols, laws))]
+        one = l1 - l0 == 1
+        laws = l0 if one else slice(l0, l1)
+        totals = itertools.repeat(0.0)
+        for lo, hi in _blocks(len(mixtures[l0].components) if one else len(w), (l1 - l0) * size):
+            cols = (mixtures[l0].components[lo] if one and hi - lo == 1
+                    else (w[lo:hi, laws, None], m[lo:hi, laws, None], s[lo:hi, laws, None]))
+            totals = [_fold(total, part) for total, part in zip(totals, terms(*cols, laws))]
         chunks.append([total.reshape(l1 - l0, -1) for total in totals])
     return chunks[0] if len(chunks) == 1 else [np.concatenate(rows) for rows in zip(*chunks)]
 
@@ -199,48 +197,19 @@ def _mixture_design_stats(mixtures, grid, edges: np.ndarray) -> list[np.ndarray]
 
 def _mixture_quantiles(mixtures, q: np.ndarray) -> np.ndarray:
     """``GaussianMixture.ppf`` of each law of ``mixtures`` at the flat array
-    ``q``, a row per law, bit for bit: one bracketed Newton iteration over
-    the (law, quantile) pairs of a block of laws at once.  The laws run in
-    order of component count, in blocks of at most ``_MIXTURE_BLOCK``
-    component-by-pair entries (one law at least), so memory stays bounded.
-    """
-    order = sorted(range(len(mixtures)), key=lambda i: len(mixtures[i].components))
-    laws = [mixtures[i] for i in order]
-    size = len(laws[-1].components) * q.size
-    blocks = [_quantile_block(laws[lo:hi], q) for lo, hi in _blocks(len(laws), size)]
-    out = np.empty((len(laws), q.size))
-    out[order] = np.concatenate(blocks)
-    return out
+    ``q``, a row per law, bit for bit: one bracketed Newton iteration over the
+    (law, quantile) pairs of a block of laws at once, in blocks of at most
+    ``_MIXTURE_BLOCK`` component-by-pair entries (one law at least)."""
+    size = max(len(d.components) for d in mixtures) * q.size
+    return np.concatenate([_quantile_block(mixtures[lo:hi], q)
+                           for lo, hi in _blocks(len(mixtures), size)])
 
 
 def _quantile_block(laws, q: np.ndarray) -> np.ndarray:
-    """``_mixture_quantiles`` of ``laws``, in order of component count.
-
-    The pairs are the columns of ``(K, pairs)`` component arrays; a single
-    law keeps its ``(k, 1)`` weight and std columns, which broadcast.  The
-    columns of the pairs still iterating are gathered F-ordered, so a sum
-    over the components is taken as numpy takes one law's own block: in
-    order below 8 components and pairwise from 8.  The laws below 8
-    components therefore sum together (padding adds 0), and each count from
-    8 up sums its own contiguous columns.
-    """
+    """``_mixture_quantiles`` of ``laws``: the pairs are the columns of ``(K,
+    pairs)`` component arrays (one law keeps its ``(k, 1)`` weight and std
+    columns), and a sum over the components is their ``_fold`` in order."""
     n_q = q.size
-    runs = {}  # summing alike: first pair, components summed
-    for i, d in enumerate(laws):
-        k = len(d.components)
-        runs.setdefault(k if k >= 8 else 0, [i * n_q, k])[1] = k
-    starts = np.array([first for first, _ in runs.values()])
-    widths = [k for _, k in runs.values()]
-
-    def component_sum(terms, todo):
-        if len(widths) == 1:
-            return terms[: widths[0]].sum(axis=0)
-        cuts = [*np.searchsorted(todo, starts).tolist(), len(todo)]
-        out = np.empty(len(todo))
-        for lo, hi, k in zip(cuts, cuts[1:], widths):
-            out[lo:hi] = terms[:k, lo:hi].sum(axis=0)
-        return out
-
     w, m, s = _component_grid(laws)  # (K, L): a column per law
     sign = np.where(q > 0.5, -1.0, 1.0)
     p = np.where(q > 0.5, 1.0 - q, q)
@@ -264,8 +233,8 @@ def _quantile_block(laws, q: np.ndarray) -> np.ndarray:
         w_t, s_t, ws_t = (a if a.shape[1] == 1 else a[:, todo] for a in (w, s, ws))
         yt, lo_t, hi_t = y[todo], lo[todo], hi[todo]
         z = (yt - m[:, todo]) / s_t
-        cdf = component_sum(w_t * special.ndtr(z), todo)
-        pdf = _INV_SQRT_2PI * component_sum(ws_t * np.exp(-0.5 * z * z), todo)
+        cdf = _fold(0.0, w_t * special.ndtr(z))
+        pdf = _INV_SQRT_2PI * _fold(0.0, ws_t * np.exp(-0.5 * z * z))
         with np.errstate(divide="ignore", invalid="ignore"):
             g = np.log(cdf) - log_p[todo]
             gc = g * cdf
@@ -569,24 +538,13 @@ class GaussianMixture(Distribution):
     def __getstate__(self) -> dict:
         return {"components": self.components}
 
-    def _sum_components(self, size: int, terms) -> list[np.ndarray]:
-        """``sum_j terms(w_j, m_j, s_j)`` per output, bit for bit a loop over the
-        components in order.  ``terms`` maps the ``(b, 1)`` columns of a block
-        (floats for one component) to arrays with a row per component; a block
-        holds at most ``_MIXTURE_BLOCK`` component-by-``size`` entries."""
-        w, m, s = self._columns
-        totals = itertools.repeat(0.0)
-        for lo, hi in _blocks(len(w), size):
-            cols = self.components[lo] if hi - lo == 1 else (w[lo:hi], m[lo:hi], s[lo:hi])
-            totals = [_fold(total, part) for total, part in zip(totals, terms(*cols))]
-        return totals
-
     def _pointwise(self, x, term):
         """``sum_j term(x, w_j, m_j, s_j)`` at each point, shaped as ``x``."""
         x = np.asarray(x, dtype=float)
         flat = x.ravel()
-        [out] = self._sum_components(flat.size, lambda *cols: (term(flat, *cols),))
-        return out.reshape(x.shape) if x.ndim else float(out[0])
+        [out] = _component_sums((self,), self._columns, flat.size,
+                                lambda w, m, s, _: (term(flat, w, m, s),))
+        return out.reshape(x.shape) if x.ndim else float(out[0, 0])
 
     def pdf(self, x):
         return self._pointwise(x, lambda y, w, m, s: w * _std_normal_pdf((y - m) / s) / s)
@@ -625,8 +583,11 @@ class GaussianMixture(Distribution):
     def edge_stats(self, edges, order=2):
         # One kernel call per block of components (floats for one component).
         edges = np.asarray(edges, dtype=float)
-        return tuple(self._sum_components(len(edges), lambda w, m, s: [
-            w * part for part in _gaussian_edge_stats(m, s, edges, order)]))
+
+        def terms(w, m, s, _):
+            return [w * part for part in _gaussian_edge_stats(m, s, edges, order)]
+
+        return tuple(row[0] for row in _component_sums((self,), self._columns, len(edges), terms))
 
     def sample(self, seed, n):
         rng = np.random.default_rng(seed)

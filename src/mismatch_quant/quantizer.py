@@ -582,8 +582,7 @@ def _states(runs: list, ts: list, grid) -> list:
     t = edges[:, 1:-1]
     cols = [runs[i].column for i in mix]
     if cols != list(range(grid[0].shape[1])):
-        # C-ordered: numpy would sum an F-ordered block of components pairwise.
-        grid = tuple(np.ascontiguousarray(g[:, cols]) for g in grid)
+        grid = tuple(g[:, cols] for g in grid)
     *table, f = _mixture_design_stats([runs[i].d for i in mix], grid, edges)
     mass, c, distortion, r, m2 = _table_state(table, t)
     m2_sum = m2.sum(axis=1).tolist()

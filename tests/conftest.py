@@ -1,6 +1,6 @@
 """Shared fixtures: an empty moment-table memo for every test, a recorder of
 kernel calls, a ``tracemalloc`` peak, per-component loop references of the
-mixture density, distribution function and moments, a double-precision
+mixture density, distribution function, quantiles and moments, a double-precision
 oracle of the Laplace Lloyd-Max design, and 40-digit ``mpmath`` oracles
 (densities, raw interval moments and the Gaussian Lloyd-Max design)."""
 
@@ -47,14 +47,55 @@ def _component_loop_edge_stats(mix, edges, order):
     return tuple(out)
 
 
+def _component_loop_ppf(mix, q):
+    """The mixture quantile function at the 1-d array ``q`` by the bracketed
+    Newton iteration of ``GaussianMixture.ppf`` on one law, written out here,
+    with each sum over the components formed as ``_component_loop_cdf``
+    forms it."""
+    q = np.asarray(q, dtype=float)
+    sign = np.where(q > 0.5, -1.0, 1.0)
+    p = np.where(q > 0.5, 1.0 - q, q)
+    comps = [(w, m * sign, s) for w, m, s in mix.components]  # the mirrored law where sign < 0
+    ends = [m + s * special.ndtri(p) for _, m, s in comps]
+    lo, hi = np.minimum.reduce(ends), np.maximum.reduce(ends)
+    y = lo.copy()
+    with np.errstate(divide="ignore"):
+        log_p = np.log(p)
+    tol = 1e-14 * min(s for _, _, s in comps)
+    todo = np.flatnonzero(lo < hi)
+    for _ in range(distributions._PPF_MAX_ITERS):
+        if not todo.size:
+            break
+        yt, lo_t, hi_t = y[todo], lo[todo], hi[todo]
+        cdf, pdf = np.zeros_like(yt), np.zeros_like(yt)
+        for w, m, s in comps:
+            z = (yt - m[todo]) / s
+            cdf = cdf + w * special.ndtr(z)
+            pdf = pdf + w / s * np.exp(-0.5 * z * z)
+        pdf = INV_SQRT_2PI * pdf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = np.log(cdf) - log_p[todo]
+            gc = g * cdf
+        below = g < 0.0
+        lo[todo] = lo_t = np.where(below, yt, lo_t)
+        hi[todo] = hi_t = np.where(below, hi_t, yt)
+        fits = (np.abs(gc) <= 2.0 * (hi_t - lo_t) * pdf) & (pdf > 0.0)
+        trial = yt - np.divide(gc, pdf, out=np.full_like(yt, np.inf), where=fits)
+        inside = (trial >= lo_t) & (trial <= hi_t)
+        y[todo] = new = np.where(inside, trial, 0.5 * (lo_t + hi_t))
+        todo = todo[np.abs(new - yt) > np.maximum(1e-14 * np.abs(new), tol)]
+    return sign * y
+
+
 @pytest.fixture(scope="session")
 def component_loop():
-    """``component_loop.pdf(mix, x)``, ``.cdf(mix, x)`` and
-    ``.edge_stats(mix, edges, order)``: a mixture's values summed by a loop
-    over its components, the references its blocked evaluation keeps bit for
-    bit."""
+    """``component_loop.pdf(mix, x)``, ``.cdf(mix, x)``, ``.ppf(mix, q)`` and
+    ``.edge_stats(mix, edges, order)``: a mixture's values with every sum
+    over its components taken by a loop over them, the references its
+    blocked and stacked evaluations keep bit for bit."""
     return types.SimpleNamespace(
-        pdf=_component_loop_pdf, cdf=_component_loop_cdf, edge_stats=_component_loop_edge_stats)
+        pdf=_component_loop_pdf, cdf=_component_loop_cdf, ppf=_component_loop_ppf,
+        edge_stats=_component_loop_edge_stats)
 
 
 @pytest.fixture

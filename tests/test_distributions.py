@@ -297,9 +297,9 @@ class TestMixtureBlocks:
     Bin counts cover one and two bins, 16, 100 and 4096, and partitions
     whose component-by-edge count falls just below, at and just above the
     block budget, both for a block holding every component and for one
-    component per block.  A single bin with eight or more components is the
-    case a reduction over the components would sum pairwise and change in
-    the last bit.  50 components on 100 bins come in blocks of 40 and 10,
+    component per block.  A single bin with eight or more components is a
+    contiguous column, which numpy's own sum would take pairwise and change
+    in the last bit.  50 components on 100 bins come in blocks of 40 and 10,
     so a second block of several rows must add onto the first block's
     totals row by row too (reducing each block, then adding, would change
     bits).  Edges run into both far tails, so some bins carry masses and
@@ -341,8 +341,9 @@ class TestMixtureBlocks:
     def test_stacked_laws_bitwise_equal_their_own_sums(self, n_bins):
         # Laws of 1 to 50 components walked together (at 512 and 4096 bins in
         # several blocks of laws, and one law at a time), against each law's
-        # own edge_stats, pdf at the inner edges and ppf.  Eight or more
-        # components are where numpy's own sums would go pairwise.
+        # own edge_stats, pdf at the inner edges and ppf.  Every sum is folded
+        # in component order, also from eight components on, where numpy's
+        # own sum along a contiguous axis would go pairwise.
         rng = np.random.default_rng(3000 + n_bins)
         laws = [_random_mixture(rng, k) for k in (3, 12, 1, 8, 9, 50, 2, 7, 10, 8)]
         inner = np.sort(rng.normal(0.0, 15.0, (len(laws), n_bins - 1)), axis=1)
@@ -355,6 +356,30 @@ class TestMixtureBlocks:
         for i, d in enumerate(laws):
             own = [*d.edge_stats(edges[i]), d.pdf(inner[i]), d.ppf(q)]
             for g, w in zip([row[i] for row in stacked] + [quantiles[i]], own):
+                assert g.shape == w.shape
+                assert np.array_equal(g, w), (i, n_bins)
+                assert np.array_equal(np.signbit(g), np.signbit(w)), (i, n_bins)
+
+    @pytest.mark.parametrize("n_bins", [2, 16, 512, 4096])
+    def test_a_column_gather_of_the_grid_keeps_each_laws_sums(self, n_bins):
+        # A design round walks the F-ordered column gather g[:, cols] of its
+        # batch's grid, the laws still iterating in any order.  Laws of 8 to
+        # 50 components, against each law's own edge_stats and pdf at the
+        # inner edges: at two bins a reduction over that layout would sum
+        # the components pairwise.
+        rng = np.random.default_rng(5000 + n_bins)
+        batch = [_random_mixture(rng, k) for k in (8, 12, 9, 50, 10, 8, 17, 11, 20, 14, 8, 30)]
+        cols = [5, 0, 11, 3, 7, 2, 9, 4, 10]
+        laws = [batch[i] for i in cols]
+        grid = tuple(g[:, cols] for g in _component_grid(batch))
+        assert grid[0].flags.f_contiguous and not grid[0].flags.c_contiguous
+        inner = np.sort(rng.normal(0.0, 15.0, (len(laws), n_bins - 1)), axis=1)
+        assert np.all(np.diff(inner, axis=1) > 0.0)
+        edges = np.concatenate((np.full((len(laws), 1), -np.inf), inner,
+                                np.full((len(laws), 1), np.inf)), axis=1)
+        stacked = _mixture_design_stats(laws, grid, edges)
+        for i, d in enumerate(laws):
+            for g, w in zip([row[i] for row in stacked], [*d.edge_stats(edges[i]), d.pdf(inner[i])]):
                 assert g.shape == w.shape
                 assert np.array_equal(g, w), (i, n_bins)
                 assert np.array_equal(np.signbit(g), np.signbit(w)), (i, n_bins)
@@ -606,6 +631,26 @@ class TestMixturePpf:
         q = _probabilities()
         mix = GaussianMixture(((1.0, 0.7, 1.3),))
         np.testing.assert_array_equal(mix.ppf(q), Gaussian(0.7, 1.3).ppf(q))
+
+    def test_bitwise_equal_to_the_component_loop(self, component_loop):
+        # Laws of 8 to 50 components (the 10-class semantic_mixture marginal
+        # among them), listed in no order of component count, on the
+        # quantile grids of 1 to 6 bits.  Each quantile, alone and stacked,
+        # adds the components in order, where numpy's own sum over 8 or more
+        # would go pairwise.
+        rng = np.random.default_rng(4000)
+        ten_classes = GaussianMixture(tuple((0.1, y - 4.5, 0.5) for y in range(10)))
+        laws = [_random_mixture(rng, 12), ten_classes, _random_mixture(rng, 50),
+                _random_mixture(rng, 3), _random_mixture(rng, 8), _random_mixture(rng, 10),
+                GaussianMixture(((1.0, 0.7, 1.3),))]
+        for bits in range(1, 7):
+            n = 1 << bits
+            q = (np.arange(n) + 0.5) / n
+            stacked = _mixture_quantiles(laws, q)
+            for d, row in zip(laws, stacked):
+                want = component_loop.ppf(d, q)
+                for got in (d.ppf(q), row):
+                    assert np.array_equal(got, want), (len(d.components), bits)
 
     @pytest.mark.parametrize("d", _MIXTURES)
     def test_monotone(self, d):

@@ -745,9 +745,10 @@ class TestStackedDesigns:
     """``lloyd_max_designs`` is bit for bit ``lloyd_max_design`` law by law,
     with its mixtures' rounds, moment walks and quantile starts stacked.
     The laws are the ten semantic_mixture marginals and 60 seeded mixtures
-    of 1 to 12 components (up to 12 bins' worth of component sums that
-    numpy would take pairwise), at 1 bit (one threshold) to 6; in these sets
-    30-47 (law, bits, start) designs take a Lloyd step."""
+    of 1 to 12 components (a round walks the column gather of its laws
+    still iterating, and sums their components in order whatever that
+    gather's layout), at 1 bit (one threshold) to 6; in these sets 30-47
+    (law, bits, start) designs take a Lloyd step."""
 
     LAWS = SEMANTIC_MARGINALS + _random_mixtures(2024, 60)
 
