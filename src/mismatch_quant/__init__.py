@@ -33,6 +33,7 @@ from .mismatch import (
     one_bit_gaussian_report,
     one_bit_quantizer,
     report,
+    reports,
 )
 from .asymptotics import (
     HighRateReport,

@@ -184,10 +184,12 @@ def _point_seed(seed: int | None, index: int) -> int | None:
 
 
 def _reports(cfg: ExperimentConfig, prefix: list[str], items):
-    """Header and rows of ``mismatch.report`` under the design law.
+    """Header and rows of ``mismatch.reports`` under the design law.
 
-    ``items`` yields ``(prefix values, true law, bits)`` in output order; the
-    Monte Carlo seed of each row follows from its position.
+    ``items`` yields ``(prefix values, true law, bits)`` in output order.
+    Each run of consecutive rows with one true law is one ``reports`` call,
+    seeded by the position of its first row, so its rows score one Monte
+    Carlo draw and its first row is the ``report`` of that seed.
     """
     design_d = distributions.from_config(cfg.design)
     header = prefix + ["bits", "d_fix", "d_gen", "d_ideal",
@@ -195,17 +197,19 @@ def _reports(cfg: ExperimentConfig, prefix: list[str], items):
     if cfg.mc_samples:
         header += ["d_fix_mc", "d_gen_mc", "mc_stderr"]
     rows = []
-    for index, (values, true_d, bits) in enumerate(items):
-        rep = mismatch.report(
-            design_d, true_d, bits,
+    for true_d, run in itertools.groupby(items, key=lambda item: item[1]):
+        run = list(run)
+        reps = mismatch.reports(
+            design_d, true_d, [bits for _, _, bits in run],
             mc_samples=cfg.mc_samples,
-            seed=_point_seed(cfg.seed, index),
+            seed=_point_seed(cfg.seed, len(rows)),
         )
-        row = [*values, bits, rep.d_fix, rep.d_gen, rep.d_ideal,
-               rep.relative_gain_pct, rep.ideal_gain_pct, rep.method]
-        if cfg.mc_samples:
-            row += [rep.d_fix_mc, rep.d_gen_mc, rep.mc_stderr]
-        rows.append(row)
+        for (values, _, bits), rep in zip(run, reps):
+            row = [*values, bits, rep.d_fix, rep.d_gen, rep.d_ideal,
+                   rep.relative_gain_pct, rep.ideal_gain_pct, rep.method]
+            if cfg.mc_samples:
+                row += [rep.d_fix_mc, rep.d_gen_mc, rep.mc_stderr]
+            rows.append(row)
     return header, rows
 
 

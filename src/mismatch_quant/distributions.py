@@ -550,17 +550,18 @@ class GaussianMixture(Distribution):
         return self._pointwise(x, lambda y, w, m, s: w * _std_normal_pdf((y - m) / s) / s)
 
     def log_pdf(self, x):
+        """The log density, each component's log term added in turn onto the
+        total by ``np.logaddexp``, in place: a few arrays the size of ``x``
+        are live, however many components there are."""
         x = np.asarray(x, dtype=float)
-        terms = np.stack(
-            [
-                math.log(w)
-                - 0.5 * np.square((x - m) / s)
-                - math.log(s * math.sqrt(2.0 * math.pi))
-                for w, m, s in self.components
-            ]
-        )
-        out = special.logsumexp(terms, axis=0)
-        return out if np.ndim(out) else float(out)
+        out = None
+        for w, m, s in self.components:
+            term = np.subtract(x.ravel(), m)
+            np.square(np.divide(term, s, out=term), out=term)
+            term *= -0.5
+            term += math.log(w) - math.log(s * math.sqrt(2.0 * math.pi))
+            out = term if out is None else np.logaddexp(out, term, out=out)
+        return out.reshape(x.shape) if x.ndim else float(out[0])
 
     def cdf(self, x):
         return self._pointwise(x, lambda y, w, m, s: w * special.ndtr((y - m) / s))

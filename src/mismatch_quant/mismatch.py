@@ -34,6 +34,7 @@ __all__ = [
     "one_bit_gaussian_report",
     "one_bit_quantizer",
     "report",
+    "reports",
 ]
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -120,13 +121,14 @@ def ideal_distortion(true_d: Distribution, bits: int, **lloyd_kwargs) -> float:
     return scale * scale * lloyd_max_design(law, bits, **lloyd_kwargs).distortion_history[-1]
 
 
-def _sampled_mse(p: Partition, books, d: Distribution, n_samples: int, seed: int) -> list:
+def _score(p: Partition, books, x: np.ndarray) -> list:
     """``(np.mean, np.std(ddof=1) / sqrt(n))`` of the squared errors of each
-    codebook in ``books``, bit for bit, on one seeded draw from ``d``, encoded
-    once (1 byte a draw to 8 bits, 2 to 16).  The mean is formed
-    once, and the errors are squared and centred in place in the array the
-    lookup returns, so no other draw-sized temporary is live."""
-    x = d.sample(seed, n_samples)
+    codebook in ``books`` on the draw ``x``, bit for bit, with ``x`` encoded
+    once (1 byte a draw to 8 bits, 2 to 16).  ``x`` is only read.  The mean
+    is formed once, and the errors are squared and centred in place in the
+    array the lookup returns, so besides ``x`` one index and one error array
+    are live at a time; the index goes when the call returns."""
+    n = x.size
     idx = p._narrow_index(x)
     out = []
     for c in books:
@@ -134,7 +136,7 @@ def _sampled_mse(p: Partition, books, d: Distribution, n_samples: int, seed: int
         np.square(np.subtract(x, err, out=err), out=err)
         mean = np.mean(err)
         np.square(np.subtract(err, mean, out=err), out=err)
-        se = np.sqrt(np.sum(err) / (n_samples - 1)) / math.sqrt(n_samples)
+        se = np.sqrt(np.sum(err) / (n - 1)) / math.sqrt(n)
         out.append((float(mean), float(se)))
         del err  # before the next lookup
     return out
@@ -147,7 +149,7 @@ def monte_carlo_distortion(
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     _bin_arrays(p, c)
-    return _sampled_mse(p, [c], d, n_samples, seed)[0]
+    return _score(p, [c], d.sample(seed, n_samples))[0]
 
 
 def _exact_terms(q: Quantizer, true_d: Distribution):
@@ -182,35 +184,63 @@ def report(
     Carlo cross-check draws ``mc_samples`` values from ``true_d`` with
     ``seed`` once, encodes them once and scores both codebooks on those
     draws, so ``d_fix_mc`` and ``d_gen_mc`` equal two
-    ``monte_carlo_distortion`` calls with that seed, bit for bit.
+    ``monte_carlo_distortion`` calls with that seed, bit for bit.  This is
+    the one-row call of ``reports``.
     """
-    q = lloyd_max_design(design_d, bits, max_iters=max_iters, init=init)
-    gen_values, substituted, d_fix, d_gen, excess = _exact_terms(q, true_d)
-    gen_codebook = Codebook(gen_values)
-    d_ideal = ideal_distortion(true_d, bits, max_iters=max_iters, init=init)
+    [rep] = reports(design_d, true_d, [bits], mc_samples=mc_samples, seed=seed,
+                    max_iters=max_iters, init=init)
+    return rep
 
-    mc_stderr = d_fix_mc = d_gen_mc = None
+
+def reports(
+    design_d: Distribution,
+    true_d: Distribution,
+    bits_list,
+    *,
+    mc_samples: int = 0,
+    seed: int | None = None,
+    max_iters: int = 500,
+    init: str = "quantile",
+) -> tuple[DistortionReport, ...]:
+    """``report(design_d, true_d, b, ...)`` for each ``b`` in ``bits_list``,
+    bit for bit, with one Monte Carlo draw for them all.
+
+    With ``mc_samples``, ``true_d.sample(seed, mc_samples)`` is drawn once,
+    and each bit depth encodes and scores that same draw.  The rows thus
+    share common random numbers: their Monte Carlo errors are correlated,
+    and their differences are sharper than those of independent draws.
+    """
     if mc_samples:
         if seed is None:
             raise ValueError("a seed is required when mc_samples > 0")
         if mc_samples < 2:
             raise ValueError("mc_samples must be 0 or at least 2")
-        (d_fix_mc, se_fix), (d_gen_mc, se_gen) = _sampled_mse(
-            q.partition, (q.design_codebook, gen_codebook), true_d, mc_samples, seed)
-        mc_stderr = max(se_fix, se_gen)
-
-    return DistortionReport(
-        d_fix=d_fix,
-        d_gen=d_gen,
-        d_ideal=d_ideal,
-        excess=excess,
-        relative_gain_pct=100.0 * excess / d_fix,
-        method="closed_form",
-        mc_stderr=mc_stderr,
-        d_fix_mc=d_fix_mc,
-        d_gen_mc=d_gen_mc,
-        substituted_bins=substituted,
-    )
+        x = true_d.sample(seed, mc_samples)
+        x.flags.writeable = False  # every bit depth reads the same draw
+    rows = []
+    for bits in bits_list:
+        q = lloyd_max_design(design_d, bits, max_iters=max_iters, init=init)
+        gen_values, substituted, d_fix, d_gen, excess = _exact_terms(q, true_d)
+        gen_codebook = Codebook(gen_values)
+        d_ideal = ideal_distortion(true_d, bits, max_iters=max_iters, init=init)
+        mc_stderr = d_fix_mc = d_gen_mc = None
+        if mc_samples:
+            (d_fix_mc, se_fix), (d_gen_mc, se_gen) = _score(
+                q.partition, (q.design_codebook, gen_codebook), x)
+            mc_stderr = max(se_fix, se_gen)
+        rows.append(DistortionReport(
+            d_fix=d_fix,
+            d_gen=d_gen,
+            d_ideal=d_ideal,
+            excess=excess,
+            relative_gain_pct=100.0 * excess / d_fix,
+            method="closed_form",
+            mc_stderr=mc_stderr,
+            d_fix_mc=d_fix_mc,
+            d_gen_mc=d_gen_mc,
+            substituted_bins=substituted,
+        ))
+    return tuple(rows)
 
 
 def one_bit_gaussian_report(

@@ -1,9 +1,11 @@
-"""Shared fixtures: an empty moment-table memo for every test, a recorder of
-kernel calls, a ``tracemalloc`` peak, per-component loop references of the
-mixture density, distribution function, quantiles and moments, a double-precision
-oracle of the Laplace Lloyd-Max design, and 40-digit ``mpmath`` oracles
-(densities, raw interval moments and the Gaussian Lloyd-Max design)."""
+"""Shared fixtures: an empty moment-table memo for every test, recorders of
+kernel and sampling calls, a ``tracemalloc`` peak, per-component loop
+references of the mixture density, distribution function, quantiles and
+moments, a double-precision oracle of the Laplace Lloyd-Max design, and
+40-digit ``mpmath`` oracles (densities, raw interval moments and the
+Gaussian Lloyd-Max design)."""
 
+import collections
 import math
 import tracemalloc
 import types
@@ -160,6 +162,25 @@ def gaussian_kernel_calls(monkeypatch):
             return kernel(*args, **kwargs)
 
         monkeypatch.setattr(distributions, "_gaussian_edge_stats", counted)
+        return calls
+
+    return record
+
+
+@pytest.fixture
+def sample_calls(monkeypatch):
+    """``sample_calls()``: a ``Counter`` of the ``Distribution.sample`` calls
+    made from then on in the test, keyed by the family's class name."""
+
+    def record():
+        calls = collections.Counter()
+        for family in (Gaussian, Laplace, GaussianMixture):
+
+            def counted(self, *args, draw=family.sample, **kwargs):
+                calls[type(self).__name__] += 1
+                return draw(self, *args, **kwargs)
+
+            monkeypatch.setattr(family, "sample", counted)
         return calls
 
     return record

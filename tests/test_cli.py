@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import mismatch_quant
-from mismatch_quant import cli, quantizer
+from mismatch_quant import Gaussian, Laplace, cli, quantizer
 from mismatch_quant.cli import ExperimentConfig, main, validate
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -401,6 +401,7 @@ class TestRunCommand:
         assert err == f"operation failed: {exc_type.__name__}: numeric trouble\n"
 
     @pytest.mark.parametrize("experiment, prefix, n_rows", [
+        ("mean_sweep", ["mu1"], 4),
         ("variance_sweep", ["sigma1"], 4),
         ("laplace_table", [], 2),
         ("single_report", ["design", "true"], 2),
@@ -427,6 +428,40 @@ class TestRunCommand:
         if experiment == "single_report":
             assert json.loads(rows[1][0]) == json.loads(rows[1][1]) == {
                 "kind": "gaussian", "mean": 0.0, "std": 1.0}
+
+    @pytest.mark.parametrize("experiment, family, n_laws", [
+        ("mean_sweep", "Gaussian", 17),
+        ("variance_sweep", "Gaussian", 9),
+        ("laplace_table", "Laplace", 1),
+        ("single_report", "Gaussian", 1),
+    ])
+    def test_one_draw_per_true_law_at_the_default_grid(self, tmp_path, sample_calls,
+                                                       experiment, family, n_laws):
+        # The bit depths of one true law share the draw seeded at the
+        # position of their first row.
+        n, seed = 2_000, 5
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": experiment, "mc_samples": n, "seed": seed}))
+        out = tmp_path / "mc.csv"
+        calls = sample_calls()
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert calls == {family: n_laws}
+        defaults = ExperimentConfig(experiment)
+        true_laws = {
+            "mean_sweep": [Gaussian(mu, 1.0) for mu in defaults.mu1_values],
+            "variance_sweep": [Gaussian(0.0, s) for s in defaults.sigma1_values],
+            "laplace_table": [Laplace()],
+            "single_report": [Gaussian()],
+        }[experiment]
+        _, *rows = _read_csv(out)
+        assert len(rows) == n_laws * len(defaults.bits)
+        for k, true_d in enumerate(true_laws):
+            first = k * len(defaults.bits)
+            for j, bits in enumerate(defaults.bits):
+                rep = mismatch_quant.report(Gaussian(), true_d, bits, mc_samples=n,
+                                            seed=cli._point_seed(seed, first))
+                assert rows[first + j][-3:] == [
+                    cli._fmt(v) for v in (rep.d_fix_mc, rep.d_gen_mc, rep.mc_stderr)]
 
     def test_readme_lists_every_experiment(self):
         text = (ROOT / "README.md").read_text()

@@ -426,6 +426,36 @@ class TestMixturePointwise:
             assert np.array_equal(got, want), (name, k, shape)
             assert np.array_equal(np.signbit(got), np.signbit(want)), (name, k, shape)
 
+    @pytest.mark.parametrize("components", [
+        ((0.2, -3.0, 0.5), (0.5, 0.0, 1.0), (0.3, 4.0, 2.0)),
+        ((1.0, 1.5, 0.3),),
+        tuple((0.1, 3.0 * j - 13.5, 0.4 + 0.1 * j) for j in range(10)),
+    ])
+    def test_log_pdf_against_forty_digits(self, components, mp_density):
+        # Out to 1e150 the squares stay finite and every component's term
+        # is far below the nearest one's; the log density is then -1e300.
+        mp = pytest.importorskip("mpmath").mp
+        mix = GaussianMixture(components)
+        x = np.concatenate((np.linspace(-60.0, 60.0, 241),
+                            [-1e150, -1e5, -1e3, -300.5, 1e3, 1e5, 1e150]))
+        f = mp_density(mix)
+        with mp.workdps(40):
+            want = np.array([float(mp.log(f(mp.mpf(v)))) for v in x])
+        got = mix.log_pdf(x)
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.abs(want))
+        assert mix.log_pdf(float(x[100])) == got[100]
+        assert np.array_equal(mix.log_pdf([-np.inf, np.inf]), [-np.inf, -np.inf])
+
+    def test_log_pdf_adds_components_in_place(self, traced_peak):
+        # The total, the next component's term and one temporary: 3 n floats
+        # at peak (23.5 n when the terms were stacked for a logsumexp).
+        n = 262_145
+        mix = GaussianMixture(((0.2, -3.0, 0.5), (0.5, 0.0, 1.0), (0.3, 4.0, 2.0)))
+        x = np.linspace(-12.0, 12.0, n)
+        out, peak = traced_peak(lambda: mix.log_pdf(x))
+        assert out.shape == (n,)
+        assert peak < 4 * 8 * n
+
     def test_columns_stay_out_of_equality_hash_and_pickles(self):
         mix = GaussianMixture(((0.25, -1.0, 0.5), (0.75, 2.0, 1.5)))
         fresh = pickle.dumps(mix)

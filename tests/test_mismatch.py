@@ -31,6 +31,7 @@ from mismatch_quant import (
     one_bit_gaussian_report,
     one_bit_quantizer,
     report,
+    reports,
 )
 
 TWO_OVER_PI = 2.0 / math.pi
@@ -194,6 +195,76 @@ class TestReport:
         gen_mc, se_gen = monte_carlo_distortion(q.partition, gen, true_d, n, seed)
         assert (r.d_fix_mc, r.d_gen_mc, r.mc_stderr) == (fix_mc, gen_mc,
                                                          max(se_fix, se_gen))
+
+
+class TestReports:
+    """``reports`` is ``report`` at each bit depth, bit for bit, scoring one
+    Monte Carlo draw of the true law for all of them."""
+
+    # Counted indices at 1 and 4 bits, searched ones at 7 and 9; one byte a
+    # draw to 8 bits, two from 9 on.
+    BITS = (1, 4, 7, 9)
+
+    @pytest.mark.parametrize("design_d, true_d", [
+        (Gaussian(), Gaussian(0.3, 1.4)),
+        (Gaussian(), Laplace(-0.2, 0.9)),
+        (Laplace(), GaussianMixture(((0.3, -1.0, 0.5), (0.7, 1.5, 1.2)))),
+        (Gaussian(), Gaussian(50.0, 0.1)),  # every bin but the last is empty
+    ])
+    def test_each_row_is_the_one_row_report(self, design_d, true_d):
+        n, seed = 20_000, 6
+        rows = reports(design_d, true_d, self.BITS, mc_samples=n, seed=seed)
+        singles = tuple(report(design_d, true_d, b, mc_samples=n, seed=seed)
+                        for b in self.BITS)
+        assert [repr(r) for r in rows] == [repr(r) for r in singles]
+        assert all(r.d_gen_mc is not None for r in rows)
+        if true_d == Gaussian(50.0, 0.1):
+            assert rows[-1].substituted_bins == tuple(range((1 << 9) - 1))
+
+    @pytest.mark.parametrize("true_d", [
+        Gaussian(0.3, 1.4), Laplace(-0.2, 0.9),
+        GaussianMixture(((0.3, -1.0, 0.5), (0.7, 1.5, 1.2))),
+    ])
+    def test_one_draw_per_call(self, true_d, sample_calls):
+        calls = sample_calls()
+        reports(Gaussian(), true_d, self.BITS, mc_samples=5_000, seed=3)
+        assert calls == {type(true_d).__name__: 1}
+
+    def test_draw_is_read_only(self, monkeypatch):
+        draws = []
+        sample = Laplace.sample
+
+        def kept(self, *args):
+            draws.append(sample(self, *args))
+            return draws[-1]
+
+        monkeypatch.setattr(Laplace, "sample", kept)
+        reports(Gaussian(), Laplace(), self.BITS, mc_samples=5_000, seed=3)
+        [x] = draws
+        assert not x.flags.writeable
+        np.testing.assert_array_equal(x, Laplace().sample(3, 5_000))
+
+    def test_no_draw_without_valid_mc_arguments(self, sample_calls):
+        calls = sample_calls()
+        rows = reports(Gaussian(), Laplace(), self.BITS)
+        assert rows == tuple(report(Gaussian(), Laplace(), b) for b in self.BITS)
+        assert all(r.mc_stderr is None for r in rows)
+        with pytest.raises(ValueError, match="seed"):
+            reports(Gaussian(), Laplace(), self.BITS, mc_samples=1000)
+        with pytest.raises(ValueError, match="at least 2"):
+            reports(Gaussian(), Laplace(), self.BITS, mc_samples=1, seed=0)
+        assert not calls
+
+    def test_three_bit_depths_keep_one_error_array_live(self, traced_peak):
+        # The draw (8 bytes a draw) stays for the whole call; each bit depth
+        # adds its index (1 or 2) and one codebook's errors (8), and its
+        # index goes before the next bit depth encodes.
+        n, design_d, true_d, bits = 100_000, Laplace(), Laplace(0.2, 1.1), (4, 8, 10)
+        reports(design_d, true_d, bits)  # designs and moment tables first
+        rows, peak = traced_peak(
+            lambda: reports(design_d, true_d, bits, mc_samples=n, seed=2))
+        assert all(r.d_gen_mc is not None for r in rows)
+        assert peak < 20 * n
 
 
 class TestExcessIdentity:
