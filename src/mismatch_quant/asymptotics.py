@@ -375,7 +375,7 @@ def rate_recovery_sweep(
         q = lloyd_max_design(design_d, bits, max_iters=max_iters, init=init)
         p = q.partition
         # Every exact term of the row reads one memoised moment table.
-        _, _, d_fix, d_gen, _ = _exact_terms(q, true_d)
+        _, d_fix, d_gen, _ = _exact_terms(q, true_d)
         granular = bennett_granular(design_d, true_d, p.n_bins, quantizer=q)
         # The generative split is all variance: its outer codewords are the tail means.
         over_fix = overload_split(p, q.design_codebook, true_d)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import asymptotics, channel, distributions, mismatch, taskaware
 # lloyd_max_design stays in this namespace: the benchmark's tracer wraps it here.
-from .quantizer import _MEMO_SIZE, lloyd_max_design, lloyd_max_designs  # noqa: F401
+from .quantizer import lloyd_max_design, lloyd_max_designs  # noqa: F401
 
 __all__ = ["ExperimentConfig", "main", "run", "validate"]
 
@@ -187,29 +187,29 @@ def _reports(cfg: ExperimentConfig, prefix: list[str], items):
     """Header and rows of ``mismatch.reports`` under the design law.
 
     ``items`` yields ``(prefix values, true law, bits)`` in output order.
-    Each run of consecutive rows with one true law is one ``reports`` call,
+    Each run of consecutive rows with one true law is one ``reports`` run,
     seeded by the position of its first row, so its rows score one Monte
-    Carlo draw and its first row is the ``report`` of that seed.
+    Carlo draw and its first row is the ``report`` of that seed.  All runs
+    go to ``mismatch._report_rows`` in one call, a bit depth at a time.
     """
     design_d = distributions.from_config(cfg.design)
     header = prefix + ["bits", "d_fix", "d_gen", "d_ideal",
                        "gain_pct", "ideal_gain_pct", "method"]
     if cfg.mc_samples:
         header += ["d_fix_mc", "d_gen_mc", "mc_stderr"]
-    rows = []
-    for true_d, run in itertools.groupby(items, key=lambda item: item[1]):
+    items = list(items)
+    runs = []
+    for true_d, run in itertools.groupby(enumerate(items), key=lambda item: item[1][1]):
         run = list(run)
-        reps = mismatch.reports(
-            design_d, true_d, [bits for _, _, bits in run],
-            mc_samples=cfg.mc_samples,
-            seed=_point_seed(cfg.seed, len(rows)),
-        )
-        for (values, _, bits), rep in zip(run, reps):
-            row = [*values, bits, rep.d_fix, rep.d_gen, rep.d_ideal,
-                   rep.relative_gain_pct, rep.ideal_gain_pct, rep.method]
-            if cfg.mc_samples:
-                row += [rep.d_fix_mc, rep.d_gen_mc, rep.mc_stderr]
-            rows.append(row)
+        runs.append((true_d, [bits for _, (_, _, bits) in run], _point_seed(cfg.seed, run[0][0])))
+    reps = itertools.chain.from_iterable(mismatch._report_rows(design_d, runs, cfg.mc_samples))
+    rows = []
+    for (values, _, bits), rep in zip(items, reps):
+        row = [*values, bits, rep.d_fix, rep.d_gen, rep.d_ideal,
+               rep.relative_gain_pct, rep.ideal_gain_pct, rep.method]
+        if cfg.mc_samples:
+            row += [rep.d_fix_mc, rep.d_gen_mc, rep.mc_stderr]
+        rows.append(row)
     return header, rows
 
 
@@ -305,24 +305,33 @@ def _semantic_source(cfg: ExperimentConfig, count: int) -> taskaware.LabeledSour
     )
 
 
+# Most class-by-bin entries (2 MB of floats) the class tables of one batch of
+# semantic_mixture sources hold; a batch has one source at least, and a source
+# at most n_classes classes.
+_CLASS_ENTRIES = 1 << 18
+
+
 def _run_semantic_mixture(cfg: ExperimentConfig):
     src_design = _semantic_source(cfg, cfg.n_classes)
-    marginal = src_design.marginal()
     ks = list(cfg.k_values or range(1, cfg.n_classes + 1))
     sources = [_semantic_source(cfg, k) for k in ks]
-    # Each bit depth designs the design marginal, which does not depend on k,
-    # together with the true marginals, and then runs their reports, whose
-    # ideal redesigns read the design memo.  A batch of at most _MEMO_SIZE
-    # laws stays whole in the memo until its reports have read it.
-    step = _MEMO_SIZE - 1
+    # Each bit depth designs and labels the design marginal, which does not
+    # depend on k, once, with the true marginals of its first batch of
+    # sources; their designs are the ideal ones, so every batch reads its own.
     reports = {}
     for bits in dict.fromkeys(cfg.bits):
+        deployed, step = None, max(1, (_CLASS_ENTRIES >> bits) // cfg.n_classes)
         for lo in range(0, len(ks), step):
-            chunk = sources[lo : lo + step]
-            laws = [marginal, *(src.marginal() for src in chunk)]
-            partition = lloyd_max_designs(laws, bits)[0].partition
-            for k, src_true in zip(ks[lo : lo + step], chunk):
-                reports[k, bits] = taskaware.classification_report(partition, src_true, src_design)
+            batch = sources[lo : lo + step]
+            laws = [src.marginal() for src in batch]
+            if deployed is None:
+                deployed, *ideal = lloyd_max_designs([src_design.marginal(), *laws], bits)
+                labels_fix = taskaware.map_labels(deployed.partition, src_design)
+            else:
+                ideal = lloyd_max_designs(laws, bits)
+            reps = taskaware._classification_reports(
+                deployed.partition, labels_fix, batch, [q.partition for q in ideal])
+            reports.update(((k, bits), rep) for k, rep in zip(ks[lo : lo + step], reps))
     rows = [[k, bits, rep.acc_fix, rep.acc_gen, rep.acc_ideal, rep.recovery_pct]
             for k in ks for bits in cfg.bits for rep in [reports[k, bits]]]
     header = ["k", "bits", "acc_fix", "acc_gen", "acc_ideal", "recovery_pct"]

@@ -10,7 +10,7 @@ Semi-infinite intervals are first-class: every formula is written so that
 The arithmetic every reader of a moment table shares lives beside
 ``edge_stats``: ``_table_distortion``, ``_conditional_means`` (with the one
 empty-bin rule) and ``_blocks``, the one block bound of a walk over Gaussian
-laws, which mixture components and the class laws of a source both take.
+laws, which mixture components and the laws of ``_gaussian_blocks`` take.
 """
 
 from __future__ import annotations
@@ -129,6 +129,20 @@ def _blocks(k: int, size: int) -> list[tuple[int, int]]:
     entries each, at most ``_MIXTURE_BLOCK`` entries (one law at least)."""
     step = max(1, _MIXTURE_BLOCK // max(size, 1))
     return [(lo, min(lo + step, k)) for lo in range(0, k, step)]
+
+
+def _gaussian_blocks(laws, edges: np.ndarray, order: int, owner=None):
+    """Yield ``(rows, table)`` a block (``_blocks``) of the ``Gaussian`` laws
+    among ``laws`` at a time: their indices, and their moments ``0..order`` on
+    ``edges`` (law ``i`` reads row ``owner[i]`` if given) from one kernel call
+    on ``(k, 1)`` columns, each row bit for bit the law's own ``edge_stats``."""
+    gauss = [i for i, d in enumerate(laws) if type(d) is Gaussian]
+    mean = np.array([[laws[i].mean] for i in gauss])
+    std = np.array([[laws[i].std] for i in gauss])
+    for lo, hi in _blocks(len(gauss), edges.shape[-1]):
+        rows = gauss[lo:hi]
+        yield rows, _gaussian_edge_stats(
+            mean[lo:hi], std[lo:hi], edges if owner is None else edges[owner[rows]], order)
 
 
 def _fold(total, block: np.ndarray) -> np.ndarray:

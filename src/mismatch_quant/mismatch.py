@@ -14,13 +14,14 @@ optional Monte Carlo cross-check.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .distributions import (
-    Distribution, Gaussian, _conditional_means, _table_distortion, inverse_mills)
+    Distribution, Gaussian, _conditional_means, _gaussian_blocks, _table_distortion, inverse_mills)
 from .quantizer import (
     Codebook, Partition, Quantizer, _bin_arrays, _moment_table, _standard_member, lloyd_max_design)
 
@@ -152,19 +153,26 @@ def monte_carlo_distortion(
     return _score(p, [c], d.sample(seed, n_samples))[0]
 
 
-def _exact_terms(q: Quantizer, true_d: Distribution):
-    """``(gen, substituted, d_fix, d_gen, excess)`` of ``q`` under ``true_d``,
-    all from its moment table on the partition: the conditional means
-    (design codewords in the ``substituted`` empty bins), both exact
-    distortions, and ``excess = d_fix - d_gen`` by the identity
-    ``sum_i mass_i (a_i - gen_i)^2``, which has no cancellation."""
-    table = _moment_table(true_d, q.partition)
-    fix = q.design_codebook.as_array()
-    gen, substituted = _conditional_means(table, true_d, fix)
+def _table_terms(table, fix: np.ndarray, laws) -> list:
+    """``(substituted, d_fix, d_gen, excess)`` of each law of ``laws`` from its
+    row of ``table`` on the partition of the design codewords ``fix``, with the
+    conditional means ``gen`` (``_conditional_means``) and ``excess = sum_i
+    mass_i (fix_i - gen_i)^2``, which has no cancellation; bit for bit per row."""
+    mass, m1, _ = table
+    gen, substituted = zip(*(_conditional_means((mass[i], m1[i]), d, fix)
+                             for i, d in enumerate(laws)))
+    gen = np.array(gen)
     shift = fix - gen
-    return (gen, substituted,
-            _table_distortion(table, fix, fix * fix), _table_distortion(table, gen, gen * gen),
-            float(np.dot(table[0], shift * shift)))
+    return list(zip(substituted,
+                    _table_distortion(table, [fix] * len(laws), [fix * fix] * len(laws)),
+                    _table_distortion(table, gen, gen * gen),
+                    [float(np.dot(m, s2)) for m, s2 in zip(mass, shift * shift)]))
+
+
+def _exact_terms(q: Quantizer, true_d: Distribution):
+    """``_table_terms`` of ``true_d`` on ``q`` from its memoised moment table."""
+    table = [moment[None] for moment in _moment_table(true_d, q.partition)]
+    return _table_terms(table, q.design_codebook.as_array(), [true_d])[0]
 
 
 def report(
@@ -203,44 +211,64 @@ def reports(
     init: str = "quantile",
 ) -> tuple[DistortionReport, ...]:
     """``report(design_d, true_d, b, ...)`` for each ``b`` in ``bits_list``,
-    bit for bit, with one Monte Carlo draw for them all.
+    bit for bit: the one-run call of ``_report_rows``.
 
     With ``mc_samples``, ``true_d.sample(seed, mc_samples)`` is drawn once,
-    and each bit depth encodes and scores that same draw.  The rows thus
-    share common random numbers: their Monte Carlo errors are correlated,
-    and their differences are sharper than those of independent draws.
+    after every bit depth is designed, and each bit depth scores that same
+    draw: common random numbers, which sharpen the rows' differences.
     """
+    return _report_rows(design_d, [(true_d, tuple(bits_list), seed)],
+                        mc_samples, max_iters, init)[0]
+
+
+def _report_rows(design_d: Distribution, runs, mc_samples: int = 0,
+                 max_iters: int = 500, init: str = "quantile") -> list:
+    """``reports(design_d, true_d, bits_list, mc_samples=mc_samples,
+    seed=seed, ...)`` of each run ``(true_d, bits_list, seed)`` of ``runs``.
+
+    Each bit depth is designed once, first; its Gaussian true laws take one
+    kernel call a block (``_gaussian_blocks``), others their ``_moment_table``,
+    and ``d_ideal`` one standard design a family.  Then each run draws once and
+    each of its rows rebuilds its ``generative_codebook`` to score the draw."""
     if mc_samples:
-        if seed is None:
+        if any(seed is None for _, _, seed in runs):
             raise ValueError("a seed is required when mc_samples > 0")
         if mc_samples < 2:
             raise ValueError("mc_samples must be 0 or at least 2")
-        x = true_d.sample(seed, mc_samples)
-        x.flags.writeable = False  # every bit depth reads the same draw
-    rows = []
-    for bits in bits_list:
-        q = lloyd_max_design(design_d, bits, max_iters=max_iters, init=init)
-        gen_values, substituted, d_fix, d_gen, excess = _exact_terms(q, true_d)
-        gen_codebook = Codebook(gen_values)
-        d_ideal = ideal_distortion(true_d, bits, max_iters=max_iters, init=init)
-        mc_stderr = d_fix_mc = d_gen_mc = None
+    settings, exact = {"max_iters": max_iters, "init": init}, {}
+    depths = dict.fromkeys(bits for _, bits_list, _ in runs for bits in bits_list)
+    designs = {bits: lloyd_max_design(design_d, bits, **settings) for bits in depths}
+    for bits, q in designs.items():
+        p, fix = q.partition, q.design_codebook.as_array()
+        laws = list(dict.fromkeys(true_d for true_d, bits_list, _ in runs if bits in bits_list))
+        members = [_standard_member(d) for d in laws]
+        stars = {law: ideal_distortion(law, bits, **settings)
+                 for law in dict.fromkeys(standard for standard, _, _ in members)}
+        others = (([i], [moment[None] for moment in _moment_table(d, p)])
+                  for i, d in enumerate(laws) if type(d) is not Gaussian)
+        for rows, table in itertools.chain(_gaussian_blocks(laws, p.edges(), 2), others):
+            terms = _table_terms(table, fix, [laws[i] for i in rows])
+            for i, (substituted, d_fix, d_gen, excess) in zip(rows, terms):
+                standard, _, scale = members[i]
+                exact[laws[i], bits] = DistortionReport(
+                    d_fix=d_fix, d_gen=d_gen, d_ideal=scale * scale * stars[standard],
+                    excess=excess, relative_gain_pct=100.0 * excess / d_fix,
+                    method="closed_form", substituted_bins=substituted)
+    out = []
+    for true_d, bits_list, seed in runs:
+        cells = [exact[true_d, bits] for bits in bits_list]
         if mc_samples:
-            (d_fix_mc, se_fix), (d_gen_mc, se_gen) = _score(
-                q.partition, (q.design_codebook, gen_codebook), x)
-            mc_stderr = max(se_fix, se_gen)
-        rows.append(DistortionReport(
-            d_fix=d_fix,
-            d_gen=d_gen,
-            d_ideal=d_ideal,
-            excess=excess,
-            relative_gain_pct=100.0 * excess / d_fix,
-            method="closed_form",
-            mc_stderr=mc_stderr,
-            d_fix_mc=d_fix_mc,
-            d_gen_mc=d_gen_mc,
-            substituted_bins=substituted,
-        ))
-    return tuple(rows)
+            x = true_d.sample(seed, mc_samples)
+            x.flags.writeable = False  # every bit depth reads the same draw
+            for j, bits in enumerate(bits_list):
+                p, fix = designs[bits].partition, designs[bits].design_codebook
+                gen = generative_codebook(p, true_d, fallback=fix)
+                (fix_mc, se_fix), (gen_mc, se_gen) = _score(p, (fix, gen), x)
+                cells[j] = replace(cells[j], mc_stderr=max(se_fix, se_gen),
+                                   d_fix_mc=fix_mc, d_gen_mc=gen_mc)
+            del x  # one draw is live at a time
+        out.append(tuple(cells))
+    return out
 
 
 def one_bit_gaussian_report(

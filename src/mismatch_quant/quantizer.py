@@ -477,7 +477,7 @@ def _lloyd_max_designs(laws: tuple, bits: int, max_iters: int, init: str) -> tup
         raise ValueError("max_iters must be at least 1")
     members = [_standard_member(d) for d in laws]
     keys = [(standard, bits, max_iters, init) for standard, _, _ in members]
-    found = {key: _STANDARD_DESIGNS.pop(key, None) for key in keys}
+    found = {key: _STANDARD_DESIGNS.pop(key, None) for key in dict.fromkeys(keys)}
     todo = [key for key, q in found.items() if q is None]
     if todo:
         found.update(zip(todo, _designs([key[0] for key in todo], bits, max_iters, init)))

@@ -11,14 +11,14 @@ encoder.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import (
-    ZERO_MASS_TOL, Distribution, Gaussian, GaussianMixture, _blocks, _conditional_means,
-    _gaussian_edge_stats)
+    ZERO_MASS_TOL, Distribution, Gaussian, GaussianMixture, _conditional_means, _gaussian_blocks)
 from .errors import ZeroMassBin
 from .quantizer import Codebook, Partition, _moment_table, lloyd_max_design
 
@@ -183,22 +183,26 @@ class LabeledSource:
         return GaussianMixture(components=tuple(comps))
 
 
+def _joint_masses(edges: np.ndarray, sources) -> list[np.ndarray]:
+    """The ``_joint_mass`` table of each of ``sources`` on ``edges`` (one row
+    for all, or a row per source): the Gaussian class laws of them all in one
+    walk of the kernel (``_gaussian_blocks``), other laws one by one."""
+    sizes = [len(src.classes) for src in sources]
+    laws = [c.distribution for src in sources for c in src.classes]
+    owner = None if edges.ndim == 1 else np.repeat(np.arange(len(sources)), sizes)
+    joint = np.empty((len(laws), edges.shape[-1] - 1))
+    for rows, (mass,) in _gaussian_blocks(laws, edges, 0, owner):
+        joint[rows] = mass
+    for k, d in enumerate(laws):
+        if type(d) is not Gaussian:
+            (joint[k],) = d.edge_stats(edges if owner is None else edges[owner[k]], order=0)
+    joint *= np.array([[c.weight] for src in sources for c in src.classes])
+    return [joint[end - size : end] for size, end in zip(sizes, itertools.accumulate(sizes))]
+
+
 def _joint_mass(p: Partition, src: LabeledSource) -> np.ndarray:
-    """Matrix of ``P(class y, bin i)``, classes by bins.  Gaussian class laws
-    go through the kernel as ``(k, 1)`` columns, in blocks as mixture moments
-    do (one call for small partitions); order 0 is elementwise, so each row
-    is bit for bit the law's own ``edge_stats``.  Other laws go one by one."""
-    edges = p.edges()
-    laws = [c.distribution for c in src.classes]
-    gauss = [k for k, d in enumerate(laws) if type(d) is Gaussian]
-    joint = np.empty((len(laws), len(edges) - 1))
-    mean = np.array([[laws[k].mean] for k in gauss])
-    std = np.array([[laws[k].std] for k in gauss])
-    for lo, hi in _blocks(len(gauss), len(edges)):
-        joint[gauss[lo:hi]] = _gaussian_edge_stats(mean[lo:hi], std[lo:hi], edges, 0)[0]
-    for k in set(range(len(laws))).difference(gauss):
-        (joint[k],) = laws[k].edge_stats(edges, order=0)
-    return np.array([[c.weight] for c in src.classes]) * joint
+    """Matrix of ``P(class y, bin i)``, classes by bins (``_joint_masses``)."""
+    return _joint_masses(p.edges(), [src])[0]
 
 
 def _labels_from_joint(joint: np.ndarray, src: LabeledSource) -> tuple[str, ...]:
@@ -258,24 +262,28 @@ def classification_report(
     All accuracies are evaluated under ``src_true``.  The ideal decoder
     redesigns the partition for the true marginal at the same bit depth and
     labels it with the true mix; that design comes from the design memo of
-    ``lloyd_max_design`` when the marginal was designed before, alone or in
-    a ``lloyd_max_designs`` batch (as ``semantic_mixture`` does for each bit
-    depth), and is run here otherwise.  Each (partition, source) pair builds
-    its joint-mass table once, and labels and accuracies are read from it.
+    ``lloyd_max_design`` when the marginal was designed before, and is run
+    here otherwise.  This is the one-source ``_classification_reports``.
     """
-    labels_fix = _labels_from_joint(_joint_mass(p, src_design), src_design)
-    joint_true = _joint_mass(p, src_true)
-    labels_gen = _labels_from_joint(joint_true, src_true)
-    acc_fix = _label_accuracy(joint_true, labels_fix, src_true)
-    acc_gen = _label_accuracy(joint_true, labels_gen, src_true)
+    labels_fix = map_labels(p, src_design)
+    ideal = lloyd_max_design(src_true.marginal(), p.bits).partition
+    return _classification_reports(p, labels_fix, [src_true], [ideal])[0]
 
-    ideal_q = lloyd_max_design(src_true.marginal(), p.bits)
-    joint_ideal = _joint_mass(ideal_q.partition, src_true)
-    labels_ideal = _labels_from_joint(joint_ideal, src_true)
-    acc_ideal = _label_accuracy(joint_ideal, labels_ideal, src_true)
 
-    gap = acc_ideal - acc_fix
-    recovery = 100.0 * (acc_gen - acc_fix) / gap if abs(gap) > 1e-9 else None
-    return ClassificationReport(
-        acc_fix=acc_fix, acc_gen=acc_gen, acc_ideal=acc_ideal, recovery_pct=recovery
-    )
+def _classification_reports(p: Partition, labels_fix: tuple[str, ...], sources,
+                            ideal) -> list[ClassificationReport]:
+    """``classification_report(p, src, src_design)`` of each ``src`` of
+    ``sources``, given ``labels_fix = map_labels(p, src_design)`` and their
+    ``ideal`` partitions, from two class-by-bin tables of all their classes:
+    one kernel walk on ``p`` and one on the ``ideal`` ones (``_joint_masses``)."""
+    deployed = _joint_masses(p.edges(), sources)
+    redesigned = _joint_masses(np.array([q.edges() for q in ideal]), sources)
+    out = []
+    for src, joint_true, joint_ideal in zip(sources, deployed, redesigned):
+        acc_fix = _label_accuracy(joint_true, labels_fix, src)
+        acc_gen = _label_accuracy(joint_true, _labels_from_joint(joint_true, src), src)
+        acc_ideal = _label_accuracy(joint_ideal, _labels_from_joint(joint_ideal, src), src)
+        gap = acc_ideal - acc_fix
+        recovery = 100.0 * (acc_gen - acc_fix) / gap if abs(gap) > 1e-9 else None
+        out.append(ClassificationReport(acc_fix, acc_gen, acc_ideal, recovery))
+    return out

@@ -546,6 +546,48 @@ class TestRunCommand:
             (k, bits) for k in range(1, 18) for bits in (1, 2, 3, 4)]
         assert len(designed) == 68
 
+    @pytest.mark.parametrize("entries", [cli._CLASS_ENTRIES, 64])
+    def test_semantic_mixture_needs_no_room_in_the_design_memo(
+            self, tmp_path, monkeypatch, entries):
+        # The ideal designs are the ones each batch's designs return, so a
+        # memo of 4 designs, smaller than the 10 laws of a bit depth, changes
+        # no byte of the CSV, in one batch a bit depth or in batches of 64
+        # class-by-bin entries (one to three sources).  One batch redesigns
+        # nothing; in small batches the k = 10 marginal, which is the design
+        # marginal of the first batch, has left the memo when its turn comes.
+        cfg = _write_cfg(tmp_path, experiment="semantic_mixture", bits=[1, 2, 3, 4])
+        want, out = tmp_path / "want.csv", tmp_path / "out.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(want)]) == 0
+        monkeypatch.setattr(quantizer, "_STANDARD_DESIGNS", {})
+        monkeypatch.setattr(quantizer, "_MEMO_SIZE", 4)
+        monkeypatch.setattr(cli, "_CLASS_ENTRIES", entries)
+        designed = []
+        designs = quantizer._designs
+
+        def counted(laws, *args):
+            designed.extend(laws)
+            return designs(laws, *args)
+
+        monkeypatch.setattr(quantizer, "_designs", counted)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.read_bytes() == want.read_bytes()
+        # the 10 marginals at each of 4 bit depths
+        assert len(designed) == (44 if entries == 64 else 40)
+        assert len(quantizer._STANDARD_DESIGNS) == 4
+
+    def test_many_class_semantic_mixture_holds_one_batch_of_class_tables(self, traced_peak):
+        # 24 sources of 40 classes at 10 bits: 960 class rows by 1024 bins,
+        # 7.9 MB a table, taken in batches of at most _CLASS_ENTRIES entries
+        # (6 sources, 1.97 MB a table).  A batch holds its deployed and its
+        # redesigned table and the kernel's block scratch (4.6 MB by
+        # tracemalloc); all the sources at once would peak at 16.6 MB.
+        cfg = ExperimentConfig(experiment="semantic_mixture", n_classes=40,
+                               k_values=[40] * 24, bits=[10])
+        want = cli._run_semantic_mixture(cfg)  # the designs first
+        got, peak = traced_peak(lambda: cli._run_semantic_mixture(cfg))
+        assert got == want
+        assert peak < 6 << 20  # 6.3 MB
+
     def test_rate_recovery_columns(self, tmp_path):
         out = tmp_path / "rr.csv"
         cfg = _write_cfg(tmp_path, experiment="rate_recovery", bits=[2, 3])

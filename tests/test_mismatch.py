@@ -33,6 +33,7 @@ from mismatch_quant import (
     report,
     reports,
 )
+from mismatch_quant import cli, distributions, mismatch
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -265,6 +266,86 @@ class TestReports:
             lambda: reports(design_d, true_d, bits, mc_samples=n, seed=2))
         assert all(r.d_gen_mc is not None for r in rows)
         assert peak < 20 * n
+
+    def test_every_bit_depth_is_checked_before_the_draw(self, sample_calls):
+        calls = sample_calls()
+        with pytest.raises(ValueError, match="bits must be an integer"):
+            reports(Laplace(), Laplace(0, 1), [3, 0], mc_samples=2_000_000, seed=1)
+        assert not calls
+
+
+class TestReportRows:
+    """The sweep core ``_report_rows`` takes the true laws of a bit depth
+    together; each row must be bit for bit the one-law ``report``, and that
+    the report composed from the public one-law functions."""
+
+    MIX = GaussianMixture(((0.3, -1.0, 0.5), (0.7, 1.5, 1.2)))
+    # Gaussian runs (one law twice, once with another seed), a Laplace law, a
+    # mixture, a far-off Gaussian with substituted bins, and bit depths that
+    # repeat within a run and across runs in another order.
+    RUNS = [
+        (Gaussian(0.3, 1.4), [1, 4, 7], 11),
+        (Gaussian(-0.5, 0.8), [4, 2], 12),
+        (Laplace(-0.2, 0.9), [3, 4], 13),
+        (Gaussian(0.3, 1.4), [2, 2, 9], 14),
+        (MIX, [4, 1], 15),
+        (Gaussian(50.0, 0.1), [9, 3], 16),
+        (Gaussian(), [3], 17),
+    ]
+
+    @staticmethod
+    def _composed(design_d, true_d, bits):
+        """The exact cells of the row, from the law's own moment tables."""
+        q = lloyd_max_design(design_d, bits)
+        p, fix = q.partition, q.design_codebook
+        gen = generative_codebook(p, true_d, fallback=fix)
+        (mass,) = true_d.edge_stats(p.edges(), order=0)
+        shift = fix.as_array() - gen.as_array()
+        return (expected_distortion(p, fix, true_d), expected_distortion(p, gen, true_d),
+                ideal_distortion(true_d, bits), float(np.dot(mass, shift * shift)))
+
+    @pytest.mark.parametrize("design_d", [Gaussian(), Laplace(0.1, 1.2)])
+    @pytest.mark.parametrize("mc_samples", [0, 5_000])
+    def test_rows_are_the_one_law_reports(self, design_d, mc_samples):
+        rows = mismatch._report_rows(design_d, self.RUNS, mc_samples)
+        assert [len(run) for run in rows] == [len(bits) for _, bits, _ in self.RUNS]
+        for (true_d, bits_list, seed), run in zip(self.RUNS, rows):
+            for bits, row in zip(bits_list, run):
+                single = report(design_d, true_d, bits, mc_samples=mc_samples, seed=seed)
+                assert repr(row) == repr(single), (true_d, bits)
+                got = (row.d_fix, row.d_gen, row.d_ideal, row.excess)
+                assert got == self._composed(design_d, true_d, bits), (true_d, bits)
+                assert (row.d_gen_mc is None) == (not mc_samples)
+        assert rows[5][0].substituted_bins  # the far-off law empties bins at 9 bits
+
+    def test_one_draw_per_run(self, sample_calls):
+        calls = sample_calls()
+        mismatch._report_rows(Gaussian(), self.RUNS, 2_000)
+        assert calls == {"Gaussian": 5, "Laplace": 1, "GaussianMixture": 1}
+
+    def test_default_mean_sweep_makes_one_kernel_call_a_bit_depth(
+            self, gaussian_kernel_calls):
+        # With the designs memoised, the 17 true laws of each of the 4 bit
+        # depths share one call of the Gaussian moment kernel.
+        cfg = cli.ExperimentConfig(experiment="mean_sweep")
+        header, want = cli._run_mean_sweep(cfg)
+        calls = gaussian_kernel_calls()
+        assert cli._run_mean_sweep(cfg) == (header, want)
+        assert len(want) == 68
+        assert len(calls) == 4
+        assert all(np.shape(mean) == (17, 1) for mean, _ in calls)
+
+    def test_sixty_four_laws_at_twelve_bits_hold_one_block(self, traced_peak):
+        # At 12 bits a block is one law (4097 edges).  The kernel's
+        # temporaries for it are about 14 arrays of a block's 4096 entries
+        # (0.46 MB by tracemalloc); the tables of all 64 laws alone would
+        # be 64 * 3 * 4096 * 8 bytes = 6.3 MB.
+        laws = [Gaussian(0.05 * i - 1.6, 0.6 + 0.02 * i) for i in range(64)]
+        runs = [(d, [12], None) for d in laws]
+        want = mismatch._report_rows(Gaussian(), runs)  # the designs first
+        rows, peak = traced_peak(lambda: mismatch._report_rows(Gaussian(), runs))
+        assert [repr(r) for r in rows] == [repr(r) for r in want]
+        assert peak < 24 * 8 * distributions._MIXTURE_BLOCK
 
 
 class TestExcessIdentity:

@@ -694,6 +694,14 @@ class TestStandardMemberDesign:
             assert alone == q and alone.distortion_history == q.distortion_history
         assert calls == []
 
+    def test_a_batch_that_repeats_a_memoised_law_designs_nothing(self, gaussian_kernel_calls):
+        # Each memo key is taken out once, however often its law repeats.
+        d = GaussianMixture(((0.5, -1.5, 0.6), (0.5, 1.5, 0.6)))
+        first = lloyd_max_design(d, 4)
+        calls = gaussian_kernel_calls()
+        assert lloyd_max_designs([d, d, d], 4) == (first, first, first)
+        assert calls == []
+
     def test_collapsed_thresholds_are_degenerate(self):
         with pytest.raises(DegenerateDesign):
             lloyd_max_design(Gaussian(1e6, 1e-12), 8)

@@ -28,7 +28,7 @@ from mismatch_quant import (
     weighted_mse_csi,
 )
 from mismatch_quant import cli
-from mismatch_quant.taskaware import _joint_mass, _rician_moments
+from mismatch_quant.taskaware import _classification_reports, _joint_mass, _rician_moments
 
 
 class TestTaskLoss:
@@ -404,6 +404,31 @@ class TestJointMass:
                 rep = classification_report(p, src, src_design)
                 got = (rep.acc_fix, rep.acc_gen, rep.acc_ideal, rep.recovery_pct)
                 assert got == _reference_classification(p, src, src_design), bits
+
+
+class TestClassificationReports:
+    """``_classification_reports`` reads the class masses of every source
+    from one kernel walk per partition set, given the design-mix labels;
+    each row must be bit for bit the one-source ``classification_report``."""
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4, 9])
+    def test_rows_are_the_one_source_reports(self, bits):
+        cfg = cli.ExperimentConfig(experiment="semantic_mixture")
+        src_design = cli._semantic_source(cfg, cfg.n_classes)
+        mix = GaussianMixture(((0.4, -2.0, 0.5), (0.6, 1.0, 0.7)))
+        # Duplicate k values, and a source whose mixture class goes alone.
+        sources = [cli._semantic_source(cfg, k) for k in (3, 3, 10, 1, 6)] + [
+            LabeledSource(classes=(LabeledClass("c0", 0.3, mix),
+                                   LabeledClass("c4", 0.7, Gaussian(0.5, 0.6))))]
+        p = lloyd_max_design(src_design.marginal(), bits).partition
+        ideal = [lloyd_max_design(src.marginal(), bits).partition for src in sources]
+        rows = _classification_reports(p, map_labels(p, src_design), sources, ideal)
+        assert len(rows) == len(sources)
+        for src, row in zip(sources, rows):
+            assert row == classification_report(p, src, src_design)
+            got = (row.acc_fix, row.acc_gen, row.acc_ideal, row.recovery_pct)
+            assert got == _reference_classification(p, src, src_design)
+        assert rows[0] == rows[1]
 
 
 class TestClassificationReport:
