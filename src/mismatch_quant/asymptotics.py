@@ -363,12 +363,12 @@ def rate_recovery_sweep(
     integral converges this ratio approaches it from above as bits grow.
 
     At high bit depths the design step dominates the cost.  At 8-12 bits a
-    mixture design converges in 13-18 Newton iterations from either start;
+    mixture design converges in 13-19 Newton iterations from either start;
     a Gaussian or Laplace design, solved on one half-line with its centre
     threshold pinned and its Newton steps undamped, takes 6-8 from the
-    quantile start and 5-6 from the cube-root start.  The cube-root start is
-    closed-form for Gaussian and Laplace laws and a ``64 N + 1``-point grid
-    for mixtures.
+    quantile start and 5-6 from the cube-root start.  Every start is the
+    quantiles of one law, closed-form for Gaussian and Laplace laws and a
+    bracketed Newton iteration for mixtures.
     """
     reports = []
     for bits in bits_list:

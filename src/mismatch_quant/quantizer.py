@@ -204,29 +204,21 @@ class Quantizer:
         }
 
 
-def _cube_root_quantiles(d: Distribution, q: np.ndarray) -> np.ndarray:
-    """Quantiles of the normalized cube-root density ``f^{1/3}``.
-
-    Where ``d.cube_root_law()`` exists (Gaussian, Laplace) these are its
-    closed-form quantiles.  A mixture integrates ``f^{1/3}`` by the
-    trapezoid rule on ``64 N + 1`` points, ``N = len(q)``.  Since
-    ``(sum_j w_j f_j)^{1/3} <= sum_j (w_j f_j)^{1/3}``, the grid spans the
-    ``1e-12`` to ``1 - 1e-12`` quantiles of the components' own cube-root
-    laws, which leaves out a mass of the same order.  Inside that span
-    ``f`` underflows only where ``f^{1/3}`` is below ``1e-102``, so the
-    density is cube-rooted directly.
-    """
-    g = d.cube_root_law()
-    if g is not None:
-        return np.asarray(g.ppf(q), dtype=float)
-    laws = [Gaussian(m, s).cube_root_law() for _, m, s in d.components]
-    lo = min(law.ppf(1e-12) for law in laws)
-    hi = max(law.ppf(1.0 - 1e-12) for law in laws)
-    grid = np.linspace(lo, hi, 64 * len(q) + 1)
-    weight = np.cbrt(d.pdf(grid))
-    cdf = np.concatenate(([0.0], np.cumsum((weight[1:] + weight[:-1]) * np.diff(grid))))
-    cdf /= cdf[-1]
-    return np.interp(q, cdf, grid)
+def _start_law(d: Distribution, init: str) -> Distribution:
+    """The law whose ``(i + 0.5) / N`` quantiles start the design of ``d``:
+    ``d`` itself for ``"quantile"``; for ``"cube_root"`` ``d.cube_root_law()``
+    (density proportional to ``f^{1/3}``, Panter-Dite), and for a mixture the
+    mixture of its components' cube-root laws ``N(m_j, sqrt(3) s_j)``, each
+    weighted by its own ``f_j^{1/3}`` mass, proportional to ``w_j^{1/3}
+    s_j^{2/3}``: ``f^{1/3}`` normalised where the components do not overlap."""
+    if init == "quantile":
+        return d
+    if type(d) is not GaussianMixture:
+        return d.cube_root_law()
+    w, m, s = np.array(d.components).T
+    v = np.cbrt(w) * np.cbrt(s) ** 2
+    return GaussianMixture(tuple(zip((v / v.sum()).tolist(), m.tolist(),
+                                     (math.sqrt(3.0) * s).tolist())))
 
 
 def _design_state(d: Distribution, t: np.ndarray):
@@ -406,15 +398,15 @@ def lloyd_max_design(
     max_iters : int
         Iteration cap; a design that reaches it reports ``converged=False``.
     init : str
-        Initialization scheme.  ``"quantile"`` spreads codewords at the
-        design-law quantiles; ``"cube_root"`` uses quantiles of the
-        normalized ``f^{1/3}`` density, which matches the high-rate optimal
-        point density and starts much closer at large bit depths.  Both are
-        closed-form for Gaussian and Laplace laws (the cube-root start is
-        the quantile start of ``d.cube_root_law()``); for a mixture the
-        quantile start solves for each quantile by a vectorised Newton
-        iteration and the cube-root start integrates ``f^{1/3}`` on a
-        ``64 N + 1``-point grid.
+        The law whose ``(i + 0.5) / N`` quantiles are the start codewords.
+        ``"quantile"`` takes ``d`` itself; ``"cube_root"`` the law with
+        density proportional to ``f^{1/3}``, the high-rate optimal point
+        density, which starts much closer at large bit depths.  For a
+        mixture it is the mixture of its components' cube-root laws, exact
+        where the components do not overlap and heavier than ``f^{1/3}``
+        where they do (``_start_law``).  Gaussian and Laplace quantiles are
+        closed-form; a mixture's are solved by a vectorised bracketed
+        Newton iteration.
 
     Returns
     -------
@@ -449,8 +441,8 @@ def lloyd_max_designs(laws, bits: int) -> tuple[Quantizer, ...]:
     round evaluates the trial thresholds of every mixture in one walk of the
     Gaussian moment kernel over the components of all of them, which also
     gives the density at the thresholds, and a second walk evaluates the
-    Lloyd steps of those whose Newton step was rejected.  Their quantile
-    starts are solved in one bracketed Newton iteration.  Only the
+    Lloyd steps of those whose Newton step was rejected.  Their starts are
+    solved in one bracketed Newton iteration.  Only the
     tridiagonal solve and the distortion's dot products stay per law, so
     the fixed cost of the small numpy calls of a round is paid once for
     all the laws of a bit depth.  Every design fills the shared memo of
@@ -600,20 +592,19 @@ def _designs(laws: list, bits: int, max_iters: int, init: str) -> list:
     of ``laws`` itself (on the half-line for ``Gaussian()`` and
     ``Laplace()``), with arguments already checked, and no memo: a
     ``Quantizer`` per law, or the ``DegenerateDesign`` that ended its design.
-    The laws go round by round together, and the states of the mixtures
-    among them are evaluated together (``_states``)."""
+    Each start is the quantiles of its ``_start_law``, every mixture's in one
+    ``_mixture_quantiles`` call.  The laws go round by round together, and
+    the states of the mixtures among them are evaluated together."""
     n = 1 << bits
     q = (np.arange(n) + 0.5) / n
     mixtures = [i for i, d in enumerate(laws) if type(d) is GaussianMixture]
     grid = _component_grid([laws[i] for i in mixtures]) if mixtures else None
-    if init == "quantile":
-        starts = [None if type(d) is GaussianMixture else np.asarray(d.ppf(q), dtype=float)
-                  for d in laws]
-        if mixtures:
-            for i, row in zip(mixtures, _mixture_quantiles([laws[i] for i in mixtures], q)):
-                starts[i] = row
-    else:
-        starts = [_cube_root_quantiles(d, q) for d in laws]
+    start_laws = [_start_law(d, init) for d in laws]
+    starts = [None if type(g) is GaussianMixture else np.asarray(g.ppf(q), dtype=float)
+              for g in start_laws]
+    if mixtures:
+        for i, row in zip(mixtures, _mixture_quantiles([start_laws[i] for i in mixtures], q)):
+            starts[i] = row
 
     results = [None] * len(laws)
     columns = {i: j for j, i in enumerate(mixtures)}

@@ -33,7 +33,7 @@ from mismatch_quant import (
     report,
     reports,
 )
-from mismatch_quant import cli, distributions, mismatch
+from mismatch_quant import cli, distributions, mismatch, quantizer
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -334,6 +334,16 @@ class TestReportRows:
         assert len(want) == 68
         assert len(calls) == 4
         assert all(np.shape(mean) == (17, 1) for mean, _ in calls)
+
+    def test_monte_carlo_rows_leave_the_moment_table_memo_empty(self):
+        # Each Monte Carlo row reads its true law's order-1 table once, so it
+        # takes it from the kernel and keeps nothing in the memo.
+        laws = [Gaussian(0.05 * i - 1.0, 0.7 + 0.02 * i) for i in range(40)]
+        runs = [(d, [12], 100 + i) for i, d in enumerate(laws)]
+        rows = mismatch._report_rows(Gaussian(), runs, 2_000)
+        assert quantizer._moment_tables.cache_info().currsize == 0
+        for (d, _, seed), [row] in zip(runs, rows):
+            assert repr(row) == repr(report(Gaussian(), d, 12, mc_samples=2_000, seed=seed))
 
     def test_sixty_four_laws_at_twelve_bits_hold_one_block(self, traced_peak):
         # At 12 bits a block is one law (4097 edges).  The kernel's

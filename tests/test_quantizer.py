@@ -40,13 +40,13 @@ from mismatch_quant import (
 )
 from mismatch_quant import quantizer
 from mismatch_quant.quantizer import (
-    _cube_root_quantiles,
     _damped_newton_step,
     _design_state,
     _designs,
     _half_line_state,
     _moment_table,
     _moment_tables,
+    _start_law,
     _table_state,
 )
 
@@ -280,18 +280,58 @@ class TestLloydMaxDesign:
 
     @pytest.mark.parametrize("d", [
         Gaussian(0.3, 1.1), Laplace(0.0, 0.8),
-        GaussianMixture(((0.3, -1.5, 0.6), (0.4, 0.0, 0.8), (0.3, 1.5, 0.6)))])
+        GaussianMixture(((0.3, -5e4, 1.0), (0.7, 5e4, 2.0)))])
     def test_cube_root_start_matches_a_fine_grid(self, d):
-        # Trapezoid quantiles of f^{1/3} on 2^20 points spanning 40 cube-root
-        # standard deviations either side of every centre.
+        # Trapezoid quantiles of f^{1/3} on 2^20 points a centre, spanning 40
+        # cube-root standard deviations either side of it.  The mixture's
+        # components do not overlap, so its start law is f^{1/3} normalised.
         n = 4096
         q = (np.arange(n) + 0.5) / n
-        reach = 40.0 * math.sqrt(3.0) * d.std
-        grid = np.linspace(min(d.centers()) - reach, max(d.centers()) + reach, 1 << 20)
+        spans = ([(m, s) for _, m, s in d.components] if isinstance(d, GaussianMixture)
+                 else [(d.mean, d.std)])
+        grid = np.concatenate([np.linspace(m - 40.0 * math.sqrt(3.0) * s,
+                                           m + 40.0 * math.sqrt(3.0) * s, 1 << 20)
+                               for m, s in spans])
         weight = np.cbrt(d.pdf(grid))
         cdf = np.concatenate(([0.0], np.cumsum((weight[1:] + weight[:-1]) * np.diff(grid))))
         ref = np.interp(q, cdf / cdf[-1], grid)
-        np.testing.assert_allclose(_cube_root_quantiles(d, q), ref, rtol=0.0, atol=1e-7)
+        np.testing.assert_allclose(_start_law(d, "cube_root").ppf(q), ref, rtol=0.0, atol=1e-7)
+
+    @pytest.mark.parametrize("bits", [3, 6])
+    def test_an_overlapping_mixture_starts_at_its_components_cube_root_laws(
+            self, bits, monkeypatch):
+        # Component j becomes N(m_j, sqrt(3) s_j), weighted by its own
+        # f_j^{1/3} mass w_j^{1/3} s_j^{2/3}; the design starts bit for bit
+        # at the (i + 0.5) / N quantiles of that mixture.
+        d = GaussianMixture(((0.3, -1.5, 0.6), (0.4, 0.0, 0.8), (0.3, 1.5, 0.6)))
+        mass = [w ** (1.0 / 3.0) * s ** (2.0 / 3.0) for w, _, s in d.components]
+        law = _start_law(d, "cube_root")
+        np.testing.assert_allclose(
+            law.components,
+            [(v / sum(mass), m, math.sqrt(3.0) * s) for v, (_, m, s) in zip(mass, d.components)],
+            rtol=1e-15, atol=0.0)
+        starts = []
+
+        class Recording(quantizer._Run):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                starts.append(args[-1].copy())  # the start codebook
+                super().__init__(*args)
+
+        monkeypatch.setattr(quantizer, "_Run", Recording)
+        monkeypatch.setattr(quantizer, "_STANDARD_DESIGNS", {})
+        assert lloyd_max_design(d, bits, init="cube_root").converged
+        n = 1 << bits
+        np.testing.assert_array_equal(starts, [law.ppf((np.arange(n) + 0.5) / n)])
+
+    @pytest.mark.parametrize("w", [0.5, 0.3, 0.1, 0.01])
+    @pytest.mark.parametrize("bits", [2, 3, 4])
+    def test_components_far_apart_converge_from_the_cube_root_start(self, w, bits):
+        # Each component's cube-root law starts its own codewords, so none
+        # starts in the gap, where a bin would hold no design mass.
+        d = GaussianMixture(((w, -5e4, 1.0), (1.0 - w, 5e4, 1.0)))
+        assert lloyd_max_design(d, bits, init="cube_root").converged
 
     @pytest.mark.parametrize("d", [
         Gaussian(0.2, 1.3), Laplace(0.1, 0.7),
@@ -331,15 +371,14 @@ class TestLloydMaxDesign:
             2.5893758376188149567e-06, rel=1e-9)
 
     def test_a_fourteen_bit_mixture_cube_root_start_stays_in_its_memory(self, traced_peak):
-        # The 64 N + 1 = 1,048,577-point grid of the cube-root start takes the
-        # density one component at a time (_MIXTURE_BLOCK); one unbounded
-        # (10, 1,048,577) broadcast once raised the peak resident memory of
-        # this design from 122 to 330 MB.  A loop over the components peaked
-        # at 42,078,630 bytes under tracemalloc; the bound is 1.2 times that.
+        # The cube-root start solves the quantiles of the components'
+        # cube-root mixture on (10, 16,384) component-by-quantile arrays.
+        # This design peaked at 7,661,249 bytes under tracemalloc; the bound
+        # is 1.2 times that.
         mix = GaussianMixture(tuple((0.1, j - 4.5, 0.5 + 0.05 * j) for j in range(10)))
         q, peak = traced_peak(lambda: lloyd_max_design(mix, 14, init="cube_root"))
         assert q.converged
-        assert peak <= 1.2 * 42_078_630
+        assert peak <= 1.2 * 7_661_249
 
     @pytest.mark.parametrize("d", [
         Gaussian(0.3, 1.1), Laplace(0.0, 0.8),
@@ -713,12 +752,16 @@ class TestStandardMemberDesign:
         with pytest.raises(DegenerateDesign, match="quantile initialization produced coincident"):
             lloyd_max_design(d, 8)
 
-    def test_a_bin_without_design_mass_is_degenerate(self):
-        # Components 1e5 apart: the cube-root start's trapezoid grid, about
-        # 390 units a step at 2 bits, puts the two middle codewords in the
-        # gap, so the first Lloyd state has two bins below ZERO_MASS_TOL.
+    def test_a_bin_without_design_mass_is_degenerate(self, monkeypatch):
+        # Components 1e5 apart, started at the quantiles of one component of
+        # std 1e5: the 2-bit codewords sit near +-3.2e4 and +-1.15e5, so the
+        # outer thresholds, near +-7.3e4, leave the two outer bins below
+        # ZERO_MASS_TOL in the first Lloyd state.
         d = GaussianMixture(((0.5, -5e4, 1.0), (0.5, 5e4, 1.0)))
-        with pytest.raises(DegenerateDesign, match=r"bins \[1, 2\] lost all design mass"):
+        monkeypatch.setattr(quantizer, "_start_law", lambda law, init: (
+            GaussianMixture(((1.0, 0.0, 1e5),)) if init == "cube_root" else law))
+        monkeypatch.setattr(quantizer, "_STANDARD_DESIGNS", {})
+        with pytest.raises(DegenerateDesign, match=r"bins \[0, 3\] lost all design mass"):
             lloyd_max_design(d, 2, init="cube_root")
         assert lloyd_max_design(d, 2).converged
 
@@ -804,7 +847,7 @@ class TestStackedDesigns:
             for d, a, b in zip(laws, together, alone):
                 assert _same_design(a, b), (d, bits)
 
-    def test_a_batch_raises_the_first_failure_of_the_loop(self):
+    def test_a_batch_raises_the_first_failure_of_the_loop(self, monkeypatch):
         good = GaussianMixture(((0.5, -1.5, 0.6), (0.5, 1.5, 0.6)))
         # The quantile start rounds many codewords to one double.
         coincident = GaussianMixture(((0.5, 1e6, 1e-10), (0.5, 1e6 + 1.0, 1e-10)))
@@ -818,9 +861,14 @@ class TestStackedDesigns:
             with pytest.raises(DegenerateDesign) as batch:
                 lloyd_max_designs(laws, 8)
             assert str(batch.value) == str(loop.value)
-        # A bin that empties during the iteration, next to one that converges.
+        # A bin that empties during the iteration, next to one that converges:
+        # the start of test_a_bin_without_design_mass_is_degenerate.
         apart = GaussianMixture(((0.5, -5e4, 1.0), (0.5, 5e4, 1.0)))
-        with pytest.raises(DegenerateDesign, match=r"bins \[1, 2\] lost all design mass"):
+        start_law = quantizer._start_law
+        monkeypatch.setattr(quantizer, "_start_law", lambda law, init: (
+            GaussianMixture(((1.0, 0.0, 1e5),)) if law == apart else start_law(law, init)))
+        monkeypatch.setattr(quantizer, "_STANDARD_DESIGNS", {})
+        with pytest.raises(DegenerateDesign, match=r"bins \[0, 3\] lost all design mass"):
             quantizer._lloyd_max_designs((good, apart), 2, 500, "cube_root")
 
     def test_an_iteration_cap_stays_bitwise(self, monkeypatch):
