@@ -20,7 +20,8 @@ import numpy as np
 from .distributions import ZERO_MASS_TOL, Distribution
 from .errors import DivergentIntegral
 from .mismatch import _exact_terms
-from .quantizer import Codebook, Partition, Quantizer, _bin_arrays, _moment_table, lloyd_max_design
+from .quantizer import (
+    Codebook, Partition, Quantizer, _bin_arrays, _moment_table, _standard_designs, lloyd_max_design)
 
 __all__ = [
     "HighRateReport",
@@ -362,14 +363,19 @@ def rate_recovery_sweep(
     matched high-rate floor at the same rate; when the asymptotic penalty
     integral converges this ratio approaches it from above as bits grow.
 
-    At high bit depths the design step dominates the cost.  At 8-12 bits a
-    mixture design converges in 13-19 Newton iterations from either start;
+    At high bit depths the design step dominates the cost.  The designs of
+    every bit depth are made first, in one flat ``_designs`` call whose
+    rounds all depths share (``_standard_designs``), and each row reads its
+    design back from the design memo by ``lloyd_max_design``.  At 8-12 bits
+    a mixture design converges in 13-19 Newton iterations from either start;
     a Gaussian or Laplace design, solved on one half-line with its centre
     threshold pinned and its Newton steps undamped, takes 6-8 from the
     quantile start and 5-6 from the cube-root start.  Every start is the
     quantiles of one law, closed-form for Gaussian and Laplace laws and a
     bracketed Newton iteration for mixtures.
     """
+    bits_list = list(bits_list)
+    _standard_designs([design_d] * len(bits_list), bits_list, max_iters, init)
     reports = []
     for bits in bits_list:
         q = lloyd_max_design(design_d, bits, max_iters=max_iters, init=init)

@@ -190,7 +190,8 @@ def _reports(cfg: ExperimentConfig, prefix: list[str], items):
     Each run of consecutive rows with one true law is one ``reports`` run,
     seeded by the position of its first row, so its rows score one Monte
     Carlo draw and its first row is the ``report`` of that seed.  All runs
-    go to ``mismatch._report_rows`` in one call, a bit depth at a time.
+    go to ``mismatch._report_rows`` in one call, which designs every bit
+    depth in one flat design call and then reads a bit depth at a time.
     """
     design_d = distributions.from_config(cfg.design)
     header = prefix + ["bits", "d_fix", "d_gen", "d_ideal",
@@ -315,22 +316,23 @@ def _run_semantic_mixture(cfg: ExperimentConfig):
     src_design = _semantic_source(cfg, cfg.n_classes)
     ks = list(cfg.k_values or range(1, cfg.n_classes + 1))
     sources = [_semantic_source(cfg, k) for k in ks]
-    # Each bit depth designs and labels the design marginal, which does not
-    # depend on k, once, with the true marginals of its first batch of
-    # sources; their designs are the ideal ones, so every batch reads its own.
+    depths = list(dict.fromkeys(cfg.bits))
+    # The design marginal, which does not depend on k, and the true marginals
+    # are designed at every bit depth in one call; the true marginals'
+    # designs are the ideal ones, and the design marginal's is labeled once a
+    # bit depth.  The class tables go in batches of sources.
+    marginals = [src_design.marginal(), *(src.marginal() for src in sources)]
+    designs = lloyd_max_designs(marginals * len(depths),
+                                [bits for bits in depths for _ in marginals])
     reports = {}
-    for bits in dict.fromkeys(cfg.bits):
-        deployed, step = None, max(1, (_CLASS_ENTRIES >> bits) // cfg.n_classes)
+    for j, bits in enumerate(depths):
+        deployed, *ideal = designs[j * len(marginals) : (j + 1) * len(marginals)]
+        labels_fix = taskaware.map_labels(deployed.partition, src_design)
+        step = max(1, (_CLASS_ENTRIES >> bits) // cfg.n_classes)
         for lo in range(0, len(ks), step):
-            batch = sources[lo : lo + step]
-            laws = [src.marginal() for src in batch]
-            if deployed is None:
-                deployed, *ideal = lloyd_max_designs([src_design.marginal(), *laws], bits)
-                labels_fix = taskaware.map_labels(deployed.partition, src_design)
-            else:
-                ideal = lloyd_max_designs(laws, bits)
             reps = taskaware._classification_reports(
-                deployed.partition, labels_fix, batch, [q.partition for q in ideal])
+                deployed.partition, labels_fix, sources[lo : lo + step],
+                [q.partition for q in ideal[lo : lo + step]])
             reports.update(((k, bits), rep) for k, rep in zip(ks[lo : lo + step], reps))
     rows = [[k, bits, rep.acc_fix, rep.acc_gen, rep.acc_ideal, rep.recovery_pct]
             for k in ks for bits in cfg.bits for rep in [reports[k, bits]]]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import ZeroMassBin
+from .errors import MismatchQuantError, ZeroMassBin
 
 __all__ = [
     "ZERO_MASS_TOL",
@@ -43,8 +43,15 @@ ZERO_MASS_TOL = 1e-300
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # Cap on the mixture quantile iteration; Newton converges in under ten
-# steps and bisection alone would need about 60 to exhaust a double.
+# steps, and bisection, geometric across binades (``_PPF_BINADES``), needs at
+# most about 11 + 16 + 53 to exhaust a double on the widest bracket.
 _PPF_MAX_ITERS = 100
+
+# A bracket of the mixture quantile iteration whose ends share a sign and
+# differ by more than this factor is bisected at their geometric mean: an
+# arithmetic bisection would need one step per binade to reach the smaller
+# end, and a bracket as wide as 2^50 could not converge within the cap.
+_PPF_BINADES = 2.0**16
 
 # Most component-by-point entries one block of a mixture's density,
 # distribution function or moments (points are edges there), or of a labeled
@@ -85,7 +92,7 @@ def _shift(loc, scale, centered: list[np.ndarray]) -> tuple[np.ndarray, ...]:
 
 
 def _gaussian_edge_stats(
-    mean, std, edges: np.ndarray, order: int, density: bool = False
+    mean, std, edges: np.ndarray, order: int, density: bool = False, per_edge: bool = False
 ) -> tuple[np.ndarray, ...]:
     """Unnormalized raw moments ``0..order`` of N(mean, std^2) per bin.
 
@@ -99,7 +106,9 @@ def _gaussian_edge_stats(
     ``I_k = (k-1) I_(k-2) + za^(k-1) phi(za) - zb^(k-1) phi(zb)``.  With
     ``density`` (order 1 or more) the standard-normal density ``phi(z)`` at
     the inner edges follows the moments, from the same pass: divided by
-    ``std`` it is the density at those edges.
+    ``std`` it is the density at those edges.  With ``per_edge`` the columns
+    are as wide as ``edges``, a law per edge, and each bin takes the law of
+    its left edge (a bin whose edges have two laws is meaningless).
     """
     z = (edges - mean) / std
     below = special.ndtr(z)
@@ -120,7 +129,8 @@ def _gaussian_edge_stats(
             moments.append(
                 (k - 1) * moments[k - 2] + edge_term[..., :-1] - edge_term[..., 1:]
             )
-    shifted = _shift(mean, std, moments)
+    shifted = _shift(mean[..., :-1], std[..., :-1], moments) if per_edge else _shift(
+        mean, std, moments)
     return (*shifted, phi[..., 1:-1]) if density else shifted
 
 
@@ -129,6 +139,18 @@ def _blocks(k: int, size: int) -> list[tuple[int, int]]:
     entries each, at most ``_MIXTURE_BLOCK`` entries (one law at least)."""
     step = max(1, _MIXTURE_BLOCK // max(size, 1))
     return [(lo, min(lo + step, k)) for lo in range(0, k, step)]
+
+
+def _ragged_blocks(sizes) -> list[tuple[int, int]]:
+    """``(lo, hi)`` bounds of consecutive groups of the items of ``sizes``
+    entries each, at most ``_MIXTURE_BLOCK`` entries (one item at least)."""
+    out, lo, total = [], 0, 0
+    for i, size in enumerate(sizes):
+        if i > lo and total + size > _MIXTURE_BLOCK:
+            out.append((lo, i))
+            lo, total = i, 0
+        total += size
+    return out + [(lo, len(sizes))]
 
 
 def _gaussian_blocks(laws, edges: np.ndarray, order: int, owner=None):
@@ -171,66 +193,108 @@ def _component_grid(mixtures) -> tuple[np.ndarray, ...]:
     return tuple(np.ascontiguousarray(table[:, :, j].T) for j in range(3))
 
 
-def _component_sums(mixtures, grid, size: int, terms) -> list[np.ndarray]:
-    """``sum_j terms(w_j, m_j, s_j, laws)`` for each law of ``mixtures``, a row
-    per law, each term folded in turn onto a zero total (``_fold``): bit for
-    bit a loop over that law's components.  ``grid`` is ``_component_grid``
-    of ``mixtures``, or of a batch holding them gathered to their columns.
-    Blocks hold at most ``_MIXTURE_BLOCK // size`` laws (one at least) and
-    ``_MIXTURE_BLOCK`` component-by-law-by-``size`` entries.  ``terms`` gets
-    ``(b, l, 1)`` columns (over the grid's padded components) and ``laws``, a
-    slice; for one law ``(b, 1)`` columns of its own components (floats for
-    one) and its index.  ``laws`` picks rows of arrays with a row per law;
-    ``terms`` returns a row per component."""
-    w, m, s = grid
-    chunks = []
-    for l0, l1 in _blocks(len(mixtures), size):
-        one = l1 - l0 == 1
-        laws = l0 if one else slice(l0, l1)
-        totals = itertools.repeat(0.0)
-        for lo, hi in _blocks(len(mixtures[l0].components) if one else len(w), (l1 - l0) * size):
-            cols = (mixtures[l0].components[lo] if one and hi - lo == 1
-                    else (w[lo:hi, laws, None], m[lo:hi, laws, None], s[lo:hi, laws, None]))
-            totals = [_fold(total, part) for total, part in zip(totals, terms(*cols, laws))]
-        chunks.append([total.reshape(l1 - l0, -1) for total in totals])
-    return chunks[0] if len(chunks) == 1 else [np.concatenate(rows) for rows in zip(*chunks)]
+def _component_sums(w, m, s, size: int, terms) -> list[np.ndarray]:
+    """``sum_j terms(w_j, m_j, s_j)`` over the components ``j``, the rows of the
+    ``(K, 1)`` weight, mean and std columns of one law or the ``(K, n)``
+    columns of a law per point, each term folded in turn onto a zero total
+    (``_fold``): bit for bit a loop over the components.  A block holds at
+    most ``_MIXTURE_BLOCK // size`` components (one at least), and a block
+    of one component of one law gets floats; ``terms`` returns a row per
+    component."""
+    totals = itertools.repeat(0.0)
+    for lo, hi in _blocks(len(w), size):
+        if hi - lo == 1 and w.shape[1] == 1:
+            cols = float(w[lo, 0]), float(m[lo, 0]), float(s[lo, 0])
+        else:
+            cols = w[lo:hi], m[lo:hi], s[lo:hi]
+        totals = [_fold(total, part) for total, part in zip(totals, terms(*cols))]
+    return totals
 
 
-def _mixture_design_stats(mixtures, grid, edges: np.ndarray) -> list[np.ndarray]:
-    """``edge_stats(edges[i])`` (order 2) of each law ``i`` of ``mixtures``,
-    then its density at the inner edges ``edges[i, 1:-1]``: four arrays with
-    a row per law, each bit for bit that law's ``edge_stats`` and ``pdf``,
-    from one walk over the components of every law (``_component_sums``)."""
+def _mixture_design_stats(grid, cols: np.ndarray, t: np.ndarray, sizes: np.ndarray):
+    """``edge_stats`` (order 2) of the mixture of column ``cols[k]`` of
+    ``grid`` (``_component_grid``) on the bins of ``[-inf, t_k..., inf]``,
+    ``t_k`` the next ``sizes[k]`` thresholds of the flat array ``t``, and its
+    density at ``t_k``, for every run ``k``: three arrays with ``sizes[k] +
+    1`` bins a run and one with ``sizes[k]`` densities a run, laid end to
+    end, each bit for bit that law's own ``edge_stats`` and ``pdf``.  The
+    edges of all runs are laid end to end too, each with the component
+    columns of its law, and one walk of the Gaussian moment kernel folds the
+    components in order onto them (``_fold``), in blocks of whole runs and
+    of components of at most ``_MIXTURE_BLOCK`` entries (one run and one
+    component at least); the bins that straddle two runs are dropped."""
+    if len(sizes) == 1:
+        return _design_walk(np.concatenate(([-np.inf], t, [np.inf])),
+                            [g[:, cols[0], None] for g in grid])
+    seg = np.repeat(np.arange(len(sizes)), sizes)
+    first = np.cumsum(sizes) - sizes
+    n_edges = sizes + 2
+    start = first + 2 * np.arange(len(sizes))
+    edges = np.full(len(t) + 2 * len(sizes), np.inf)
+    edges[start] = -np.inf
+    edges[np.arange(len(t)) + 2 * seg + 1] = t
+    owner = np.repeat(cols, n_edges)
+    out = [np.empty(len(t) + len(sizes)) for _ in range(3)] + [np.empty(len(t))]
+    for r0, r1 in _ragged_blocks(n_edges.tolist()):
+        e0, e1 = int(start[r0]), int(start[r1 - 1] + n_edges[r1 - 1])
+        t0, n = int(first[r0]), int(sizes[r0:r1].sum())
+        if r1 - r0 == 1:
+            totals = _design_walk(edges[e0:e1], [g[:, cols[r0], None] for g in grid])
+            bins = thresholds = slice(None)
+        else:
+            totals = _design_walk(edges[e0:e1], [g[:, owner[e0:e1]] for g in grid])
+            local = np.arange(r1 - r0)
+            bins = np.arange(n + r1 - r0) + np.repeat(local, sizes[r0:r1] + 1)
+            thresholds = np.arange(n) + 2 * np.repeat(local, sizes[r0:r1])
+        for o, total in zip(out[:3], totals):
+            o[t0 + r0 : t0 + n + r1] = total[bins]
+        out[3][t0 : t0 + n] = totals[3][thresholds]
+    return out
 
-    def terms(w, m, s, laws):
-        *moments, phi = _gaussian_edge_stats(m, s, edges[laws], 2, density=True)
-        return [w * part for part in moments] + [w * phi / s]
 
-    return _component_sums(mixtures, grid, edges.shape[-1], terms)
+def _design_walk(edges: np.ndarray, cols) -> list[np.ndarray]:
+    """The order-2 moments of the bins of ``edges`` and the density at its
+    inner edges of the mixture of the component columns ``cols``
+    (``_component_sums``): ``(K, 1)`` columns of one law, or ``(K, edges)``
+    columns of each edge's law, each bin taking its left edge's law."""
+    def terms(w, m, s):
+        wide = np.ndim(w) == 2 and w.shape[1] > 1
+        *moments, phi = _gaussian_edge_stats(m, s, edges, 2, density=True, per_edge=wide)
+        bin_w, edge_w, edge_s = (w[:, :-1], w[:, 1:-1], s[:, 1:-1]) if wide else (w, w, s)
+        return [bin_w * part for part in moments] + [edge_w * phi / edge_s]
+
+    return _component_sums(*cols, edges.size, terms)
 
 
-def _mixture_quantiles(mixtures, q: np.ndarray) -> np.ndarray:
-    """``GaussianMixture.ppf`` of each law of ``mixtures`` at the flat array
-    ``q``, a row per law, bit for bit: one bracketed Newton iteration over the
+def _mixture_quantiles(mixtures, qs) -> list[np.ndarray]:
+    """``GaussianMixture.ppf`` of each law of ``mixtures`` at its own flat
+    array of ``qs``, bit for bit: one bracketed Newton iteration over the
     (law, quantile) pairs of a block of laws at once, in blocks of at most
     ``_MIXTURE_BLOCK`` component-by-pair entries (one law at least)."""
-    size = max(len(d.components) for d in mixtures) * q.size
-    return np.concatenate([_quantile_block(mixtures[lo:hi], q)
-                           for lo, hi in _blocks(len(mixtures), size)])
+    k = max(len(d.components) for d in mixtures)
+    out = []
+    for lo, hi in _ragged_blocks([k * q.size for q in qs]):
+        out += _quantile_block(mixtures[lo:hi], qs[lo:hi])
+    return out
 
 
-def _quantile_block(laws, q: np.ndarray) -> np.ndarray:
+def _quantile_block(laws, qs) -> list[np.ndarray]:
     """``_mixture_quantiles`` of ``laws``: the pairs are the columns of ``(K,
     pairs)`` component arrays (one law keeps its ``(k, 1)`` weight and std
-    columns), and a sum over the components is their ``_fold`` in order."""
-    n_q = q.size
+    columns), and a sum over the components is their ``_fold`` in order.  A
+    step that leaves the bracket bisects it, at the geometric mean of its
+    ends where they share a sign and span more than ``_PPF_BINADES``, so a
+    bracket of many binades takes about as many steps as its exponents need.
+    A pair that has not converged after ``_PPF_MAX_ITERS`` steps raises
+    ``MismatchQuantError``."""
+    sizes = [q.size for q in qs]
+    q = np.concatenate(qs)
     w, m, s = _component_grid(laws)  # (K, L): a column per law
     sign = np.where(q > 0.5, -1.0, 1.0)
     p = np.where(q > 0.5, 1.0 - q, q)
     if len(laws) > 1:
-        pair_law = np.repeat(np.arange(len(laws)), n_q)
+        pair_law = np.repeat(np.arange(len(laws)), sizes)
         w, m, s = w[:, pair_law], m[:, pair_law], s[:, pair_law]
-        sign, p = np.tile(sign, len(laws)), np.tile(p, len(laws))
     ws = w / s
     m = m * sign  # component means of the mirrored mixture where sign < 0
     ends = m + s * special.ndtri(p)
@@ -260,9 +324,31 @@ def _quantile_block(laws, q: np.ndarray) -> np.ndarray:
         fits = (np.abs(gc) <= 2.0 * (hi_t - lo_t) * pdf) & (pdf > 0.0)
         trial = yt - np.divide(gc, pdf, out=np.full_like(yt, np.inf), where=fits)
         inside = (trial >= lo_t) & (trial <= hi_t)
-        y[todo] = new = np.where(inside, trial, 0.5 * (lo_t + hi_t))
-        todo = todo[np.abs(new - yt) > np.maximum(1e-14 * np.abs(new), tol[todo])]
-    return (sign * y).reshape(len(laws), n_q)
+        if not inside.all():
+            trial = np.where(inside, trial, _bisection(lo_t, hi_t))
+        y[todo] = trial
+        todo = todo[np.abs(trial - yt) > np.maximum(1e-14 * np.abs(trial), tol[todo])]
+    # A pair still moving at the cap whose bracket is within 100 times the
+    # stopping tolerance alternates between neighbouring doubles about the
+    # root (Newton's step on log F rounds across it); it keeps its last
+    # iterate.  Any other has not converged.
+    loose = hi[todo] - lo[todo] > 100.0 * np.maximum(1e-14 * np.abs(y[todo]), tol[todo])
+    if loose.any():
+        raise MismatchQuantError(
+            f"mixture quantiles did not converge in {_PPF_MAX_ITERS} steps at q = "
+            f"{q[todo[loose]][:3].tolist()}")
+    y *= sign
+    return [y] if len(sizes) == 1 else np.split(y, np.cumsum(sizes)[:-1])
+
+
+def _bisection(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The midpoints of brackets ``[lo, hi]``: geometric where both ends share
+    a sign and span more than ``_PPF_BINADES``, else arithmetic."""
+    a, b = np.abs(lo), np.abs(hi)
+    binades = (np.signbit(lo) == np.signbit(hi)) & (
+        np.maximum(a, b) > _PPF_BINADES * np.minimum(a, b))
+    geometric = np.sqrt(a) * np.sqrt(b)
+    return np.where(binades, np.where(lo < 0.0, -geometric, geometric), 0.5 * (lo + hi))
 
 
 def _table_distortion(table, first, second) -> float:
@@ -556,9 +642,8 @@ class GaussianMixture(Distribution):
         """``sum_j term(x, w_j, m_j, s_j)`` at each point, shaped as ``x``."""
         x = np.asarray(x, dtype=float)
         flat = x.ravel()
-        [out] = _component_sums((self,), self._columns, flat.size,
-                                lambda w, m, s, _: (term(flat, w, m, s),))
-        return out.reshape(x.shape) if x.ndim else float(out[0, 0])
+        [out] = _component_sums(*self._columns, flat.size, lambda w, m, s: (term(flat, w, m, s),))
+        return out.reshape(x.shape) if x.ndim else float(out[0])
 
     def pdf(self, x):
         return self._pointwise(x, lambda y, w, m, s: w * _std_normal_pdf((y - m) / s) / s)
@@ -592,17 +677,17 @@ class GaussianMixture(Distribution):
         function ``1 - F``, so upper-tail quantiles keep full accuracy.
         """
         q = np.asarray(q, dtype=float)
-        out = _mixture_quantiles((self,), q.ravel())[0].reshape(q.shape)
+        out = _mixture_quantiles((self,), [q.ravel()])[0].reshape(q.shape)
         return out if out.ndim else float(out)
 
     def edge_stats(self, edges, order=2):
         # One kernel call per block of components (floats for one component).
         edges = np.asarray(edges, dtype=float)
 
-        def terms(w, m, s, _):
+        def terms(w, m, s):
             return [w * part for part in _gaussian_edge_stats(m, s, edges, order)]
 
-        return tuple(row[0] for row in _component_sums((self,), self._columns, len(edges), terms))
+        return tuple(_component_sums(*self._columns, len(edges), terms))
 
     def sample(self, seed, n):
         rng = np.random.default_rng(seed)

@@ -23,7 +23,8 @@ import numpy as np
 from .distributions import (
     Distribution, Gaussian, _conditional_means, _gaussian_blocks, _table_distortion, inverse_mills)
 from .quantizer import (
-    Codebook, Partition, Quantizer, _bin_arrays, _moment_table, _standard_member, lloyd_max_design)
+    Codebook, Partition, Quantizer, _bin_arrays, _moment_table, _standard_designs, _standard_member,
+    lloyd_max_design)
 
 __all__ = [
     "DistortionReport",
@@ -226,9 +227,15 @@ def _report_rows(design_d: Distribution, runs, mc_samples: int = 0,
     """``reports(design_d, true_d, bits_list, mc_samples=mc_samples,
     seed=seed, ...)`` of each run ``(true_d, bits_list, seed)`` of ``runs``.
 
-    Each bit depth is designed once, first; its Gaussian true laws take one
-    kernel call a block (``_gaussian_blocks``), others their ``_moment_table``,
-    and ``d_ideal`` one standard design a family.  Then each run draws once; each
+    Every design the rows read, the design law's and the standard member of
+    each true law at every bit depth, is designed first, in one flat
+    ``_designs`` call (``_standard_designs``), and read back from the design
+    memo by ``lloyd_max_design`` and ``ideal_distortion``, so a failing
+    design raises where it is read, in row order (a call that needs more
+    standard designs than the memo holds designs the evicted ones again as
+    it reads them).  Each bit depth's Gaussian true laws take one kernel call
+    a block (``_gaussian_blocks``), others their ``_moment_table``, and
+    ``d_ideal`` one standard design a family.  Then each run draws once; each
     row scores it with conditional means from one unmemoised order-1 kernel call."""
     if mc_samples:
         if any(seed is None for _, _, seed in runs):
@@ -237,10 +244,15 @@ def _report_rows(design_d: Distribution, runs, mc_samples: int = 0,
             raise ValueError("mc_samples must be 0 or at least 2")
     settings, exact = {"max_iters": max_iters, "init": init}, {}
     depths = dict.fromkeys(bits for _, bits_list, _ in runs for bits in bits_list)
+    true_laws = {bits: list(dict.fromkeys(true_d for true_d, bits_list, _ in runs
+                                          if bits in bits_list)) for bits in depths}
+    _standard_designs([d for bits in depths for d in (design_d, *true_laws[bits])],
+                      [bits for bits in depths for _ in range(1 + len(true_laws[bits]))],
+                      max_iters, init)
     designs = {bits: lloyd_max_design(design_d, bits, **settings) for bits in depths}
     for bits, q in designs.items():
         p, fix = q.partition, q.design_codebook.as_array()
-        laws = list(dict.fromkeys(true_d for true_d, bits_list, _ in runs if bits in bits_list))
+        laws = true_laws[bits]
         members = [_standard_member(d) for d in laws]
         stars = {law: ideal_distortion(law, bits, **settings)
                  for law in dict.fromkeys(standard for standard, _, _ in members)}

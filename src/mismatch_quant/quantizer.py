@@ -12,8 +12,8 @@ from scipy import special
 from scipy.linalg import lapack
 
 from .distributions import (
-    ZERO_MASS_TOL, Distribution, Gaussian, GaussianMixture, Laplace, _component_grid,
-    _mixture_design_stats, _mixture_quantiles, _std_normal_pdf, _table_distortion,
+    _INV_SQRT_2PI, ZERO_MASS_TOL, Distribution, Gaussian, GaussianMixture, Laplace,
+    _component_grid, _mixture_design_stats, _mixture_quantiles, _std_normal_pdf, _table_distortion,
 )
 from .errors import DegenerateDesign
 
@@ -133,13 +133,15 @@ class Partition(_FrozenArray):
     def _narrow_index(self, x: np.ndarray) -> np.ndarray:
         """``encode`` of the float array ``x`` in the narrowest unsigned type
         that holds every index (one byte to 8 bits, two to 16): counted into
-        ``uint8`` below 64 thresholds, ``n - sum_i (x < t_i)``, else searched."""
+        ``uint8`` below 64 thresholds, ``n - sum_i (x < t_i)``, each test
+        written into one reused mask and added as bytes, else searched."""
         t = self._array
         if t.size >= 64:
             return np.searchsorted(t, x, side="right").astype(np.min_scalar_type(t.size))
         below = np.zeros(x.shape, dtype=np.uint8)
+        mask = np.empty(x.shape, dtype=bool)
         for ti in t:
-            below += x < ti
+            below += np.less(x, ti, out=mask).view(np.uint8)
         return np.subtract(t.size, below, out=below)
 
 
@@ -229,14 +231,12 @@ def _design_state(d: Distribution, t: np.ndarray):
 def _table_state(table, t: np.ndarray):
     """Bin masses, centroids, design distortion, midpoint residual and second
     moments ``m2`` of the bins that thresholds ``t`` cut, from their moment
-    table ``(mass, m1, m2)``.  A table and thresholds with a row per law
-    (bins along the last axis) give a row per law, and a list of
-    distortions."""
+    table ``(mass, m1, m2)``."""
     mass, m1, m2 = table
     with np.errstate(invalid="ignore", divide="ignore"):
         c = m1 / mass
     distortion = _table_distortion(table, c, c * c)
-    return mass, c, distortion, t - 0.5 * (c[..., :-1] + c[..., 1:]), m2
+    return mass, c, distortion, t - 0.5 * (c[:-1] + c[1:]), m2
 
 
 # B_2k / (2k)!, k = 1..10: 1/x - 1/expm1(x) = 1/2 - sum_k B_2k x^(2k-1) / (2k)!,
@@ -246,53 +246,291 @@ _BERNOULLI = tuple(b / math.factorial(2 * k) for k, b in enumerate(
      43867 / 798, -174611 / 330), start=1))
 
 
-def _half_line_state(d: Distribution, t: np.ndarray):
-    """The design state of ``Gaussian()`` or ``Laplace()`` on the bins
-    ``[0, t..., inf)``: ``_table_state``'s five values, the density at ``t``
-    (bit for bit ``d.pdf(t)``) and a function giving the full-line moment
-    table of the mirrored partition.  ``Gaussian()`` runs its general
-    kernel's order-2 recursion on the upper tails ``ndtr(-e)`` alone, bit for
-    bit that kernel's table, and mirrors that table (each negative bin's
-    ``m2`` summed as the kernel sums it).  ``Laplace()`` is exponential on
-    ``[0, inf)`` (Sullivan, IEEE Trans. IT 42(5), 1996): a bin ``[a, a + w)``
-    has mass ``e^(-a/b) (1 - e^(-x)) / 2``, ``x = w / b``, centroid ``a + g``,
-    ``g = w (1/x - 1/expm1(x))``, and variance ``b^2 (1 - (h / sinh h)^2)``,
-    ``h = x / 2``, so the residual is ``(w_i - g_i - g_(i+1)) / 2``; its
-    full-line table comes from ``edge_stats``.
-    """
-    e = np.concatenate(([0.0], t))  # the left edge of every bin
-    if type(d) is Gaussian:
-        up, phi = special.ndtr(-e), _std_normal_pdf(e)
-        ez = e * phi
-        mass, m1 = up - np.append(up[1:], 0.0), phi - np.append(phi[1:], 0.0)
-        m2 = (mass + ez) - np.append(ez[1:], 0.0)
+class _Layout(typing.NamedTuple):
+    """The flat layout of runs with ``sizes`` thresholds each, laid end to
+    end; a run of ``n`` thresholds has ``n + 1`` bins, laid end to end too:
+    the run of each threshold and of each bin, the flat indices of the bins
+    the thresholds end and start (slices for one run), and each run's first
+    threshold, first bin and outer bin."""
 
-        def full():
-            neg = (mass - np.append(ez[1:], 0.0)) + ez
-            pairs = ((mass[::-1], mass), (-m1[::-1], m1), (neg[::-1], m2))
-            return [np.concatenate(pair) for pair in pairs]
+    sizes: np.ndarray
+    seg: np.ndarray
+    bin_seg: np.ndarray
+    below: np.ndarray | slice
+    above: np.ndarray | slice
+    first: np.ndarray
+    bin0: np.ndarray
+    last: np.ndarray
 
-        return (*_table_state((mass, m1, m2), t), phi[1:], full)
-    b = d.scale
-    w = np.diff(e)
+
+def _layout(sizes: np.ndarray) -> _Layout:
+    runs = np.arange(len(sizes))
+    seg = runs.repeat(sizes)
+    first = sizes.cumsum() - sizes
+    bin0 = first + runs
+    if len(sizes) == 1:
+        below, above = slice(0, len(seg)), slice(1, len(seg) + 1)
+    else:
+        below = np.arange(len(seg)) + seg
+        above = below + 1
+    return _Layout(sizes, seg, runs.repeat(sizes + 1), below, above, first, bin0, bin0 + sizes)
+
+
+def _run_max(values: np.ndarray, layout: _Layout) -> np.ndarray:
+    """The largest of each run's ``values`` (one per threshold), 0 for a run
+    without thresholds; NaN propagates."""
+    if len(layout.sizes) == 1:
+        return np.maximum.reduce(values, initial=0.0, keepdims=True)
+    some = layout.sizes > 0
+    if some.all():
+        return np.maximum.reduceat(values, layout.first)
+    out = np.zeros(len(some))
+    if values.size:
+        out[some] = np.maximum.reduceat(values, layout.first[some])
+    return out
+
+
+def _run_blocks(layout: _Layout) -> list:
+    """``(bins, runs)`` of each stretch of consecutive runs with one bin
+    count: a slice over their bins and how many runs it holds, the rows of a
+    ``(runs, bins a run)`` block."""
+    sizes, bin0, out, k0 = layout.sizes.tolist(), layout.bin0.tolist(), [], 0
+    for k in range(1, len(sizes) + 1):
+        if k == len(sizes) or sizes[k] != sizes[k0]:
+            out.append((slice(bin0[k0], bin0[k0] + (k - k0) * (sizes[k0] + 1)), k - k0))
+            k0 = k
+    return out
+
+
+def _per_run(blocks: list, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """``np.sum`` of each run's ``a`` (a value per bin), or ``np.dot`` of its
+    ``a`` and ``b``, bit for bit, the runs of each of ``blocks``
+    (``_run_blocks``) in one call: numpy sums each contiguous row of a block
+    pairwise, as it sums one alone, and a stacked ``matmul`` of vector
+    products takes each dot from BLAS's ``ddot``, as ``np.dot`` does."""
+    out = []
+    for bins, rows in blocks:
+        if rows == 1:
+            out.append(a[bins].sum() if b is None else a[bins].dot(b[bins]))
+        elif b is None:
+            out.extend(a[bins].reshape(rows, -1).sum(axis=1))
+        else:
+            out.extend(np.matmul(a[bins].reshape(rows, 1, -1), b[bins].reshape(rows, -1, 1))
+                       .reshape(rows))
+    return np.array(out)
+
+
+def _gaussian_half_tables(t: np.ndarray, layout: _Layout):
+    """``Gaussian()``'s moment table ``(mass, m1, m2)`` on the bins ``[0,
+    t..., inf)`` of each run and its density at the thresholds.  The general
+    kernel's order-2 recursion runs on the upper tails ``ndtr(-e)`` alone,
+    ``e`` the left edge of each bin, bit for bit that kernel's table."""
+    e = np.zeros(len(layout.bin0) + len(t))  # the left edge of every bin
+    e[layout.above] = t
+    up, phi = special.ndtr(-e), _std_normal_pdf(e)
+    ez = e * phi
+
+    def upper_edge(x):  # x at each bin's right edge, 0 at infinity
+        out = np.append(x[1:], 0.0)
+        if len(layout.last) > 1:
+            out[layout.last[:-1]] = 0.0
+        return out
+
+    mass, m1 = up - upper_edge(up), phi - upper_edge(phi)
+    return mass, m1, (mass + ez) - upper_edge(ez), phi[layout.above]
+
+
+def _table_states(table, t: np.ndarray, layout: _Layout):
+    """Masses, centroids, midpoint residual, density at the thresholds,
+    design distortion and sum of second moments of each run laid out by
+    ``layout``, from its moment table and density ``(mass, m1, m2, f)``.
+    Each run's distortion, ``sum m2 - 2 c.m1 + (c * c).mass``, and sum are
+    bit for bit its own ``_table_state``'s."""
+    mass, m1, m2, f = table
+    with np.errstate(invalid="ignore", divide="ignore"):
+        c = m1 / mass
+    if len(layout.sizes) == 1:
+        distortion = np.array([_table_distortion((mass, m1, m2), c, c * c)])
+        m2_sum = np.add.reduce(m2, keepdims=True)
+    else:
+        blocks = _run_blocks(layout)
+        m2_sum = _per_run(blocks, m2)
+        distortion = m2_sum - 2.0 * _per_run(blocks, c, m1) + _per_run(blocks, c * c, mass)
+    return mass, c, t - 0.5 * (c[layout.below] + c[layout.above]), f, distortion, m2_sum
+
+
+def _laplace_half_states(t: np.ndarray, layout: _Layout):
+    """``_table_states`` of ``Laplace()`` on the bins ``[0, t..., inf)`` of
+    each run, in closed form.  The law is exponential on ``[0, inf)``
+    (Sullivan, IEEE Trans. IT 42(5), 1996): a bin ``[a, a + w)`` has mass
+    ``e^(-a/b) (1 - e^(-x)) / 2``, ``x = w / b``, centroid ``a + g``, ``g = w
+    (1/x - 1/expm1(x))``, and variance ``b^2 (1 - (h / sinh h)^2)``, ``h = x /
+    2``, so the residual is ``(w_i - g_i - g_(i+1)) / 2`` and the distortion
+    ``mass.var``."""
+    below, above, last = layout.below, layout.above, layout.last
+    b = _STANDARD_LAPLACE.scale
+    e = np.zeros(len(layout.bin0) + len(t))
+    e[above] = t
+    w = e[above] - e[below]
     x = w / b
     em = -np.expm1(-x)
     xs = np.minimum(x, 1.0)  # the series' argument, bounded where it is not read
     x2, acc = xs * xs, _BERNOULLI[-1]
     for coef in _BERNOULLI[-2::-1]:
         acc = acc * x2 + coef
-    g = np.append(np.where(x < 1.0, w * (0.5 - xs * acc), b - w * np.exp(-x) / em), b)
+    g, tail, ratio = np.empty_like(e), np.empty_like(e), np.empty_like(e)
+    g[below], g[last] = np.where(x < 1.0, w * (0.5 - xs * acc), b - w * np.exp(-x) / em), b
+    tail[below], tail[last] = em, 1.0
+    ratio[below], ratio[last] = x * np.exp(-0.5 * x) / em, 0.0
     rate = np.exp(-e / b)
-    mass = 0.5 * rate * np.append(em, 1.0)
-    var = b * b * (1.0 - np.square(np.append(x * np.exp(-0.5 * x) / em, 0.0)))
+    mass = 0.5 * rate * tail
+    var = b * b * (1.0 - np.square(ratio))
     c = e + g
-    r = 0.5 * ((w - g[:-1]) - g[1:])
-    return (mass, c, float(np.dot(mass, var)), r, mass * (var + c * c), rate[1:] / (2.0 * b),
-            lambda: d.edge_stats(np.concatenate(([-np.inf], -t[::-1], e, [np.inf]))))
+    r, m2 = 0.5 * ((w - g[below]) - g[above]), mass * (var + c * c)
+    if len(layout.sizes) == 1:
+        return mass, c, r, rate[above] / (2.0 * b), np.array([mass.dot(var)]), np.add.reduce(
+            m2, keepdims=True)
+    blocks = _run_blocks(layout)
+    return mass, c, r, rate[above] / (2.0 * b), _per_run(blocks, mass, var), _per_run(blocks, m2)
 
 
-def _damped_newton_step(f: np.ndarray, t, mass, c, r, damping: float):
-    """Solve ``((1 - damping) J + damping I) s = r`` for the step ``s``.
+def _law_tables(laws, t: np.ndarray, layout: _Layout):
+    """``edge_stats`` (order 2) of ``laws[k]`` on the full-line bins of run
+    ``k``'s thresholds and its ``pdf`` there, law by law."""
+    out = [np.empty(len(layout.bin0) + len(t)) for _ in range(3)] + [np.empty(len(t))]
+    for d, t0, b0, n in zip(laws, layout.first.tolist(), layout.bin0.tolist(),
+                            layout.sizes.tolist()):
+        tk = t[t0 : t0 + n]
+        for o, moment in zip(out, d.edge_stats(np.concatenate(([-np.inf], tk, [np.inf])))):
+            o[b0 : b0 + n + 1] = moment
+        out[3][t0 : t0 + n] = d.pdf(tk)
+    return out
+
+
+# The kinds of run of ``_designs``, in the order a round lays them out: a
+# mixture and any other law on the full line, then ``Gaussian()`` and
+# ``Laplace()`` on their positive half-line.
+_MIXTURE, _OTHER, _HALF_GAUSSIAN, _HALF_LAPLACE = range(4)
+_STANDARD_GAUSSIAN, _STANDARD_LAPLACE = Gaussian(), Laplace()
+
+
+def _kind(d: Distribution) -> int:
+    if type(d) is GaussianMixture:
+        return _MIXTURE
+    # A log-concave law has one fixed point, symmetric if the law is; a
+    # mixture's need not be.  Pinned centre: smallest |eigenvalue| of the
+    # residual Jacobian at 3 bits 0.118 (Laplace), 0.125 (Gaussian);
+    # full-line Laplace 2.55e-13.
+    return (_HALF_GAUSSIAN if d == _STANDARD_GAUSSIAN else _HALF_LAPLACE if d == _STANDARD_LAPLACE
+            else _OTHER)
+
+
+class _Batch(typing.NamedTuple):
+    """The laws of one ``_designs`` call, a run per pair: each law, its kind
+    (and the kind of them all, if one), and the column of the component grid
+    ``grid`` a mixture owns."""
+
+    laws: list
+    kinds: np.ndarray
+    kind: int | None
+    cols: np.ndarray
+    grid: tuple | None
+
+
+def _batch(laws) -> _Batch:
+    kinds = [_kind(d) for d in laws]
+    mixtures = list(dict.fromkeys(d for d, k in zip(laws, kinds) if k == _MIXTURE))
+    if not mixtures:
+        return _Batch(laws, np.array(kinds), kinds[0] if len(set(kinds)) == 1 else None, None, None)
+    column = {d: j for j, d in enumerate(mixtures)}
+    cols = np.array([column.get(d, 0) for d in laws])
+    return _Batch(laws, np.array(kinds), kinds[0] if len(set(kinds)) == 1 else None, cols,
+                  _component_grid(mixtures))
+
+
+class _State(typing.NamedTuple):
+    """The design state of some runs of a ``_designs`` call, in kind order,
+    as flat arrays on their ``_Layout``: per run its pair index ``ids``,
+    design distortion, sum of second moments, ``max|r|``, ``max(1, max|t|)``
+    and whether a bin lies below ``ZERO_MASS_TOL``; per threshold the
+    thresholds, midpoint residual and density; per bin the masses and
+    centroids."""
+
+    layout: _Layout
+    ids: np.ndarray
+    distortion: np.ndarray
+    m2_sum: np.ndarray
+    residual: np.ndarray
+    scale: np.ndarray
+    empty: np.ndarray
+    t: np.ndarray
+    r: np.ndarray
+    f: np.ndarray
+    mass: np.ndarray
+    c: np.ndarray
+
+    def _masks(self, keep: np.ndarray):
+        return keep, keep[self.layout.seg], keep[self.layout.bin_seg]
+
+    def take(self, keep: np.ndarray) -> _State:
+        """The state of the runs where ``keep`` is set."""
+        masks = self._masks(keep)
+        return _State(_layout(self.layout.sizes[keep]),
+                      *(a[masks[(i > 6) + (i > 9)]] for i, a in enumerate(self) if i))
+
+    def put(self, keep: np.ndarray, new: _State) -> None:
+        """Overwrite the runs where ``keep`` is set with their state ``new``."""
+        masks = self._masks(keep)
+        for i in range(2, len(self)):
+            self[i][masks[(i > 6) + (i > 9)]] = new[i]
+
+
+def _evaluate(batch: _Batch, ids: np.ndarray, t: np.ndarray, layout: _Layout) -> _State:
+    """The ``_State`` of runs ``ids`` (in kind order) at the thresholds ``t``
+    laid out by ``layout``.  Each kind is evaluated once for all its runs: the
+    mixtures in one kernel walk (``_mixture_design_stats``), ``Gaussian()``
+    and ``Laplace()`` on their half-lines, any other law by its own
+    ``edge_stats`` and ``pdf``.  Only each run's distortion, its sum and two
+    dot products, is formed run by run (or as rows of one block for runs
+    with one bin count), so that every value is bit for bit that of the run
+    alone."""
+    if batch.kind is None:
+        counts = np.bincount(batch.kinds[ids], minlength=4).tolist()
+        tb = layout.first.tolist() + [len(t)]
+    else:
+        counts = [len(ids) * (kind == batch.kind) for kind in range(4)]
+    pieces, r0 = [], 0
+    for kind, n in enumerate(counts):
+        if not n:
+            continue
+        sub, tk = (layout, t) if n == len(ids) else (_layout(layout.sizes[r0 : r0 + n]),
+                                                     t[tb[r0] : tb[r0 + n]])
+        if kind == _HALF_LAPLACE:
+            pieces.append(_laplace_half_states(tk, sub))
+        else:
+            if kind == _MIXTURE:
+                table = _mixture_design_stats(batch.grid, batch.cols[ids[r0 : r0 + n]], tk,
+                                              sub.sizes)
+            elif kind == _OTHER:
+                table = _law_tables([batch.laws[i] for i in ids[r0 : r0 + n].tolist()], tk, sub)
+            else:
+                table = _gaussian_half_tables(tk, sub)
+            pieces.append(_table_states(table, tk, sub))
+        r0 += n
+    if len(pieces) == 1:
+        mass, c, r, f, distortion, m2_sum = pieces[0]
+    else:
+        mass, c, r, f, distortion, m2_sum = (np.concatenate(p) for p in zip(*pieces))
+    empty = mass < ZERO_MASS_TOL
+    empty = (np.logical_or.reduce(empty, keepdims=True) if len(ids) == 1
+             else np.logical_or.reduceat(empty, layout.bin0))
+    return _State(layout, ids, distortion, m2_sum, _run_max(np.abs(r), layout),
+                  np.maximum(1.0, _run_max(np.abs(t), layout)), empty, t, r, f, mass, c)
+
+
+def _damped_newton_steps(f, t, mass, c, r, damping: np.ndarray, layout: _Layout):
+    """Solve ``((1 - damping_k) J_k + damping_k I) s_k = r_k`` for the step
+    ``s_k`` of every run ``k`` laid out by ``layout``.
 
     ``J = I - L`` is the Jacobian of the midpoint residual ``r``, with ``L``
     the tridiagonal Jacobian of the Lloyd map ``t -> (c[:-1] + c[1:]) / 2``
@@ -300,24 +538,63 @@ def _damped_newton_step(f: np.ndarray, t, mass, c, r, damping: float):
     the array ``f`` holds the density ``f(t)`` at each threshold.
     ``damping = 0`` is Newton's step and ``damping = 1`` is Lloyd's step
     ``s = r``; in between, the slow modes that Lloyd's step barely moves are
-    amplified by up to ``1 / damping``.  The system goes straight to
-    LAPACK's tridiagonal ``gtsv``, the routine ``linalg.solve_banded((1, 1),
-    ...)`` calls, without its band buffer and checks; a single threshold is
-    the division ``r / diag``, as ``solve_banded`` does it.  Returns None if
-    the solve fails.
+    amplified by up to ``1 / damping``.  The runs' systems are stacked into
+    one block-diagonal system, with zero couplings between blocks, which
+    goes in one call to LAPACK's tridiagonal ``gtsv``, the routine
+    ``linalg.solve_banded((1, 1), ...)`` calls.  A zero coupling makes the
+    elimination step across a block boundary an exact no-op, so each block's
+    solution is bit for bit its own solve; a single threshold alone is the
+    division ``r / diag``, as ``solve_banded`` does it.  If that solve fails
+    or leaves a non-finite entry, which a neighbouring block could have
+    spread, every block is solved on its own.  Returns the steps and whether
+    each run's solve succeeded (NaN steps where not).
     """
-    phi = 1.0 - damping
-    right = 0.5 * f * (t - c[:-1]) / mass[:-1]  # dc_i/dt_i / 2, t_i ends bin i
-    left = 0.5 * f * (c[1:] - t) / mass[1:]  # dc_(i+1)/dt_i / 2, t_i starts bin i+1
-    diag = 1.0 - phi * (right + left)
+    one = len(layout.sizes) == 1
+    phi = 1.0 - float(damping[0]) if one else (1.0 - damping)[layout.seg]
+    c_lo, c_hi = c[layout.below], c[layout.above]
+    mass_lo, mass_hi = mass[layout.below], mass[layout.above]
+    right = 0.5 * f * (t - c_lo) / mass_lo  # dc_i/dt_i / 2, t_i ends bin i
+    left = 0.5 * f * (c_hi - t) / mass_hi  # dc_(i+1)/dt_i / 2, t_i starts bin i+1
+
+    def bands():
+        upper = -(phi if one else phi[1:]) * right[1:]  # -phi L[i, i + 1]
+        lower = -(phi if one else phi[:-1]) * left[:-1]  # -phi L[i + 1, i]
+        if not one:
+            upper[layout.first[1:] - 1] = lower[layout.first[1:] - 1] = 0.0  # the couplings
+        return lower, 1.0 - phi * (right + left), upper
+
+    lower, diag, upper = bands()
+    solved = np.ones(len(layout.sizes), dtype=bool)
     if len(t) == 1:
-        return r / diag
-    upper = -phi * right[1:]  # -phi L[i, i + 1]
-    lower = -phi * left[:-1]  # -phi L[i + 1, i]
-    *_, step, info = lapack.dgtsv(
-        lower, diag, upper, r, overwrite_dl=True, overwrite_d=True, overwrite_du=True
-    )
-    return None if info else step
+        return r / diag, solved
+    *_, step, info = lapack.dgtsv(lower, diag, upper, r, overwrite_dl=True, overwrite_d=True,
+                                  overwrite_du=True)
+    if not info and (one or np.isfinite(step).all()):
+        return step, solved
+    lower, diag, upper = bands()  # the solve overwrote them
+    step = np.full(len(t), np.nan)
+    for k, (t0, n) in enumerate(zip(layout.first.tolist(), layout.sizes.tolist())):
+        block = slice(t0, t0 + n)
+        if n == 1:
+            step[block] = r[block] / diag[block]
+            continue
+        *_, x, info = lapack.dgtsv(lower[t0 : t0 + n - 1], diag[block],
+                                   upper[t0 : t0 + n - 1], r[block])
+        solved[k] = not info
+        if not info:
+            step[block] = x
+    return step, solved
+
+
+def _ordered(trial: np.ndarray, layout: _Layout, lower: np.ndarray) -> np.ndarray:
+    """Whether each run's trial thresholds increase strictly and start above
+    its ``lower`` bound (every run has a threshold)."""
+    rising = trial[1:] > trial[:-1]
+    if len(layout.sizes) == 1:
+        return np.array([trial[0] > lower[0] and rising.all()])
+    rising[layout.first[1:] - 1] = True  # across two runs
+    return (trial[layout.first] > lower) & (
+        np.bincount(layout.seg[1:][~rising], minlength=len(lower)) == 0)
 
 
 def _check_masses(mass: np.ndarray) -> None:
@@ -332,10 +609,10 @@ def _standard_member(d: Distribution):
     family of a Gaussian or Laplace law, and ``d`` itself (``loc = 0``,
     ``scale = 1``) for a law outside a location-scale family."""
     if type(d) is Gaussian:
-        return Gaussian(), d.mean, d.std
+        return d if d == _STANDARD_GAUSSIAN else _STANDARD_GAUSSIAN, d.mean, d.std
     if type(d) is Laplace:
-        standard = Laplace()
-        return standard, d.loc, d.scale / standard.scale
+        return (d if d == _STANDARD_LAPLACE else _STANDARD_LAPLACE, d.loc,
+                d.scale / _STANDARD_LAPLACE.scale)
     return d, 0.0, 1.0
 
 
@@ -360,21 +637,22 @@ def lloyd_max_design(
     log-concave laws the fixed point is unique, so symmetric for a symmetric
     law: ``Gaussian()`` and ``Laplace()`` have their centre threshold at
     exactly 0.0, and only their ``N/2 - 1`` positive thresholds are
-    iterated, on the bins ``[0, t..., inf)``, by the half-line kernel
-    ``_half_line_state`` (``Gaussian()`` iterates are bit for bit those of
-    ``edge_stats``); they are then mirrored, and the mirrored partition is
-    evaluated once on the full line.  On the full line the residual's
-    Jacobian has a nearly free uniform-translation mode, along which the
-    centre would drift; without it the Jacobian is well conditioned, so
-    these Newton steps start undamped.  A rejection multiplies the damping
-    by 4 and leaves it at 0, so each rejected step is replaced by one Lloyd
-    step and the next Newton step is again undamped.  A symmetric mixture can have
-    asymmetric optima, so mixtures are iterated on the full line from a
-    damping of 0.5.  By default the start is the ``(i + 0.5) / N`` quantiles
-    of ``d``, which keeps every bin populated for the supported families.
-    The loop stops, converged, once an accepted Newton step moves no
-    threshold by more than ``1e-10`` of ``max(1, max|t|)``, or once the
-    residual ``max|r|`` is down to a few ulps of that scale.
+    iterated, on the bins ``[0, t..., inf)``, in closed form
+    (``_gaussian_half_tables``, bit for bit ``edge_stats``, and
+    ``_laplace_half_states``); they are then mirrored, and the mirrored
+    partition is evaluated once on the full line.  On the full line the
+    residual's Jacobian has a nearly free uniform-translation mode, along
+    which the centre would drift; without it the Jacobian is well
+    conditioned, so these Newton steps start undamped.  A rejection
+    multiplies the damping by 4 and leaves it at 0, so each rejected step is
+    replaced by one Lloyd step and the next Newton step is again undamped.
+    A symmetric mixture can have asymmetric optima, so mixtures are iterated
+    on the full line from a damping of 0.5.  By default the start is the
+    ``(i + 0.5) / N`` quantiles of ``d``, which keeps every bin populated for
+    the supported families.  The loop stops, converged, once an accepted
+    Newton step moves no threshold by more than ``1e-10`` of ``max(1,
+    max|t|)``, or once the residual ``max|r|`` is down to a few ulps of that
+    scale.
 
     Both optimality conditions are equivariant under ``x -> loc + scale x``,
     so a Gaussian or Laplace law is designed once, at the zero-mean,
@@ -386,8 +664,10 @@ def lloyd_max_design(
     ``lloyd_max_designs`` both read and fill: every law of a family shares
     one design per bit depth, and a mixture designed once, alone or in a
     batch, is served from the memo after that.  The standard members
-    themselves come out of the memo as designed.  This is the one-law call
-    of ``lloyd_max_designs``, with the same iteration.
+    themselves come out of the memo as designed.  This is the one-pair call
+    of ``lloyd_max_designs``: a design is one run of the flat rounds of
+    ``_designs``, bit for bit the same alone or beside other laws and bit
+    depths.
 
     Parameters
     ----------
@@ -433,21 +713,25 @@ def lloyd_max_design(
     return _lloyd_max_designs((d,), bits, max_iters, init)[0]
 
 
-def lloyd_max_designs(laws, bits: int) -> tuple[Quantizer, ...]:
-    """``tuple(lloyd_max_design(d, bits) for d in laws)``, bit for bit, with
-    the designs that are not in the memo run together.
+def lloyd_max_designs(laws, bits) -> tuple[Quantizer, ...]:
+    """``tuple(lloyd_max_design(d, b) for d, b in zip(laws, bits))``, bit for
+    bit, with ``bits`` one bit depth for every law or one per law, and the
+    designs that are not in the memo run together.
 
-    The mixtures among them take their damped Newton rounds together: each
-    round evaluates the trial thresholds of every mixture in one walk of the
-    Gaussian moment kernel over the components of all of them, which also
-    gives the density at the thresholds, and a second walk evaluates the
-    Lloyd steps of those whose Newton step was rejected.  Their starts are
-    solved in one bracketed Newton iteration.  Only the
-    tridiagonal solve and the distortion's dot products stay per law, so
-    the fixed cost of the small numpy calls of a round is paid once for
-    all the laws of a bit depth.  Every design fills the shared memo of
-    ``lloyd_max_design``.  A failing law raises what ``lloyd_max_design``
-    would, and the first failing law in ``laws`` is the one that raises.
+    Every (law, bit depth) pair goes through the same flat rounds
+    (``_designs``): each round evaluates the trial thresholds of every
+    mixture, whatever its bit depth, in one walk of the Gaussian moment
+    kernel over their components, which also gives the density at the
+    thresholds, and a second walk evaluates the Lloyd steps of those whose
+    Newton step was rejected; the half-line laws take one vectorised
+    evaluation a kind.  The Newton steps of all pairs are one block-diagonal
+    tridiagonal solve, and the mixtures' starts one bracketed Newton
+    iteration.  Only each design's distortion, one sum and two dot products,
+    stays per pair, so the fixed cost of the small numpy calls of a round is
+    paid once for all the laws and bit depths of a call.  Every design fills
+    the shared memo of ``lloyd_max_design``.  A failing pair raises what
+    ``lloyd_max_design`` would, and the first failing pair is the one that
+    raises.
     """
     return _lloyd_max_designs(tuple(laws), bits, 500, "quantile")
 
@@ -460,30 +744,52 @@ _STANDARD_DESIGNS: dict = {}
 _MEMO_SIZE = 64
 
 
-def _lloyd_max_designs(laws: tuple, bits: int, max_iters: int, init: str) -> tuple:
+def _check_bits(bits) -> None:
     if not isinstance(bits, int) or not 1 <= bits <= 16:
         raise ValueError(f"bits must be an integer in [1, 16], got {bits!r}")
+
+
+def _standard_designs(laws, bits, max_iters: int, init: str):
+    """The standard member ``(standard, loc, scale)`` of each of ``laws``, its
+    memo key, and the design of each distinct key (or the ``DegenerateDesign``
+    that ended it): taken from the memo, the missing ones designed in one
+    ``_designs`` call, and every design left in the memo as the most
+    recently used.  ``bits`` is one bit depth or one per law."""
+    depths = list(bits) if np.iterable(bits) else [bits] * len(laws)
+    if len(depths) != len(laws):
+        raise ValueError(f"{len(depths)} bit depths for {len(laws)} laws")
+    for b in depths:
+        _check_bits(b)
     if init not in ("quantile", "cube_root"):
         raise ValueError(f"unsupported init scheme: {init!r}")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     members = [_standard_member(d) for d in laws]
-    keys = [(standard, bits, max_iters, init) for standard, _, _ in members]
+    keys = [(standard, b, max_iters, init) for (standard, _, _), b in zip(members, depths)]
     found = {key: _STANDARD_DESIGNS.pop(key, None) for key in dict.fromkeys(keys)}
     todo = [key for key, q in found.items() if q is None]
     if todo:
-        found.update(zip(todo, _designs([key[0] for key in todo], bits, max_iters, init)))
+        found.update(zip(todo, _designs([key[:2] for key in todo], max_iters, init)))
     for key, q in found.items():
         if isinstance(q, Quantizer):
             _STANDARD_DESIGNS[key] = q  # as the most recently used
     while len(_STANDARD_DESIGNS) > _MEMO_SIZE:
         del _STANDARD_DESIGNS[next(iter(_STANDARD_DESIGNS))]
+    return members, keys, found
+
+
+def _lloyd_max_designs(laws: tuple, bits, max_iters: int, init: str) -> tuple:
+    members, keys, found = _standard_designs(laws, bits, max_iters, init)
     out = []
     for d, key, (standard, loc, scale) in zip(laws, keys, members):
         q = found[key]
         if not isinstance(q, Quantizer):
             raise q
-        out.append(replace(q, design_law=d) if d == standard else _mapped(q, d, loc, scale))
+        if d != standard:
+            q = _mapped(q, d, loc, scale)
+        elif q.design_law is not d:
+            q = replace(q, design_law=d)
+        out.append(q)
     return tuple(out)
 
 
@@ -506,185 +812,191 @@ def _mapped(q: Quantizer, d: Distribution, loc: float, scale: float) -> Quantize
     )
 
 
-class _State(typing.NamedTuple):
-    """A design state: ``_table_state``'s masses, centroids, distortion and
-    residual, the density ``f`` at the thresholds, the sum of the second
-    moments, ``max|r|``, ``max(1, max|t|)``, whether a bin
-    lies below ``ZERO_MASS_TOL``, and the full-line table of a half-line
-    state (else None)."""
-
-    mass: np.ndarray
-    c: np.ndarray
-    distortion: float
-    r: np.ndarray
-    f: np.ndarray
-    m2_sum: float
-    residual: float
-    scale: float
-    empty_bin: bool
-    full: typing.Callable | None
-
-
-class _Run:
-    """One law's iteration in ``_designs``: thresholds ``t`` and their state
-    ``s``, damping and distortion history.  ``column`` is a mixture's column
-    of the component grid (None for other laws)."""
-
-    __slots__ = ("index", "d", "column", "half", "lower", "damping", "t", "s", "history",
-                 "small_step")
-
-    def __init__(self, index: int, d: Distribution, column, codebook: np.ndarray):
-        self.index, self.d, self.column = index, d, column
-        self.t = 0.5 * (codebook[:-1] + codebook[1:])
-        # A log-concave law has one fixed point, symmetric if the law is; a
-        # mixture's need not be.  Pinned centre: smallest |eigenvalue| of the
-        # residual Jacobian at 3 bits 0.118 (Laplace), 0.125 (Gaussian);
-        # full-line Laplace 2.55e-13.
-        self.half = d in (Gaussian(), Laplace())
-        if self.half:
-            self.t, self.lower, self.damping = self.t[len(codebook) // 2 :], 0.0, 0.0
-        else:
-            self.lower, self.damping = -np.inf, 0.5
-        self.history, self.small_step = [], False
-
-
-def _single_state(run: _Run, t: np.ndarray) -> _State:
-    """The ``_State`` of one law that is not a mixture."""
-    if run.half:
-        mass, c, distortion, r, m2, f, full = _half_line_state(run.d, t)
-    else:
-        (mass, c, distortion, r, m2), f, full = _design_state(run.d, t), run.d.pdf(t), None
-    return _State(mass, c, distortion, r, f, float(m2.sum()), float(abs(r).max(initial=0.0)),
-                  max(1.0, float(abs(t).max(initial=0.0))), bool((mass < ZERO_MASS_TOL).any()),
-                  full)
-
-
-def _states(runs: list, ts: list, grid) -> list:
-    """The ``_State`` of each run at its thresholds in ``ts``.  The mixtures
-    take one walk of the moment kernel (``_mixture_design_stats``) over the
-    columns of ``grid`` that they own; each row is bit for bit that law's
-    ``_design_state`` and ``pdf``."""
-    out = [None if run.column is not None else _single_state(run, t) for run, t in zip(runs, ts)]
-    mix = [i for i, run in enumerate(runs) if run.column is not None]
-    if not mix:
-        return out
-    edges = np.empty((len(mix), len(ts[mix[0]]) + 2))
-    edges[:, 0], edges[:, -1] = -np.inf, np.inf
-    edges[:, 1:-1] = [ts[i] for i in mix]
-    t = edges[:, 1:-1]
-    cols = [runs[i].column for i in mix]
-    if cols != list(range(grid[0].shape[1])):
-        grid = tuple(g[:, cols] for g in grid)
-    *table, f = _mixture_design_stats([runs[i].d for i in mix], grid, edges)
-    mass, c, distortion, r, m2 = _table_state(table, t)
-    m2_sum = m2.sum(axis=1).tolist()
-    residual = abs(r).max(axis=1, initial=0.0).tolist()
-    scale = abs(t).max(axis=1, initial=0.0).tolist()
-    empty = (mass < ZERO_MASS_TOL).any(axis=1).tolist()
-    for j, i in enumerate(mix):
-        out[i] = _State(mass[j], c[j], distortion[j], r[j], f[j], m2_sum[j],
-                        residual[j], max(1.0, scale[j]), empty[j], None)
+def _start_codebooks(pairs, init: str) -> list:
+    """The start codewords of each ``(law, bits)`` of ``pairs``: the ``(i +
+    0.5) / N`` quantiles of its ``_start_law``, every mixture's in one
+    ``_mixture_quantiles`` call."""
+    start_laws = [_start_law(d, init) for d, _ in pairs]
+    grids = {bits: (np.arange(1 << bits) + 0.5) / (1 << bits) for _, bits in pairs}
+    qs = [grids[bits] for _, bits in pairs]
+    out = [None if type(g) is GaussianMixture else np.asarray(g.ppf(q), dtype=float)
+           for g, q in zip(start_laws, qs)]
+    mixtures = [i for i, g in enumerate(start_laws) if type(g) is GaussianMixture]
+    if mixtures:
+        rows = _mixture_quantiles([start_laws[i] for i in mixtures], [qs[i] for i in mixtures])
+        for i, row in zip(mixtures, rows):
+            out[i] = row
     return out
 
 
-def _designs(laws: list, bits: int, max_iters: int, init: str) -> list:
-    """The damped Newton Lloyd-Max iteration of ``lloyd_max_design`` on each
-    of ``laws`` itself (on the half-line for ``Gaussian()`` and
-    ``Laplace()``), with arguments already checked, and no memo: a
-    ``Quantizer`` per law, or the ``DegenerateDesign`` that ended its design.
-    Each start is the quantiles of its ``_start_law``, every mixture's in one
-    ``_mixture_quantiles`` call.  The laws go round by round together, and
-    the states of the mixtures among them are evaluated together."""
-    n = 1 << bits
-    q = (np.arange(n) + 0.5) / n
-    mixtures = [i for i, d in enumerate(laws) if type(d) is GaussianMixture]
-    grid = _component_grid([laws[i] for i in mixtures]) if mixtures else None
-    start_laws = [_start_law(d, init) for d in laws]
-    starts = [None if type(g) is GaussianMixture else np.asarray(g.ppf(q), dtype=float)
-              for g in start_laws]
-    if mixtures:
-        for i, row in zip(mixtures, _mixture_quantiles([start_laws[i] for i in mixtures], q)):
-            starts[i] = row
+def _designs(pairs: list, max_iters: int, init: str) -> list:
+    """The damped Newton Lloyd-Max iteration of ``lloyd_max_design`` for each
+    ``(law, bits)`` of ``pairs`` on the law itself (on the half-line for
+    ``Gaussian()`` and ``Laplace()``), with arguments already checked, and no
+    memo: a ``Quantizer`` per pair, or the ``DegenerateDesign`` that ended its
+    design.
 
-    results = [None] * len(laws)
-    columns = {i: j for j, i in enumerate(mixtures)}
-    runs = []
-    for i, (d, codebook) in enumerate(zip(laws, starts)):
+    Every pair is one run, and all runs go round by round together, as flat
+    arrays (``_State``, with each run's damping, lower bound and small-step
+    flag beside it): a round takes the convergence and cap tests of every
+    run at once, solves every Newton step in one
+    block-diagonal system (``_damped_newton_steps``), evaluates every trial
+    that stays ordered in one ``_evaluate`` call, takes the acceptance test
+    with its slack and the damping update at once, and evaluates the Lloyd
+    steps of the runs whose step was rejected in a second call.  No run's
+    values depend on the others, so each design is bit for bit the one it
+    would be alone."""
+    batch = _batch([d for d, _ in pairs])
+    results = [None] * len(pairs)
+    half = batch.kinds >= _HALF_GAUSSIAN
+    ids, ts = [], []
+    for i, codebook in enumerate(_start_codebooks(pairs, init)):
         if np.any(np.diff(codebook) <= 0.0):
             results[i] = DegenerateDesign(f"{init} initialization produced coincident codewords")
-        else:
-            runs.append(_Run(i, d, columns.get(i), codebook))
+            continue
+        t = 0.5 * (codebook[:-1] + codebook[1:])
+        ids.append(i)
+        ts.append(t[len(codebook) // 2 :] if half[i] else t)
+    if not ids:
+        return results
+    order = sorted(range(len(ids)), key=lambda j: batch.kinds[ids[j]])
+    ids = np.array([ids[j] for j in order], dtype=np.intp)
+    layout = _layout(np.array([len(ts[j]) for j in order]))
+    history = [[] for _ in pairs]
 
-    def lloyd(runs):
-        """Each run's Lloyd state at its thresholds, or its failure."""
-        for run, s in zip(runs, _states(runs, [run.t for run in runs], grid)):
-            if s.empty_bin:
-                try:
-                    _check_masses(s.mass)
-                except DegenerateDesign as exc:
-                    results[run.index] = exc
-            else:
-                run.s = s
-                run.history.append(s.distortion)
-
-    lloyd(runs)
-    eps = float(np.finfo(float).eps)
-    active = [run for run in runs if results[run.index] is None]
-    while active:
-        trials, rejected = [], []
-        for run in active:
-            s = run.s
-            converged = run.small_step or s.residual <= 4.0 * eps * s.scale
-            if converged or len(run.history) > max_iters:
-                results[run.index] = _finished(run, converged)
+    def recorded(s: _State) -> np.ndarray | None:
+        """Fail the runs of ``s`` that emptied a bin and add every other's
+        distortion to its history; the mask of those others, if any failed."""
+        if not s.empty.any():
+            for i, h in zip(s.ids.tolist(), s.distortion.tolist()):
+                history[i].append(h)
+            return None
+        for k, (i, h, empty) in enumerate(zip(s.ids.tolist(), s.distortion.tolist(),
+                                              s.empty.tolist())):
+            if not empty:
+                history[i].append(h)
                 continue
-            step = _damped_newton_step(s.f, run.t, s.mass, s.c, s.r, run.damping)
-            trial = None if step is None else run.t - step
-            if trial is not None and (np.diff(trial) > 0.0).all() and trial[0] > run.lower:
-                trials.append((run, trial, step))
-            else:
-                rejected.append(run)
-        trial_states = _states([run for run, _, _ in trials], [t for _, t, _ in trials], grid)
-        for (run, trial, step), ts in zip(trials, trial_states):
-            s = run.s
-            slack = 8.0 * eps * ts.m2_sum if ts.residual < s.residual else 0.0
-            if not ts.empty_bin and ts.distortion <= s.distortion + slack:
-                run.t, run.s = trial, ts
-                run.history.append(ts.distortion)
-                run.damping *= 0.25
-                run.small_step = float(abs(step).max()) < _STEP_TOL * s.scale
-            else:
-                rejected.append(run)
-        for run in rejected:
-            run.damping = min(1.0, 4.0 * run.damping)
-            run.t = 0.5 * (run.s.c[:-1] + run.s.c[1:])
-        lloyd(rejected)
-        active = [run for run in active if results[run.index] is None]
-    return results
+            try:
+                _check_masses(s.mass[s.layout.bin0[k] : s.layout.last[k] + 1])
+            except DegenerateDesign as exc:
+                results[i] = exc
+        return ~s.empty
+
+    s = _evaluate(batch, ids, np.concatenate([ts[j] for j in order]), layout)
+    # Each run's damping, lower bound and small-step flag, aligned with the
+    # runs of ``s``; every run still iterating has one history entry per
+    # round and the start.
+    damping, lower = np.where(half[ids], 0.0, 0.5), np.where(half[ids], 0.0, -np.inf)
+    small = np.zeros(len(ids), dtype=bool)
+    eps = float(np.finfo(float).eps)
+    keep, entries = recorded(s), 1
+    while True:
+        if keep is not None:
+            s, damping, lower, small = s.take(keep), damping[keep], lower[keep], small[keep]
+        if not s.ids.size:
+            return results
+        converged = small | (s.residual <= 4.0 * eps * s.scale)
+        if entries > max_iters or converged.any():
+            done = np.ones_like(converged) if entries > max_iters else converged
+            for k in np.flatnonzero(done).tolist():
+                results[s.ids[k]] = _finished(batch, s, k, bool(converged[k]), history)
+            if done.all():
+                return results
+            keep = ~done
+            continue
+        layout, entries = s.layout, entries + 1
+        step, solved = _damped_newton_steps(s.f, s.t, s.mass, s.c, s.r, damping, layout)
+        trial = s.t - step
+        accepted = solved & _ordered(trial, layout, lower)
+        every = accepted.all()
+        tried = slice(None) if every else np.flatnonzero(accepted)
+        if every or accepted.any():
+            ts = _evaluate(batch, s.ids[tried], trial if every else trial[accepted[layout.seg]],
+                           layout if every else _layout(layout.sizes[tried]))
+            # A step is kept if no bin empties and the distortion does not rise,
+            # or rises by at most 8 eps sum(m2) where the residual falls.
+            before = s.distortion[tried]
+            taken = ts.distortion <= before
+            kept = taken.all()
+            if not kept:
+                taken |= (ts.residual < s.residual[tried]) & (
+                    ts.distortion <= before + 8.0 * eps * ts.m2_sum)
+            if ts.empty.any():
+                taken &= ~ts.empty
+                kept = False
+            if every and (kept or taken.all()):  # the common round: every step is kept
+                small = _run_max(np.abs(step), layout) < _STEP_TOL * s.scale
+                damping *= 0.25
+                s, keep = ts, recorded(ts)
+                continue
+            accepted[tried] = taken
+            if taken.any():
+                small[accepted] = (_run_max(np.abs(step), layout)[accepted]
+                                   < _STEP_TOL * s.scale[accepted])
+                damping[accepted] *= 0.25
+                if not taken.all():
+                    ts = ts.take(taken)
+                recorded(ts)
+                s.put(accepted, ts)
+        rejected = ~accepted
+        damping[rejected] = np.minimum(1.0, 4.0 * damping[rejected])
+        lloyd = 0.5 * (s.c[layout.below] + s.c[layout.above])
+        if accepted.any():
+            back = _evaluate(batch, s.ids[rejected], lloyd[rejected[layout.seg]],
+                             _layout(layout.sizes[rejected]))
+            s.put(rejected, back)
+            kept_back, keep = recorded(back), None
+            if kept_back is not None:
+                keep = np.ones(len(rejected), dtype=bool)
+                keep[np.flatnonzero(rejected)[~kept_back]] = False
+        else:
+            s = _evaluate(batch, s.ids, lloyd, layout)
+            keep = recorded(s)
 
 
-def _finished(run: _Run, converged: bool) -> Quantizer:
-    """The quantizer of a run that has stopped."""
-    t, s, history, residual = run.t, run.s, run.history, run.s.residual
-    c = s.c
-    if run.half:
+def _finished(batch: _Batch, s: _State, k: int, converged: bool, history: list) -> Quantizer:
+    """The quantizer of run ``k`` of ``s``, which has stopped."""
+    i, t0, b0, n = (int(a[k]) for a in (s.ids, s.layout.first, s.layout.bin0, s.layout.sizes))
+    d, t, c = batch.laws[i], s.t[t0 : t0 + n], s.c[b0 : b0 + n + 1]
+    mass, f = s.mass[b0 : b0 + n + 1], s.f[t0 : t0 + n]
+    residual, history = float(s.residual[k]), history[i]
+    if batch.kinds[i] >= _HALF_GAUSSIAN:
         # The mirrored partition is evaluated once on the full line, so the
         # codebook, residual and last distortion are those of the partition
         # returned; the earlier entries are twice the half-line distortion.
-        table = s.full()
-        t = np.concatenate((-t[::-1], [0.0], t))
-        _, c, distortion, r, _ = _table_state(table, t)
-        history = [2.0 * h for h in history[:-1]] + [distortion]
+        full = np.concatenate((-t[::-1], [0.0], t))
+        _, c, distortion, r, _ = _table_state(_mirrored_table(d, t, mass, f), full)
+        t, history = full, [2.0 * h for h in history[:-1]] + [distortion]
         residual = float(np.max(np.abs(r)))
     return Quantizer(
         partition=Partition(t),
         design_codebook=Codebook(c),
-        design_law=run.d,
+        design_law=d,
         distortion_history=tuple(history),
         converged=converged,
         iterations=len(history) - 1,
         residual=residual,
     )
+
+
+def _mirrored_table(d: Distribution, t: np.ndarray, mass: np.ndarray, f: np.ndarray) -> list:
+    """The full-line moment table of ``Gaussian()`` or ``Laplace()`` on the
+    partition ``(-t[::-1], 0, t)``, given the masses of the bins ``[0, t...,
+    inf)`` and the density at ``t`` of its half-line state: ``edge_stats``
+    for ``Laplace()``; for ``Gaussian()`` the moments
+    ``_gaussian_half_tables`` forms, from those masses and densities
+    (``phi(0)`` is exactly ``1/sqrt(2 pi)``), mirrored, each negative bin's
+    ``m2`` summed as the kernel sums it."""
+    e = np.concatenate(([0.0], t))
+    if type(d) is Laplace:
+        return d.edge_stats(np.concatenate(([-np.inf], -t[::-1], e, [np.inf])))
+    phi = np.concatenate(([_INV_SQRT_2PI], f))
+    ez = e * phi
+    ez_upper = np.append(ez[1:], 0.0)
+    m1, m2 = phi - np.append(phi[1:], 0.0), (mass + ez) - ez_upper
+    neg = (mass - ez_upper) + ez
+    pairs = ((mass[::-1], mass), (-m1[::-1], m1), (neg[::-1], m2))
+    return [np.concatenate(pair) for pair in pairs]
 
 
 # The memo of ``_moment_table``.  An entry keeps its partition's array of N - 1

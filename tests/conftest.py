@@ -84,7 +84,12 @@ def _component_loop_ppf(mix, q):
         fits = (np.abs(gc) <= 2.0 * (hi_t - lo_t) * pdf) & (pdf > 0.0)
         trial = yt - np.divide(gc, pdf, out=np.full_like(yt, np.inf), where=fits)
         inside = (trial >= lo_t) & (trial <= hi_t)
-        y[todo] = new = np.where(inside, trial, 0.5 * (lo_t + hi_t))
+        a, b = np.abs(lo_t), np.abs(hi_t)
+        binades = (np.signbit(lo_t) == np.signbit(hi_t)) & (
+            np.maximum(a, b) > distributions._PPF_BINADES * np.minimum(a, b))
+        geometric = np.sqrt(a) * np.sqrt(b)
+        mid = np.where(binades, np.where(lo_t < 0.0, -geometric, geometric), 0.5 * (lo_t + hi_t))
+        y[todo] = new = np.where(inside, trial, mid)
         todo = todo[np.abs(new - yt) > np.maximum(1e-14 * np.abs(new), tol)]
     return sign * y
 

@@ -525,16 +525,15 @@ class TestRunCommand:
 
     def test_semantic_mixture_designs_each_marginal_once(self, tmp_path, monkeypatch):
         # 17 classes at 4 bit depths: 68 distinct designs (the design
-        # marginal is the k = 17 one), more than the design memo holds, so
-        # a report could only find its design there if each batch is read
-        # before the next one is designed.
+        # marginal is the k = 17 one), more than the design memo holds, all
+        # made in one call whose returned designs the reports read.
         monkeypatch.setattr(quantizer, "_STANDARD_DESIGNS", {})
         designed = []
         designs = quantizer._designs
 
-        def counted(laws, *args):
-            designed.extend(laws)
-            return designs(laws, *args)
+        def counted(pairs, *args):
+            designed.extend(pairs)
+            return designs(pairs, *args)
 
         monkeypatch.setattr(quantizer, "_designs", counted)
         out = tmp_path / "sem.csv"
@@ -546,15 +545,32 @@ class TestRunCommand:
             (k, bits) for k in range(1, 18) for bits in (1, 2, 3, 4)]
         assert len(designed) == 68
 
+    def test_semantic_mixture_at_its_defaults_designs_in_one_call(self, tmp_path, monkeypatch):
+        # The ten marginals at the four bit depths: 40 (law, bits) pairs in
+        # one flat design call.
+        monkeypatch.setattr(quantizer, "_STANDARD_DESIGNS", {})
+        calls = []
+        designs = quantizer._designs
+
+        def counted(pairs, *args):
+            calls.append(list(pairs))
+            return designs(pairs, *args)
+
+        monkeypatch.setattr(quantizer, "_designs", counted)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "semantic_mixture"}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "sem.csv")]) == 0
+        assert [len(pairs) for pairs in calls] == [40]
+        assert sorted({bits for _, bits in calls[0]}) == [1, 2, 3, 4]
+
     @pytest.mark.parametrize("entries", [cli._CLASS_ENTRIES, 64])
     def test_semantic_mixture_needs_no_room_in_the_design_memo(
             self, tmp_path, monkeypatch, entries):
-        # The ideal designs are the ones each batch's designs return, so a
+        # The ideal designs are the ones the one design call returns, so a
         # memo of 4 designs, smaller than the 10 laws of a bit depth, changes
-        # no byte of the CSV, in one batch a bit depth or in batches of 64
-        # class-by-bin entries (one to three sources).  One batch redesigns
-        # nothing; in small batches the k = 10 marginal, which is the design
-        # marginal of the first batch, has left the memo when its turn comes.
+        # no byte of the CSV, in one batch of class tables a bit depth or in
+        # batches of 64 class-by-bin entries (one to three sources), and
+        # nothing is designed twice.
         cfg = _write_cfg(tmp_path, experiment="semantic_mixture", bits=[1, 2, 3, 4])
         want, out = tmp_path / "want.csv", tmp_path / "out.csv"
         assert main(["run", "--config", str(cfg), "--out", str(want)]) == 0
@@ -564,15 +580,15 @@ class TestRunCommand:
         designed = []
         designs = quantizer._designs
 
-        def counted(laws, *args):
-            designed.extend(laws)
-            return designs(laws, *args)
+        def counted(pairs, *args):
+            designed.extend(pairs)
+            return designs(pairs, *args)
 
         monkeypatch.setattr(quantizer, "_designs", counted)
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert out.read_bytes() == want.read_bytes()
         # the 10 marginals at each of 4 bit depths
-        assert len(designed) == (44 if entries == 64 else 40)
+        assert len(designed) == 40
         assert len(quantizer._STANDARD_DESIGNS) == 4
 
     def test_many_class_semantic_mixture_holds_one_batch_of_class_tables(self, traced_peak):

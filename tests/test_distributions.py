@@ -10,11 +10,14 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
+from scipy import special
+
 from mismatch_quant import (
     Distribution,
     Gaussian,
     GaussianMixture,
     Laplace,
+    MismatchQuantError,
     Partition,
     ZeroMassBin,
     from_config,
@@ -22,9 +25,11 @@ from mismatch_quant import (
     inverse_mills,
     lloyd_max_design,
 )
+from mismatch_quant import distributions
 from mismatch_quant.distributions import (
     _MIXTURE_BLOCK, _blocks, _component_grid, _mixture_design_stats, _mixture_quantiles,
 )
+from mismatch_quant.quantizer import _start_law
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -350,9 +355,12 @@ class TestMixtureBlocks:
         assert np.all(np.diff(inner, axis=1) > 0.0)
         edges = np.concatenate((np.full((len(laws), 1), -np.inf), inner,
                                 np.full((len(laws), 1), np.inf)), axis=1)
-        stacked = _mixture_design_stats(laws, _component_grid(laws), edges)
+        sizes = np.full(len(laws), n_bins - 1)
+        flat = _mixture_design_stats(_component_grid(laws), np.arange(len(laws)), inner.ravel(),
+                                     sizes)
+        stacked = [a.reshape(len(laws), -1) for a in flat]
         q = (np.arange(n_bins) + 0.5) / n_bins
-        quantiles = _mixture_quantiles(laws, q)
+        quantiles = _mixture_quantiles(laws, [q] * len(laws))
         for i, d in enumerate(laws):
             own = [*d.edge_stats(edges[i]), d.pdf(inner[i]), d.ppf(q)]
             for g, w in zip([row[i] for row in stacked] + [quantiles[i]], own):
@@ -362,24 +370,30 @@ class TestMixtureBlocks:
 
     @pytest.mark.parametrize("n_bins", [2, 16, 512, 4096])
     def test_a_column_gather_of_the_grid_keeps_each_laws_sums(self, n_bins):
-        # A design round walks the F-ordered column gather g[:, cols] of its
-        # batch's grid, the laws still iterating in any order.  Laws of 8 to
-        # 50 components, against each law's own edge_stats and pdf at the
-        # inner edges: at two bins a reduction over that layout would sum
-        # the components pairwise.
+        # A design round walks the runs still iterating, their laws' columns
+        # of the batch's grid in any order and repeated (one law at several
+        # bit depths), each run with its own bin count: n_bins, or a half,
+        # a quarter or one bin, so runs of several sizes share a block, and
+        # at 4096 bins a block holds one run.  Laws of 8 to 50 components,
+        # against each law's own edge_stats and pdf at the inner edges: at
+        # two bins a reduction over that layout would sum the components
+        # pairwise.
         rng = np.random.default_rng(5000 + n_bins)
         batch = [_random_mixture(rng, k) for k in (8, 12, 9, 50, 10, 8, 17, 11, 20, 14, 8, 30)]
-        cols = [5, 0, 11, 3, 7, 2, 9, 4, 10]
-        laws = [batch[i] for i in cols]
-        grid = tuple(g[:, cols] for g in _component_grid(batch))
-        assert grid[0].flags.f_contiguous and not grid[0].flags.c_contiguous
-        inner = np.sort(rng.normal(0.0, 15.0, (len(laws), n_bins - 1)), axis=1)
-        assert np.all(np.diff(inner, axis=1) > 0.0)
-        edges = np.concatenate((np.full((len(laws), 1), -np.inf), inner,
-                                np.full((len(laws), 1), np.inf)), axis=1)
-        stacked = _mixture_design_stats(laws, grid, edges)
-        for i, d in enumerate(laws):
-            for g, w in zip([row[i] for row in stacked], [*d.edge_stats(edges[i]), d.pdf(inner[i])]):
+        cols = [5, 0, 11, 3, 7, 2, 9, 4, 10, 5, 0]
+        sizes = np.array([max(1, n_bins >> (i % 4)) - 1 if n_bins > 2 else 1
+                          for i in range(len(cols))])
+        inner = [np.sort(rng.normal(0.0, 15.0, n)) for n in sizes]
+        assert all(np.all(np.diff(t) > 0.0) for t in inner)
+        flat = _mixture_design_stats(_component_grid(batch), np.array(cols),
+                                     np.concatenate(inner), sizes)
+        bins = np.split(np.arange(len(flat[0])), np.cumsum(sizes + 1)[:-1])
+        points = np.split(np.arange(len(flat[3])), np.cumsum(sizes)[:-1])
+        for i, (col, t) in enumerate(zip(cols, inner)):
+            d = batch[col]
+            edges = np.concatenate(([-np.inf], t, [np.inf]))
+            got = [flat[0][bins[i]], flat[1][bins[i]], flat[2][bins[i]], flat[3][points[i]]]
+            for g, w in zip(got, [*d.edge_stats(edges), d.pdf(t)]):
                 assert g.shape == w.shape
                 assert np.array_equal(g, w), (i, n_bins)
                 assert np.array_equal(np.signbit(g), np.signbit(w)), (i, n_bins)
@@ -393,8 +407,8 @@ class TestMixtureBlocks:
                                       for j in range(10))) for i in range(4)]
         n = 1 << 14
         q = (np.arange(n) + 0.5) / n
-        _, one = traced_peak(lambda: _mixture_quantiles(laws[:1], q))
-        quantiles, peak = traced_peak(lambda: _mixture_quantiles(laws, q))
+        _, one = traced_peak(lambda: _mixture_quantiles(laws[:1], [q]))
+        quantiles, peak = traced_peak(lambda: _mixture_quantiles(laws, [q] * len(laws)))
         assert peak <= 1.25 * one
         for d, row in zip(laws, quantiles):
             assert np.array_equal(row, d.ppf(q))
@@ -662,6 +676,48 @@ class TestMixturePpf:
         mix = GaussianMixture(((1.0, 0.7, 1.3),))
         np.testing.assert_array_equal(mix.ppf(q), Gaussian(0.7, 1.3).ppf(q))
 
+    def test_ragged_quantile_grids_are_each_laws_own(self):
+        # The (law, quantile) pairs of laws at several bit depths, in one
+        # block and, past _MIXTURE_BLOCK pairs, in several.
+        rng = np.random.default_rng(4100)
+        laws = [_random_mixture(rng, k) for k in (3, 12, 1, 8, 50, 2)]
+        for bits in ((1, 4, 2, 6, 3, 1), (9, 1, 10, 8, 2, 7)):
+            qs = [(np.arange(1 << b) + 0.5) / (1 << b) for b in bits]
+            for d, q, row in zip(laws, qs, _mixture_quantiles(laws, qs)):
+                assert np.array_equal(row, d.ppf(q)), (len(d.components), q.size)
+
+    def test_a_bracket_of_many_binades_is_bisected_in_the_exponent(self):
+        # The second component's quantile is 1.15e150 to the left of the
+        # first's, and the density between underflows, so each step
+        # bisects; halving the bracket's width stopped at -9.07e119 (cdf
+        # 5e-301) after the 100 steps of the cap.
+        d = GaussianMixture(((1.0, 0.0, 1.0), (1e-300, 0.0, 1e150)))
+        want = special.ndtri(0.125)
+        assert abs(d.ppf(0.125) / want - 1.0) <= 1e-14
+        start = _start_law(d, "quantile").ppf((np.arange(4) + 0.5) / 4)
+        assert np.all(np.isfinite(start)) and np.all(np.diff(start) > 0.0)
+
+    def test_an_unconverged_quantile_raises(self, monkeypatch):
+        d = GaussianMixture(((1.0, 0.0, 1.0), (1e-300, 0.0, 1e150)))
+        monkeypatch.setattr(distributions, "_PPF_MAX_ITERS", 5)
+        with pytest.raises(MismatchQuantError, match="did not converge in 5 steps"):
+            d.ppf(0.125)
+
+    def test_a_root_between_two_doubles_keeps_its_last_iterate(self):
+        # Newton's step on log F alternates between two neighbouring
+        # doubles about this root (3e-15 apart, above the 1e-14 relative
+        # stop at -0.139), so the iteration runs to the cap; the bracket is
+        # those two doubles, and the last iterate is kept.
+        d = GaussianMixture(((0.2438523035207304, -1.103240747366089, 0.731677554501531),
+                             (0.1554349680266627, 2.6303710376017273, 1.208898928665041),
+                             (0.14734410137054316, 2.969449144280046, 1.1089760925559375),
+                             (0.28132309958441015, -1.1405552002364279, 0.2146118875875079),
+                             (0.0810821611562886, -1.66407386516602, 0.9760233199520587),
+                             (0.0909633663413649, -1.7729800396477022, 0.5373988039056026)))
+        x = d.ppf(0.6875)
+        assert x == pytest.approx(0.13884422932800639, rel=1e-15)
+        assert d.cdf(x) == pytest.approx(0.6875, rel=1e-14)
+
     def test_bitwise_equal_to_the_component_loop(self, component_loop):
         # Laws of 8 to 50 components (the 10-class semantic_mixture marginal
         # among them), listed in no order of component count, on the
@@ -676,7 +732,7 @@ class TestMixturePpf:
         for bits in range(1, 7):
             n = 1 << bits
             q = (np.arange(n) + 0.5) / n
-            stacked = _mixture_quantiles(laws, q)
+            stacked = _mixture_quantiles(laws, [q] * len(laws))
             for d, row in zip(laws, stacked):
                 want = component_loop.ppf(d, q)
                 for got in (d.ppf(q), row):

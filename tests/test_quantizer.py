@@ -40,10 +40,15 @@ from mismatch_quant import (
 )
 from mismatch_quant import quantizer
 from mismatch_quant.quantizer import (
-    _damped_newton_step,
+    _batch,
+    _damped_newton_steps,
     _design_state,
     _designs,
-    _half_line_state,
+    _evaluate,
+    _gaussian_half_tables,
+    _laplace_half_states,
+    _layout,
+    _mirrored_table,
     _moment_table,
     _moment_tables,
     _start_law,
@@ -56,7 +61,7 @@ SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 def _unmemoised_design(d, bits, max_iters, init):
     """The design iteration of ``lloyd_max_design`` on ``d`` itself, past
     the memo and the mapping of a location-scale law."""
-    [q] = _designs([d], bits, max_iters, init)
+    [q] = _designs([(d, bits)], max_iters, init)
     if not isinstance(q, Quantizer):
         raise q
     return q
@@ -311,15 +316,14 @@ class TestLloydMaxDesign:
             [(v / sum(mass), m, math.sqrt(3.0) * s) for v, (_, m, s) in zip(mass, d.components)],
             rtol=1e-15, atol=0.0)
         starts = []
+        start_codebooks = quantizer._start_codebooks
 
-        class Recording(quantizer._Run):
-            __slots__ = ()
+        def recording(pairs, init):
+            out = start_codebooks(pairs, init)
+            starts.extend(codebook.copy() for codebook in out)
+            return out
 
-            def __init__(self, *args):
-                starts.append(args[-1].copy())  # the start codebook
-                super().__init__(*args)
-
-        monkeypatch.setattr(quantizer, "_Run", Recording)
+        monkeypatch.setattr(quantizer, "_start_codebooks", recording)
         monkeypatch.setattr(quantizer, "_STANDARD_DESIGNS", {})
         assert lloyd_max_design(d, bits, init="cube_root").converged
         n = 1 << bits
@@ -486,11 +490,12 @@ class TestHalfLineLaplaceDesign:
                 else np.asarray(design(d, 8, 500, "quantile").partition.boundaries))
         dampings = []
 
-        def first_fails(f, t, mass, c, r, damping):
-            dampings.append(damping)
-            return None if len(dampings) == 1 else _damped_newton_step(f, t, mass, c, r, damping)
+        def first_fails(f, t, mass, c, r, damping, layout):
+            dampings.extend(damping.tolist())  # one run
+            step, solved = _damped_newton_steps(f, t, mass, c, r, damping, layout)
+            return step, solved & (len(dampings) > 1)
 
-        monkeypatch.setattr(quantizer, "_damped_newton_step", first_fails)
+        monkeypatch.setattr(quantizer, "_damped_newton_steps", first_fails)
         q = design(d, 8, 500, "quantile")
         assert len(dampings) > 2 and set(dampings) == {0.0}
         assert q.converged and q.iterations == len(dampings)
@@ -536,6 +541,11 @@ def _general_half_line_state(d, t):
     return _table_state(d.edge_stats(np.concatenate(([0.0], t, [np.inf]))), t)
 
 
+def _one_run(d, t):
+    """The round state (``_evaluate``) of ``d`` alone at the thresholds ``t``."""
+    return _evaluate(_batch([d]), np.array([0]), t, _layout(np.array([len(t)])))
+
+
 class TestHalfLineState:
     """The half-line design state of ``Gaussian()`` (bit for bit the general
     kernel's) and of ``Laplace()`` (closed form, against 40 digits)."""
@@ -549,12 +559,14 @@ class TestHalfLineState:
         perturbed = t + 0.25 * np.diff(t, prepend=0.0) * np.sin(np.arange(len(t)))
         for t in (t, perturbed):
             assert np.all(np.diff(t, prepend=0.0) > 0.0)
-            got = _half_line_state(d, t)
-            for g, w in zip(got[:5], _general_half_line_state(d, t)):
+            s = _one_run(d, t)
+            _, _, m2, f = _gaussian_half_tables(t, s.layout)
+            got = (s.mass, s.c, s.distortion[0], s.r, m2)
+            for g, w in zip(got, _general_half_line_state(d, t)):
                 assert np.array_equal(g, w), bits
-            assert np.array_equal(got[5], d.pdf(t))
+            assert np.array_equal(s.f, d.pdf(t)) and np.array_equal(f, s.f)
             p = Partition(np.concatenate((-t[::-1], [0.0], t)))
-            for g, w in zip(got[6](), d.edge_stats(p.edges())):
+            for g, w in zip(_mirrored_table(d, t, s.mass, s.f), d.edge_stats(p.edges())):
                 assert np.array_equal(g, w), bits
 
     @pytest.mark.parametrize("lo", [0.0, 0.5, 3.0, 12.0, 30.0])
@@ -569,7 +581,7 @@ class TestHalfLineState:
         for w in 10.0 ** np.arange(-6, 2):
             hi = lo + w
             t = np.array([hi]) if lo == 0.0 else np.array([lo, hi])
-            mass, c, *_, f, _ = _half_line_state(d, t)
+            mass, c, _, f, _, _ = _laplace_half_states(t, _layout(np.array([len(t)])))
             for i, (a, z) in enumerate(((lo, hi), (hi, math.inf)), start=len(t) - 1):
                 m0, m1 = (mp_raw_moment(d, a, z, k) for k in (0, 1))
                 assert abs(float(mass[i] / m0 - 1)) <= 1e-15 + a / d.scale * eps / 2, (lo, w)
@@ -612,9 +624,10 @@ class TestNewtonStepSolve:
         t = np.asarray(d.ppf((np.arange(n) + 1.0) / (n + 1)), dtype=float)
         t = t + 0.01 * np.sin(np.arange(n))
         mass, c, _, r, _ = _design_state(d, t)
-        got = _damped_newton_step(d.pdf(t), t, mass, c, r, damping)
+        got, solved = _damped_newton_steps(d.pdf(t), t, mass, c, r, np.array([damping]),
+                                           _layout(np.array([n])))
         want = _banded_newton_step(d.pdf(t), t, mass, c, r, damping)
-        assert got.shape == (n,)
+        assert got.shape == (n,) and solved.tolist() == [True]
         assert np.array_equal(got, want)
 
     def test_singular_system_returns_none(self):
@@ -626,16 +639,69 @@ class TestNewtonStepSolve:
         r = np.array([1.0, 1.0])
         with pytest.raises(linalg.LinAlgError):
             _banded_newton_step(unit, t, mass, c, r, 0.0)
-        assert _damped_newton_step(unit, t, mass, c, r, 0.0) is None
+        _, solved = _damped_newton_steps(unit, t, mass, c, r, np.zeros(1), _layout(np.array([2])))
+        assert solved.tolist() == [False]
+
+    @staticmethod
+    def _blocks(rng, sizes):
+        """Random flat inputs of runs of ``sizes`` thresholds: unordered
+        thresholds and centroids, so the bands have either sign and the
+        elimination often swaps rows."""
+        layout = _layout(np.array(sizes))
+        n = int(sum(sizes))
+        f, t, r = rng.uniform(0.5, 2.0, n), rng.normal(0.0, 2.0, n), rng.normal(0.0, 1.0, n)
+        mass, c = rng.uniform(0.1, 1.0, n + len(sizes)), rng.normal(0.0, 2.0, n + len(sizes))
+        damping = rng.choice([0.0, 0.25, 0.5, 1.0], len(sizes))
+        return layout, f, t, mass, c, r, damping
+
+    @staticmethod
+    def _per_block(layout, f, t, mass, c, r, damping):
+        """Each run's step by ``solve_banded`` alone, or None if singular."""
+        out = []
+        for k, (t0, b0, n) in enumerate(zip(layout.first, layout.bin0, layout.sizes)):
+            bins, ts = slice(b0, b0 + n + 1), slice(t0, t0 + n)
+            try:
+                out.append(_banded_newton_step(f[ts], t[ts], mass[bins], c[bins], r[ts],
+                                               damping[k]))
+            except linalg.LinAlgError:
+                out.append(None)
+        return out
+
+    def test_one_block_diagonal_solve_is_each_blocks_own(self):
+        # 500 stacks of 1 to 8 blocks of 1 to 6 rows, 1x1 blocks among them,
+        # with row interchanges in the elimination.
+        rng = np.random.default_rng(2700)
+        for _ in range(500):
+            sizes = rng.integers(1, 7, rng.integers(1, 9)).tolist()
+            args = self._blocks(rng, sizes)
+            step, solved = _damped_newton_steps(*args[1:], args[0])
+            want = self._per_block(*args)
+            assert solved.tolist() == [w is not None for w in want]
+            for k, w in enumerate(want):
+                got = step[args[0].first[k] : args[0].first[k] + sizes[k]]
+                assert np.array_equal(got, w) if w is not None else np.isnan(got).all()
+
+    def test_a_zero_pivot_rejects_only_its_own_runs_step(self):
+        # The singular system of test_singular_system_returns_none as the
+        # second of three blocks.
+        rng = np.random.default_rng(2701)
+        layout, f, t, mass, c, r, damping = self._blocks(rng, [3, 2, 4])
+        f[3:5], t[3:5], r[3:5], damping[1] = 1.0, (0.0, 1.0), 1.0, 0.0
+        mass[4:7], c[4:7] = 0.5, (-1.0, 0.0, 2.0)
+        step, solved = _damped_newton_steps(f, t, mass, c, r, damping, layout)
+        want = self._per_block(layout, f, t, mass, c, r, damping)
+        assert solved.tolist() == [True, False, True] and want[1] is None
+        assert np.array_equal(step[:3], want[0]) and np.array_equal(step[5:], want[2])
+        assert np.isnan(step[3:5]).all()
 
     def test_one_bit_mixture_design_takes_newton_steps(self, monkeypatch):
         sizes = []
 
-        def counted(f, t, *args):
-            sizes.append(len(t))
-            return _damped_newton_step(f, t, *args)
+        def counted(f, t, mass, c, r, damping, layout):
+            sizes.extend(layout.sizes.tolist())
+            return _damped_newton_steps(f, t, mass, c, r, damping, layout)
 
-        monkeypatch.setattr(quantizer, "_damped_newton_step", counted)
+        monkeypatch.setattr(quantizer, "_damped_newton_steps", counted)
         q = lloyd_max_design(self.MIXTURE, 1)
         assert sizes and set(sizes) == {1}
         assert q.converged
@@ -815,15 +881,19 @@ class TestStackedDesigns:
     @pytest.mark.parametrize("init", ["quantile", "cube_root"])
     def test_bitwise_equal_to_one_law_at_a_time(self, init, monkeypatch):
         monkeypatch.setattr(quantizer, "_STANDARD_DESIGNS", {})
-        # A mapped law and a half-line law ride along with the mixtures.
-        laws = [*self.LAWS, Gaussian(0.3, 2.0), Laplace()]
-        for bits in range(1, 7):
+        # A mapped law and the two half-line laws ride along with the
+        # mixtures, and every bit depth goes in one call: 438 ragged pairs.
+        laws = [*self.LAWS, Gaussian(0.3, 2.0), Gaussian(), Laplace()]
+        depths = range(1, 7)
+        together = quantizer._lloyd_max_designs(
+            tuple(laws) * len(depths), [bits for bits in depths for _ in laws], 500, init)
+        assert len(together) == len(laws) * len(depths)
+        for j, bits in enumerate(depths):
             alone = self._one_at_a_time(laws, bits, init)
-            together = quantizer._lloyd_max_designs(tuple(laws), bits, 500, init)
-            assert len(together) == len(laws)
-            for d, a, b in zip(laws, together, alone):
+            depth = together[j * len(laws) : (j + 1) * len(laws)]
+            for d, a, b in zip(laws, depth, alone):
                 assert _same_design(a, b), (d, bits)
-            assert all(q.converged for q in together), bits
+            assert all(q.converged for q in depth), bits
 
     def test_rounds_with_lloyd_steps_stay_bitwise(self, monkeypatch):
         # Every Newton step taken at damping 0.5 (the first of each mixture)
@@ -831,13 +901,12 @@ class TestStackedDesigns:
         monkeypatch.setattr(quantizer, "_STANDARD_DESIGNS", {})
         rejected = []
 
-        def first_fails(f, t, mass, c, r, damping):
-            if damping == 0.5:
-                rejected.append(len(t))
-                return None
-            return _damped_newton_step(f, t, mass, c, r, damping)
+        def first_fails(f, t, mass, c, r, damping, layout):
+            step, solved = _damped_newton_steps(f, t, mass, c, r, damping, layout)
+            rejected.extend(layout.sizes[damping == 0.5].tolist())
+            return step, solved & (damping != 0.5)
 
-        monkeypatch.setattr(quantizer, "_damped_newton_step", first_fails)
+        monkeypatch.setattr(quantizer, "_damped_newton_steps", first_fails)
         laws = self.LAWS[::3]
         for bits in (1, 3, 5):
             alone = self._one_at_a_time(laws, bits, "quantile")
@@ -886,8 +955,13 @@ class TestStackedDesigns:
 
     def test_empty_batch_and_argument_checks(self):
         assert lloyd_max_designs([], 3) == ()
+        assert lloyd_max_designs([], []) == ()
         with pytest.raises(ValueError, match="bits"):
             lloyd_max_designs([Gaussian()], 0)
+        with pytest.raises(ValueError, match="bits"):
+            lloyd_max_designs([Gaussian(), Laplace()], [3, 17])
+        with pytest.raises(ValueError, match="2 bit depths for 1 laws"):
+            lloyd_max_designs([Gaussian()], [3, 4])
         with pytest.raises(ValueError, match="init"):
             quantizer._lloyd_max_designs((Gaussian(),), 3, 500, "uniform")
         with pytest.raises(ValueError, match="max_iters"):
