@@ -9,8 +9,9 @@ Semi-infinite intervals are first-class: every formula is written so that
 
 The arithmetic every reader of a moment table shares lives beside
 ``edge_stats``: ``_table_distortion``, ``_conditional_means`` (with the one
-empty-bin rule) and ``_blocks``, the one block bound of a walk over Gaussian
-laws, which mixture components and the laws of ``_gaussian_blocks`` take.
+empty-bin rule) and ``_ragged_blocks``, the one block bound of a walk over
+Gaussian laws, which mixture components, the runs of a design round and the
+laws of ``_gaussian_blocks`` take.
 """
 
 from __future__ import annotations
@@ -134,34 +135,29 @@ def _gaussian_edge_stats(
     return (*shifted, phi[..., 1:-1]) if density else shifted
 
 
-def _blocks(k: int, size: int) -> list[tuple[int, int]]:
-    """``(lo, hi)`` bounds of consecutive blocks of ``k`` laws with ``size``
-    entries each, at most ``_MIXTURE_BLOCK`` entries (one law at least)."""
-    step = max(1, _MIXTURE_BLOCK // max(size, 1))
-    return [(lo, min(lo + step, k)) for lo in range(0, k, step)]
-
-
 def _ragged_blocks(sizes) -> list[tuple[int, int]]:
     """``(lo, hi)`` bounds of consecutive groups of the items of ``sizes``
-    entries each, at most ``_MIXTURE_BLOCK`` entries (one item at least)."""
+    entries each, at most ``_MIXTURE_BLOCK`` entries (one item at least);
+    no group for no item."""
     out, lo, total = [], 0, 0
     for i, size in enumerate(sizes):
         if i > lo and total + size > _MIXTURE_BLOCK:
             out.append((lo, i))
             lo, total = i, 0
         total += size
-    return out + [(lo, len(sizes))]
+    return out + [(lo, len(sizes))] if len(sizes) else out
 
 
 def _gaussian_blocks(laws, edges: np.ndarray, order: int, owner=None):
-    """Yield ``(rows, table)`` a block (``_blocks``) of the ``Gaussian`` laws
-    among ``laws`` at a time: their indices, and their moments ``0..order`` on
-    ``edges`` (law ``i`` reads row ``owner[i]`` if given) from one kernel call
-    on ``(k, 1)`` columns, each row bit for bit the law's own ``edge_stats``."""
+    """Yield ``(rows, table)`` a block (``_ragged_blocks``) of the
+    ``Gaussian`` laws among ``laws`` at a time: their indices, and their
+    moments ``0..order`` on ``edges`` (law ``i`` reads row ``owner[i]`` if
+    given) from one kernel call on ``(k, 1)`` columns, each row bit for bit
+    the law's own ``edge_stats``."""
     gauss = [i for i, d in enumerate(laws) if type(d) is Gaussian]
     mean = np.array([[laws[i].mean] for i in gauss])
     std = np.array([[laws[i].std] for i in gauss])
-    for lo, hi in _blocks(len(gauss), edges.shape[-1]):
+    for lo, hi in _ragged_blocks([edges.shape[-1]] * len(gauss)):
         rows = gauss[lo:hi]
         yield rows, _gaussian_edge_stats(
             mean[lo:hi], std[lo:hi], edges if owner is None else edges[owner[rows]], order)
@@ -202,7 +198,7 @@ def _component_sums(w, m, s, size: int, terms) -> list[np.ndarray]:
     of one component of one law gets floats; ``terms`` returns a row per
     component."""
     totals = itertools.repeat(0.0)
-    for lo, hi in _blocks(len(w), size):
+    for lo, hi in _ragged_blocks([size] * len(w)):
         if hi - lo == 1 and w.shape[1] == 1:
             cols = float(w[lo, 0]), float(m[lo, 0]), float(s[lo, 0])
         else:

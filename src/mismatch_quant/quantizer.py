@@ -407,8 +407,8 @@ def _law_tables(laws, t: np.ndarray, layout: _Layout):
     return out
 
 
-# The kinds of run of ``_designs``, in the order a round lays them out: a
-# mixture and any other law on the full line, then ``Gaussian()`` and
+# The kinds of law of ``_designs``, each designed in a round loop of its
+# own: a mixture and any other law on the full line, ``Gaussian()`` and
 # ``Laplace()`` on their positive half-line.
 _MIXTURE, _OTHER, _HALF_GAUSSIAN, _HALF_LAPLACE = range(4)
 _STANDARD_GAUSSIAN, _STANDARD_LAPLACE = Gaussian(), Laplace()
@@ -425,36 +425,13 @@ def _kind(d: Distribution) -> int:
             else _OTHER)
 
 
-class _Batch(typing.NamedTuple):
-    """The laws of one ``_designs`` call, a run per pair: each law, its kind
-    (and the kind of them all, if one), and the column of the component grid
-    ``grid`` a mixture owns."""
-
-    laws: list
-    kinds: np.ndarray
-    kind: int | None
-    cols: np.ndarray
-    grid: tuple | None
-
-
-def _batch(laws) -> _Batch:
-    kinds = [_kind(d) for d in laws]
-    mixtures = list(dict.fromkeys(d for d, k in zip(laws, kinds) if k == _MIXTURE))
-    if not mixtures:
-        return _Batch(laws, np.array(kinds), kinds[0] if len(set(kinds)) == 1 else None, None, None)
-    column = {d: j for j, d in enumerate(mixtures)}
-    cols = np.array([column.get(d, 0) for d in laws])
-    return _Batch(laws, np.array(kinds), kinds[0] if len(set(kinds)) == 1 else None, cols,
-                  _component_grid(mixtures))
-
-
 class _State(typing.NamedTuple):
-    """The design state of some runs of a ``_designs`` call, in kind order,
-    as flat arrays on their ``_Layout``: per run its pair index ``ids``,
-    design distortion, sum of second moments, ``max|r|``, ``max(1, max|t|)``
-    and whether a bin lies below ``ZERO_MASS_TOL``; per threshold the
-    thresholds, midpoint residual and density; per bin the masses and
-    centroids."""
+    """The design state of some runs of one round loop of ``_designs``, as
+    flat arrays on their ``_Layout``: per run its index ``ids`` among the
+    loop's pairs, design distortion, sum of second moments, ``max|r|``,
+    ``max(1, max|t|)`` and whether a bin lies below ``ZERO_MASS_TOL``; per
+    threshold the thresholds, midpoint residual and density; per bin the
+    masses and centroids."""
 
     layout: _Layout
     ids: np.ndarray
@@ -485,47 +462,44 @@ class _State(typing.NamedTuple):
             self[i][masks[(i > 6) + (i > 9)]] = new[i]
 
 
-def _evaluate(batch: _Batch, ids: np.ndarray, t: np.ndarray, layout: _Layout) -> _State:
-    """The ``_State`` of runs ``ids`` (in kind order) at the thresholds ``t``
-    laid out by ``layout``.  Each kind is evaluated once for all its runs: the
-    mixtures in one kernel walk (``_mixture_design_stats``), ``Gaussian()``
-    and ``Laplace()`` on their half-lines, any other law by its own
-    ``edge_stats`` and ``pdf``.  Only each run's distortion, its sum and two
-    dot products, is formed run by run (or as rows of one block for runs
-    with one bin count), so that every value is bit for bit that of the run
-    alone."""
-    if batch.kind is None:
-        counts = np.bincount(batch.kinds[ids], minlength=4).tolist()
-        tb = layout.first.tolist() + [len(t)]
+def _evaluator(kind: int, laws: list):
+    """``evaluate(ids, t, layout)``: the ``_State`` of the runs ``ids`` of
+    ``laws``, every one of the kind ``kind``, at the thresholds ``t`` laid
+    out by ``layout``.  The kind's evaluation is bound once: the mixtures
+    take one kernel walk (``_mixture_design_stats``) over the component grid
+    of ``laws``, ``Gaussian()`` and ``Laplace()`` their half-line tables,
+    any other law its own ``edge_stats`` and ``pdf`` (``_law_tables``).
+    Only each run's distortion, its sum and two dot products, is formed run
+    by run (or as rows of one block for runs with one bin count), so that
+    every value is bit for bit that of the run alone."""
+    if kind == _MIXTURE:
+        mixtures = list(dict.fromkeys(laws))
+        column = {d: j for j, d in enumerate(mixtures)}
+        grid, cols = _component_grid(mixtures), np.array([column[d] for d in laws])
+
+        def states(ids, t, layout):
+            return _table_states(_mixture_design_stats(grid, cols[ids], t, layout.sizes), t,
+                                 layout)
+    elif kind == _OTHER:
+        def states(ids, t, layout):
+            return _table_states(_law_tables([laws[i] for i in ids.tolist()], t, layout), t,
+                                 layout)
+    elif kind == _HALF_GAUSSIAN:
+        def states(ids, t, layout):
+            return _table_states(_gaussian_half_tables(t, layout), t, layout)
     else:
-        counts = [len(ids) * (kind == batch.kind) for kind in range(4)]
-    pieces, r0 = [], 0
-    for kind, n in enumerate(counts):
-        if not n:
-            continue
-        sub, tk = (layout, t) if n == len(ids) else (_layout(layout.sizes[r0 : r0 + n]),
-                                                     t[tb[r0] : tb[r0 + n]])
-        if kind == _HALF_LAPLACE:
-            pieces.append(_laplace_half_states(tk, sub))
-        else:
-            if kind == _MIXTURE:
-                table = _mixture_design_stats(batch.grid, batch.cols[ids[r0 : r0 + n]], tk,
-                                              sub.sizes)
-            elif kind == _OTHER:
-                table = _law_tables([batch.laws[i] for i in ids[r0 : r0 + n].tolist()], tk, sub)
-            else:
-                table = _gaussian_half_tables(tk, sub)
-            pieces.append(_table_states(table, tk, sub))
-        r0 += n
-    if len(pieces) == 1:
-        mass, c, r, f, distortion, m2_sum = pieces[0]
-    else:
-        mass, c, r, f, distortion, m2_sum = (np.concatenate(p) for p in zip(*pieces))
-    empty = mass < ZERO_MASS_TOL
-    empty = (np.logical_or.reduce(empty, keepdims=True) if len(ids) == 1
-             else np.logical_or.reduceat(empty, layout.bin0))
-    return _State(layout, ids, distortion, m2_sum, _run_max(np.abs(r), layout),
-                  np.maximum(1.0, _run_max(np.abs(t), layout)), empty, t, r, f, mass, c)
+        def states(ids, t, layout):
+            return _laplace_half_states(t, layout)
+
+    def evaluate(ids: np.ndarray, t: np.ndarray, layout: _Layout) -> _State:
+        mass, c, r, f, distortion, m2_sum = states(ids, t, layout)
+        empty = mass < ZERO_MASS_TOL
+        empty = (np.logical_or.reduce(empty, keepdims=True) if len(ids) == 1
+                 else np.logical_or.reduceat(empty, layout.bin0))
+        return _State(layout, ids, distortion, m2_sum, _run_max(np.abs(r), layout),
+                      np.maximum(1.0, _run_max(np.abs(t), layout)), empty, t, r, f, mass, c)
+
+    return evaluate
 
 
 def _damped_newton_steps(f, t, mass, c, r, damping: np.ndarray, layout: _Layout):
@@ -586,15 +560,15 @@ def _damped_newton_steps(f, t, mass, c, r, damping: np.ndarray, layout: _Layout)
     return step, solved
 
 
-def _ordered(trial: np.ndarray, layout: _Layout, lower: np.ndarray) -> np.ndarray:
+def _ordered(trial: np.ndarray, layout: _Layout, lower: float) -> np.ndarray:
     """Whether each run's trial thresholds increase strictly and start above
-    its ``lower`` bound (every run has a threshold)."""
+    ``lower`` (every run has a threshold)."""
     rising = trial[1:] > trial[:-1]
     if len(layout.sizes) == 1:
-        return np.array([trial[0] > lower[0] and rising.all()])
+        return np.array([trial[0] > lower and rising.all()])
     rising[layout.first[1:] - 1] = True  # across two runs
     return (trial[layout.first] > lower) & (
-        np.bincount(layout.seg[1:][~rising], minlength=len(lower)) == 0)
+        np.bincount(layout.seg[1:][~rising], minlength=len(layout.sizes)) == 0)
 
 
 def _check_masses(mass: np.ndarray) -> None:
@@ -665,9 +639,9 @@ def lloyd_max_design(
     one design per bit depth, and a mixture designed once, alone or in a
     batch, is served from the memo after that.  The standard members
     themselves come out of the memo as designed.  This is the one-pair call
-    of ``lloyd_max_designs``: a design is one run of the flat rounds of
-    ``_designs``, bit for bit the same alone or beside other laws and bit
-    depths.
+    of ``lloyd_max_designs``: a design is one run of the round loop of its
+    kind of law in ``_designs``, bit for bit the same alone or beside other
+    laws and bit depths.
 
     Parameters
     ----------
@@ -718,17 +692,19 @@ def lloyd_max_designs(laws, bits) -> tuple[Quantizer, ...]:
     bit, with ``bits`` one bit depth for every law or one per law, and the
     designs that are not in the memo run together.
 
-    Every (law, bit depth) pair goes through the same flat rounds
-    (``_designs``): each round evaluates the trial thresholds of every
-    mixture, whatever its bit depth, in one walk of the Gaussian moment
-    kernel over their components, which also gives the density at the
-    thresholds, and a second walk evaluates the Lloyd steps of those whose
-    Newton step was rejected; the half-line laws take one vectorised
-    evaluation a kind.  The Newton steps of all pairs are one block-diagonal
-    tridiagonal solve, and the mixtures' starts one bracketed Newton
-    iteration.  Only each design's distortion, one sum and two dot products,
-    stays per pair, so the fixed cost of the small numpy calls of a round is
-    paid once for all the laws and bit depths of a call.  Every design fills
+    The (law, bit depth) pairs of each kind of law go through one loop of
+    flat rounds (``_designs``), so a call whose laws are of several kinds
+    runs one loop per kind: each round of the mixtures evaluates the trial
+    thresholds of every mixture, whatever its bit depth, in one walk of the
+    Gaussian moment kernel over their components, which also gives the
+    density at the thresholds, and a second walk evaluates the Lloyd steps
+    of those whose Newton step was rejected; a half-line law takes one
+    vectorised evaluation a round.  The Newton steps of all pairs of a loop
+    are one block-diagonal tridiagonal solve, and the mixtures' starts one
+    bracketed Newton iteration.  Only each design's distortion, one sum and
+    two dot products, stays per pair, so the fixed cost of the small numpy
+    calls of a round is paid once for all the laws and bit depths of a
+    kind.  Every design fills
     the shared memo of ``lloyd_max_design``.  A failing pair raises what
     ``lloyd_max_design`` would, and the first failing pair is the one that
     raises.
@@ -762,6 +738,10 @@ def _standard_designs(laws, bits, max_iters: int, init: str):
         _check_bits(b)
     if init not in ("quantile", "cube_root"):
         raise ValueError(f"unsupported init scheme: {init!r}")
+    if init == "cube_root":
+        for d in laws:
+            if type(d) is not GaussianMixture and d.cube_root_law() is None:
+                raise ValueError(f"{d!r} has no cube-root law to start a cube_root design")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     members = [_standard_member(d) for d in laws]
@@ -812,21 +792,16 @@ def _mapped(q: Quantizer, d: Distribution, loc: float, scale: float) -> Quantize
     )
 
 
-def _start_codebooks(pairs, init: str) -> list:
-    """The start codewords of each ``(law, bits)`` of ``pairs``: the ``(i +
-    0.5) / N`` quantiles of its ``_start_law``, every mixture's in one
-    ``_mixture_quantiles`` call."""
+def _start_codebooks(kind: int, pairs, init: str) -> list:
+    """The start codewords of each ``(law, bits)`` of ``pairs``, every law of
+    the kind ``kind``: the ``(i + 0.5) / N`` quantiles of its ``_start_law``,
+    those of mixtures in one ``_mixture_quantiles`` call."""
     start_laws = [_start_law(d, init) for d, _ in pairs]
     grids = {bits: (np.arange(1 << bits) + 0.5) / (1 << bits) for _, bits in pairs}
     qs = [grids[bits] for _, bits in pairs]
-    out = [None if type(g) is GaussianMixture else np.asarray(g.ppf(q), dtype=float)
-           for g, q in zip(start_laws, qs)]
-    mixtures = [i for i, g in enumerate(start_laws) if type(g) is GaussianMixture]
-    if mixtures:
-        rows = _mixture_quantiles([start_laws[i] for i in mixtures], [qs[i] for i in mixtures])
-        for i, row in zip(mixtures, rows):
-            out[i] = row
-    return out
+    if kind == _MIXTURE:
+        return _mixture_quantiles(start_laws, qs)
+    return [np.asarray(g.ppf(q), dtype=float) for g, q in zip(start_laws, qs)]
 
 
 def _designs(pairs: list, max_iters: int, init: str) -> list:
@@ -834,34 +809,45 @@ def _designs(pairs: list, max_iters: int, init: str) -> list:
     ``(law, bits)`` of ``pairs`` on the law itself (on the half-line for
     ``Gaussian()`` and ``Laplace()``), with arguments already checked, and no
     memo: a ``Quantizer`` per pair, or the ``DegenerateDesign`` that ended its
-    design.
+    design.  The pairs of each kind of law (``_kind``) go through one round
+    loop (``_kind_designs``), so a call whose laws are of several kinds runs
+    one loop per kind, in turn."""
+    kinds = [_kind(d) for d, _ in pairs]
+    results = [None] * len(pairs)
+    for kind in sorted(set(kinds)):
+        idx = [i for i, k in enumerate(kinds) if k == kind]
+        for i, q in zip(idx, _kind_designs(kind, [pairs[i] for i in idx], max_iters, init)):
+            results[i] = q
+    return results
+
+
+def _kind_designs(kind: int, pairs: list, max_iters: int, init: str) -> list:
+    """``_designs`` of ``pairs``, every law of the kind ``kind``.
 
     Every pair is one run, and all runs go round by round together, as flat
-    arrays (``_State``, with each run's damping, lower bound and small-step
-    flag beside it): a round takes the convergence and cap tests of every
-    run at once, solves every Newton step in one
-    block-diagonal system (``_damped_newton_steps``), evaluates every trial
-    that stays ordered in one ``_evaluate`` call, takes the acceptance test
-    with its slack and the damping update at once, and evaluates the Lloyd
-    steps of the runs whose step was rejected in a second call.  No run's
-    values depend on the others, so each design is bit for bit the one it
-    would be alone."""
-    batch = _batch([d for d, _ in pairs])
+    arrays (``_State``, with each run's damping and small-step flag beside
+    it): a round takes the convergence and cap tests of every run at once,
+    solves every Newton step in one block-diagonal system
+    (``_damped_newton_steps``), evaluates every trial that stays ordered in
+    one call of the kind's ``_evaluator``, takes the acceptance test with its
+    slack and the damping update at once, and evaluates the Lloyd steps of
+    the runs whose step was rejected in a second call.  The damping start,
+    the lower bound of the thresholds and the mirroring of a half-line
+    design are the kind's.  No run's values depend on the others, so each
+    design is bit for bit the one it would be alone."""
+    laws = [d for d, _ in pairs]
+    evaluate, half = _evaluator(kind, laws), kind >= _HALF_GAUSSIAN
     results = [None] * len(pairs)
-    half = batch.kinds >= _HALF_GAUSSIAN
     ids, ts = [], []
-    for i, codebook in enumerate(_start_codebooks(pairs, init)):
+    for i, codebook in enumerate(_start_codebooks(kind, pairs, init)):
         if np.any(np.diff(codebook) <= 0.0):
             results[i] = DegenerateDesign(f"{init} initialization produced coincident codewords")
             continue
         t = 0.5 * (codebook[:-1] + codebook[1:])
         ids.append(i)
-        ts.append(t[len(codebook) // 2 :] if half[i] else t)
+        ts.append(t[len(codebook) // 2 :] if half else t)
     if not ids:
         return results
-    order = sorted(range(len(ids)), key=lambda j: batch.kinds[ids[j]])
-    ids = np.array([ids[j] for j in order], dtype=np.intp)
-    layout = _layout(np.array([len(ts[j]) for j in order]))
     history = [[] for _ in pairs]
 
     def recorded(s: _State) -> np.ndarray | None:
@@ -882,24 +868,25 @@ def _designs(pairs: list, max_iters: int, init: str) -> list:
                 results[i] = exc
         return ~s.empty
 
-    s = _evaluate(batch, ids, np.concatenate([ts[j] for j in order]), layout)
-    # Each run's damping, lower bound and small-step flag, aligned with the
-    # runs of ``s``; every run still iterating has one history entry per
-    # round and the start.
-    damping, lower = np.where(half[ids], 0.0, 0.5), np.where(half[ids], 0.0, -np.inf)
+    s = evaluate(np.array(ids, dtype=np.intp), np.concatenate(ts),
+                 _layout(np.array([len(t) for t in ts])))
+    # Each run's damping and small-step flag, aligned with the runs of ``s``;
+    # every run still iterating has one history entry per round and the start.
+    damping, lower = np.full(len(ids), 0.0 if half else 0.5), 0.0 if half else -np.inf
     small = np.zeros(len(ids), dtype=bool)
     eps = float(np.finfo(float).eps)
     keep, entries = recorded(s), 1
     while True:
         if keep is not None:
-            s, damping, lower, small = s.take(keep), damping[keep], lower[keep], small[keep]
+            s, damping, small = s.take(keep), damping[keep], small[keep]
         if not s.ids.size:
             return results
         converged = small | (s.residual <= 4.0 * eps * s.scale)
         if entries > max_iters or converged.any():
             done = np.ones_like(converged) if entries > max_iters else converged
             for k in np.flatnonzero(done).tolist():
-                results[s.ids[k]] = _finished(batch, s, k, bool(converged[k]), history)
+                i = int(s.ids[k])
+                results[i] = _finished(laws[i], half, s, k, bool(converged[k]), history[i])
             if done.all():
                 return results
             keep = ~done
@@ -911,8 +898,8 @@ def _designs(pairs: list, max_iters: int, init: str) -> list:
         every = accepted.all()
         tried = slice(None) if every else np.flatnonzero(accepted)
         if every or accepted.any():
-            ts = _evaluate(batch, s.ids[tried], trial if every else trial[accepted[layout.seg]],
-                           layout if every else _layout(layout.sizes[tried]))
+            ts = evaluate(s.ids[tried], trial if every else trial[accepted[layout.seg]],
+                          layout if every else _layout(layout.sizes[tried]))
             # A step is kept if no bin empties and the distortion does not rise,
             # or rises by at most 8 eps sum(m2) where the residual falls.
             before = s.distortion[tried]
@@ -942,30 +929,31 @@ def _designs(pairs: list, max_iters: int, init: str) -> list:
         damping[rejected] = np.minimum(1.0, 4.0 * damping[rejected])
         lloyd = 0.5 * (s.c[layout.below] + s.c[layout.above])
         if accepted.any():
-            back = _evaluate(batch, s.ids[rejected], lloyd[rejected[layout.seg]],
-                             _layout(layout.sizes[rejected]))
+            back = evaluate(s.ids[rejected], lloyd[rejected[layout.seg]],
+                            _layout(layout.sizes[rejected]))
             s.put(rejected, back)
             kept_back, keep = recorded(back), None
             if kept_back is not None:
                 keep = np.ones(len(rejected), dtype=bool)
                 keep[np.flatnonzero(rejected)[~kept_back]] = False
         else:
-            s = _evaluate(batch, s.ids, lloyd, layout)
+            s = evaluate(s.ids, lloyd, layout)
             keep = recorded(s)
 
 
-def _finished(batch: _Batch, s: _State, k: int, converged: bool, history: list) -> Quantizer:
-    """The quantizer of run ``k`` of ``s``, which has stopped."""
-    i, t0, b0, n = (int(a[k]) for a in (s.ids, s.layout.first, s.layout.bin0, s.layout.sizes))
-    d, t, c = batch.laws[i], s.t[t0 : t0 + n], s.c[b0 : b0 + n + 1]
-    mass, f = s.mass[b0 : b0 + n + 1], s.f[t0 : t0 + n]
-    residual, history = float(s.residual[k]), history[i]
-    if batch.kinds[i] >= _HALF_GAUSSIAN:
+def _finished(d: Distribution, half: bool, s: _State, k: int, converged: bool,
+              history: list) -> Quantizer:
+    """The quantizer of ``d`` from run ``k`` of ``s``, which has stopped, a
+    ``half`` run mirrored, with the run's distortion ``history``."""
+    t0, b0, n = (int(a[k]) for a in (s.layout.first, s.layout.bin0, s.layout.sizes))
+    t, c, residual = s.t[t0 : t0 + n], s.c[b0 : b0 + n + 1], float(s.residual[k])
+    if half:
         # The mirrored partition is evaluated once on the full line, so the
         # codebook, residual and last distortion are those of the partition
         # returned; the earlier entries are twice the half-line distortion.
         full = np.concatenate((-t[::-1], [0.0], t))
-        _, c, distortion, r, _ = _table_state(_mirrored_table(d, t, mass, f), full)
+        table = _mirrored_table(d, t, s.mass[b0 : b0 + n + 1], s.f[t0 : t0 + n])
+        _, c, distortion, r, _ = _table_state(table, full)
         t, history = full, [2.0 * h for h in history[:-1]] + [distortion]
         residual = float(np.max(np.abs(r)))
     return Quantizer(

@@ -27,7 +27,7 @@ from mismatch_quant import (
 )
 from mismatch_quant import distributions
 from mismatch_quant.distributions import (
-    _MIXTURE_BLOCK, _blocks, _component_grid, _mixture_design_stats, _mixture_quantiles,
+    _MIXTURE_BLOCK, _component_grid, _mixture_design_stats, _mixture_quantiles, _ragged_blocks,
 )
 from mismatch_quant.quantizer import _start_law
 
@@ -321,7 +321,8 @@ class TestMixtureBlocks:
         return sorted(counts)
 
     def test_fifty_components_on_a_hundred_bins_take_blocks_of_forty_and_ten(self):
-        assert [hi - lo for lo, hi in _blocks(50, 101)] == [40, 10]
+        assert [hi - lo for lo, hi in _ragged_blocks([101] * 50)] == [40, 10]
+        assert _ragged_blocks([]) == []
 
     @pytest.mark.parametrize("k", [1, 3, 8, 10, 17, 50])
     def test_bitwise_equal_to_the_component_loop(self, k, component_loop):

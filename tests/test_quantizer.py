@@ -10,6 +10,7 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ import mismatch_quant
 from mismatch_quant import (
     Codebook,
     DegenerateDesign,
+    Distribution,
     Gaussian,
     GaussianMixture,
     Laplace,
@@ -40,13 +42,13 @@ from mismatch_quant import (
 )
 from mismatch_quant import quantizer
 from mismatch_quant.quantizer import (
-    _batch,
     _damped_newton_steps,
     _design_state,
     _designs,
-    _evaluate,
+    _evaluator,
     _gaussian_half_tables,
     _laplace_half_states,
+    _kind,
     _layout,
     _mirrored_table,
     _moment_table,
@@ -318,8 +320,8 @@ class TestLloydMaxDesign:
         starts = []
         start_codebooks = quantizer._start_codebooks
 
-        def recording(pairs, init):
-            out = start_codebooks(pairs, init)
+        def recording(kind, pairs, init):
+            out = start_codebooks(kind, pairs, init)
             starts.extend(codebook.copy() for codebook in out)
             return out
 
@@ -542,8 +544,8 @@ def _general_half_line_state(d, t):
 
 
 def _one_run(d, t):
-    """The round state (``_evaluate``) of ``d`` alone at the thresholds ``t``."""
-    return _evaluate(_batch([d]), np.array([0]), t, _layout(np.array([len(t)])))
+    """The round state (``_evaluator``) of ``d`` alone at the thresholds ``t``."""
+    return _evaluator(_kind(d), [d])(np.array([0]), t, _layout(np.array([len(t)])))
 
 
 class TestHalfLineState:
@@ -845,6 +847,50 @@ def _random_mixtures(seed, count):
     return laws
 
 
+class _Delegate(Distribution):
+    """A law outside the three families, ``inner`` in all but its type: its
+    designs take the round loop of any other law.  Without ``cube_root``
+    it has no cube-root law, as ``Distribution`` has none by default."""
+
+    def __init__(self, inner, cube_root=True):
+        self.inner, self.cube_root = inner, cube_root
+
+    def __repr__(self):
+        return f"_Delegate({self.inner!r})"
+
+    def pdf(self, x):
+        return self.inner.pdf(x)
+
+    def log_pdf(self, x):
+        return self.inner.log_pdf(x)
+
+    def cdf(self, x):
+        return self.inner.cdf(x)
+
+    def ppf(self, q):
+        return self.inner.ppf(q)
+
+    def edge_stats(self, edges, order=2):
+        return self.inner.edge_stats(edges, order)
+
+    def sample(self, seed, n):
+        return self.inner.sample(seed, n)
+
+    @property
+    def mean(self):
+        return self.inner.mean
+
+    @property
+    def variance(self):
+        return self.inner.variance
+
+    def to_config(self):
+        return self.inner.to_config()
+
+    def cube_root_law(self):
+        return self.inner.cube_root_law() if self.cube_root else None
+
+
 # The ten marginals of semantic_mixture at its defaults: k of ten classes
 # N(y - 4.5, 0.5^2), y < k, weighted 1/k.
 SEMANTIC_MARGINALS = [GaussianMixture(tuple((1.0 / k, y - 4.5, 0.5) for y in range(k)))
@@ -881,9 +927,11 @@ class TestStackedDesigns:
     @pytest.mark.parametrize("init", ["quantile", "cube_root"])
     def test_bitwise_equal_to_one_law_at_a_time(self, init, monkeypatch):
         monkeypatch.setattr(quantizer, "_STANDARD_DESIGNS", {})
-        # A mapped law and the two half-line laws ride along with the
-        # mixtures, and every bit depth goes in one call: 438 ragged pairs.
-        laws = [*self.LAWS, Gaussian(0.3, 2.0), Gaussian(), Laplace()]
+        # A mapped law, the two half-line laws and a law of none of the
+        # three families ride along with the mixtures, so one call holds
+        # every kind of law, and every bit depth goes in it: 444 ragged pairs.
+        other = _Delegate(Gaussian(0.3, 2.0))
+        laws = [*self.LAWS, Gaussian(0.3, 2.0), Gaussian(), Laplace(), other]
         depths = range(1, 7)
         together = quantizer._lloyd_max_designs(
             tuple(laws) * len(depths), [bits for bits in depths for _ in laws], 500, init)
@@ -894,6 +942,9 @@ class TestStackedDesigns:
             for d, a, b in zip(laws, depth, alone):
                 assert _same_design(a, b), (d, bits)
             assert all(q.converged for q in depth), bits
+            # The other law's design is its inner law's, designed on the full line.
+            [inner] = _designs([(other.inner, bits)], 500, init)
+            assert _same_design(replace(inner, design_law=other), depth[-1]), bits
 
     def test_rounds_with_lloyd_steps_stay_bitwise(self, monkeypatch):
         # Every Newton step taken at damping 0.5 (the first of each mixture)
@@ -966,6 +1017,17 @@ class TestStackedDesigns:
             quantizer._lloyd_max_designs((Gaussian(),), 3, 500, "uniform")
         with pytest.raises(ValueError, match="max_iters"):
             quantizer._lloyd_max_designs((Gaussian(),), 3, 0, "quantile")
+
+    def test_a_cube_root_start_needs_a_cube_root_law(self, monkeypatch):
+        # The check names the law and comes before any design of the call.
+        monkeypatch.setattr(quantizer, "_STANDARD_DESIGNS", {})
+        bare = _Delegate(Gaussian(0.3, 2.0), cube_root=False)
+        with pytest.raises(ValueError, match=r"_Delegate\(Gaussian\(mean=0\.3, std=2\.0\)\) has no"):
+            lloyd_max_design(bare, 3, init="cube_root")
+        with pytest.raises(ValueError, match="cube-root law"):
+            quantizer._lloyd_max_designs((self.LAWS[0], bare), 3, 500, "cube_root")
+        assert quantizer._STANDARD_DESIGNS == {}
+        assert lloyd_max_design(bare, 3).converged
 
 
 class TestMomentTableMemo:
