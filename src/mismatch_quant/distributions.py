@@ -9,9 +9,10 @@ Semi-infinite intervals are first-class: every formula is written so that
 
 The arithmetic every reader of a moment table shares lives beside
 ``edge_stats``: ``_table_distortion``, ``_conditional_means`` (with the one
-empty-bin rule) and ``_ragged_blocks``, the one block bound of a walk over
+empty-bin rule), ``_ragged_blocks``, the one block bound of a walk over
 Gaussian laws, which mixture components, the runs of a design round and the
-laws of ``_gaussian_blocks`` take.
+Gaussian laws of ``_gaussian_blocks`` take, and ``_gaussian_blocks`` itself,
+the one path by which a row of laws reads its tables on shared edges.
 """
 
 from __future__ import annotations
@@ -149,11 +150,12 @@ def _ragged_blocks(sizes) -> list[tuple[int, int]]:
 
 
 def _gaussian_blocks(laws, edges: np.ndarray, order: int, owner=None):
-    """Yield ``(rows, table)`` a block (``_ragged_blocks``) of the
-    ``Gaussian`` laws among ``laws`` at a time: their indices, and their
-    moments ``0..order`` on ``edges`` (law ``i`` reads row ``owner[i]`` if
-    given) from one kernel call on ``(k, 1)`` columns, each row bit for bit
-    the law's own ``edge_stats``."""
+    """Yield ``(rows, table)`` for every law of ``laws``: their indices, and
+    their moments ``0..order`` on ``edges`` (law ``i`` reads row ``owner[i]``
+    if given) as one row a law, each row bit for bit the law's own
+    ``edge_stats``.  The ``Gaussian`` laws come first, a block
+    (``_ragged_blocks``) at a time from one kernel call on ``(k, 1)``
+    columns; then each other law alone, from its own ``edge_stats``."""
     gauss = [i for i, d in enumerate(laws) if type(d) is Gaussian]
     mean = np.array([[laws[i].mean] for i in gauss])
     std = np.array([[laws[i].std] for i in gauss])
@@ -161,6 +163,10 @@ def _gaussian_blocks(laws, edges: np.ndarray, order: int, owner=None):
         rows = gauss[lo:hi]
         yield rows, _gaussian_edge_stats(
             mean[lo:hi], std[lo:hi], edges if owner is None else edges[owner[rows]], order)
+    for i, d in enumerate(laws):
+        if type(d) is not Gaussian:
+            table = d.edge_stats(edges if owner is None else edges[owner[i]], order)
+            yield [i], [moment[None] for moment in table]
 
 
 def _fold(total, block: np.ndarray) -> np.ndarray:

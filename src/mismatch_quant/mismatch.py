@@ -14,7 +14,6 @@ optional Monte Carlo cross-check.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -155,10 +154,11 @@ def monte_carlo_distortion(
 
 
 def _table_terms(table, fix: np.ndarray, laws) -> list:
-    """``(substituted, d_fix, d_gen, excess)`` of each law of ``laws`` from its
-    row of ``table`` on the partition of the design codewords ``fix``, with the
-    conditional means ``gen`` (``_conditional_means``) and ``excess = sum_i
-    mass_i (fix_i - gen_i)^2``, which has no cancellation; bit for bit per row."""
+    """``(substituted, d_fix, d_gen, excess, gen)`` of each law of ``laws``
+    from its row of ``table`` on the partition of the design codewords
+    ``fix``, with the conditional means ``gen`` (``_conditional_means``) and
+    ``excess = sum_i mass_i (fix_i - gen_i)^2``, which has no cancellation;
+    bit for bit per row."""
     mass, m1, _ = table
     gen, substituted = zip(*(_conditional_means((mass[i], m1[i]), d, fix)
                              for i, d in enumerate(laws)))
@@ -167,13 +167,14 @@ def _table_terms(table, fix: np.ndarray, laws) -> list:
     return list(zip(substituted,
                     _table_distortion(table, [fix] * len(laws), [fix * fix] * len(laws)),
                     _table_distortion(table, gen, gen * gen),
-                    [float(np.dot(m, s2)) for m, s2 in zip(mass, shift * shift)]))
+                    [float(np.dot(m, s2)) for m, s2 in zip(mass, shift * shift)], gen))
 
 
 def _exact_terms(q: Quantizer, true_d: Distribution):
-    """``_table_terms`` of ``true_d`` on ``q`` from its memoised moment table."""
+    """``(substituted, d_fix, d_gen, excess)`` of ``_table_terms`` of
+    ``true_d`` on ``q`` from its memoised moment table."""
     table = [moment[None] for moment in _moment_table(true_d, q.partition)]
-    return _table_terms(table, q.design_codebook.as_array(), [true_d])[0]
+    return _table_terms(table, q.design_codebook.as_array(), [true_d])[0][:4]
 
 
 def report(
@@ -233,16 +234,17 @@ def _report_rows(design_d: Distribution, runs, mc_samples: int = 0,
     memo by ``lloyd_max_design`` and ``ideal_distortion``, so a failing
     design raises where it is read, in row order (a call that needs more
     standard designs than the memo holds designs the evicted ones again as
-    it reads them).  Each bit depth's Gaussian true laws take one kernel call
-    a block (``_gaussian_blocks``), others their ``_moment_table``, and
+    it reads them).  Each bit depth's true laws take their tables from
+    ``_gaussian_blocks``, the Gaussian ones one kernel call a block, and
     ``d_ideal`` one standard design a family.  Then each run draws once; each
-    row scores it with conditional means from one unmemoised order-1 kernel call."""
+    row scores it with the conditional means of its exact terms, which are
+    kept only when ``mc_samples`` is set."""
     if mc_samples:
         if any(seed is None for _, _, seed in runs):
             raise ValueError("a seed is required when mc_samples > 0")
         if mc_samples < 2:
             raise ValueError("mc_samples must be 0 or at least 2")
-    settings, exact = {"max_iters": max_iters, "init": init}, {}
+    settings, exact, means = {"max_iters": max_iters, "init": init}, {}, {}
     depths = dict.fromkeys(bits for _, bits_list, _ in runs for bits in bits_list)
     true_laws = {bits: list(dict.fromkeys(true_d for true_d, bits_list, _ in runs
                                           if bits in bits_list)) for bits in depths}
@@ -256,11 +258,11 @@ def _report_rows(design_d: Distribution, runs, mc_samples: int = 0,
         members = [_standard_member(d) for d in laws]
         stars = {law: ideal_distortion(law, bits, **settings)
                  for law in dict.fromkeys(standard for standard, _, _ in members)}
-        others = (([i], [moment[None] for moment in _moment_table(d, p)])
-                  for i, d in enumerate(laws) if type(d) is not Gaussian)
-        for rows, table in itertools.chain(_gaussian_blocks(laws, p.edges(), 2), others):
+        for rows, table in _gaussian_blocks(laws, p.edges(), 2):
             terms = _table_terms(table, fix, [laws[i] for i in rows])
-            for i, (substituted, d_fix, d_gen, excess) in zip(rows, terms):
+            for i, (substituted, d_fix, d_gen, excess, gen) in zip(rows, terms):
+                if mc_samples:
+                    means[laws[i], bits] = gen
                 standard, _, scale = members[i]
                 exact[laws[i], bits] = DistortionReport(
                     d_fix=d_fix, d_gen=d_gen, d_ideal=scale * scale * stars[standard],
@@ -273,10 +275,9 @@ def _report_rows(design_d: Distribution, runs, mc_samples: int = 0,
             x = true_d.sample(seed, mc_samples)
             x.flags.writeable = False  # every bit depth reads the same draw
             for j, bits in enumerate(bits_list):
-                p, fix = designs[bits].partition, designs[bits].design_codebook
-                gen, _ = _conditional_means(true_d.edge_stats(p.edges(), 1), true_d,
-                                            fix.as_array())
-                (fix_mc, se_fix), (gen_mc, se_gen) = _score(p, (fix, Codebook(gen)), x)
+                q = designs[bits]
+                (fix_mc, se_fix), (gen_mc, se_gen) = _score(
+                    q.partition, (q.design_codebook, Codebook(means[true_d, bits])), x)
                 cells[j] = replace(cells[j], mc_stderr=max(se_fix, se_gen),
                                    d_fix_mc=fix_mc, d_gen_mc=gen_mc)
             del x  # one draw is live at a time

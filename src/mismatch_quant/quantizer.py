@@ -571,10 +571,11 @@ def _ordered(trial: np.ndarray, layout: _Layout, lower: float) -> np.ndarray:
         np.bincount(layout.seg[1:][~rising], minlength=len(layout.sizes)) == 0)
 
 
-def _check_masses(mass: np.ndarray) -> None:
-    bad = np.flatnonzero(mass < ZERO_MASS_TOL)
-    if bad.size:
-        raise DegenerateDesign(f"bins {bad.tolist()} lost all design mass")
+def _lost_mass(mass: np.ndarray) -> DegenerateDesign:
+    """The failure of a design whose bins of ``mass`` below ``ZERO_MASS_TOL``
+    lost all design mass."""
+    return DegenerateDesign(f"bins {np.flatnonzero(mass < ZERO_MASS_TOL).tolist()} lost all "
+                            "design mass")
 
 
 def _standard_member(d: Distribution):
@@ -694,20 +695,21 @@ def lloyd_max_designs(laws, bits) -> tuple[Quantizer, ...]:
 
     The (law, bit depth) pairs of each kind of law go through one loop of
     flat rounds (``_designs``), so a call whose laws are of several kinds
-    runs one loop per kind: each round of the mixtures evaluates the trial
+    runs one loop per kind: each round of the mixtures evaluates the next
     thresholds of every mixture, whatever its bit depth, in one walk of the
     Gaussian moment kernel over their components, which also gives the
-    density at the thresholds, and a second walk evaluates the Lloyd steps
-    of those whose Newton step was rejected; a half-line law takes one
-    vectorised evaluation a round.  The Newton steps of all pairs of a loop
-    are one block-diagonal tridiagonal solve, and the mixtures' starts one
-    bracketed Newton iteration.  Only each design's distortion, one sum and
-    two dot products, stays per pair, so the fixed cost of the small numpy
-    calls of a round is paid once for all the laws and bit depths of a
-    kind.  Every design fills
-    the shared memo of ``lloyd_max_design``.  A failing pair raises what
-    ``lloyd_max_design`` would, and the first failing pair is the one that
-    raises.
+    density at the thresholds: its Newton trial, or Lloyd's step where the
+    solve failed or the trial came out of order.  A second walk evaluates
+    Lloyd's step only for the Newton steps the acceptance test rejects; a
+    half-line law takes one vectorised evaluation in place of each walk.
+    The Newton steps of all pairs of a loop are one block-diagonal
+    tridiagonal solve, and the mixtures' starts one bracketed Newton
+    iteration.  Only each design's distortion, one sum and two dot
+    products, stays per pair, so the fixed cost of the small numpy calls of
+    a round is paid once for all the laws and bit depths of a kind.  Every
+    design fills the shared memo of ``lloyd_max_design``.  A failing pair
+    raises what ``lloyd_max_design`` would, and the first failing pair is
+    the one that raises.
     """
     return _lloyd_max_designs(tuple(laws), bits, 500, "quantile")
 
@@ -780,7 +782,8 @@ def _mapped(q: Quantizer, d: Distribution, loc: float, scale: float) -> Quantize
     if np.any(np.diff(t) <= 0.0):
         raise DegenerateDesign(f"the thresholds of {d!r} coincide in floating point")
     mass, c, _, r, _ = _design_state(d, t)
-    _check_masses(mass)
+    if np.any(mass < ZERO_MASS_TOL):
+        raise _lost_mass(mass)
     return Quantizer(
         partition=Partition(t),
         design_codebook=Codebook(c),
@@ -828,10 +831,12 @@ def _kind_designs(kind: int, pairs: list, max_iters: int, init: str) -> list:
     arrays (``_State``, with each run's damping and small-step flag beside
     it): a round takes the convergence and cap tests of every run at once,
     solves every Newton step in one block-diagonal system
-    (``_damped_newton_steps``), evaluates every trial that stays ordered in
-    one call of the kind's ``_evaluator``, takes the acceptance test with its
-    slack and the damping update at once, and evaluates the Lloyd steps of
-    the runs whose step was rejected in a second call.  The damping start,
+    (``_damped_newton_steps``), and evaluates every run's next thresholds in
+    one call of the kind's ``_evaluator``: its Newton trial, or Lloyd's step
+    where the solve failed or the trial came out of order.  It then takes the
+    acceptance test with its slack at once, evaluates Lloyd's step for the
+    Newton steps rejected there in a second call (none in the common round,
+    where every step is kept), and updates the damping.  The damping start,
     the lower bound of the thresholds and the mirroring of a half-line
     design are the kind's.  No run's values depend on the others, so each
     design is bit for bit the one it would be alone."""
@@ -851,22 +856,15 @@ def _kind_designs(kind: int, pairs: list, max_iters: int, init: str) -> list:
     history = [[] for _ in pairs]
 
     def recorded(s: _State) -> np.ndarray | None:
-        """Fail the runs of ``s`` that emptied a bin and add every other's
-        distortion to its history; the mask of those others, if any failed."""
-        if not s.empty.any():
-            for i, h in zip(s.ids.tolist(), s.distortion.tolist()):
-                history[i].append(h)
-            return None
+        """Add each run's distortion to its history, or fail the run if it
+        emptied a bin; the mask of the runs left, if any failed."""
         for k, (i, h, empty) in enumerate(zip(s.ids.tolist(), s.distortion.tolist(),
                                               s.empty.tolist())):
-            if not empty:
+            if empty:
+                results[i] = _lost_mass(s.mass[s.layout.bin0[k] : s.layout.last[k] + 1])
+            else:
                 history[i].append(h)
-                continue
-            try:
-                _check_masses(s.mass[s.layout.bin0[k] : s.layout.last[k] + 1])
-            except DegenerateDesign as exc:
-                results[i] = exc
-        return ~s.empty
+        return ~s.empty if s.empty.any() else None
 
     s = evaluate(np.array(ids, dtype=np.intp), np.concatenate(ts),
                  _layout(np.array([len(t) for t in ts])))
@@ -894,51 +892,33 @@ def _kind_designs(kind: int, pairs: list, max_iters: int, init: str) -> list:
         layout, entries = s.layout, entries + 1
         step, solved = _damped_newton_steps(s.f, s.t, s.mass, s.c, s.r, damping, layout)
         trial = s.t - step
-        accepted = solved & _ordered(trial, layout, lower)
-        every = accepted.all()
-        tried = slice(None) if every else np.flatnonzero(accepted)
-        if every or accepted.any():
-            ts = evaluate(s.ids[tried], trial if every else trial[accepted[layout.seg]],
-                          layout if every else _layout(layout.sizes[tried]))
-            # A step is kept if no bin empties and the distortion does not rise,
-            # or rises by at most 8 eps sum(m2) where the residual falls.
-            before = s.distortion[tried]
-            taken = ts.distortion <= before
-            kept = taken.all()
-            if not kept:
-                taken |= (ts.residual < s.residual[tried]) & (
-                    ts.distortion <= before + 8.0 * eps * ts.m2_sum)
-            if ts.empty.any():
-                taken &= ~ts.empty
-                kept = False
-            if every and (kept or taken.all()):  # the common round: every step is kept
-                small = _run_max(np.abs(step), layout) < _STEP_TOL * s.scale
-                damping *= 0.25
-                s, keep = ts, recorded(ts)
-                continue
-            accepted[tried] = taken
-            if taken.any():
-                small[accepted] = (_run_max(np.abs(step), layout)[accepted]
-                                   < _STEP_TOL * s.scale[accepted])
-                damping[accepted] *= 0.25
-                if not taken.all():
-                    ts = ts.take(taken)
-                recorded(ts)
-                s.put(accepted, ts)
-        rejected = ~accepted
-        damping[rejected] = np.minimum(1.0, 4.0 * damping[rejected])
-        lloyd = 0.5 * (s.c[layout.below] + s.c[layout.above])
-        if accepted.any():
-            back = evaluate(s.ids[rejected], lloyd[rejected[layout.seg]],
-                            _layout(layout.sizes[rejected]))
-            s.put(rejected, back)
-            kept_back, keep = recorded(back), None
-            if kept_back is not None:
-                keep = np.ones(len(rejected), dtype=bool)
-                keep[np.flatnonzero(rejected)[~kept_back]] = False
+        # A run whose solve failed or whose thresholds came out of order takes
+        # Lloyd's step in the same evaluation.
+        newton = solved & _ordered(trial, layout, lower)
+        lloyd = None if newton.all() else 0.5 * (s.c[layout.below] + s.c[layout.above])
+        ts = evaluate(s.ids, trial if lloyd is None
+                      else np.where(newton[layout.seg], trial, lloyd), layout)
+        # A Newton step is kept if no bin empties and the distortion does not
+        # rise, or rises by at most 8 eps sum(m2) where the residual falls.
+        kept = ts.distortion <= s.distortion
+        if not kept.all():
+            kept |= (ts.residual < s.residual) & (
+                ts.distortion <= s.distortion + 8.0 * eps * ts.m2_sum)
+        kept &= ~ts.empty
+        small = _run_max(np.abs(step), layout) < _STEP_TOL * s.scale
+        if lloyd is None and kept.all():  # the common round: every Newton step is kept
+            damping *= 0.25
         else:
-            s = evaluate(s.ids, lloyd, layout)
-            keep = recorded(s)
+            # A Newton step rejected after evaluation is replaced by Lloyd's step.
+            redo, kept = newton & ~kept, newton & kept
+            if redo.any():
+                if lloyd is None:
+                    lloyd = 0.5 * (s.c[layout.below] + s.c[layout.above])
+                ts.put(redo, evaluate(s.ids[redo], lloyd[redo[layout.seg]],
+                                      _layout(layout.sizes[redo])))
+            small &= kept
+            damping = np.where(kept, 0.25 * damping, np.minimum(1.0, 4.0 * damping))
+        s, keep = ts, recorded(ts)
 
 
 def _finished(d: Distribution, half: bool, s: _State, k: int, converged: bool,

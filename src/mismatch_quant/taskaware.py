@@ -185,17 +185,15 @@ class LabeledSource:
 
 def _joint_masses(edges: np.ndarray, sources) -> list[np.ndarray]:
     """The ``_joint_mass`` table of each of ``sources`` on ``edges`` (one row
-    for all, or a row per source): the Gaussian class laws of them all in one
-    walk of the kernel (``_gaussian_blocks``), other laws one by one."""
+    for all, or a row per source), every class law's masses from
+    ``_gaussian_blocks``: the Gaussian ones of them all in one walk of the
+    kernel, other laws one by one."""
     sizes = [len(src.classes) for src in sources]
     laws = [c.distribution for src in sources for c in src.classes]
     owner = None if edges.ndim == 1 else np.repeat(np.arange(len(sources)), sizes)
     joint = np.empty((len(laws), edges.shape[-1] - 1))
     for rows, (mass,) in _gaussian_blocks(laws, edges, 0, owner):
         joint[rows] = mass
-    for k, d in enumerate(laws):
-        if type(d) is not Gaussian:
-            (joint[k],) = d.edge_stats(edges if owner is None else edges[owner[k]], order=0)
     joint *= np.array([[c.weight] for src in sources for c in src.classes])
     return [joint[end - size : end] for size, end in zip(sizes, itertools.accumulate(sizes))]
 

@@ -336,9 +336,11 @@ class TestReportRows:
         assert all(np.shape(mean) == (17, 1) for mean, _ in calls)
 
     def test_monte_carlo_rows_leave_the_moment_table_memo_empty(self):
-        # Each Monte Carlo row reads its true law's order-1 table once, so it
-        # takes it from the kernel and keeps nothing in the memo.
-        laws = [Gaussian(0.05 * i - 1.0, 0.7 + 0.02 * i) for i in range(40)]
+        # Each Monte Carlo row scores the conditional means of its exact
+        # terms, and every true law, Gaussian or not, reads its table from
+        # the kernel, so nothing is kept in the memo.
+        laws = [Gaussian(0.05 * i - 1.0, 0.7 + 0.02 * i) for i in range(40)] + [
+            Laplace(-0.2, 0.9), self.MIX]
         runs = [(d, [12], 100 + i) for i, d in enumerate(laws)]
         rows = mismatch._report_rows(Gaussian(), runs, 2_000)
         assert quantizer._moment_tables.cache_info().currsize == 0

@@ -10,6 +10,7 @@ import os
 import pickle
 import subprocess
 import sys
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -966,6 +967,38 @@ class TestStackedDesigns:
             assert len(rejected) >= len(laws) // 2, bits
             for d, a, b in zip(laws, together, alone):
                 assert _same_design(a, b), (d, bits)
+
+    def test_a_round_of_kept_rejected_and_failed_steps_stays_bitwise(self, monkeypatch):
+        # A seeded fifth of the solves fail, chosen by a hash of each run's
+        # thresholds, so a run fails alike alone and beside others; mixtures
+        # also have Newton steps rejected after evaluation.  Some round of
+        # the one call holds all three outcomes.  (A mixture's thresholds
+        # have no lower bound.)
+        rounds = []  # per round: runs, Newton steps, those rejected after evaluation
+
+        def flaky(f, t, mass, c, r, damping, layout):
+            step, solved = _damped_newton_steps(f, t, mass, c, r, damping, layout)
+            solved &= [zlib.crc32(t[t0 : t0 + n].tobytes(), 2024) % 5 != 0
+                       for t0, n in zip(layout.first.tolist(), layout.sizes.tolist())]
+            newton = solved & quantizer._ordered(t - step, layout, -np.inf)
+            rounds.append([len(newton), int(newton.sum()), 0])
+            return step, solved
+
+        put = quantizer._State.put
+
+        def redone(self, keep, new):
+            rounds[-1][2] += int(keep.sum())
+            put(self, keep, new)
+
+        monkeypatch.setattr(quantizer, "_damped_newton_steps", flaky)
+        monkeypatch.setattr(quantizer._State, "put", redone)
+        pairs = [(d, bits) for bits in range(1, 7) for d in self.LAWS[::3]]
+        alone = [_designs([pair], 500, "quantile")[0] for pair in pairs]
+        del rounds[:]
+        together = _designs(pairs, 500, "quantile")
+        assert any(0 < redo < newton < runs for runs, newton, redo in rounds)
+        for (d, bits), a, b in zip(pairs, together, alone):
+            assert _same_design(a, b), (d, bits)
 
     def test_a_batch_raises_the_first_failure_of_the_loop(self, monkeypatch):
         good = GaussianMixture(((0.5, -1.5, 0.6), (0.5, 1.5, 0.6)))

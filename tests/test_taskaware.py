@@ -28,7 +28,9 @@ from mismatch_quant import (
     weighted_mse_csi,
 )
 from mismatch_quant import cli
-from mismatch_quant.taskaware import _classification_reports, _joint_mass, _rician_moments
+from mismatch_quant.distributions import _gaussian_blocks
+from mismatch_quant.taskaware import (
+    _classification_reports, _joint_mass, _joint_masses, _rician_moments)
 
 
 class TestTaskLoss:
@@ -388,6 +390,22 @@ class TestJointMass:
         rep = classification_report(p, src_true, src)
         got = (rep.acc_fix, rep.acc_gen, rep.acc_ideal, rep.recovery_pct)
         assert got == _reference_classification(p, src_true, src)
+        # Both sources on one partition, and each on its own (a row per
+        # source): every law's row, Gaussian or not, is its own edge_stats.
+        sources, ps = [src, src_true], [p, lloyd_max_design(Laplace(), 5).partition]
+        for edges, parts in ((p.edges(), [p, p]), (np.array([q.edges() for q in ps]), ps)):
+            joints = _joint_masses(edges, sources)
+            for joint, source, part in zip(joints, sources, parts):
+                assert joint.tobytes() == _reference_joint(part, source).tobytes()
+            laws = [c.distribution for source in sources for c in source.classes]
+            owner = None if edges.ndim == 1 else np.repeat([0, 1], [len(src.classes), 2])
+            seen = []
+            for rows, table in _gaussian_blocks(laws, edges, 2, owner):
+                for k, i in enumerate(rows):
+                    want = laws[i].edge_stats(edges if owner is None else edges[owner[i]], 2)
+                    assert [m[k].tobytes() for m in table] == [w.tobytes() for w in want]
+                seen += rows
+            assert sorted(seen) == list(range(len(laws)))
 
     @pytest.mark.parametrize("n", [1, 3, 10])
     def test_one_source_serves_many_partitions(self, n):
