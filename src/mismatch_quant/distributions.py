@@ -703,9 +703,9 @@ class GaussianMixture(Distribution):
 
     @property
     def variance(self) -> float:
+        # Central form: the raw-moment difference cancels for a law far from 0.
         mu = self.mean
-        second = sum(w * (m * m + s * s) for w, m, s in self.components)
-        return second - mu * mu
+        return sum(w * (s * s + (m - mu) ** 2) for w, m, s in self.components)
 
     def centers(self) -> tuple[float, ...]:
         return tuple(m for _, m, _ in self.components)

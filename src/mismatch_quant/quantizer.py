@@ -13,7 +13,7 @@ from scipy.linalg import lapack
 
 from .distributions import (
     _INV_SQRT_2PI, ZERO_MASS_TOL, Distribution, Gaussian, GaussianMixture, Laplace,
-    _component_grid, _mixture_design_stats, _mixture_quantiles, _std_normal_pdf, _table_distortion,
+    _component_grid, _mixture_design_stats, _mixture_quantiles, _std_normal_pdf,
 )
 from .errors import DegenerateDesign
 
@@ -25,7 +25,7 @@ __all__ = [
     "lloyd_max_designs",
 ]
 
-_STEP_TOL = 1e-10  # a smaller accepted Newton step (relative to max(1, max|t|)) converges
+_STEP_TOL = 1e-10  # a smaller accepted Newton step (relative to the stop scale) converges
 
 
 class _FrozenArray:
@@ -223,22 +223,6 @@ def _start_law(d: Distribution, init: str) -> Distribution:
                                      (math.sqrt(3.0) * s).tolist())))
 
 
-def _design_state(d: Distribution, t: np.ndarray):
-    """``_table_state`` of ``d``'s moment table on the bins that ``t`` cuts."""
-    return _table_state(d.edge_stats(np.concatenate(([-np.inf], t, [np.inf]))), t)
-
-
-def _table_state(table, t: np.ndarray):
-    """Bin masses, centroids, design distortion, midpoint residual and second
-    moments ``m2`` of the bins that thresholds ``t`` cut, from their moment
-    table ``(mass, m1, m2)``."""
-    mass, m1, m2 = table
-    with np.errstate(invalid="ignore", divide="ignore"):
-        c = m1 / mass
-    distortion = _table_distortion(table, c, c * c)
-    return mass, c, distortion, t - 0.5 * (c[:-1] + c[1:]), m2
-
-
 # B_2k / (2k)!, k = 1..10: 1/x - 1/expm1(x) = 1/2 - sum_k B_2k x^(2k-1) / (2k)!,
 # within 1e-16 relative below x = 1, where the closed form is within 7e-16.
 _BERNOULLI = tuple(b / math.factorial(2 * k) for k, b in enumerate(
@@ -250,8 +234,8 @@ class _Layout(typing.NamedTuple):
     """The flat layout of runs with ``sizes`` thresholds each, laid end to
     end; a run of ``n`` thresholds has ``n + 1`` bins, laid end to end too:
     the run of each threshold and of each bin, the flat indices of the bins
-    the thresholds end and start (slices for one run), and each run's first
-    threshold, first bin and outer bin."""
+    the thresholds end and start (slices for one run), each run's first
+    threshold, first bin and outer bin, and the runs' ``_run_blocks``."""
 
     sizes: np.ndarray
     seg: np.ndarray
@@ -261,6 +245,7 @@ class _Layout(typing.NamedTuple):
     first: np.ndarray
     bin0: np.ndarray
     last: np.ndarray
+    blocks: list
 
 
 def _layout(sizes: np.ndarray) -> _Layout:
@@ -273,7 +258,8 @@ def _layout(sizes: np.ndarray) -> _Layout:
     else:
         below = np.arange(len(seg)) + seg
         above = below + 1
-    return _Layout(sizes, seg, runs.repeat(sizes + 1), below, above, first, bin0, bin0 + sizes)
+    return _Layout(sizes, seg, runs.repeat(sizes + 1), below, above, first, bin0, bin0 + sizes,
+                   _run_blocks(sizes, bin0))
 
 
 def _run_max(values: np.ndarray, layout: _Layout) -> np.ndarray:
@@ -290,11 +276,11 @@ def _run_max(values: np.ndarray, layout: _Layout) -> np.ndarray:
     return out
 
 
-def _run_blocks(layout: _Layout) -> list:
-    """``(bins, runs)`` of each stretch of consecutive runs with one bin
-    count: a slice over their bins and how many runs it holds, the rows of a
-    ``(runs, bins a run)`` block."""
-    sizes, bin0, out, k0 = layout.sizes.tolist(), layout.bin0.tolist(), [], 0
+def _run_blocks(sizes: np.ndarray, bin0: np.ndarray) -> list:
+    """``(bins, runs)`` of each stretch of consecutive runs (of ``sizes``
+    thresholds, first bins ``bin0``) with one bin count: a slice over their
+    bins and how many runs it holds, the rows of a ``(runs, bins)`` block."""
+    sizes, bin0, out, k0 = sizes.tolist(), bin0.tolist(), [], 0
     for k in range(1, len(sizes) + 1):
         if k == len(sizes) or sizes[k] != sizes[k0]:
             out.append((slice(bin0[k0], bin0[k0] + (k - k0) * (sizes[k0] + 1)), k - k0))
@@ -332,8 +318,7 @@ def _gaussian_half_tables(t: np.ndarray, layout: _Layout):
 
     def upper_edge(x):  # x at each bin's right edge, 0 at infinity
         out = np.append(x[1:], 0.0)
-        if len(layout.last) > 1:
-            out[layout.last[:-1]] = 0.0
+        out[layout.last[:-1]] = 0.0
         return out
 
     mass, m1 = up - upper_edge(up), phi - upper_edge(phi)
@@ -343,20 +328,25 @@ def _gaussian_half_tables(t: np.ndarray, layout: _Layout):
 def _table_states(table, t: np.ndarray, layout: _Layout):
     """Masses, centroids, midpoint residual, density at the thresholds,
     design distortion and sum of second moments of each run laid out by
-    ``layout``, from its moment table and density ``(mass, m1, m2, f)``.
-    Each run's distortion, ``sum m2 - 2 c.m1 + (c * c).mass``, and sum are
-    bit for bit its own ``_table_state``'s."""
+    ``layout``, from its moment table and density ``(mass, m1, m2, f)``:
+    the one design state, of a round's runs and (``_partition_state``) of a
+    mirrored or mapped partition.  Each run's distortion, ``sum m2 - 2 c.m1
+    + (c * c).mass``, and sum are over ``layout.blocks``, bit for bit the
+    run's own ``_table_distortion`` and ``np.sum``."""
     mass, m1, m2, f = table
     with np.errstate(invalid="ignore", divide="ignore"):
         c = m1 / mass
-    if len(layout.sizes) == 1:
-        distortion = np.array([_table_distortion((mass, m1, m2), c, c * c)])
-        m2_sum = np.add.reduce(m2, keepdims=True)
-    else:
-        blocks = _run_blocks(layout)
-        m2_sum = _per_run(blocks, m2)
-        distortion = m2_sum - 2.0 * _per_run(blocks, c, m1) + _per_run(blocks, c * c, mass)
+    blocks = layout.blocks
+    m2_sum = _per_run(blocks, m2)
+    distortion = m2_sum - 2.0 * _per_run(blocks, c, m1) + _per_run(blocks, c * c, mass)
     return mass, c, t - 0.5 * (c[layout.below] + c[layout.above]), f, distortion, m2_sum
+
+
+def _partition_state(table, t: np.ndarray):
+    """Masses, centroids, midpoint residual and design distortion of the bins
+    ``t`` cuts, from their moment table: ``_table_states`` of one run."""
+    mass, c, r, _, distortion, _ = _table_states((*table, None), t, _layout(np.array([len(t)])))
+    return mass, c, r, float(distortion[0])
 
 
 def _laplace_half_states(t: np.ndarray, layout: _Layout):
@@ -367,7 +357,7 @@ def _laplace_half_states(t: np.ndarray, layout: _Layout):
     (1/x - 1/expm1(x))``, and variance ``b^2 (1 - (h / sinh h)^2)``, ``h = x /
     2``, so the residual is ``(w_i - g_i - g_(i+1)) / 2`` and the distortion
     ``mass.var``."""
-    below, above, last = layout.below, layout.above, layout.last
+    below, above, last, blocks = layout.below, layout.above, layout.last, layout.blocks
     b = _STANDARD_LAPLACE.scale
     e = np.zeros(len(layout.bin0) + len(t))
     e[above] = t
@@ -387,10 +377,6 @@ def _laplace_half_states(t: np.ndarray, layout: _Layout):
     var = b * b * (1.0 - np.square(ratio))
     c = e + g
     r, m2 = 0.5 * ((w - g[below]) - g[above]), mass * (var + c * c)
-    if len(layout.sizes) == 1:
-        return mass, c, r, rate[above] / (2.0 * b), np.array([mass.dot(var)]), np.add.reduce(
-            m2, keepdims=True)
-    blocks = _run_blocks(layout)
     return mass, c, r, rate[above] / (2.0 * b), _per_run(blocks, mass, var), _per_run(blocks, m2)
 
 
@@ -429,7 +415,8 @@ class _State(typing.NamedTuple):
     """The design state of some runs of one round loop of ``_designs``, as
     flat arrays on their ``_Layout``: per run its index ``ids`` among the
     loop's pairs, design distortion, sum of second moments, ``max|r|``,
-    ``max(1, max|t|)`` and whether a bin lies below ``ZERO_MASS_TOL``; per
+    stop scale ``max(min(1, sigma), max|t|)`` (``_evaluator``) and whether
+    a bin lies below ``ZERO_MASS_TOL``; per
     threshold the thresholds, midpoint residual and density; per bin the
     masses and centroids."""
 
@@ -470,8 +457,9 @@ def _evaluator(kind: int, laws: list):
     of ``laws``, ``Gaussian()`` and ``Laplace()`` their half-line tables,
     any other law its own ``edge_stats`` and ``pdf`` (``_law_tables``).
     Only each run's distortion, its sum and two dot products, is formed run
-    by run (or as rows of one block for runs with one bin count), so that
-    every value is bit for bit that of the run alone."""
+    by run (as rows of ``layout.blocks``), so that every value is bit for
+    bit that of the run alone.  The stop scale is ``max(min(1, sigma),
+    max|t|)``, with each law's ``sigma`` read once per loop."""
     if kind == _MIXTURE:
         mixtures = list(dict.fromkeys(laws))
         column = {d: j for j, d in enumerate(mixtures)}
@@ -491,13 +479,14 @@ def _evaluator(kind: int, laws: list):
         def states(ids, t, layout):
             return _laplace_half_states(t, layout)
 
+    floor = np.minimum(1.0, [d.std for d in laws])
+
     def evaluate(ids: np.ndarray, t: np.ndarray, layout: _Layout) -> _State:
         mass, c, r, f, distortion, m2_sum = states(ids, t, layout)
-        empty = mass < ZERO_MASS_TOL
-        empty = (np.logical_or.reduce(empty, keepdims=True) if len(ids) == 1
-                 else np.logical_or.reduceat(empty, layout.bin0))
+        empty = np.logical_or.reduceat(mass < ZERO_MASS_TOL, layout.bin0)
         return _State(layout, ids, distortion, m2_sum, _run_max(np.abs(r), layout),
-                      np.maximum(1.0, _run_max(np.abs(t), layout)), empty, t, r, f, mass, c)
+                      np.maximum(floor[ids], _run_max(np.abs(t), layout)), empty, t, r, f, mass,
+                      c)
 
     return evaluate
 
@@ -625,9 +614,11 @@ def lloyd_max_design(
     on the full line from a damping of 0.5.  By default the start is the
     ``(i + 0.5) / N`` quantiles of ``d``, which keeps every bin populated for
     the supported families.  The loop stops, converged, once an accepted
-    Newton step moves no threshold by more than ``1e-10`` of ``max(1,
-    max|t|)``, or once the residual ``max|r|`` is down to a few ulps of that
-    scale.
+    Newton step moves no threshold by more than ``1e-10`` of the stop scale
+    ``max(min(1, sigma), max|t|)``, ``sigma`` the standard deviation of
+    ``d``, or once the residual ``max|r|`` is down to a few ulps of that
+    scale; so a law scaled by any ``s`` takes the same iterations as its
+    unit-spread image.
 
     Both optimality conditions are equivariant under ``x -> loc + scale x``,
     so a Gaussian or Laplace law is designed once, at the zero-mean,
@@ -781,7 +772,7 @@ def _mapped(q: Quantizer, d: Distribution, loc: float, scale: float) -> Quantize
     t = loc + scale * q.partition.as_array()
     if np.any(np.diff(t) <= 0.0):
         raise DegenerateDesign(f"the thresholds of {d!r} coincide in floating point")
-    mass, c, _, r, _ = _design_state(d, t)
+    mass, c, r, _ = _partition_state(d.edge_stats(np.concatenate(([-np.inf], t, [np.inf]))), t)
     if np.any(mass < ZERO_MASS_TOL):
         raise _lost_mass(mass)
     return Quantizer(
@@ -933,7 +924,7 @@ def _finished(d: Distribution, half: bool, s: _State, k: int, converged: bool,
         # returned; the earlier entries are twice the half-line distortion.
         full = np.concatenate((-t[::-1], [0.0], t))
         table = _mirrored_table(d, t, s.mass[b0 : b0 + n + 1], s.f[t0 : t0 + n])
-        _, c, distortion, r, _ = _table_state(table, full)
+        _, c, r, distortion = _partition_state(table, full)
         t, history = full, [2.0 * h for h in history[:-1]] + [distortion]
         residual = float(np.max(np.abs(r)))
     return Quantizer(

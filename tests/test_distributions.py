@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -574,6 +575,24 @@ class TestSampling:
             want = _conditional_moment(d, 1, edges[i], edges[i + 1])
             se = np.std(sel, ddof=1) / math.sqrt(len(sel))
             assert abs(np.mean(sel) - want) < 5 * se
+
+
+class TestMixtureMoments:
+    @pytest.mark.parametrize("components", [
+        ((0.5, 1e6, 1e-3), (0.5, 1e6 + 1e-3, 1e-3)),
+        ((0.3, 1e8, 1.0), (0.7, 1e8 + 3.0, 2.0)),
+        ((1.0, 1e9, 0.01),),
+    ])
+    def test_variance_of_a_law_far_from_zero_is_exact(self, components):
+        # Exact in rationals from the stored doubles: sum w (s^2 + (m - mu)^2),
+        # mu = sum w m.  The raw-moment difference sum w (m^2 + s^2) - mu^2
+        # gave -1.22e-4, 4.0 and 0.0 here (true 1.25e-6, 4.99 and 1e-4).
+        w, m, s = ([Fraction(x) for x in col] for col in zip(*components))
+        mu = sum(wi * mi for wi, mi in zip(w, m))
+        want = float(sum(wi * (si * si + (mi - mu) ** 2) for wi, mi, si in zip(w, m, s)))
+        d = GaussianMixture(components)
+        assert d.variance == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert d.std == pytest.approx(math.sqrt(want), rel=1e-14, abs=0.0)
 
 
 class TestConfigRoundTrip:

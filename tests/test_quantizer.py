@@ -42,9 +42,9 @@ from mismatch_quant import (
     soft_codebook,
 )
 from mismatch_quant import quantizer
+from mismatch_quant.distributions import _ragged_blocks, _table_distortion
 from mismatch_quant.quantizer import (
     _damped_newton_steps,
-    _design_state,
     _designs,
     _evaluator,
     _gaussian_half_tables,
@@ -54,8 +54,10 @@ from mismatch_quant.quantizer import (
     _mirrored_table,
     _moment_table,
     _moment_tables,
+    _partition_state,
+    _per_run,
     _start_law,
-    _table_state,
+    _table_states,
 )
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -401,6 +403,18 @@ class TestLloydMaxDesign:
             assert q.residual == float(np.max(np.abs(t - 0.5 * (v[:-1] + v[1:]))))
             assert q.residual <= 1e-12 * scale, (bits, q.residual)
 
+    @pytest.mark.parametrize("s", [1e-3, 1e-9, 1e-100])
+    def test_a_law_of_small_spread_is_designed_as_its_unit_image(self, s):
+        # The stop tests scale with max(min(1, sigma), max|t|).  With a floor
+        # of 1 in place of min(1, sigma), this mixture scaled by 1e-9 stopped
+        # after 1 iteration and by 1e-100 after 0, each reporting converged
+        # with its thresholds 0.78-0.85 s off the unit design.
+        base = ((0.3, -1.5, 0.6), (0.4, 0.0, 0.8), (0.3, 1.5, 0.6))
+        unit = lloyd_max_design(GaussianMixture(base), 7)
+        q = lloyd_max_design(GaussianMixture(tuple((w, m * s, sd * s) for w, m, sd in base)), 7)
+        assert q.converged and q.iterations == unit.iterations
+        assert np.max(np.abs(q.partition.as_array() / s - unit.partition.as_array())) <= 1e-12
+
     def test_iteration_cap_is_reported(self):
         q = lloyd_max_design(Laplace(0.0, math.sqrt(0.5)), 10, max_iters=1)
         assert q.converged is False
@@ -539,9 +553,14 @@ class TestHalfLineGaussianDesign:
 
 
 def _general_half_line_state(d, t):
-    """The design state of ``d`` on the bins ``[0, t..., inf)`` from its
-    general kernel: the reference the Gaussian half-line state keeps."""
-    return _table_state(d.edge_stats(np.concatenate(([0.0], t, [np.inf]))), t)
+    """Masses, centroids, design distortion, midpoint residual and second
+    moments of ``d`` on the bins ``[0, t..., inf)`` from its general kernel
+    and ``_table_distortion``: the reference the Gaussian half-line state
+    keeps."""
+    table = d.edge_stats(np.concatenate(([0.0], t, [np.inf])))
+    mass, m1, m2 = table
+    c = m1 / mass
+    return mass, c, _table_distortion(table, c, c * c), t - 0.5 * (c[:-1] + c[1:]), m2
 
 
 def _one_run(d, t):
@@ -591,6 +610,25 @@ class TestHalfLineState:
                 assert abs(float(c[i] / (m1 / m0) - 1)) <= 1e-15, (lo, w)
             assert np.array_equal(f, d.pdf(t))
 
+    @pytest.mark.parametrize("bits", [1, 2, 3, 7, 12])
+    def test_one_run_laplace_sums_are_the_one_run_formulas(self, bits, monkeypatch):
+        # A run alone sums over its layout's one block, bit for bit
+        # mass.dot(var) and np.add.reduce(m2) of the run's own arrays.
+        calls = []
+
+        def recorded(blocks, a, b=None):
+            calls.append((a, b))
+            return _per_run(blocks, a, b)
+
+        t = lloyd_max_design(Laplace(), bits).partition.as_array()
+        t = t[len(t) // 2 + 1:]
+        monkeypatch.setattr(quantizer, "_per_run", recorded)
+        *_, distortion, m2_sum = _laplace_half_states(t, _layout(np.array([len(t)])))
+        [(mass, var), (m2, none)] = calls
+        assert none is None and len(mass) == len(t) + 1
+        assert distortion.tolist() == [mass.dot(var)]
+        assert m2_sum.tolist() == [np.add.reduce(m2)]
+
     def test_a_twelve_bit_design_reads_the_general_kernel_once_for_laplace(self, kernel_calls):
         # Gaussian(): no general kernel call at all; Laplace(): its final
         # full-line table only.
@@ -599,6 +637,54 @@ class TestHalfLineState:
         for d in (Gaussian(), Laplace()):
             assert design(d, 12, 500, "quantile").converged
         assert gaussian == [] and laplace == [Laplace()]
+
+
+class TestDesignState:
+    """``_table_states`` is the one design state, for one run and many: of
+    a round's runs, of a mirrored half-line partition and of a mapped law
+    (``_partition_state``), each run's sums taken over ``layout.blocks``."""
+
+    @pytest.mark.parametrize("d", [
+        Gaussian(), Laplace(), Gaussian(0.3, 2.0),
+        GaussianMixture(((0.3, -2.0, 0.7), (0.5, 0.4, 1.0), (0.2, 2.5, 0.5)))])
+    def test_one_run_state_is_table_distortion(self, d):
+        # The reference is the one-run formula: _table_distortion of the
+        # centroid codebook and np.add.reduce of the second moments.
+        for bits in range(1, 13):
+            n = (1 << bits) - 1
+            t = np.asarray(d.ppf((np.arange(n) + 1.0) / (n + 1)), dtype=float).reshape(n)
+            table = d.edge_stats(np.concatenate(([-np.inf], t, [np.inf])))
+            f = d.pdf(t)
+            mass, c, r, f_out, distortion, m2_sum = _table_states(
+                (*table, f), t, _layout(np.array([n])))
+            want_c = table[1] / table[0]
+            assert np.array_equal(c, want_c) and mass is table[0] and f_out is f, bits
+            assert np.array_equal(r, t - 0.5 * (want_c[:-1] + want_c[1:])), bits
+            assert distortion.tolist() == [_table_distortion(table, want_c, want_c * want_c)]
+            assert m2_sum.tolist() == [np.add.reduce(table[2])], bits
+            p_mass, p_c, p_r, p_distortion = _partition_state(table, t)
+            assert p_mass is table[0] and np.array_equal(p_c, c) and np.array_equal(p_r, r)
+            assert type(p_distortion) is float and p_distortion == distortion[0], bits
+
+    @pytest.mark.parametrize("sizes, want", [
+        # Ragged: runs of 3, 3, 1, 1, 1, 7 and 3 thresholds.
+        ([3, 3, 1, 1, 1, 7, 3], [(slice(0, 8), 2), (slice(8, 14), 3), (slice(14, 22), 1),
+                                 (slice(22, 26), 1)]),
+        # Half-line runs without a threshold (one bin each) among others.
+        ([0, 0, 1, 3, 3, 0], [(slice(0, 2), 2), (slice(2, 4), 1), (slice(4, 12), 2),
+                              (slice(12, 13), 1)]),
+        ([5], [(slice(0, 6), 1)]),
+        ([0], [(slice(0, 1), 1)]),
+    ])
+    def test_layout_blocks_are_its_stretches_of_one_bin_count(self, sizes, want):
+        layout = _layout(np.array(sizes))
+        assert layout.blocks == want
+        # Each run's sum and dot over the blocks are bit for bit its own.
+        rng = np.random.default_rng(len(sizes))
+        a, b = rng.normal(size=(2, sum(sizes) + len(sizes)))
+        runs = [slice(b0, b0 + n + 1) for b0, n in zip(layout.bin0.tolist(), sizes)]
+        assert _per_run(layout.blocks, a).tolist() == [a[k].sum() for k in runs]
+        assert _per_run(layout.blocks, a, b).tolist() == [a[k].dot(b[k]) for k in runs]
 
 
 def _banded_newton_step(f, t, mass, c, r, damping):
@@ -626,7 +712,8 @@ class TestNewtonStepSolve:
         d = self.MIXTURE
         t = np.asarray(d.ppf((np.arange(n) + 1.0) / (n + 1)), dtype=float)
         t = t + 0.01 * np.sin(np.arange(n))
-        mass, c, _, r, _ = _design_state(d, t)
+        edges = np.concatenate(([-np.inf], t, [np.inf]))
+        mass, c, r, _ = _partition_state(d.edge_stats(edges), t)
         got, solved = _damped_newton_steps(d.pdf(t), t, mass, c, r, np.array([damping]),
                                            _layout(np.array([n])))
         want = _banded_newton_step(d.pdf(t), t, mass, c, r, damping)
@@ -946,6 +1033,14 @@ class TestStackedDesigns:
             # The other law's design is its inner law's, designed on the full line.
             [inner] = _designs([(other.inner, bits)], 500, init)
             assert _same_design(replace(inner, design_law=other), depth[-1]), bits
+        # Two 11-bit mixtures: 2,049 edges a run, so the kernel walk takes
+        # each run alone in a block of its own.
+        assert _ragged_blocks([2049, 2049]) == [(0, 1), (1, 2)]
+        pair = (self.LAWS[9], self.LAWS[14])
+        quantizer._STANDARD_DESIGNS.clear()
+        together = quantizer._lloyd_max_designs(pair, 11, 500, init)
+        for d, a, b in zip(pair, together, self._one_at_a_time(pair, 11, init)):
+            assert _same_design(a, b) and a.converged, d
 
     def test_rounds_with_lloyd_steps_stay_bitwise(self, monkeypatch):
         # Every Newton step taken at damping 0.5 (the first of each mixture)
