@@ -21,7 +21,8 @@ from .distributions import ZERO_MASS_TOL, Distribution
 from .errors import DivergentIntegral
 from .mismatch import _exact_terms
 from .quantizer import (
-    Codebook, Partition, Quantizer, _bin_arrays, _moment_table, _standard_designs, lloyd_max_design)
+    Codebook, Partition, Quantizer, _bin_arrays, _check_bits, _integer, _moment_table,
+    _standard_designs, lloyd_max_design)
 
 __all__ = [
     "HighRateReport",
@@ -228,14 +229,15 @@ def panter_dite(true_d: Distribution, n_levels: int) -> float:
     This is ``(1/(12 N^2)) * (int f^{1/3})^3``; for a Gaussian it reduces to
     ``sqrt(3) pi sigma^2 / (2 N^2)``.
     """
-    _check_levels(n_levels)
+    n_levels = _check_levels(n_levels)
     c = _cube_root_mass(true_d)
     return c**3 / (12.0 * n_levels**2)
 
 
-def _check_levels(n_levels: int) -> None:
-    if not isinstance(n_levels, int) or n_levels < 2 or n_levels & (n_levels - 1):
+def _check_levels(n_levels) -> int:
+    if (n := _integer(n_levels)) is None or n < 2 or n & (n - 1):
         raise ValueError(f"n_levels must be a power of two >= 2, got {n_levels!r}")
+    return n
 
 
 def bennett_granular(
@@ -252,7 +254,7 @@ def bennett_granular(
     one already built); the design point density ``~ f_d^{1/3}`` is
     normalized on that span.
     """
-    _check_levels(n_levels)
+    n_levels = _check_levels(n_levels)
     if quantizer is None:
         quantizer = lloyd_max_design(design_d, n_levels.bit_length() - 1)
     elif quantizer.partition.n_bins != n_levels:
@@ -374,7 +376,7 @@ def rate_recovery_sweep(
     quantiles of one law, closed-form for Gaussian and Laplace laws and a
     bracketed Newton iteration for mixtures.
     """
-    bits_list = list(bits_list)
+    bits_list = [_check_bits(b) for b in bits_list]
     _standard_designs([design_d] * len(bits_list), bits_list, max_iters, init)
     reports = []
     for bits in bits_list:

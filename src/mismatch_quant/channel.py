@@ -10,7 +10,6 @@ table for the given channel).
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,8 @@ import numpy as np
 from .distributions import ZERO_MASS_TOL, Distribution, _conditional_means, _table_distortion
 from .errors import ZeroEvidence
 from .mismatch import _SQRT_2_OVER_PI, generative_codebook
-from .quantizer import Codebook, Partition, Quantizer, _bin_arrays, _FrozenArray, _moment_table
+from .quantizer import (
+    Codebook, Partition, Quantizer, _bin_arrays, _check_bits, _FrozenArray, _integer, _moment_table)
 
 __all__ = [
     "Channel",
@@ -74,8 +74,7 @@ def bsc_channel(bits: int, epsilon: float) -> Channel:
     ``epsilon`` gives ``P(j | i) = eps^h (1-eps)^(bits-h)`` where ``h`` is
     the Hamming distance between the labels of ``i`` and ``j``.
     """
-    if not isinstance(bits, int) or not 1 <= bits <= 12:
-        raise ValueError(f"bits must be an integer in [1, 12], got {bits!r}")
+    bits = _check_bits(bits, 12)
     if not 0.0 <= epsilon <= 0.5:
         raise ValueError(f"epsilon must lie in [0, 0.5], got {epsilon}")
     # The entry depends only on the Hamming weight of i ^ j, so it is looked
@@ -105,8 +104,7 @@ def index_posterior(ch: Channel, priors, received: int) -> np.ndarray:
         raise ValueError(f"priors must have shape ({ch.n},), got {pri.shape}")
     if np.any(pri < 0.0):
         raise ValueError("priors must be non-negative")
-    j = operator.index(received) if hasattr(type(received), "__index__") else -1
-    if isinstance(received, bool) or not 0 <= j < ch.n:
+    if (j := _integer(received)) is None or not 0 <= j < ch.n:
         raise ValueError(f"received index {received!r} is not an integer in [0, {ch.n})")
     weights = ch.as_array()[:, j] * pri
     evidence = float(weights.sum())

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -745,27 +746,38 @@ def from_config(record: dict) -> Distribution:
     """Build a distribution from a plain config record.
 
     Recognized kinds: ``gaussian`` (mean, std), ``laplace`` (loc, scale),
-    and ``mixture`` (components: list of {weight, mean, std}).
+    and ``mixture`` (components: list of {weight, mean, std}).  A missing
+    mean, std, loc or scale takes its default; any other key, or a value
+    that is a bool or not a real number, raises ValueError naming the key.
     """
     if not isinstance(record, dict):
         raise ValueError(f"distribution config must be a mapping, got {type(record)}")
     kind = record.get("kind")
-    try:
-        if kind == "gaussian":
-            return Gaussian(mean=float(record.get("mean", 0.0)),
-                            std=float(record.get("std", 1.0)))
-        if kind == "laplace":
-            return Laplace(loc=float(record.get("loc", 0.0)),
-                           scale=float(record.get("scale", math.sqrt(0.5))))
-        if kind == "mixture":
-            comps = record.get("components")
-            if not comps:
-                raise ValueError("mixture config needs a non-empty 'components' list")
-            return GaussianMixture(
-                components=tuple(
-                    (float(c["weight"]), float(c["mean"]), float(c["std"])) for c in comps
-                )
-            )
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"malformed {kind} record: {exc!r}") from exc
+    if kind == "gaussian":
+        return Gaussian(*_config_numbers(record, kind, {"mean": 0.0, "std": 1.0}))
+    if kind == "laplace":
+        return Laplace(*_config_numbers(record, kind, {"loc": 0.0, "scale": math.sqrt(0.5)}))
+    if kind == "mixture":
+        _config_numbers(record, kind, {}, other=("kind", "components"))
+        comps = record.get("components")
+        if not isinstance(comps, list) or not comps:
+            raise ValueError("mixture config needs a non-empty 'components' list")
+        required = dict.fromkeys(("weight", "mean", "std"))
+        return GaussianMixture(tuple(tuple(_config_numbers(c, "mixture component", required, ()))
+                                     for c in comps))
     raise ValueError(f"unknown distribution kind: {kind!r}")
+
+
+def _config_numbers(record, what: str, defaults: dict, other=("kind",)) -> list[float]:
+    """The value in the mapping ``record`` of each key of ``defaults`` as a float, its
+    default where missing (None: required).  ValueError names a key in neither
+    ``defaults`` nor ``other``, and one whose value is a bool or not a real number."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{what} config must be a mapping, got {type(record)}")
+    if unknown := [key for key in record if key not in defaults and key not in other]:
+        raise ValueError(f"unknown key {unknown[0]!r} in {what} config")
+    values = [record.get(key, default) for key, default in defaults.items()]
+    for key, value in zip(defaults, values):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"malformed {what} record: {key!r} must be a number, got {value!r}")
+    return [float(v) for v in values]

@@ -23,7 +23,7 @@ from .distributions import (
     Distribution, Gaussian, _conditional_means, _gaussian_blocks, _table_distortion, inverse_mills)
 from .quantizer import (
     Codebook, Partition, Quantizer, _bin_arrays, _moment_table, _standard_designs, _standard_member,
-    lloyd_max_design)
+    _check_bits, lloyd_max_design)
 
 __all__ = [
     "DistortionReport",
@@ -245,7 +245,7 @@ def _report_rows(design_d: Distribution, runs, mc_samples: int = 0,
         if mc_samples < 2:
             raise ValueError("mc_samples must be 0 or at least 2")
     settings, exact, means = {"max_iters": max_iters, "init": init}, {}, {}
-    depths = dict.fromkeys(bits for _, bits_list, _ in runs for bits in bits_list)
+    depths = dict.fromkeys(_check_bits(bits) for _, bits_list, _ in runs for bits in bits_list)
     true_laws = {bits: list(dict.fromkeys(true_d for true_d, bits_list, _ in runs
                                           if bits in bits_list)) for bits in depths}
     _standard_designs([d for bits in depths for d in (design_d, *true_laws[bits])],

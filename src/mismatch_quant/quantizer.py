@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import typing
 from dataclasses import dataclass, field, replace
 
@@ -380,35 +381,7 @@ def _laplace_half_states(t: np.ndarray, layout: _Layout):
     return mass, c, r, rate[above] / (2.0 * b), _per_run(blocks, mass, var), _per_run(blocks, m2)
 
 
-def _law_tables(laws, t: np.ndarray, layout: _Layout):
-    """``edge_stats`` (order 2) of ``laws[k]`` on the full-line bins of run
-    ``k``'s thresholds and its ``pdf`` there, law by law."""
-    out = [np.empty(len(layout.bin0) + len(t)) for _ in range(3)] + [np.empty(len(t))]
-    for d, t0, b0, n in zip(laws, layout.first.tolist(), layout.bin0.tolist(),
-                            layout.sizes.tolist()):
-        tk = t[t0 : t0 + n]
-        for o, moment in zip(out, d.edge_stats(np.concatenate(([-np.inf], tk, [np.inf])))):
-            o[b0 : b0 + n + 1] = moment
-        out[3][t0 : t0 + n] = d.pdf(tk)
-    return out
-
-
-# The kinds of law of ``_designs``, each designed in a round loop of its
-# own: a mixture and any other law on the full line, ``Gaussian()`` and
-# ``Laplace()`` on their positive half-line.
-_MIXTURE, _OTHER, _HALF_GAUSSIAN, _HALF_LAPLACE = range(4)
 _STANDARD_GAUSSIAN, _STANDARD_LAPLACE = Gaussian(), Laplace()
-
-
-def _kind(d: Distribution) -> int:
-    if type(d) is GaussianMixture:
-        return _MIXTURE
-    # A log-concave law has one fixed point, symmetric if the law is; a
-    # mixture's need not be.  Pinned centre: smallest |eigenvalue| of the
-    # residual Jacobian at 3 bits 0.118 (Laplace), 0.125 (Gaussian);
-    # full-line Laplace 2.55e-13.
-    return (_HALF_GAUSSIAN if d == _STANDARD_GAUSSIAN else _HALF_LAPLACE if d == _STANDARD_LAPLACE
-            else _OTHER)
 
 
 class _State(typing.NamedTuple):
@@ -449,18 +422,18 @@ class _State(typing.NamedTuple):
             self[i][masks[(i > 6) + (i > 9)]] = new[i]
 
 
-def _evaluator(kind: int, laws: list):
+def _evaluator(kind: type, laws: list):
     """``evaluate(ids, t, layout)``: the ``_State`` of the runs ``ids`` of
-    ``laws``, every one of the kind ``kind``, at the thresholds ``t`` laid
-    out by ``layout``.  The kind's evaluation is bound once: the mixtures
-    take one kernel walk (``_mixture_design_stats``) over the component grid
-    of ``laws``, ``Gaussian()`` and ``Laplace()`` their half-line tables,
-    any other law its own ``edge_stats`` and ``pdf`` (``_law_tables``).
-    Only each run's distortion, its sum and two dot products, is formed run
-    by run (as rows of ``layout.blocks``), so that every value is bit for
-    bit that of the run alone.  The stop scale is ``max(min(1, sigma),
-    max|t|)``, with each law's ``sigma`` read once per loop."""
-    if kind == _MIXTURE:
+    ``laws``, every one of the kind (type) ``kind``, at the thresholds ``t``
+    laid out by ``layout``.  The kind's evaluation is bound once, for one of
+    the three kinds ``_designs`` takes: the mixtures take one kernel walk
+    (``_mixture_design_stats``) over the component grid of ``laws``,
+    ``Gaussian()`` and ``Laplace()`` their half-line tables.  Only each
+    run's distortion, its sum and two dot products, is formed run by run
+    (as rows of ``layout.blocks``), so that every value is bit for bit that
+    of the run alone.  The stop scale is ``max(min(1, sigma), max|t|)``,
+    with each law's ``sigma`` read once per loop."""
+    if kind is GaussianMixture:
         mixtures = list(dict.fromkeys(laws))
         column = {d: j for j, d in enumerate(mixtures)}
         grid, cols = _component_grid(mixtures), np.array([column[d] for d in laws])
@@ -468,11 +441,7 @@ def _evaluator(kind: int, laws: list):
         def states(ids, t, layout):
             return _table_states(_mixture_design_stats(grid, cols[ids], t, layout.sizes), t,
                                  layout)
-    elif kind == _OTHER:
-        def states(ids, t, layout):
-            return _table_states(_law_tables([laws[i] for i in ids.tolist()], t, layout), t,
-                                 layout)
-    elif kind == _HALF_GAUSSIAN:
+    elif kind is Gaussian:
         def states(ids, t, layout):
             return _table_states(_gaussian_half_tables(t, layout), t, layout)
     else:
@@ -569,15 +538,17 @@ def _lost_mass(mass: np.ndarray) -> DegenerateDesign:
 
 def _standard_member(d: Distribution):
     """``(standard, loc, scale)`` with ``d`` the law of ``loc + scale * X``,
-    ``X`` following ``standard``: the zero-mean, unit-variance member of the
-    family of a Gaussian or Laplace law, and ``d`` itself (``loc = 0``,
-    ``scale = 1``) for a law outside a location-scale family."""
+    ``X`` following ``standard``, the law designed for ``d``: the zero-mean,
+    unit-variance member of a Gaussian or Laplace law's family, and a
+    mixture itself (``loc = 0``, ``scale = 1``); TypeError for any other."""
     if type(d) is Gaussian:
-        return d if d == _STANDARD_GAUSSIAN else _STANDARD_GAUSSIAN, d.mean, d.std
+        return _STANDARD_GAUSSIAN, d.mean, d.std
     if type(d) is Laplace:
-        return (d if d == _STANDARD_LAPLACE else _STANDARD_LAPLACE, d.loc,
-                d.scale / _STANDARD_LAPLACE.scale)
-    return d, 0.0, 1.0
+        return _STANDARD_LAPLACE, d.loc, d.scale / _STANDARD_LAPLACE.scale
+    if type(d) is GaussianMixture:
+        return d, 0.0, 1.0
+    raise TypeError(f"cannot design a quantizer for {d!r}: only Gaussian, Laplace and "
+                    "GaussianMixture laws can be designed")
 
 
 def lloyd_max_design(
@@ -637,10 +608,11 @@ def lloyd_max_design(
 
     Parameters
     ----------
-    d : Distribution
+    d : Gaussian, Laplace or GaussianMixture
         Law to design for.
     bits : int
-        Bit depth, 1 through 16; the codebook has ``2**bits`` entries.
+        Bit depth, 1 through 16, any integer but a bool; the codebook has
+        ``2**bits`` entries.
     max_iters : int
         Iteration cap; a design that reaches it reports ``converged=False``.
     init : str
@@ -672,6 +644,9 @@ def lloyd_max_design(
 
     Raises
     ------
+    TypeError
+        If ``d`` is of none of the three families (a subclass of one
+        included), before any design.
     DegenerateDesign
         If some bin loses all design mass during iteration, or the mapped
         thresholds of a very narrow law coincide in floating point.
@@ -713,9 +688,16 @@ _STANDARD_DESIGNS: dict = {}
 _MEMO_SIZE = 64
 
 
-def _check_bits(bits) -> None:
-    if not isinstance(bits, int) or not 1 <= bits <= 16:
-        raise ValueError(f"bits must be an integer in [1, 16], got {bits!r}")
+def _integer(x) -> int | None:
+    """``operator.index(x)``, or None for a bool or a non-integer."""
+    return None if isinstance(x, bool) or not hasattr(type(x), "__index__") else operator.index(x)
+
+
+def _check_bits(bits, top: int = 16) -> int:
+    """``bits`` as an ``int``, an integer other than a bool in [1, top]."""
+    if (b := _integer(bits)) is None or not 1 <= b <= top:
+        raise ValueError(f"bits must be an integer in [1, {top}], got {bits!r}")
+    return b
 
 
 def _standard_designs(laws, bits, max_iters: int, init: str):
@@ -727,14 +709,9 @@ def _standard_designs(laws, bits, max_iters: int, init: str):
     depths = list(bits) if np.iterable(bits) else [bits] * len(laws)
     if len(depths) != len(laws):
         raise ValueError(f"{len(depths)} bit depths for {len(laws)} laws")
-    for b in depths:
-        _check_bits(b)
+    depths = [_check_bits(b) for b in depths]
     if init not in ("quantile", "cube_root"):
         raise ValueError(f"unsupported init scheme: {init!r}")
-    if init == "cube_root":
-        for d in laws:
-            if type(d) is not GaussianMixture and d.cube_root_law() is None:
-                raise ValueError(f"{d!r} has no cube-root law to start a cube_root design")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     members = [_standard_member(d) for d in laws]
@@ -786,36 +763,37 @@ def _mapped(q: Quantizer, d: Distribution, loc: float, scale: float) -> Quantize
     )
 
 
-def _start_codebooks(kind: int, pairs, init: str) -> list:
+def _start_codebooks(kind: type, pairs, init: str) -> list:
     """The start codewords of each ``(law, bits)`` of ``pairs``, every law of
     the kind ``kind``: the ``(i + 0.5) / N`` quantiles of its ``_start_law``,
     those of mixtures in one ``_mixture_quantiles`` call."""
     start_laws = [_start_law(d, init) for d, _ in pairs]
     grids = {bits: (np.arange(1 << bits) + 0.5) / (1 << bits) for _, bits in pairs}
     qs = [grids[bits] for _, bits in pairs]
-    if kind == _MIXTURE:
+    if kind is GaussianMixture:
         return _mixture_quantiles(start_laws, qs)
     return [np.asarray(g.ppf(q), dtype=float) for g, q in zip(start_laws, qs)]
 
 
 def _designs(pairs: list, max_iters: int, init: str) -> list:
     """The damped Newton Lloyd-Max iteration of ``lloyd_max_design`` for each
-    ``(law, bits)`` of ``pairs`` on the law itself (on the half-line for
-    ``Gaussian()`` and ``Laplace()``), with arguments already checked, and no
-    memo: a ``Quantizer`` per pair, or the ``DegenerateDesign`` that ended its
-    design.  The pairs of each kind of law (``_kind``) go through one round
+    ``(law, bits)`` of ``pairs``, a standard member (``_standard_member``),
+    on the law itself (on the half-line for ``Gaussian()`` and
+    ``Laplace()``), with arguments already checked, and no memo: a
+    ``Quantizer`` per pair, or the ``DegenerateDesign`` that ended its
+    design.  The pairs of each kind of law, its type, go through one round
     loop (``_kind_designs``), so a call whose laws are of several kinds runs
     one loop per kind, in turn."""
-    kinds = [_kind(d) for d, _ in pairs]
+    kinds = [type(d) for d, _ in pairs]
     results = [None] * len(pairs)
-    for kind in sorted(set(kinds)):
-        idx = [i for i, k in enumerate(kinds) if k == kind]
+    for kind in dict.fromkeys(kinds):
+        idx = [i for i, k in enumerate(kinds) if k is kind]
         for i, q in zip(idx, _kind_designs(kind, [pairs[i] for i in idx], max_iters, init)):
             results[i] = q
     return results
 
 
-def _kind_designs(kind: int, pairs: list, max_iters: int, init: str) -> list:
+def _kind_designs(kind: type, pairs: list, max_iters: int, init: str) -> list:
     """``_designs`` of ``pairs``, every law of the kind ``kind``.
 
     Every pair is one run, and all runs go round by round together, as flat
@@ -832,7 +810,11 @@ def _kind_designs(kind: int, pairs: list, max_iters: int, init: str) -> list:
     design are the kind's.  No run's values depend on the others, so each
     design is bit for bit the one it would be alone."""
     laws = [d for d, _ in pairs]
-    evaluate, half = _evaluator(kind, laws), kind >= _HALF_GAUSSIAN
+    # A log-concave law has one fixed point, symmetric if the law is; a
+    # mixture's need not be.  Pinned centre: smallest |eigenvalue| of the
+    # residual Jacobian at 3 bits 0.118 (Laplace), 0.125 (Gaussian);
+    # full-line Laplace 2.55e-13.
+    evaluate, half = _evaluator(kind, laws), kind is not GaussianMixture
     results = [None] * len(pairs)
     ids, ts = [], []
     for i, codebook in enumerate(_start_codebooks(kind, pairs, init)):

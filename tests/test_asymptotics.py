@@ -66,9 +66,14 @@ class TestPanterDite:
                                                    rel=1e-10)
 
     def test_level_count_validation(self):
-        for bad in (1, 3, 12, 8.0, -4):
+        for bad in (1, 3, 12, 8.0, -4, True, np.float64(8.0)):
             with pytest.raises(ValueError):
                 panter_dite(Gaussian(0, 1), bad)
+        g = Gaussian(0, 1)
+        assert panter_dite(g, np.int64(8)) == panter_dite(g, 8)
+        assert bennett_granular(g, Laplace(), np.int32(16)) == bennett_granular(g, Laplace(), 16)
+        with pytest.raises(ValueError):
+            bennett_granular(g, Laplace(), True)
 
 
 class TestCubeRootMass:
@@ -267,6 +272,13 @@ class TestFitDecaySlope:
 
 
 class TestRateRecoverySweep:
+    def test_numpy_bit_depths_are_ints(self):
+        reps = rate_recovery_sweep(Gaussian(0, 1), Laplace(), np.arange(3, 6))
+        assert reps == rate_recovery_sweep(Gaussian(0, 1), Laplace(), [3, 4, 5])
+        assert [type(r.bits) for r in reps] == [int] * 3
+        with pytest.raises(ValueError, match="got True"):
+            rate_recovery_sweep(Gaussian(0, 1), Laplace(), [3, True])
+
     def test_reports_are_structured_and_consistent(self):
         reps = rate_recovery_sweep(Gaussian(0, 1), Laplace(0.0, 1.0),
                                    [3, 4, 5])

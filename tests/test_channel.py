@@ -254,6 +254,9 @@ class TestBscChannel:
             bsc_channel(0, 0.1)
         with pytest.raises(ValueError):
             bsc_channel(13, 0.1)
+        with pytest.raises(ValueError, match="got True"):
+            bsc_channel(True, 0.1)
+        assert bsc_channel(np.int64(3), 0.1) == bsc_channel(3, 0.1)
         with pytest.raises(ValueError):
             bsc_channel(2, 0.6)
         with pytest.raises(ValueError):

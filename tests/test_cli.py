@@ -112,6 +112,13 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(cfg)]) == 2
         assert "design law" in capsys.readouterr().err
 
+    def test_an_unknown_law_key_is_a_config_error(self, tmp_path, capsys):
+        # {"kind": "gaussian", "sigma": 3} is not N(0, 1) with sigma dropped.
+        cfg = _write_cfg(tmp_path, design={"kind": "gaussian", "sigma": 3})
+        assert main(["validate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "design law:" in err and "'sigma'" in err
+
     def test_mc_needs_seed(self, tmp_path):
         cfg = _write_cfg(tmp_path, mc_samples=1000)
         assert main(["validate", "--config", str(cfg)]) == 2

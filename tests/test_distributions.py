@@ -610,10 +610,11 @@ class TestConfigRoundTrip:
 
     def test_unknown_kind_rejected(self):
         for kind in ("cauchy", "rician"):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"unknown distribution kind: '{kind}'"):
                 from_config({"kind": kind, "k_factor": 3.0})
 
-    @pytest.mark.parametrize("record", [[1], "gaussian", None])
+    @pytest.mark.parametrize("record", [[1], "gaussian", None,
+                                        {"kind": "mixture", "components": [[1.0, 0.0, 1.0]]}])
     def test_a_record_must_be_a_mapping(self, record):
         with pytest.raises(ValueError, match="must be a mapping"):
             from_config(record)
@@ -623,6 +624,41 @@ class TestConfigRoundTrip:
     def test_a_mixture_needs_components(self, record):
         with pytest.raises(ValueError, match="non-empty 'components' list"):
             from_config(record)
+
+    @pytest.mark.parametrize("record, key", [
+        ({"kind": "gaussian", "sigma": 3}, "sigma"),
+        ({"kind": "laplace", "loc": 0.0, "std": 1.0}, "std"),
+        ({"kind": "mixture", "components": [{"weight": 1.0, "mean": 0.0, "std": 1.0}],
+          "weights": [1.0]}, "weights"),
+        ({"kind": "mixture", "components": [{"weight": 1.0, "mean": 0.0, "sigma": 1.0}]},
+         "sigma"),
+        ({"kind": "mixture", "components": [{"weight": 1.0, "mean": 0.0, "std": 1.0,
+                                             "kind": "gaussian"}]}, "kind"),
+    ])
+    def test_an_unknown_key_is_rejected(self, record, key):
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+            from_config(record)
+
+    @pytest.mark.parametrize("record, key", [
+        ({"kind": "gaussian", "mean": True}, "mean"),
+        ({"kind": "gaussian", "std": "2"}, "std"),
+        ({"kind": "laplace", "scale": None}, "scale"),
+        ({"kind": "laplace", "loc": [0.0]}, "loc"),
+        ({"kind": "mixture", "components": [{"weight": 1.0, "mean": False, "std": 1.0}]},
+         "mean"),
+        ({"kind": "mixture", "components": [{"weight": "1", "mean": 0.0, "std": 1.0}]},
+         "weight"),
+        ({"kind": "mixture", "components": [{"weight": 1.0, "mean": 0.0}]}, "std"),
+    ])
+    def test_a_value_that_is_not_a_number_is_rejected(self, record, key):
+        with pytest.raises(ValueError, match=f"'{key}' must be a number"):
+            from_config(record)
+
+    def test_missing_keys_take_their_defaults(self):
+        assert from_config({"kind": "gaussian"}) == Gaussian()
+        assert from_config({"kind": "laplace", "loc": 2}) == Laplace(2.0, math.sqrt(0.5))
+        assert from_config({"kind": "gaussian", "mean": np.float32(0.5), "std": 2}) == (
+            Gaussian(0.5, 2.0))
 
     def test_readme_law_examples_parse(self):
         """Every ``{"kind": ...}`` record in the README builds a law."""

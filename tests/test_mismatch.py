@@ -267,6 +267,16 @@ class TestReports:
         assert all(r.d_gen_mc is not None for r in rows)
         assert peak < 20 * n
 
+    def test_any_integer_but_a_bool_is_a_bit_depth(self):
+        design_d, true_d = Gaussian(), Laplace(0.2, 1.1)
+        assert reports(design_d, true_d, np.arange(1, 4)) == reports(design_d, true_d, [1, 2, 3])
+        assert ideal_distortion(true_d, np.int64(3)) == ideal_distortion(true_d, 3)
+        for bits in ([2, True], [1, True]):  # True == 1 as a dict key
+            with pytest.raises(ValueError, match="got True"):
+                reports(design_d, true_d, bits)
+        with pytest.raises(ValueError, match="got True"):
+            ideal_distortion(true_d, True)
+
     def test_every_bit_depth_is_checked_before_the_draw(self, sample_calls):
         calls = sample_calls()
         with pytest.raises(ValueError, match="bits must be an integer"):

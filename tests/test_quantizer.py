@@ -8,10 +8,10 @@ erf, so they do not share code with the implementation under test.
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import zlib
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,6 @@ import mismatch_quant
 from mismatch_quant import (
     Codebook,
     DegenerateDesign,
-    Distribution,
     Gaussian,
     GaussianMixture,
     Laplace,
@@ -33,12 +32,14 @@ from mismatch_quant import (
     bsc_channel,
     expected_distortion,
     generative_codebook,
+    ideal_distortion,
     lloyd_max_design,
     lloyd_max_designs,
     monte_carlo_distortion,
     noisy_distortion,
     one_bit_quantizer,
     overload_split,
+    report,
     soft_codebook,
 )
 from mismatch_quant import quantizer
@@ -49,7 +50,6 @@ from mismatch_quant.quantizer import (
     _evaluator,
     _gaussian_half_tables,
     _laplace_half_states,
-    _kind,
     _layout,
     _mirrored_table,
     _moment_table,
@@ -437,8 +437,19 @@ class TestLloydMaxDesign:
             lloyd_max_design(Gaussian(0, 1), 0)
         with pytest.raises(ValueError):
             lloyd_max_design(Gaussian(0, 1), 17)
+        with pytest.raises(ValueError, match="got True"):
+            lloyd_max_design(Gaussian(0, 1), True)
         with pytest.raises(ValueError):
             lloyd_max_design(Gaussian(0, 1), 2, init="kmeans")
+
+    def test_a_numpy_integer_is_a_bit_depth(self, monkeypatch):
+        # Any integer but a bool is a bit depth, kept in the memo as an int.
+        monkeypatch.setattr(quantizer, "_STANDARD_DESIGNS", {})
+        q = lloyd_max_design(Gaussian(0.5, 2.0), np.int64(4))
+        assert [key[1] for key in quantizer._STANDARD_DESIGNS] == [4]
+        assert all(type(key[1]) is int for key in quantizer._STANDARD_DESIGNS)
+        assert _same_design(q, lloyd_max_design(Gaussian(0.5, 2.0), 4))
+        assert lloyd_max_designs([Laplace()], np.uint8(3)) == lloyd_max_designs([Laplace()], 3)
 
     def test_empirical_bin_means_match_codebook(self):
         """Encode a large sample; per-bin averages approximate the codebook."""
@@ -565,7 +576,7 @@ def _general_half_line_state(d, t):
 
 def _one_run(d, t):
     """The round state (``_evaluator``) of ``d`` alone at the thresholds ``t``."""
-    return _evaluator(_kind(d), [d])(np.array([0]), t, _layout(np.array([len(t)])))
+    return _evaluator(type(d), [d])(np.array([0]), t, _layout(np.array([len(t)])))
 
 
 class TestHalfLineState:
@@ -804,23 +815,29 @@ class TestStandardMemberDesign:
 
     @pytest.mark.parametrize("family", [Gaussian, Laplace])
     @pytest.mark.parametrize("init", ["quantile", "cube_root"])
-    def test_mapped_thresholds_match_a_direct_design(self, family, init):
-        # A direct design of the shifted law converges to the same fixed
-        # point from its own start.  The mapped design comes from the
-        # half-line solve of the standard member and the direct one from
-        # the full line, whose translation mode is nearly free, so the gap is
-        # mostly the direct design's: the largest, 8.3e-10 relative, is
-        # Laplace(-3, 0.3) at 11 bits from the quantile start.  The largest
-        # Gaussian gap is 2.1e-11, N(-3, 0.7) at 12 bits.
-        direct = _unmemoised_design
+    def test_mapped_thresholds_match_a_direct_design(
+            self, family, init, laplace_recursion, gaussian_mp_design):
+        # The reference is the standard member's thresholds from a direct
+        # solve, mapped by m + scale * t0: the exponential-width recursion of
+        # Laplace() at 1-12 bits, and the 40-digit Newton design of
+        # Gaussian() at 2-6 bits.  The largest gap, in units of max(1,
+        # max|t|), is 2.7e-13, Laplace(0.5, 5) at 12 bits from the quantile
+        # start; the largest Gaussian gap is 3.1e-14, N(0.5, 5) at 6 bits.
+        if family is Laplace:
+            depths, reference = range(1, 13), laplace_recursion
+        else:
+            depths = range(2, 7)
+
+            def reference(bits):
+                return np.array([float(x) for x in gaussian_mp_design(bits)])
         for m in (-3.0, 0.5):
             for s in (0.3, 0.7, 5.0):
                 d = family(m, s)
-                for bits in range(1, 13):
+                scale = s / Laplace().scale if family is Laplace else s
+                for bits in depths:
                     q = lloyd_max_design(d, bits, init=init)
-                    ref = direct(d, bits, 500, init)
                     t = np.asarray(q.partition.boundaries)
-                    gap = np.max(np.abs(t - np.asarray(ref.partition.boundaries)))
+                    gap = np.max(np.abs(t - (m + scale * reference(bits))))
                     assert gap <= 1e-9 * max(1.0, float(np.max(np.abs(t)))), (m, s, bits)
 
     @pytest.mark.parametrize("d", [Gaussian(-3.0, 0.3), Gaussian(1e6, 1.0),
@@ -935,48 +952,12 @@ def _random_mixtures(seed, count):
     return laws
 
 
-class _Delegate(Distribution):
-    """A law outside the three families, ``inner`` in all but its type: its
-    designs take the round loop of any other law.  Without ``cube_root``
-    it has no cube-root law, as ``Distribution`` has none by default."""
+class _GaussianSubclass(Gaussian):
+    """A Gaussian law by its density, of a family of its own by its type."""
 
-    def __init__(self, inner, cube_root=True):
-        self.inner, self.cube_root = inner, cube_root
 
-    def __repr__(self):
-        return f"_Delegate({self.inner!r})"
-
-    def pdf(self, x):
-        return self.inner.pdf(x)
-
-    def log_pdf(self, x):
-        return self.inner.log_pdf(x)
-
-    def cdf(self, x):
-        return self.inner.cdf(x)
-
-    def ppf(self, q):
-        return self.inner.ppf(q)
-
-    def edge_stats(self, edges, order=2):
-        return self.inner.edge_stats(edges, order)
-
-    def sample(self, seed, n):
-        return self.inner.sample(seed, n)
-
-    @property
-    def mean(self):
-        return self.inner.mean
-
-    @property
-    def variance(self):
-        return self.inner.variance
-
-    def to_config(self):
-        return self.inner.to_config()
-
-    def cube_root_law(self):
-        return self.inner.cube_root_law() if self.cube_root else None
+class _LaplaceSubclass(Laplace):
+    """A Laplace law by its density, of a family of its own by its type."""
 
 
 # The ten marginals of semantic_mixture at its defaults: k of ten classes
@@ -1015,11 +996,10 @@ class TestStackedDesigns:
     @pytest.mark.parametrize("init", ["quantile", "cube_root"])
     def test_bitwise_equal_to_one_law_at_a_time(self, init, monkeypatch):
         monkeypatch.setattr(quantizer, "_STANDARD_DESIGNS", {})
-        # A mapped law, the two half-line laws and a law of none of the
-        # three families ride along with the mixtures, so one call holds
-        # every kind of law, and every bit depth goes in it: 444 ragged pairs.
-        other = _Delegate(Gaussian(0.3, 2.0))
-        laws = [*self.LAWS, Gaussian(0.3, 2.0), Gaussian(), Laplace(), other]
+        # A mapped law and the two half-line laws ride along with the
+        # mixtures, so one call holds every kind of law, and every bit depth
+        # goes in it: 438 ragged pairs.
+        laws = [*self.LAWS, Gaussian(0.3, 2.0), Gaussian(), Laplace()]
         depths = range(1, 7)
         together = quantizer._lloyd_max_designs(
             tuple(laws) * len(depths), [bits for bits in depths for _ in laws], 500, init)
@@ -1030,9 +1010,6 @@ class TestStackedDesigns:
             for d, a, b in zip(laws, depth, alone):
                 assert _same_design(a, b), (d, bits)
             assert all(q.converged for q in depth), bits
-            # The other law's design is its inner law's, designed on the full line.
-            [inner] = _designs([(other.inner, bits)], 500, init)
-            assert _same_design(replace(inner, design_law=other), depth[-1]), bits
         # Two 11-bit mixtures: 2,049 edges a run, so the kernel walk takes
         # each run alone in a block of its own.
         assert _ragged_blocks([2049, 2049]) == [(0, 1), (1, 2)]
@@ -1146,16 +1123,38 @@ class TestStackedDesigns:
         with pytest.raises(ValueError, match="max_iters"):
             quantizer._lloyd_max_designs((Gaussian(),), 3, 0, "quantile")
 
-    def test_a_cube_root_start_needs_a_cube_root_law(self, monkeypatch):
-        # The check names the law and comes before any design of the call.
+    @pytest.mark.parametrize("other", [_GaussianSubclass(0.3, 2.0), _LaplaceSubclass(-1.0, 0.4)])
+    @pytest.mark.parametrize("init", ["quantile", "cube_root"])
+    def test_a_law_of_another_family_is_not_designed(self, other, init, monkeypatch):
+        # Only Gaussian, Laplace and GaussianMixture laws are designed; a
+        # subclass of one is another family.  The TypeError names the law
+        # and comes before any design of the call, so the memo is left as it
+        # was: empty, then holding two other designs in their order.
         monkeypatch.setattr(quantizer, "_STANDARD_DESIGNS", {})
-        bare = _Delegate(Gaussian(0.3, 2.0), cube_root=False)
-        with pytest.raises(ValueError, match=r"_Delegate\(Gaussian\(mean=0\.3, std=2\.0\)\) has no"):
-            lloyd_max_design(bare, 3, init="cube_root")
-        with pytest.raises(ValueError, match="cube-root law"):
-            quantizer._lloyd_max_designs((self.LAWS[0], bare), 3, 500, "cube_root")
-        assert quantizer._STANDARD_DESIGNS == {}
-        assert lloyd_max_design(bare, 3).converged
+        mixture, settings = self.LAWS[0], {"init": init}
+        designs = quantizer._designs
+        calls = [
+            lambda: lloyd_max_design(other, 3, **settings),
+            lambda: quantizer._lloyd_max_designs((mixture, other), 3, 500, init),
+            lambda: ideal_distortion(other, 3, **settings),
+            lambda: report(Gaussian(), other, 3, **settings),
+            lambda: report(other, Gaussian(), 3, **settings),
+        ]
+        if init == "quantile":
+            calls.append(lambda: lloyd_max_designs((mixture, other), 3))
+        for fill in ([], [(mixture, 4), (Gaussian(), 3)]):
+            monkeypatch.setattr(quantizer, "_designs", designs)
+            for d, bits in fill:
+                lloyd_max_design(d, bits, **settings)
+            before = list(quantizer._STANDARD_DESIGNS.items())
+            assert len(before) == len(fill)
+            monkeypatch.setattr(quantizer, "_designs",
+                                lambda *args: pytest.fail("a design started"))
+            for call in calls:
+                with pytest.raises(TypeError, match=re.escape(
+                        f"cannot design a quantizer for {other!r}")):
+                    call()
+                assert list(quantizer._STANDARD_DESIGNS.items()) == before
 
 
 class TestMomentTableMemo:
