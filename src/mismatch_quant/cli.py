@@ -273,11 +273,12 @@ def _run_bsc_sweep(cfg: ExperimentConfig):
 def _bsc_monte_carlo(sigma0, sigma1, eps, n, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(0.0, sigma1, size=n)
-    sign = np.where((x >= 0.0) != (rng.random(n) < eps), 1.0, -1.0)  # received bit, as +-1
+    received = ((x >= 0.0) != (rng.random(n) < eps)).view(np.uint8)  # 1 for a received +
     k = mismatch._SQRT_2_OVER_PI
-    errs = [np.square(x - sign * (s * k)) for s in (sigma0, sigma1, (1.0 - 2.0 * eps) * sigma1)]
-    stderr = max(float(e.std(ddof=1)) for e in errs) / math.sqrt(n)
-    return [float(e.mean()) for e in errs] + [stderr]
+    scores = mismatch._score(x, received, [np.array([-c, c]) for c in (
+        sigma0 * k, sigma1 * k, (1.0 - 2.0 * eps) * sigma1 * k)])
+    stderr = max(se for _, se in scores)
+    return [mean for mean, _ in scores] + [stderr]
 
 
 def _run_rician_csi(cfg: ExperimentConfig):

@@ -22,8 +22,8 @@ import numpy as np
 from .distributions import (
     Distribution, Gaussian, _conditional_means, _gaussian_blocks, _table_distortion, inverse_mills)
 from .quantizer import (
-    Codebook, Partition, Quantizer, _bin_arrays, _moment_table, _standard_designs, _standard_member,
-    _check_bits, lloyd_max_design)
+    _BLOCK_BYTES, Codebook, Partition, Quantizer, _bin_arrays, _moment_table, _standard_designs,
+    _standard_member, _check_bits, lloyd_max_design)
 
 __all__ = [
     "DistortionReport",
@@ -122,35 +122,48 @@ def ideal_distortion(true_d: Distribution, bits: int, **lloyd_kwargs) -> float:
     return scale * scale * lloyd_max_design(law, bits, **lloyd_kwargs).distortion_history[-1]
 
 
-def _score(p: Partition, books, x: np.ndarray) -> list:
-    """``(np.mean, np.std(ddof=1) / sqrt(n))`` of the squared errors of each
-    codebook in ``books`` on the draw ``x``, bit for bit, with ``x`` encoded
-    once (1 byte a draw to 8 bits, 2 to 16).  ``x`` is only read.  The mean
-    is formed once, and the errors are squared and centred in place in the
-    array the lookup returns, so besides ``x`` one index and one error array
-    are live at a time; the index goes when the call returns."""
+def _score(x: np.ndarray, idx: np.ndarray, tables) -> list:
+    """``(np.mean, np.std(ddof=1) / sqrt(n))`` of the squared errors
+    ``(x - a[idx])**2`` of each array ``a`` of ``tables`` on the draw ``x``,
+    bit for bit.  ``x`` and the index ``idx`` (any unsigned type, every
+    entry below ``len(a)``) are only read.  One error array serves every
+    table: its entries are gathered, subtracted and squared a block at a
+    time, the mean is formed over the whole array, then the errors are
+    centred and squared a block at a time and summed over the whole array,
+    so the sums are numpy's own pairwise ones."""
     n = x.size
-    idx = p._narrow_index(x)
+    err = np.empty(n)
+    step = _BLOCK_BYTES // np.dtype(np.intp).itemsize  # take copies a block of idx to intp
+    blocks = [slice(i, i + step) for i in range(0, n, step)]
     out = []
-    for c in books:
-        err = c.as_array()[idx]  # indexing casts the narrow index a chunk at a time
-        np.square(np.subtract(x, err, out=err), out=err)
+    for a in tables:
+        for b in blocks:
+            e = err[b]
+            # No index is out of range (NaN is encoded into the last bin), so
+            # "clip" never clips; it only spares the checked, buffered mode.
+            np.take(a, idx[b], out=e, mode="clip")
+            np.square(np.subtract(x[b], e, out=e), out=e)
         mean = np.mean(err)
-        np.square(np.subtract(err, mean, out=err), out=err)
+        for b in blocks:
+            e = err[b]
+            np.square(np.subtract(e, mean, out=e), out=e)
         se = np.sqrt(np.sum(err) / (n - 1)) / math.sqrt(n)
         out.append((float(mean), float(se)))
-        del err  # before the next lookup
     return out
 
 
 def monte_carlo_distortion(
     p: Partition, c: Codebook, d: Distribution, n_samples: int, seed: int
 ) -> tuple[float, float]:
-    """Sampled MSE of the map and its standard error."""
+    """Sampled MSE of the map and its standard error: ``n_samples`` draws
+    from ``d`` with ``seed``, encoded once and scored by ``_score`` a block
+    of draws at a time, bit for bit ``np.mean`` and
+    ``np.std(ddof=1) / sqrt(n)`` of the squared errors."""
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
-    _bin_arrays(p, c)
-    return _score(p, [c], d.sample(seed, n_samples))[0]
+    [a] = _bin_arrays(p, c)
+    x = d.sample(seed, n_samples)
+    return _score(x, p._narrow_index(x), [a])[0]
 
 
 def _table_terms(table, fix: np.ndarray, laws) -> list:
@@ -277,7 +290,8 @@ def _report_rows(design_d: Distribution, runs, mc_samples: int = 0,
             for j, bits in enumerate(bits_list):
                 q = designs[bits]
                 (fix_mc, se_fix), (gen_mc, se_gen) = _score(
-                    q.partition, (q.design_codebook, Codebook(means[true_d, bits])), x)
+                    x, q.partition._narrow_index(x),
+                    (q.design_codebook.as_array(), means[true_d, bits]))
                 cells[j] = replace(cells[j], mc_stderr=max(se_fix, se_gen),
                                    d_fix_mc=fix_mc, d_gen_mc=gen_mc)
             del x  # one draw is live at a time

@@ -26,6 +26,10 @@ __all__ = [
     "lloyd_max_designs",
 ]
 
+# Bytes of per-block temporaries when a Monte Carlo draw is encoded or
+# scored a block at a time, small enough to stay in cache: 2**17 draws of a
+# one-byte mask, 2**14 of an eight-byte index copy.
+_BLOCK_BYTES = 1 << 17
 _STEP_TOL = 1e-10  # a smaller accepted Newton step (relative to the stop scale) converges
 
 
@@ -133,17 +137,24 @@ class Partition(_FrozenArray):
 
     def _narrow_index(self, x: np.ndarray) -> np.ndarray:
         """``encode`` of the float array ``x`` in the narrowest unsigned type
-        that holds every index (one byte to 8 bits, two to 16): counted into
-        ``uint8`` below 64 thresholds, ``n - sum_i (x < t_i)``, each test
-        written into one reused mask and added as bytes, else searched."""
+        that holds every index (one byte to 8 bits, two to 16), of the shape
+        of ``x``.  Below 64 thresholds it is counted into ``uint8``,
+        ``n - sum_i (x < t_i)``, ``_BLOCK_BYTES`` draws at a time: each test
+        of a block is written into one reused block-sized mask and taken off
+        as bytes, so every threshold pass stays in cache.  From 64 on it is
+        searched."""
         t = self._array
         if t.size >= 64:
             return np.searchsorted(t, x, side="right").astype(np.min_scalar_type(t.size))
-        below = np.zeros(x.shape, dtype=np.uint8)
-        mask = np.empty(x.shape, dtype=bool)
-        for ti in t:
-            below += np.less(x, ti, out=mask).view(np.uint8)
-        return np.subtract(t.size, below, out=below)
+        flat = x.reshape(-1)  # a view unless x is a strided array of 2 or more dimensions
+        out = np.full(flat.size, t.size, dtype=np.uint8)
+        mask = np.empty(min(flat.size, _BLOCK_BYTES), dtype=bool)
+        for i in range(0, flat.size, _BLOCK_BYTES):
+            xb, ob = flat[i:i + _BLOCK_BYTES], out[i:i + _BLOCK_BYTES]
+            m = mask[:xb.size]
+            for ti in t:
+                ob -= np.less(xb, ti, out=m).view(np.uint8)
+        return out.reshape(x.shape)
 
 
 def _bin_arrays(p: Partition, *tables) -> list:

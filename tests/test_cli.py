@@ -16,6 +16,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mismatch_quant
@@ -505,6 +506,26 @@ class TestRunCommand:
             assert se > 0.0
             for name in ("d_std", "d_hard", "d_opt"):
                 assert abs(rec[f"{name}_mc"] - rec[name]) < 5 * se, (name, row)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.5])
+    def test_bsc_monte_carlo_scores_one_strategy_at_a_time(self, eps, traced_peak):
+        # Bit for bit the three strategies' error arrays formed at once, each
+        # scored by np.mean and np.std(ddof=1): the draw (8 bytes a draw) and
+        # the channel's uniforms and bits (10) at peak, 18.0 n bytes (48.0 n
+        # with the sign array and the three error arrays all live).
+        n, sigma0, sigma1 = 400_000, 1.0, 2.0
+        rng = np.random.default_rng(7)
+        x = rng.normal(0.0, sigma1, size=n)
+        sign = np.where((x >= 0.0) != (rng.random(n) < eps), 1.0, -1.0)
+        k = math.sqrt(2.0 / math.pi)
+        errs = [np.square(x - sign * (s * k))
+                for s in (sigma0, sigma1, (1.0 - 2.0 * eps) * sigma1)]
+        want = [float(e.mean()) for e in errs] + [
+            max(float(e.std(ddof=1)) for e in errs) / math.sqrt(n)]
+        del x, sign, errs
+        got, peak = traced_peak(lambda: cli._bsc_monte_carlo(sigma0, sigma1, eps, n, 7))
+        assert got == want
+        assert peak < 19 * n
 
     def test_rician_csi_values(self, tmp_path):
         out = tmp_path / "csi.csv"

@@ -256,11 +256,12 @@ class TestReports:
             reports(Gaussian(), Laplace(), self.BITS, mc_samples=1, seed=0)
         assert not calls
 
-    def test_three_bit_depths_keep_one_error_array_live(self, traced_peak):
+    @pytest.mark.parametrize("n", [100_000, 400_000])
+    def test_three_bit_depths_keep_one_error_array_live(self, n, traced_peak):
         # The draw (8 bytes a draw) stays for the whole call; each bit depth
-        # adds its index (1 or 2) and one codebook's errors (8), and its
-        # index goes before the next bit depth encodes.
-        n, design_d, true_d, bits = 100_000, Laplace(), Laplace(0.2, 1.1), (4, 8, 10)
+        # adds its index (1 or 2) and one error array (8), and its index
+        # goes before the next bit depth encodes.
+        design_d, true_d, bits = Laplace(), Laplace(0.2, 1.1), (4, 8, 10)
         reports(design_d, true_d, bits)  # designs and moment tables first
         rows, peak = traced_peak(
             lambda: reports(design_d, true_d, bits, mc_samples=n, seed=2))
@@ -521,13 +522,15 @@ class TestMonteCarloDistortion:
         (GaussianMixture(((0.5, -1.5, 0.6), (0.5, 1.5, 0.6))),
          GaussianMixture(((0.3, -1.0, 0.5), (0.7, 1.5, 1.2)))),
     ])
-    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 1_001, 400_000])
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 1_001, (1 << 14) - 1, 1 << 14, (1 << 14) + 1,
+                                   3 * (1 << 14) + 5, 400_000])
     @pytest.mark.parametrize("bits", [1, 4, 7])
     def test_is_the_mean_squared_error_of_one_seeded_draw(self, design_d,
                                                           true_d, n, bits):
         # Counted indices below 64 thresholds (1 and 4 bits), searched ones
         # from 64 on (7 bits); sample sizes on both sides of the unrolled
-        # blocks of numpy's pairwise sum.
+        # blocks of numpy's pairwise sum and of the scorer's 2**14-draw
+        # gather blocks.
         q = lloyd_max_design(design_d, bits)
         x = true_d.sample(5, n)
         err = np.square(x - q.design_codebook.as_array()[q.encode(x)])
@@ -539,32 +542,39 @@ class TestMonteCarloDistortion:
 
     @pytest.mark.parametrize("bits", [1, 6, 7, 8, 9, 12])
     def test_report_scores_one_index_of_at_most_two_bytes_a_draw(self, bits, monkeypatch):
-        # Records every lookup of a codebook at an array of n indices.
-        n, lookups, as_array = 20_000, [], Codebook.as_array
+        # Records the index block of every gather from a codebook: the
+        # scorer reads the codebooks with np.take, a block of draws a call.
+        n, blocks, take = 20_000, [], np.take
 
-        class Recorder(np.ndarray):
-            def __getitem__(self, key):
-                if isinstance(key, np.ndarray) and key.size == n:
-                    lookups.append(key)
-                return np.asarray(self)[key]
+        def recorder(a, indices, *args, **kwargs):
+            blocks.append(indices)
+            return take(a, indices, *args, **kwargs)
 
-        monkeypatch.setattr(Codebook, "as_array", lambda c: as_array(c).view(Recorder))
+        monkeypatch.setattr(np, "take", recorder)
         true_d = Laplace(0.1, 0.9)
         r = report(Gaussian(), true_d, bits, mc_samples=n, seed=4)
-        assert r.d_fix_mc is not None and len(lookups) == 2
-        idx = lookups[0]
-        assert lookups[1] is idx and idx.itemsize == (1 if bits <= 8 else 2)
+        monkeypatch.undo()
+        assert r.d_fix_mc is not None
+        # Both codebooks read blocks of one shared index array, n draws each.
+        shared = blocks[0].base
+        assert shared is not None and all(b.base is shared for b in blocks)
+        half = len(blocks) // 2
+        idx = np.concatenate(blocks[:half])
+        np.testing.assert_array_equal(np.concatenate(blocks[half:]), idx)
+        assert idx.size == n and idx.itemsize == (1 if bits <= 8 else 2)
         q = lloyd_max_design(Gaussian(), bits)
         np.testing.assert_array_equal(idx, q.encode(true_d.sample(4, n)))
 
+    @pytest.mark.parametrize("n", [100_000, 400_000])
     @pytest.mark.parametrize("bits", [4, 8, 10])
-    def test_report_keeps_one_error_array_live(self, bits, traced_peak):
-        # The draws (8 bytes each), their index (1 or 2) and one codebook's
-        # errors (8): 17.7 n bytes at peak at 4 and 8 bits, 18.9 n at 10,
-        # where searchsorted's intp result lives until its narrow copy is
-        # made (26.1 n when every index went through intp, two error arrays
-        # were live and np.std formed its own deviations).
-        n, design_d, true_d = 100_000, Laplace(), Laplace(0.2, 1.1)
+    def test_report_keeps_one_error_array_live(self, bits, n, traced_peak):
+        # The draws (8 bytes each), their index (1 or 2) and one error array
+        # (8): at 400,000 draws 17.4 n bytes at peak at 4 and 8 bits, 18.4 n
+        # at 10, where searchsorted's intp result lives until its narrow
+        # copy is made; the two 128 KB block temporaries add about 0.65 n
+        # at 100,000 (26.1 n when every index went through intp, two error
+        # arrays were live and np.std formed its own deviations).
+        design_d, true_d = Laplace(), Laplace(0.2, 1.1)
         report(design_d, true_d, bits)  # designs and moment tables first
         r, peak = traced_peak(lambda: report(design_d, true_d, bits, mc_samples=n, seed=2))
         assert r.d_gen_mc is not None

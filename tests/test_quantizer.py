@@ -5,6 +5,7 @@ scratch with an independent fixed-point iteration written directly against
 erf, so they do not share code with the implementation under test.
 """
 
+import itertools
 import math
 import os
 import pickle
@@ -1272,6 +1273,29 @@ class TestEncode:
         assert got2.dtype == np.intp and got2.shape == grid.shape
         np.testing.assert_array_equal(got2, np.searchsorted(t, grid, side="right"))
         np.testing.assert_array_equal(p.encode(x.tolist()), got)
+
+    @pytest.mark.parametrize("bits", [1, 4, 6])
+    @pytest.mark.parametrize("size", [quantizer._BLOCK_BYTES + k for k in (-1, 0, 1)]
+                             + [2 * quantizer._BLOCK_BYTES + 3])
+    def test_counting_across_mask_blocks_matches_searchsorted(self, bits, size):
+        # 1, 15 and 63 thresholds, counted a block of draws at a time, in a
+        # contiguous array, a strided view and two 2-D arrays, once finite
+        # and once with NaN on both sides of the first block edge and at
+        # both ends.
+        block = quantizer._BLOCK_BYTES
+        p = self._partition(bits)
+        t = np.asarray(p.boundaries)
+        finite = np.random.default_rng(size).normal(scale=1.5, size=3 * size)
+        views = (lambda b: b[:size], lambda b: b[::3], lambda b: b.reshape(3, size),
+                 lambda b: b.reshape(size, 3)[:, 1:])
+        for view, with_nan in itertools.product(views, (False, True)):
+            x = view(finite.copy())
+            if with_nan:
+                x.flat[[i for i in (0, block - 1, block, x.size - 1) if i < x.size]] = math.nan
+            got = p.encode(x)
+            assert got.shape == x.shape
+            np.testing.assert_array_equal(got, np.searchsorted(t, x, side="right"))
+            assert (got[np.isnan(x)] == len(t)).all() and np.isnan(x).any() == with_nan
 
     @pytest.mark.parametrize("bits", [1, 4, 6, 7, 12])
     def test_scalars_and_zero_d_arrays_give_ints(self, bits):
