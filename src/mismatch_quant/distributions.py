@@ -444,7 +444,8 @@ class Distribution(ABC):
 
     @abstractmethod
     def sample(self, seed: int, n: int) -> np.ndarray:
-        """Draw ``n`` variates with a deterministic generator for ``seed``."""
+        """Draw ``n`` variates from ``np.random.default_rng(seed)``: the same
+        seed gives the same draw within a version of the package."""
 
     @property
     @abstractmethod
@@ -514,6 +515,7 @@ class Gaussian(Distribution):
         return Gaussian(self.mean, math.sqrt(3.0) * self.std)
 
     def sample(self, seed, n):
+        """By numpy's ziggurat normal, ``rng.normal(mean, std)``."""
         rng = np.random.default_rng(seed)
         return rng.normal(self.mean, self.std, size=n)
 
@@ -591,8 +593,18 @@ class Laplace(Distribution):
         return Laplace(self.loc, 3.0 * self.scale)
 
     def sample(self, seed, n):
+        """``loc + scale * (E1 - E2)``: a unit Laplace variate is the
+        difference of two independent unit exponentials, here two
+        consecutive ``rng.standard_exponential(n)`` streams, which numpy
+        draws by its ziggurat with no ``log`` on the common path, where
+        ``rng.laplace`` takes one a draw.  Formed in place on ``E1``; the
+        second stream is freed once subtracted."""
         rng = np.random.default_rng(seed)
-        return rng.laplace(self.loc, self.scale, size=n)
+        x = rng.standard_exponential(n)
+        x -= rng.standard_exponential(n)
+        x *= self.scale
+        x += self.loc
+        return x
 
     @property
     def mean(self) -> float:
@@ -693,6 +705,8 @@ class GaussianMixture(Distribution):
         return tuple(_component_sums(*self._columns, len(edges), terms))
 
     def sample(self, seed, n):
+        """Component indices by ``rng.choice`` with the weights, then one
+        ziggurat normal per draw at its component's mean and std."""
         rng = np.random.default_rng(seed)
         w, m, s = (col.ravel() for col in self._columns)
         idx = rng.choice(len(w), size=n, p=w)

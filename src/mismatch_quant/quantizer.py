@@ -138,13 +138,13 @@ class Partition(_FrozenArray):
     def _narrow_index(self, x: np.ndarray) -> np.ndarray:
         """``encode`` of the float array ``x`` in the narrowest unsigned type
         that holds every index (one byte to 8 bits, two to 16), of the shape
-        of ``x``.  Below 64 thresholds it is counted into ``uint8``,
-        ``n - sum_i (x < t_i)``, ``_BLOCK_BYTES`` draws at a time: each test
-        of a block is written into one reused block-sized mask and taken off
-        as bytes, so every threshold pass stays in cache.  From 64 on it is
-        searched."""
+        of ``x``.  Below 256 thresholds, where every index fits ``uint8``, it
+        is counted, ``n - sum_i (x < t_i)``, ``_BLOCK_BYTES`` draws at a time:
+        each test of a block is written into one reused block-sized mask and
+        taken off as bytes, so every threshold pass stays in cache.  From 256
+        on it is searched."""
         t = self._array
-        if t.size >= 64:
+        if t.size >= 256:
             return np.searchsorted(t, x, side="right").astype(np.min_scalar_type(t.size))
         flat = x.reshape(-1)  # a view unless x is a strided array of 2 or more dimensions
         out = np.full(flat.size, t.size, dtype=np.uint8)

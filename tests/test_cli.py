@@ -437,6 +437,23 @@ class TestRunCommand:
             assert json.loads(rows[1][0]) == json.loads(rows[1][1]) == {
                 "kind": "gaussian", "mean": 0.0, "std": 1.0}
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_laplace_table_monte_carlo_within_five_stderr(self, tmp_path, seed):
+        # The benchmark's check of its seeded 400,000-draw rerun: every
+        # printed estimate within 5 printed standard errors of its exact value.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "laplace_table"}))
+        out = tmp_path / "mc.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--mc-samples", "400000", "--seed", str(seed)]) == 0
+        header, *rows = _read_csv(out)
+        assert header == REPORT_HEADER + MC_HEADER and len(rows) == 4
+        for row in rows:
+            rec = {k: float(v) for k, v in zip(header, row) if k != "method"}
+            assert rec["mc_stderr"] > 0.0
+            for col in ("d_fix", "d_gen"):
+                assert abs(rec[col + "_mc"] - rec[col]) <= 5.0 * rec["mc_stderr"], (col, row)
+
     @pytest.mark.parametrize("experiment, family, n_laws", [
         ("mean_sweep", "Gaussian", 17),
         ("variance_sweep", "Gaussian", 9),

@@ -557,6 +557,38 @@ class TestSampling:
         x = Laplace(0.0, math.sqrt(0.5)).sample(9, 1_000_000)
         assert np.var(x) == pytest.approx(1.0, rel=0.01)
 
+    def test_laplace_sample_fits_the_cdf(self):
+        # Kolmogorov-Smirnov distance of 10**6 draws, below its 1% critical
+        # value 1.63 / sqrt(n).
+        d = Laplace(0.7, 1.3)
+        x = np.sort(d.sample(11, 1_000_000))
+        n = x.size
+        f = d.cdf(x)
+        ks = max(np.max(np.arange(1, n + 1) / n - f), np.max(f - np.arange(n) / n))
+        assert ks < 1.63 / math.sqrt(n)
+
+    def test_laplace_sample_tail_frequency(self):
+        # P(|X - loc| > 8 scale) = e**-8, within 4 binomial SE.
+        d = Laplace(-2.5, 0.4)
+        n = 1_000_000
+        x = d.sample(12, n)
+        p = math.exp(-8.0)
+        freq = np.count_nonzero(np.abs(x - d.loc) > 8.0 * d.scale) / n
+        assert abs(freq - p) < 4.0 * math.sqrt(p * (1.0 - p) / n)
+
+    def test_laplace_streams_are_per_seed(self):
+        d = Laplace(0.3, 1.7)
+        a = d.sample(5, 10_000)
+        assert np.array_equal(a, d.sample(5, 10_000))
+        b = d.sample(6, 10_000)
+        assert a.shape == b.shape == (10_000,) and not np.any(a == b)
+
+    @pytest.mark.parametrize("loc, scale", [(0.0, math.sqrt(0.5)), (3.25, 0.01), (-1e6, 42.0)])
+    def test_laplace_sample_is_the_standard_draw_shifted_and_scaled(self, loc, scale):
+        for seed in (0, 7):
+            want = loc + scale * Laplace(0.0, 1.0).sample(seed, 5_000)
+            assert np.array_equal(Laplace(loc, scale).sample(seed, 5_000), want)
+
     def test_mixture_sampling_matches_moments(self):
         mix = GaussianMixture(((0.25, -2.0, 0.5), (0.75, 1.0, 1.0)))
         x = mix.sample(77, 1_000_000)

@@ -524,11 +524,11 @@ class TestMonteCarloDistortion:
     ])
     @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 1_001, (1 << 14) - 1, 1 << 14, (1 << 14) + 1,
                                    3 * (1 << 14) + 5, 400_000])
-    @pytest.mark.parametrize("bits", [1, 4, 7])
+    @pytest.mark.parametrize("bits", [1, 4, 7, 9])
     def test_is_the_mean_squared_error_of_one_seeded_draw(self, design_d,
                                                           true_d, n, bits):
-        # Counted indices below 64 thresholds (1 and 4 bits), searched ones
-        # from 64 on (7 bits); sample sizes on both sides of the unrolled
+        # Counted indices below 256 thresholds (1, 4 and 7 bits), searched
+        # ones from 256 on (9 bits); sample sizes on both sides of the unrolled
         # blocks of numpy's pairwise sum and of the scorer's 2**14-draw
         # gather blocks.
         q = lloyd_max_design(design_d, bits)

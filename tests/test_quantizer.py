@@ -1237,8 +1237,9 @@ class TestMomentTableMemo:
 
 
 class TestEncode:
-    """``Partition.encode`` counts thresholds below 64 of them and searches
-    from 64 on; both must be ``np.searchsorted(t, x, side="right")``."""
+    """``Partition.encode`` counts thresholds below 256 of them, where every
+    index fits one byte, and searches from 256 on; both must be
+    ``np.searchsorted(t, x, side="right")``."""
 
     @staticmethod
     def _partition(bits):
@@ -1261,10 +1262,11 @@ class TestEncode:
     def test_arrays_match_searchsorted(self, bits):
         p = self._partition(bits)
         t = np.asarray(p.boundaries)
-        assert (len(t) < 64) == (bits <= 6)
+        assert (len(t) < 256) == (bits <= 8)
         x = self._draws(t)
         got = p.encode(x)
         assert got.dtype == np.intp and got.shape == x.shape
+        assert p._narrow_index(x).dtype == (np.uint8 if bits <= 8 else np.uint16)
         np.testing.assert_array_equal(got, np.searchsorted(t, x, side="right"))
         assert got[x == 0.0].tolist() == [len(t) // 2 + 1] * int(np.sum(x == 0.0))
         assert got[np.isnan(x)].tolist() == [len(t)] * 3
@@ -1274,11 +1276,12 @@ class TestEncode:
         np.testing.assert_array_equal(got2, np.searchsorted(t, grid, side="right"))
         np.testing.assert_array_equal(p.encode(x.tolist()), got)
 
-    @pytest.mark.parametrize("bits", [1, 4, 6])
+    @pytest.mark.parametrize("bits", [1, 4, 6, 7, 8])
     @pytest.mark.parametrize("size", [quantizer._BLOCK_BYTES + k for k in (-1, 0, 1)]
                              + [2 * quantizer._BLOCK_BYTES + 3])
     def test_counting_across_mask_blocks_matches_searchsorted(self, bits, size):
-        # 1, 15 and 63 thresholds, counted a block of draws at a time, in a
+        # 1, 15, 63, 127 and 255 thresholds, counted into one byte a draw
+        # (a count up to 255 fits uint8), a block of draws at a time, in a
         # contiguous array, a strided view and two 2-D arrays, once finite
         # and once with NaN on both sides of the first block edge and at
         # both ends.
@@ -1293,9 +1296,12 @@ class TestEncode:
             if with_nan:
                 x.flat[[i for i in (0, block - 1, block, x.size - 1) if i < x.size]] = math.nan
             got = p.encode(x)
-            assert got.shape == x.shape
+            assert got.shape == x.shape and got.dtype == np.intp
             np.testing.assert_array_equal(got, np.searchsorted(t, x, side="right"))
             assert (got[np.isnan(x)] == len(t)).all() and np.isnan(x).any() == with_nan
+            narrow = p._narrow_index(x)
+            assert narrow.dtype == np.uint8 and narrow.shape == x.shape
+            np.testing.assert_array_equal(narrow, got)
 
     @pytest.mark.parametrize("bits", [1, 4, 6, 7, 12])
     def test_scalars_and_zero_d_arrays_give_ints(self, bits):
