@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ZERO_MASS_TOL, Distribution
+from .distributions import _GK_W, _GK_X, ZERO_MASS_TOL, Distribution
 from .errors import DivergentIntegral
 from .mismatch import _exact_terms
 from .quantizer import (
@@ -71,31 +71,6 @@ class HighRateReport:
     d_total_gen: float
     d_ideal_pd: float
     penalty_factor: float
-
-
-# The Gauss-Kronrod (7, 15) pair of QUADPACK's qk15 (Piessens et al.,
-# 1983) on [-1, 1]: the 15 Kronrod nodes, their weights, and the weights of
-# the 7-point Gauss rule on every second node (zero elsewhere).
-_GK_X = np.array([
-    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-])
-_GK_X = np.concatenate((-_GK_X, [0.0], _GK_X[::-1]))
-_GK_WK = np.array([
-    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-])
-_GK_WK = np.concatenate((_GK_WK, [0.209482141084727828012999174891714], _GK_WK[::-1]))
-_GK_WG = np.array([
-    0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
-    0.0, 0.381830050505118944950369775488975, 0.0,
-])
-_GK_WG = np.concatenate((_GK_WG, [0.417959183673469387755102040816327], _GK_WG[::-1]))
-_GK_W = np.stack((_GK_WK, _GK_WG), axis=1)
 
 
 def _gk15(fn, panels):
@@ -274,17 +249,21 @@ def bennett_granular(
 
 
 def overload_split(p: Partition, c: Codebook, true_d: Distribution) -> OverloadSplit:
-    """Variance/bias split of the two outer (overload) bins under ``true_d``."""
+    """Variance/bias split of the two outer (overload) bins under ``true_d``.
+    A bin's bias is ``mass (s^2 + 2 s u)``, ``s = a - mean`` and ``u`` the
+    rounding of its ``mean = e + J_1 / J_0`` (as ``_table_terms``' excess):
+    exact however far the law lies from 0, exactly 0 for ``a = mean``."""
     [a] = _bin_arrays(p, c)
-    mass, m1, m2 = _moment_table(true_d, p)
+    e, mass, m1, m2 = _moment_table(true_d, p)
     variance = bias = 0.0
     for i in (0, len(mass) - 1):
         if mass[i] < ZERO_MASS_TOL:
             continue
-        mean_i = m1[i] / mass[i]
-        var_i = m2[i] / mass[i] - mean_i * mean_i
-        variance += mass[i] * max(var_i, 0.0)
-        bias += mass[i] * (mean_i - a[i]) ** 2
+        g = m1[i] / mass[i]
+        mean = e[i] + g
+        s = a[i] - mean
+        variance += mass[i] * (m2[i] / mass[i] - g * g)
+        bias += mass[i] * s * (s + 2.0 * ((mean - e[i]) - g))
     return OverloadSplit(variance_part=variance, bias_part=bias)
 
 
@@ -346,8 +325,10 @@ def fit_decay_slope(bits_seq, values, n_points: int = 4) -> float:
     vals = np.asarray(list(values), dtype=float)[-n_points:]
     if len(bits_arr) < 2 or len(bits_arr) != len(vals):
         raise ValueError("need at least two aligned (bits, value) pairs")
-    if np.any(vals <= 0.0):
-        raise ValueError("values must be positive to fit a log slope")
+    if not np.isfinite(bits_arr).all():
+        raise ValueError(f"bits must be finite, got {bits_arr.tolist()}")
+    if not (np.isfinite(vals).all() and (vals > 0.0).all()):
+        raise ValueError(f"values must be finite and positive to fit a log slope, got {vals}")
     return float(np.polyfit(bits_arr, np.log2(vals), 1)[0])
 
 

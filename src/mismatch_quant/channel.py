@@ -16,7 +16,7 @@ import numpy as np
 
 from .distributions import ZERO_MASS_TOL, Distribution, _conditional_means, _table_distortion
 from .errors import ZeroEvidence
-from .mismatch import _SQRT_2_OVER_PI, generative_codebook
+from .mismatch import _SQRT_2_OVER_PI, _check_finite, generative_codebook
 from .quantizer import (
     Codebook, Partition, Quantizer, _bin_arrays, _check_bits, _FrozenArray, _integer, _moment_table)
 
@@ -102,8 +102,8 @@ def index_posterior(ch: Channel, priors, received: int) -> np.ndarray:
     pri = np.asarray(priors, dtype=float)
     if pri.shape != (ch.n,):
         raise ValueError(f"priors must have shape ({ch.n},), got {pri.shape}")
-    if np.any(pri < 0.0):
-        raise ValueError("priors must be non-negative")
+    if not (np.isfinite(pri).all() and (pri >= 0.0).all()):
+        raise ValueError(f"priors must be finite and non-negative, got {pri.tolist()}")
     if (j := _integer(received)) is None or not 0 <= j < ch.n:
         raise ValueError(f"received index {received!r} is not an integer in [0, {ch.n})")
     weights = ch.as_array()[:, j] * pri
@@ -131,8 +131,9 @@ def soft_codebook(
     guess with no usable observation.
     """
     m, spare = _bin_arrays(p, ch, fallback)
-    mass, m1 = _moment_table(true_d, p, 1)
-    gen, _ = _conditional_means((mass, m1), true_d, spare)
+    table = _moment_table(true_d, p, 1)
+    gen, _ = _conditional_means(table, true_d, spare)
+    mass = table[1]
     priors = mass / mass.sum()
     joint = m * priors[:, None]
     evidence = joint.sum(axis=0)
@@ -166,10 +167,18 @@ def noisy_distortion(
     """Exact end-to-end MSE through the index channel.
 
     Averages the per-bin moments over the transition matrix:
-    ``sum_i sum_j P(x in bin i) P(j | i) E[(X - a_j)^2 | bin i]``.
+    ``sum_i sum_j P(x in bin i) P(j | i) E[(X - a_j)^2 | bin i]``.  Bin ``i``
+    of the anchored table reads the mean ``f_i`` of ``a_J - e_i`` over the
+    received ``J`` and ``f_i^2`` plus the variance of ``a_J``, both from ``u
+    = a - mean`` (so a law far from 0 cancels nothing): ``f_i = (E u_J -
+    u_i) + (a_i - e_i)``, which an identity channel makes ``a_i - e_i``.
     """
     t, a = _bin_arrays(p, ch, dec.table)
-    return _table_distortion(_moment_table(true_d, p), t @ a, t @ (a * a))
+    table = _moment_table(true_d, p)
+    u = a - true_d.mean
+    mean = t @ u
+    first = (mean - u) + (a - table[0])
+    return _table_distortion(table, first, (t @ (u * u) - mean * mean) + first * first)
 
 
 @dataclass(frozen=True)
@@ -201,8 +210,7 @@ def strategy_report(sigma0: float, sigma1: float, epsilon: float) -> StrategyRep
     plug in ``A = sigma0 sqrt(2/pi)`` (standard), ``A = c`` (hard
     generative), and ``A = (1 - 2 eps) c`` (soft generative, the minimizer).
     """
-    if sigma0 <= 0.0 or sigma1 <= 0.0:
-        raise ValueError("standard deviations must be positive")
+    _check_finite(0.0, sigma0=sigma0, sigma1=sigma1)
     if not 0.0 <= epsilon <= 0.5:
         raise ValueError(f"epsilon must lie in [0, 0.5], got {epsilon}")
     var1 = sigma1 * sigma1

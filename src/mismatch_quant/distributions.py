@@ -2,14 +2,19 @@
 
 Everything downstream (quantizer design, per-bin conditional means, exact
 distortion evaluation, task-loss and noisy-channel decoder tables) reduces
-to raw moments of a law restricted to an interval, so those are computed
-here in closed form, up to the fourth, for the supported families.
-Semi-infinite intervals are first-class: every formula is written so that
-``+/-inf`` endpoints are exact, not limits taken numerically.
+to moments of a law restricted to an interval, so those are computed here
+in closed form, up to the fourth, for the supported families, about each
+bin's anchor ``e = clip(mean, lo, hi)`` (``_anchors``): the law's mean in
+the bin that holds it, else the bin's edge nearest the mean.  Nothing is
+shifted by the law's location, so a law far from 0 is evaluated as exactly
+as one at 0, and a symmetric law's negative half mirrors its positive half
+exactly.  Semi-infinite intervals are first-class: every formula is written
+so that ``+/-inf`` endpoints are exact, not limits taken numerically.
 
 The arithmetic every reader of a moment table shares lives beside
-``edge_stats``: ``_table_distortion``, ``_conditional_means`` (with the one
-empty-bin rule), ``_ragged_blocks``, the one block bound of a walk over
+``edge_stats``: an anchored table is ``(e, J_0, J_1, ...)`` (``_anchored``),
+read by ``_table_distortion`` and ``_conditional_means`` (with the one
+empty-bin rule); ``_ragged_blocks``, the one block bound of a walk over
 Gaussian laws, which mixture components, the runs of a design round and the
 Gaussian laws of ``_gaussian_blocks`` take, and ``_gaussian_blocks`` itself,
 the one path by which a row of laws reads its tables on shared edges.
@@ -64,54 +69,109 @@ _PPF_BINADES = 2.0**16
 _MIXTURE_BLOCK = 4096
 
 
+# The Gauss-Kronrod (7, 15) pair of QUADPACK's qk15 (Piessens et al.,
+# 1983) on [-1, 1]: the 15 Kronrod nodes, their weights, and the weights of
+# the 7-point Gauss rule on every second node (zero elsewhere).
+_GK_X = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+])
+_GK_X = np.concatenate((-_GK_X, [0.0], _GK_X[::-1]))
+_GK_WK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+])
+_GK_WK = np.concatenate((_GK_WK, [0.209482141084727828012999174891714], _GK_WK[::-1]))
+_GK_WG = np.array([
+    0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975, 0.0,
+])
+_GK_WG = np.concatenate((_GK_WG, [0.417959183673469387755102040816327], _GK_WG[::-1]))
+_GK_W = np.stack((_GK_WK, _GK_WG), axis=1)
+
+
 def _std_normal_pdf(z: np.ndarray) -> np.ndarray:
     # exp(-inf) underflows cleanly to 0, so infinite endpoints need no guard.
     return _INV_SQRT_2PI * np.exp(-0.5 * np.square(z))
 
 
-def _powers(x, order: int) -> list:
-    out = [1.0]
-    for _ in range(order):
-        out.append(out[-1] * x)
-    return out
+def _tail_table(x0: np.ndarray) -> np.ndarray:
+    """Taylor coefficients, highest order first, of ``h(x0 + t)`` at each
+    ``x0 >= 0``, ``h(x) = E[Z - x | Z > x]`` for a standard normal ``Z``:
+    ``h`` and ``-h'`` are the mean and variance of ``u`` under the weight
+    ``exp(-x u - u^2 / 2)`` on ``[0, span]`` (where it falls to ``e^-40``),
+    sums of positive terms by the Kronrod rule on four panels; the higher
+    terms follow from the Riccati equation ``h' = h (h + x) - 1``."""
+    span = 80.0 / (x0 + np.sqrt(x0 * x0 + 80.0))
+    u = np.multiply.outer(span, ((np.arange(4)[:, None] + 0.5 * (1.0 + _GK_X)) / 4.0).ravel())
+    f = np.tile(_GK_WK, 4) * np.exp(-u * (x0[:, None] + 0.5 * u))
+    h = (f * u).sum(axis=1) / f.sum(axis=1)
+    a = [h, -(f * np.square(u - h[:, None])).sum(axis=1) / f.sum(axis=1)]
+    for n in range(1, _TAIL_ORDER - 1):
+        a.append((sum(a[i] * a[n - i] for i in range(n + 1)) + x0 * a[n] + a[n - 1]) / (n + 1))
+    return np.array(a[::-1]).T
 
 
-def _shift(loc, scale, centered: list[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """Raw moments of ``loc + scale * U`` from the per-bin moments of ``U``.
+# ``_tail_offset``'s grid on [0, 40] and Taylor order: within 1e-15 relative
+# of 40 digits (2.7e-16 rms).  It serves tail bins beyond ``_TAIL_FROM``,
+# where the recursion's ``phi(x) - x Q(x)`` loses a factor of 5 or more.
+_TAIL_STEPS, _TAIL_ORDER, _TAIL_FROM = 32, 9, 1.0
+_TAIL_TAYLOR = _tail_table(np.arange(40 * _TAIL_STEPS + 1) / _TAIL_STEPS)
 
-    Binomial expansion ``E[X^k] = sum_j C(k, j) loc^(k-j) scale^j E[U^j]``,
-    summed in increasing ``j``.  ``loc`` and ``scale`` are floats or columns
-    that broadcast against the moments.
-    """
-    lp = _powers(loc, len(centered) - 1)
-    sp = _powers(scale, len(centered) - 1)
-    out = [centered[0]]
-    for k in range(1, len(centered)):
-        acc = lp[k] * centered[0]
-        for j in range(1, k + 1):
-            acc = acc + math.comb(k, j) * lp[k - j] * sp[j] * centered[j]
-        out.append(acc)
-    return tuple(out)
+
+def _tail_offset(x: float) -> float:
+    """``E[Z - x | Z > x]`` at the float ``x >= 0`` (taken at 40 beyond, where
+    ``Q(x)`` underflows) by the Taylor polynomial of the nearest grid point."""
+    x = min(x, 40.0)
+    k = round(x * _TAIL_STEPS)
+    t, acc = x - k / _TAIL_STEPS, 0.0
+    for a in _TAIL_TAYLOR[k].tolist():
+        acc = acc * t + a
+    return acc
+
+
+def _anchors(mean, edges: np.ndarray) -> np.ndarray:
+    """The anchor of each bin of ``edges``, ``clip(mean, lo, hi)``: ``mean``
+    in the bin that holds it, else the bin's edge nearest it, so finite.
+    ``mean`` is a float, or a column of a law per row of bins."""
+    return np.minimum(np.maximum(mean, edges[..., :-1]), edges[..., 1:])
+
+
+def _anchored(d: Distribution, edges, order: int = 2) -> tuple[np.ndarray, ...]:
+    """The anchored table ``(e, J_0, ..., J_order)`` of ``d`` on ``edges``: its
+    anchors (``_anchors``) and ``d.edge_stats(edges, order)``."""
+    edges = np.asarray(edges, dtype=float)
+    return (_anchors(d.mean, edges), *d.edge_stats(edges, order))
 
 
 def _gaussian_edge_stats(
-    mean, std, edges: np.ndarray, order: int, density: bool = False, per_edge: bool = False
+    mean, std, edges: np.ndarray, e, order: int, density: bool = False, per_edge: bool = False,
+    tails: bool = False,
 ) -> tuple[np.ndarray, ...]:
-    """Unnormalized raw moments ``0..order`` of N(mean, std^2) per bin.
+    """Unnormalized moments ``J_k = E[(X - e)^k 1_bin]``, ``k = 0..order``, of
+    N(mean, std^2) per bin, about the anchors ``e`` (read from order 1 on).
 
     ``edges`` is the increasing array of bin edges including the outer
     ``+/-inf``.  ``mean`` and ``std`` are floats, giving arrays of length
     ``len(edges) - 1``, or ``(k, 1)`` columns of ``k`` laws, giving one row
-    per law; bins run along the last axis (edges may have rows of their own
-    that broadcast against the columns).  Masses in the far tail are
-    formed from the survival function on whichever side avoids
-    cancellation.  The standard-normal moments follow the recursion
-    ``I_k = (k-1) I_(k-2) + za^(k-1) phi(za) - zb^(k-1) phi(zb)``.  With
+    per law; bins run along the last axis (edges and anchors may have rows
+    of their own that broadcast against the columns).  Masses in the far
+    tail are formed from the survival function on whichever side avoids
+    cancellation.  With ``c = (e - mean) / std`` the standard-normal moments
+    ``K_k`` about ``c`` follow ``K_(k+1) = k K_(k-1) - c K_k + (za - c)^k
+    phi(za) - (zb - c)^k phi(zb)``, and ``J_k = std^k K_k``.  With
     ``density`` (order 1 or more) the standard-normal density ``phi(z)`` at
     the inner edges follows the moments, from the same pass: divided by
     ``std`` it is the density at those edges.  With ``per_edge`` the columns
     are as wide as ``edges``, a law per edge, and each bin takes the law of
-    its left edge (a bin whose edges have two laws is meaningless).
+    its left edge (a bin whose edges have two laws is meaningless).  With
+    ``tails``, for a row of Gaussian laws, an outer bin beyond the mean
+    (by more than ``_TAIL_FROM`` std) takes ``_tail_offset``; a mixture's
+    components keep the recursion.
     """
     z = (edges - mean) / std
     below = special.ndtr(z)
@@ -123,18 +183,33 @@ def _gaussian_edge_stats(
     )
     moments = [mass]
     if order:
-        # z^(k-1) phi(z) -> 0 as |z| -> inf; zero z there to avoid inf * 0.
-        z_finite = np.where(np.isfinite(z), z, 0.0)
-        edge_term = phi = _std_normal_pdf(z)
-        moments.append(edge_term[..., :-1] - edge_term[..., 1:])
-        for k in range(2, order + 1):
-            edge_term = z_finite * edge_term
-            moments.append(
-                (k - 1) * moments[k - 2] + edge_term[..., :-1] - edge_term[..., 1:]
-            )
-    shifted = _shift(mean[..., :-1], std[..., :-1], moments) if per_edge else _shift(
-        mean, std, moments)
-    return (*shifted, phi[..., 1:-1]) if density else shifted
+        m, s = (mean[..., :-1], std[..., :-1]) if per_edge else (mean, std)
+        c = (e - m) / s
+        phi = _std_normal_pdf(z)
+        lo, hi = phi[..., :-1], phi[..., 1:]
+        moments.append((lo - hi) - c * mass)
+        if tails:
+            # An outer bin reaching -/+inf is anchored at its finite edge c
+            # when the mean lies beyond it, where phi(c) - |c| Q(|c|) cancels.
+            n, k1 = mass.shape[-1], moments[1].reshape(-1)
+            for r in range(k1.size // n):
+                first, last = r * n, r * n + n - 1  # flat indices; the outer edges sit r on
+                for i, edge, side in ((first, first + r, -1.0), (last, last + r + 1, 1.0)):
+                    x = side * c.item(i)
+                    if x > _TAIL_FROM and z.item(edge) == side * math.inf:
+                        k1[i] = side * (mass.item(i) * _tail_offset(x))
+        if order > 1:
+            # (z - c)^k phi(z) -> 0 as |z| -> inf; zero z there to avoid inf * 0.
+            z_finite = np.where(np.isfinite(z), z, 0.0)
+            lo_step, hi_step = z_finite[..., :-1] - c, z_finite[..., 1:] - c
+        for k in range(1, order):
+            lo, hi = lo_step * lo, hi_step * hi
+            moments.append((k * moments[k - 1] - c * moments[k]) + (lo - hi))
+        power = s
+        for k in range(1, order + 1):
+            moments[k] = power * moments[k]
+            power = power * s
+    return (*moments, phi[..., 1:-1]) if density else tuple(moments)
 
 
 def _ragged_blocks(sizes) -> list[tuple[int, int]]:
@@ -152,22 +227,25 @@ def _ragged_blocks(sizes) -> list[tuple[int, int]]:
 
 def _gaussian_blocks(laws, edges: np.ndarray, order: int, owner=None):
     """Yield ``(rows, table)`` for every law of ``laws``: their indices, and
-    their moments ``0..order`` on ``edges`` (law ``i`` reads row ``owner[i]``
-    if given) as one row a law, each row bit for bit the law's own
-    ``edge_stats``.  The ``Gaussian`` laws come first, a block
-    (``_ragged_blocks``) at a time from one kernel call on ``(k, 1)``
+    their anchored tables ``(e, J_0, ..., J_order)`` on ``edges`` (law ``i``
+    reads row ``owner[i]`` if given) as one row a law, each row bit for bit
+    the law's own ``_anchored`` table (anchors None for Gaussian ones at
+    order 0).  The ``Gaussian`` laws come first, a
+    block (``_ragged_blocks``) at a time from one kernel call on ``(k, 1)``
     columns; then each other law alone, from its own ``edge_stats``."""
     gauss = [i for i, d in enumerate(laws) if type(d) is Gaussian]
     mean = np.array([[laws[i].mean] for i in gauss])
     std = np.array([[laws[i].std] for i in gauss])
     for lo, hi in _ragged_blocks([edges.shape[-1]] * len(gauss)):
         rows = gauss[lo:hi]
-        yield rows, _gaussian_edge_stats(
-            mean[lo:hi], std[lo:hi], edges if owner is None else edges[owner[rows]], order)
+        rows_edges = edges if owner is None else edges[owner[rows]]
+        e = _anchors(mean[lo:hi], rows_edges) if order else None
+        yield rows, (e, *_gaussian_edge_stats(mean[lo:hi], std[lo:hi], rows_edges, e, order,
+                                              tails=True))
     for i, d in enumerate(laws):
         if type(d) is not Gaussian:
-            table = d.edge_stats(edges if owner is None else edges[owner[i]], order)
-            yield [i], [moment[None] for moment in table]
+            table = _anchored(d, edges if owner is None else edges[owner[i]], order)
+            yield [i], [part[None] for part in table]
 
 
 def _fold(total, block: np.ndarray) -> np.ndarray:
@@ -215,20 +293,23 @@ def _component_sums(w, m, s, size: int, terms) -> list[np.ndarray]:
 
 
 def _mixture_design_stats(grid, cols: np.ndarray, t: np.ndarray, sizes: np.ndarray):
-    """``edge_stats`` (order 2) of the mixture of column ``cols[k]`` of
+    """The anchored table (order 2) of the mixture of column ``cols[k]`` of
     ``grid`` (``_component_grid``) on the bins of ``[-inf, t_k..., inf]``,
     ``t_k`` the next ``sizes[k]`` thresholds of the flat array ``t``, and its
-    density at ``t_k``, for every run ``k``: three arrays with ``sizes[k] +
-    1`` bins a run and one with ``sizes[k]`` densities a run, laid end to
-    end, each bit for bit that law's own ``edge_stats`` and ``pdf``.  The
-    edges of all runs are laid end to end too, each with the component
-    columns of its law, and one walk of the Gaussian moment kernel folds the
-    components in order onto them (``_fold``), in blocks of whole runs and
-    of components of at most ``_MIXTURE_BLOCK`` entries (one run and one
-    component at least); the bins that straddle two runs are dropped."""
+    density at ``t_k``, for every run ``k``: four arrays with ``sizes[k] + 1``
+    bins a run and one with ``sizes[k]`` densities a run, laid end to end,
+    each bit for bit that law's own ``_anchored`` table (its mean the ``w m``
+    of its components folded in order) and ``pdf``.  The edges of all
+    runs are laid end to end too, each with the component columns of its
+    law, and one walk of the Gaussian moment kernel folds the components in
+    order onto them (``_fold``), in blocks of whole runs and of components
+    of at most ``_MIXTURE_BLOCK`` entries (one run and one component at
+    least); the bins that straddle two runs are dropped (anchored at 0)."""
+    mean = _fold(0.0, grid[0] * grid[1])[cols]
     if len(sizes) == 1:
-        return _design_walk(np.concatenate(([-np.inf], t, [np.inf])),
-                            [g[:, cols[0], None] for g in grid])
+        edges = np.concatenate(([-np.inf], t, [np.inf]))
+        e = _anchors(mean[0], edges)
+        return [e, *_design_walk(edges, e, [g[:, cols[0], None] for g in grid])]
     seg = np.repeat(np.arange(len(sizes)), sizes)
     first = np.cumsum(sizes) - sizes
     n_edges = sizes + 2
@@ -237,32 +318,36 @@ def _mixture_design_stats(grid, cols: np.ndarray, t: np.ndarray, sizes: np.ndarr
     edges[start] = -np.inf
     edges[np.arange(len(t)) + 2 * seg + 1] = t
     owner = np.repeat(cols, n_edges)
-    out = [np.empty(len(t) + len(sizes)) for _ in range(3)] + [np.empty(len(t))]
+    anchors = _anchors(np.repeat(mean, n_edges)[:-1], edges)
+    anchors[start[1:] - 1] = 0.0
+    out = [np.empty(len(t) + len(sizes)) for _ in range(4)] + [np.empty(len(t))]
     for r0, r1 in _ragged_blocks(n_edges.tolist()):
         e0, e1 = int(start[r0]), int(start[r1 - 1] + n_edges[r1 - 1])
         t0, n = int(first[r0]), int(sizes[r0:r1].sum())
+        e = anchors[e0 : e1 - 1]
         if r1 - r0 == 1:
-            totals = _design_walk(edges[e0:e1], [g[:, cols[r0], None] for g in grid])
+            totals = _design_walk(edges[e0:e1], e, [g[:, cols[r0], None] for g in grid])
             bins = thresholds = slice(None)
         else:
-            totals = _design_walk(edges[e0:e1], [g[:, owner[e0:e1]] for g in grid])
+            totals = _design_walk(edges[e0:e1], e, [g[:, owner[e0:e1]] for g in grid])
             local = np.arange(r1 - r0)
             bins = np.arange(n + r1 - r0) + np.repeat(local, sizes[r0:r1] + 1)
             thresholds = np.arange(n) + 2 * np.repeat(local, sizes[r0:r1])
-        for o, total in zip(out[:3], totals):
+        for o, total in zip(out[:4], [e, *totals]):
             o[t0 + r0 : t0 + n + r1] = total[bins]
-        out[3][t0 : t0 + n] = totals[3][thresholds]
+        out[4][t0 : t0 + n] = totals[3][thresholds]
     return out
 
 
-def _design_walk(edges: np.ndarray, cols) -> list[np.ndarray]:
-    """The order-2 moments of the bins of ``edges`` and the density at its
-    inner edges of the mixture of the component columns ``cols``
-    (``_component_sums``): ``(K, 1)`` columns of one law, or ``(K, edges)``
-    columns of each edge's law, each bin taking its left edge's law."""
+def _design_walk(edges: np.ndarray, e: np.ndarray, cols) -> list[np.ndarray]:
+    """The order-2 moments about the anchors ``e`` of the bins of ``edges``,
+    and the density at its inner edges, of the mixture of the component
+    columns ``cols`` (``_component_sums``): ``(K, 1)`` columns of one law, or
+    ``(K, edges)`` columns of each edge's law, each bin taking its left
+    edge's law."""
     def terms(w, m, s):
         wide = np.ndim(w) == 2 and w.shape[1] > 1
-        *moments, phi = _gaussian_edge_stats(m, s, edges, 2, density=True, per_edge=wide)
+        *moments, phi = _gaussian_edge_stats(m, s, edges, e, 2, density=True, per_edge=wide)
         bin_w, edge_w, edge_s = (w[:, :-1], w[:, 1:-1], s[:, 1:-1]) if wide else (w, w, s)
         return [bin_w * part for part in moments] + [edge_w * phi / edge_s]
 
@@ -355,12 +440,13 @@ def _bisection(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _table_distortion(table, first, second) -> float:
-    """``sum_i E[(X - a_i)^2 1_bin_i]`` from a moment table ``(mass, m1, m2)``,
-    as ``sum m2 - 2 first.m1 + second.mass``: ``(a, a * a)`` for a codebook
-    ``a``, the per-bin means of ``a_J`` and ``a_J^2`` for a random index ``J``.
-    Arrays with a row per law (bins along the last axis) give a list with a
-    value per row, each bit for bit that row's own."""
-    mass, m1, m2 = table
+    """``sum_i E[(X - a_i)^2 1_bin_i]`` from an anchored table ``(e, J_0, J_1,
+    J_2)``, as ``sum J_2 - 2 first.J_1 + second.J_0``: ``(a - e, (a - e)^2)``
+    for a codebook ``a``, the per-bin means of ``a_J - e`` and ``(a_J -
+    e)^2`` for a random index ``J``.  Arrays with a row per law (bins along
+    the last axis) give a list with a value per row, each bit for bit that
+    row's own."""
+    _, mass, m1, m2 = table
     if mass.ndim == 1:
         return float(np.sum(m2) - 2.0 * np.dot(first, m1) + np.dot(second, mass))
     return [float(total - 2.0 * np.dot(first[i], m1[i]) + np.dot(second[i], mass[i]))
@@ -368,49 +454,22 @@ def _table_distortion(table, first, second) -> float:
 
 
 def _conditional_means(table, law: Distribution, fallback) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Per-bin means ``m1 / mass`` from ``law``'s moment table, and the bins
-    with mass below ``ZERO_MASS_TOL``, which take their entry of the array-like
-    ``fallback`` (read only then).  Without one, ``ZeroMassBin`` names every
-    such bin.  A tilted table ``(m_k, m_{k+1})`` gives the means under the
-    weight ``x^k`` the same way."""
-    mass, m1 = table[:2]
+    """Per-bin means ``e + J_1 / J_0`` from ``law``'s anchored table ``(e,
+    J_0, J_1, ...)``, and the bins with mass below ``ZERO_MASS_TOL``, which
+    take their entry of the array-like ``fallback`` (read only then).
+    Without one, ``ZeroMassBin`` names every such bin.  A tilted table ``(e,
+    E[w 1_bin], E[w (X - e) 1_bin])`` gives the means under the weight ``w``
+    the same way."""
+    e, mass, m1 = table[:3]
     empty = mass < ZERO_MASS_TOL
+    if not empty.any():
+        return e + m1 / mass, ()
     bad = np.flatnonzero(empty).tolist()
-    if not bad:
-        return m1 / mass, ()
     if fallback is None:
         raise ZeroMassBin(f"bins {bad} carry no mass under {law!r}")
     with np.errstate(invalid="ignore", divide="ignore"):
-        values = np.where(empty, 0.0, m1) / np.where(empty, 1.0, mass)
+        values = e + np.where(empty, 0.0, m1) / np.where(empty, 1.0, mass)
     return np.where(empty, fallback, values), tuple(bad)
-
-
-def _laplace_left_moments(
-    lo: np.ndarray, hi: np.ndarray, b: float, order: int
-) -> list[np.ndarray]:
-    """``int_lo^hi u^k e^(u/b) / (2b) du``, ``k = 0..order``, per bin, ``lo <= hi <= 0``.
-
-    Substituting ``u = hi - v`` gives ``0.5 e^(hi/b) sum_m C(k, m) hi^(k-m)
-    (-b)^m m! P(m+1, (hi - lo)/b)``, with ``P`` the regularized lower
-    incomplete gamma function.  Every term has the sign ``(-1)^k``, so the sum
-    cancels nothing however narrow or far out the bin, and ``lo = -inf`` is
-    exact (``P = 1``).
-    """
-    half_e = 0.5 * np.exp(hi / b)
-    x = (hi - lo) / b
-    gam = [
-        math.factorial(m) * (-b) ** m * special.gammainc(m + 1, x) for m in range(order + 1)
-    ]
-    hpow = [1.0, hi]
-    out = []
-    for k in range(order + 1):
-        if k >= 2:
-            hpow.append(hpow[-1] * hi)
-        acc = gam[k]
-        for m in range(k):
-            acc = acc + math.comb(k, m) * hpow[k - m] * gam[m]
-        out.append(half_e * acc)
-    return out
 
 
 class Distribution(ABC):
@@ -434,12 +493,14 @@ class Distribution(ABC):
 
     @abstractmethod
     def edge_stats(self, edges: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
-        """Unnormalized raw moments ``E[X^k 1_bin]``, ``k = 0..order``, per bin.
+        """Unnormalized moments ``J_k = E[(X - e)^k 1_bin]``, ``k = 0..order``,
+        per bin, about each bin's anchor ``e = clip(mean, lo, hi)``: the mean
+        in the bin that holds it, else the bin's edge nearest the mean.
 
         ``edges`` must be increasing and include the outer infinite edges;
         ``order`` is a non-negative integer (the package uses up to 4).
         Every decoder table in the package is a closed-form functional of
-        these moments.
+        these moments and the anchors (``_anchored``).
         """
 
     @abstractmethod
@@ -509,7 +570,9 @@ class Gaussian(Distribution):
         return out if out.ndim else float(out)
 
     def edge_stats(self, edges, order=2):
-        return _gaussian_edge_stats(self.mean, self.std, np.asarray(edges, dtype=float), order)
+        edges = np.asarray(edges, dtype=float)
+        return _gaussian_edge_stats(self.mean, self.std, edges, _anchors(self.mean, edges), order,
+                                    tails=True)
 
     def cube_root_law(self) -> Gaussian:
         return Gaussian(self.mean, math.sqrt(3.0) * self.std)
@@ -574,20 +637,23 @@ class Laplace(Distribution):
         return out if out.ndim else float(out)
 
     def edge_stats(self, edges, order=2):
-        # Each bin is split at y = 0.  The part at y <= 0 is integrated
-        # directly; the part at y > 0 is the mirror image, (-1)^k times the
-        # same integral over the reflected piece.  Neither tail is then
-        # formed as a difference from the total moment k! b^k, which would
-        # lose every digit far out on the right.
+        # Each bin is split at its anchor y = clip(0, lo, hi).  With P the
+        # regularized lower incomplete gamma function, its part [lo, hi] at
+        # y <= 0 is 0.5 e^(hi/b) (-b)^k k! P(k+1, (hi - lo)/b) about hi; the
+        # part at y >= 0 is its mirror image.  No part is a difference, so
+        # nothing cancels far out on either side, and an infinite end is
+        # exact (P = 1).
         y = np.asarray(edges, dtype=float) - self.loc
-        neg = np.minimum(y, 0.0)
-        pos = np.maximum(y, 0.0)
-        left = _laplace_left_moments(neg[:-1], neg[1:], self.scale, order)
-        right = _laplace_left_moments(-pos[1:], -pos[:-1], self.scale, order)
-        centered = [
-            lk - rk if k % 2 else lk + rk for k, (lk, rk) in enumerate(zip(left, right))
-        ]
-        return _shift(self.loc, 1.0, centered)
+        neg, pos = np.minimum(y, 0.0), np.maximum(y, 0.0)
+        b = self.scale
+        left_w, left_x = 0.5 * np.exp(neg[1:] / b), (neg[1:] - neg[:-1]) / b
+        right_w, right_x = 0.5 * np.exp(-pos[:-1] / b), (pos[1:] - pos[:-1]) / b
+        out = []
+        for k in range(order + 1):
+            left = left_w * special.gammainc(k + 1, left_x)
+            right = right_w * special.gammainc(k + 1, right_x)
+            out.append(math.factorial(k) * b**k * (right - left if k % 2 else left + right))
+        return tuple(out)
 
     def cube_root_law(self) -> Laplace:
         return Laplace(self.loc, 3.0 * self.scale)
@@ -696,11 +762,13 @@ class GaussianMixture(Distribution):
         return out if out.ndim else float(out)
 
     def edge_stats(self, edges, order=2):
-        # One kernel call per block of components (floats for one component).
+        # One kernel call per block of components (floats for one component),
+        # every component about the mixture's anchors.
         edges = np.asarray(edges, dtype=float)
+        e = _anchors(self.mean, edges)
 
         def terms(w, m, s):
-            return [w * part for part in _gaussian_edge_stats(m, s, edges, order)]
+            return [w * part for part in _gaussian_edge_stats(m, s, edges, e, order)]
 
         return tuple(_component_sums(*self._columns, len(edges), terms))
 

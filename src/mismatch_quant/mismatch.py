@@ -20,10 +20,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distributions import (
-    Distribution, Gaussian, _conditional_means, _gaussian_blocks, _table_distortion, inverse_mills)
+    ZERO_MASS_TOL, Distribution, Gaussian, _conditional_means, _gaussian_blocks, _table_distortion,
+    inverse_mills)
 from .quantizer import (
     _BLOCK_BYTES, Codebook, Partition, Quantizer, _bin_arrays, _moment_table, _standard_designs,
-    _standard_member, _check_bits, lloyd_max_design)
+    _standard_member, _check_bits, _integer, lloyd_max_design)
 
 __all__ = [
     "DistortionReport",
@@ -89,7 +90,9 @@ def expected_distortion(p: Partition, c: Codebook, d: Distribution) -> float:
     Bins without mass contribute nothing, whatever their codeword.
     """
     [a] = _bin_arrays(p, c)
-    return _table_distortion(_moment_table(d, p), a, a * a)
+    table = _moment_table(d, p)
+    offset = a - table[0]
+    return _table_distortion(table, offset, offset * offset)
 
 
 def generative_codebook(
@@ -159,34 +162,39 @@ def monte_carlo_distortion(
     from ``d`` with ``seed``, encoded once and scored by ``_score`` a block
     of draws at a time, bit for bit ``np.mean`` and
     ``np.std(ddof=1) / sqrt(n)`` of the squared errors."""
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
+    if (n := _integer(n_samples)) is None or n < 2:
+        raise ValueError(f"n_samples must be an integer of at least 2, got {n_samples!r}")
     [a] = _bin_arrays(p, c)
-    x = d.sample(seed, n_samples)
+    x = d.sample(seed, n)
     return _score(x, p._narrow_index(x), [a])[0]
 
 
 def _table_terms(table, fix: np.ndarray, laws) -> list:
     """``(substituted, d_fix, d_gen, excess, gen)`` of each law of ``laws``
-    from its row of ``table`` on the partition of the design codewords
-    ``fix``, with the conditional means ``gen`` (``_conditional_means``) and
-    ``excess = sum_i mass_i (fix_i - gen_i)^2``, which has no cancellation;
-    bit for bit per row."""
-    mass, m1, _ = table
-    gen, substituted = zip(*(_conditional_means((mass[i], m1[i]), d, fix)
+    from its row of the anchored ``table`` on the partition of the design
+    codewords ``fix``, with the conditional means ``gen``
+    (``_conditional_means``) and ``excess = d_fix - d_gen`` as ``sum mass (s^2
+    + 2 s u)``, ``s = fix - gen`` and ``u = (gen - e) - J_1 / J_0`` the
+    rounding of ``gen`` (finite in an empty bin, where ``s`` is 0): no
+    cancellation however far the law lies from 0, and exactly 0 where ``fix``
+    is ``gen``; bit for bit per row."""
+    e, mass, m1, _ = table
+    gen, substituted = zip(*(_conditional_means((e[i], mass[i], m1[i]), d, fix)
                              for i, d in enumerate(laws)))
     gen = np.array(gen)
-    shift = fix - gen
+    shift, fix_offset, gen_offset = fix - gen, fix - e, gen - e
+    u = gen_offset - np.divide(m1, mass, out=np.zeros_like(m1), where=mass >= ZERO_MASS_TOL)
     return list(zip(substituted,
-                    _table_distortion(table, [fix] * len(laws), [fix * fix] * len(laws)),
-                    _table_distortion(table, gen, gen * gen),
-                    [float(np.dot(m, s2)) for m, s2 in zip(mass, shift * shift)], gen))
+                    _table_distortion(table, fix_offset, fix_offset * fix_offset),
+                    _table_distortion(table, gen_offset, gen_offset * gen_offset),
+                    [float(np.dot(m, s2)) for m, s2 in zip(mass, shift * (shift + 2.0 * u))],
+                    gen))
 
 
 def _exact_terms(q: Quantizer, true_d: Distribution):
     """``(substituted, d_fix, d_gen, excess)`` of ``_table_terms`` of
-    ``true_d`` on ``q`` from its memoised moment table."""
-    table = [moment[None] for moment in _moment_table(true_d, q.partition)]
+    ``true_d`` on ``q`` from its memoised anchored table."""
+    table = [part[None] for part in _moment_table(true_d, q.partition)]
     return _table_terms(table, q.design_codebook.as_array(), [true_d])[0][:4]
 
 
@@ -255,8 +263,10 @@ def _report_rows(design_d: Distribution, runs, mc_samples: int = 0,
     if mc_samples:
         if any(seed is None for _, _, seed in runs):
             raise ValueError("a seed is required when mc_samples > 0")
-        if mc_samples < 2:
-            raise ValueError("mc_samples must be 0 or at least 2")
+        if (n := _integer(mc_samples)) is None or n < 2:
+            raise ValueError(f"mc_samples must be 0 or an integer of at least 2, "
+                             f"got {mc_samples!r}")
+        mc_samples = n
     settings, exact, means = {"max_iters": max_iters, "init": init}, {}, {}
     depths = dict.fromkeys(_check_bits(bits) for _, bits_list, _ in runs for bits in bits_list)
     true_laws = {bits: list(dict.fromkeys(true_d for true_d, bits_list, _ in runs
@@ -299,6 +309,15 @@ def _report_rows(design_d: Distribution, runs, mc_samples: int = 0,
     return out
 
 
+def _check_finite(low: float | None = None, **values) -> None:
+    """ValueError naming the first of ``values`` that is not finite, or not
+    above ``low`` if one is given."""
+    for name, x in values.items():
+        if not (math.isfinite(x) and (low is None or x > low)):
+            above = "" if low is None else f" and above {low}"
+            raise ValueError(f"{name} must be finite{above}, got {x!r}")
+
+
 def one_bit_gaussian_report(
     mu0: float, sigma0: float, mu1: float, sigma1: float
 ) -> OneBitGaussianReport:
@@ -318,8 +337,8 @@ def one_bit_gaussian_report(
     it stays as the paper's closed-form 1-bit result, against which the
     tests cross-check the general moment path.
     """
-    if sigma0 <= 0.0 or sigma1 <= 0.0:
-        raise ValueError("standard deviations must be positive")
+    _check_finite(mu0=mu0, mu1=mu1)
+    _check_finite(0.0, sigma0=sigma0, sigma1=sigma1)
     alpha = (mu0 - mu1) / sigma1
     lam_l, lam_r = inverse_mills(alpha)
     phi_alpha = float(Gaussian().cdf(alpha))

@@ -13,8 +13,9 @@ from scipy import special
 from scipy.linalg import lapack
 
 from .distributions import (
-    _INV_SQRT_2PI, ZERO_MASS_TOL, Distribution, Gaussian, GaussianMixture, Laplace,
-    _component_grid, _mixture_design_stats, _mixture_quantiles, _std_normal_pdf,
+    _INV_SQRT_2PI, _TAIL_FROM, ZERO_MASS_TOL, Distribution, Gaussian, GaussianMixture, Laplace,
+    _anchored, _component_grid, _mixture_design_stats, _mixture_quantiles, _std_normal_pdf,
+    _tail_offset,
 )
 from .errors import DegenerateDesign
 
@@ -319,45 +320,60 @@ def _per_run(blocks: list, a: np.ndarray, b: np.ndarray | None = None) -> np.nda
 
 
 def _gaussian_half_tables(t: np.ndarray, layout: _Layout):
-    """``Gaussian()``'s moment table ``(mass, m1, m2)`` on the bins ``[0,
-    t..., inf)`` of each run and its density at the thresholds.  The general
-    kernel's order-2 recursion runs on the upper tails ``ndtr(-e)`` alone,
-    ``e`` the left edge of each bin, bit for bit that kernel's table."""
+    """``Gaussian()``'s anchored table ``(e, J_0, J_1, J_2)`` on the bins
+    ``[0, t..., inf)`` of each run, anchored at their left edges ``e``, and
+    its density at the thresholds: the general kernel's recursion on the
+    upper tails ``ndtr(-e)`` alone, bit for bit that kernel's table."""
     e = np.zeros(len(layout.bin0) + len(t))  # the left edge of every bin
     e[layout.above] = t
     up, phi = special.ndtr(-e), _std_normal_pdf(e)
-    ez = e * phi
 
     def upper_edge(x):  # x at each bin's right edge, 0 at infinity
         out = np.append(x[1:], 0.0)
         out[layout.last[:-1]] = 0.0
         return out
 
-    mass, m1 = up - upper_edge(up), phi - upper_edge(phi)
-    return mass, m1, (mass + ez) - upper_edge(ez), phi[layout.above]
+    mass = up - upper_edge(up)
+    moments = _gaussian_half_moments(e, mass, phi, upper_edge, layout.last)
+    return (e, mass, *moments, phi[layout.above])
+
+
+def _gaussian_half_moments(e: np.ndarray, mass: np.ndarray, phi: np.ndarray, upper_edge, last):
+    """``J_1`` and ``J_2`` of ``Gaussian()`` on the bins ``[e, b)`` about their
+    left edges ``e``, ``b = upper_edge(e)`` (0 at infinity, where ``phi`` is
+    0), from their masses and ``phi(e)``, as the kernel forms them: ``J_1 =
+    (phi(e) - phi(b)) - e J_0`` (``J_0 _tail_offset(e)`` on the bins
+    ``last`` from ``e = _TAIL_FROM`` on) and ``J_2 = (J_0 - e J_1) - (b - e)
+    phi(b)``."""
+    phi_hi = upper_edge(phi)
+    m1 = (phi - phi_hi) - e * mass
+    for i, x in zip(np.atleast_1d(last).tolist(), e[last].tolist()):
+        if x > _TAIL_FROM:
+            m1[i] = mass[i] * _tail_offset(x)
+    return m1, (mass - e * m1) - (upper_edge(e) - e) * phi_hi
 
 
 def _table_states(table, t: np.ndarray, layout: _Layout):
-    """Masses, centroids, midpoint residual, density at the thresholds,
-    design distortion and sum of second moments of each run laid out by
-    ``layout``, from its moment table and density ``(mass, m1, m2, f)``:
-    the one design state, of a round's runs and (``_partition_state``) of a
-    mirrored or mapped partition.  Each run's distortion, ``sum m2 - 2 c.m1
-    + (c * c).mass``, and sum are over ``layout.blocks``, bit for bit the
-    run's own ``_table_distortion`` and ``np.sum``."""
-    mass, m1, m2, f = table
+    """Masses, centroids ``c = e + J_1 / J_0``, midpoint residual, density at
+    the thresholds and design distortion of each run laid out by ``layout``,
+    from its anchored table and density ``(e, J_0, J_1, J_2, f)``: the one
+    design state, of a round's runs and (``_partition_state``) of a mirrored
+    or mapped partition.  Each run's distortion, ``sum J_2 - 2 (c - e).J_1 +
+    (c - e)^2.J_0``, is over ``layout.blocks``, bit for bit the run's own
+    ``_table_distortion``."""
+    e, mass, m1, m2, f = table
     with np.errstate(invalid="ignore", divide="ignore"):
-        c = m1 / mass
-    blocks = layout.blocks
-    m2_sum = _per_run(blocks, m2)
-    distortion = m2_sum - 2.0 * _per_run(blocks, c, m1) + _per_run(blocks, c * c, mass)
-    return mass, c, t - 0.5 * (c[layout.below] + c[layout.above]), f, distortion, m2_sum
+        c = e + m1 / mass
+    d, blocks = c - e, layout.blocks
+    distortion = _per_run(blocks, m2) - 2.0 * _per_run(blocks, d, m1) + _per_run(blocks, d * d,
+                                                                               mass)
+    return mass, c, t - 0.5 * (c[layout.below] + c[layout.above]), f, distortion
 
 
 def _partition_state(table, t: np.ndarray):
     """Masses, centroids, midpoint residual and design distortion of the bins
-    ``t`` cuts, from their moment table: ``_table_states`` of one run."""
-    mass, c, r, _, distortion, _ = _table_states((*table, None), t, _layout(np.array([len(t)])))
+    ``t`` cuts, from their anchored table: ``_table_states`` of one run."""
+    mass, c, r, _, distortion = _table_states((*table, None), t, _layout(np.array([len(t)])))
     return mass, c, r, float(distortion[0])
 
 
@@ -369,7 +385,7 @@ def _laplace_half_states(t: np.ndarray, layout: _Layout):
     (1/x - 1/expm1(x))``, and variance ``b^2 (1 - (h / sinh h)^2)``, ``h = x /
     2``, so the residual is ``(w_i - g_i - g_(i+1)) / 2`` and the distortion
     ``mass.var``."""
-    below, above, last, blocks = layout.below, layout.above, layout.last, layout.blocks
+    below, above, last = layout.below, layout.above, layout.last
     b = _STANDARD_LAPLACE.scale
     e = np.zeros(len(layout.bin0) + len(t))
     e[above] = t
@@ -387,9 +403,8 @@ def _laplace_half_states(t: np.ndarray, layout: _Layout):
     rate = np.exp(-e / b)
     mass = 0.5 * rate * tail
     var = b * b * (1.0 - np.square(ratio))
-    c = e + g
-    r, m2 = 0.5 * ((w - g[below]) - g[above]), mass * (var + c * c)
-    return mass, c, r, rate[above] / (2.0 * b), _per_run(blocks, mass, var), _per_run(blocks, m2)
+    r = 0.5 * ((w - g[below]) - g[above])
+    return mass, e + g, r, rate[above] / (2.0 * b), _per_run(layout.blocks, mass, var)
 
 
 _STANDARD_GAUSSIAN, _STANDARD_LAPLACE = Gaussian(), Laplace()
@@ -398,16 +413,14 @@ _STANDARD_GAUSSIAN, _STANDARD_LAPLACE = Gaussian(), Laplace()
 class _State(typing.NamedTuple):
     """The design state of some runs of one round loop of ``_designs``, as
     flat arrays on their ``_Layout``: per run its index ``ids`` among the
-    loop's pairs, design distortion, sum of second moments, ``max|r|``,
-    stop scale ``max(min(1, sigma), max|t|)`` (``_evaluator``) and whether
-    a bin lies below ``ZERO_MASS_TOL``; per
-    threshold the thresholds, midpoint residual and density; per bin the
-    masses and centroids."""
+    loop's pairs, design distortion, ``max|r|``, stop scale ``max(min(1,
+    sigma), max|t|)`` (``_evaluator``) and whether a bin lies below
+    ``ZERO_MASS_TOL``; per threshold the thresholds, midpoint residual and
+    density; per bin the masses and centroids."""
 
     layout: _Layout
     ids: np.ndarray
     distortion: np.ndarray
-    m2_sum: np.ndarray
     residual: np.ndarray
     scale: np.ndarray
     empty: np.ndarray
@@ -424,13 +437,13 @@ class _State(typing.NamedTuple):
         """The state of the runs where ``keep`` is set."""
         masks = self._masks(keep)
         return _State(_layout(self.layout.sizes[keep]),
-                      *(a[masks[(i > 6) + (i > 9)]] for i, a in enumerate(self) if i))
+                      *(a[masks[(i > 5) + (i > 8)]] for i, a in enumerate(self) if i))
 
     def put(self, keep: np.ndarray, new: _State) -> None:
         """Overwrite the runs where ``keep`` is set with their state ``new``."""
         masks = self._masks(keep)
         for i in range(2, len(self)):
-            self[i][masks[(i > 6) + (i > 9)]] = new[i]
+            self[i][masks[(i > 5) + (i > 8)]] = new[i]
 
 
 def _evaluator(kind: type, laws: list):
@@ -462,9 +475,9 @@ def _evaluator(kind: type, laws: list):
     floor = np.minimum(1.0, [d.std for d in laws])
 
     def evaluate(ids: np.ndarray, t: np.ndarray, layout: _Layout) -> _State:
-        mass, c, r, f, distortion, m2_sum = states(ids, t, layout)
+        mass, c, r, f, distortion = states(ids, t, layout)
         empty = np.logical_or.reduceat(mass < ZERO_MASS_TOL, layout.bin0)
-        return _State(layout, ids, distortion, m2_sum, _run_max(np.abs(r), layout),
+        return _State(layout, ids, distortion, _run_max(np.abs(r), layout),
                       np.maximum(floor[ids], _run_max(np.abs(t), layout)), empty, t, r, f, mass,
                       c)
 
@@ -760,7 +773,7 @@ def _mapped(q: Quantizer, d: Distribution, loc: float, scale: float) -> Quantize
     t = loc + scale * q.partition.as_array()
     if np.any(np.diff(t) <= 0.0):
         raise DegenerateDesign(f"the thresholds of {d!r} coincide in floating point")
-    mass, c, r, _ = _partition_state(d.edge_stats(np.concatenate(([-np.inf], t, [np.inf]))), t)
+    mass, c, r, _ = _partition_state(_anchored(d, np.concatenate(([-np.inf], t, [np.inf]))), t)
     if np.any(mass < ZERO_MASS_TOL):
         raise _lost_mass(mass)
     return Quantizer(
@@ -826,6 +839,8 @@ def _kind_designs(kind: type, pairs: list, max_iters: int, init: str) -> list:
     # residual Jacobian at 3 bits 0.118 (Laplace), 0.125 (Gaussian);
     # full-line Laplace 2.55e-13.
     evaluate, half = _evaluator(kind, laws), kind is not GaussianMixture
+    # The acceptance slack's scale: E[X^2], half of it on a half-line run.
+    moment2 = np.array([(0.5 if half else 1.0) * (d.variance + d.mean * d.mean) for d in laws])
     results = [None] * len(pairs)
     ids, ts = [], []
     for i, codebook in enumerate(_start_codebooks(kind, pairs, init)):
@@ -883,13 +898,16 @@ def _kind_designs(kind: type, pairs: list, max_iters: int, init: str) -> list:
         ts = evaluate(s.ids, trial if lloyd is None
                       else np.where(newton[layout.seg], trial, lloyd), layout)
         # A Newton step is kept if no bin empties and the distortion does not
-        # rise, or rises by at most 8 eps sum(m2) where the residual falls.
+        # rise, or rises by at most 8 eps E[X^2] where the residual falls.
         kept = ts.distortion <= s.distortion
         if not kept.all():
             kept |= (ts.residual < s.residual) & (
-                ts.distortion <= s.distortion + 8.0 * eps * ts.m2_sum)
+                ts.distortion <= s.distortion + 8.0 * eps * moment2[ts.ids])
         kept &= ~ts.empty
-        small = _run_max(np.abs(step), layout) < _STEP_TOL * s.scale
+        # A small accepted step converges, as does one that no longer halves
+        # a residual below 64 eps n scale: the rounding floor.
+        small = (_run_max(np.abs(step), layout) < _STEP_TOL * s.scale) | (
+            (ts.residual > 0.5 * s.residual) & (ts.residual < 64.0 * eps * layout.sizes * s.scale))
         if lloyd is None and kept.all():  # the common round: every Newton step is kept
             damping *= 0.25
         else:
@@ -932,40 +950,39 @@ def _finished(d: Distribution, half: bool, s: _State, k: int, converged: bool,
 
 
 def _mirrored_table(d: Distribution, t: np.ndarray, mass: np.ndarray, f: np.ndarray) -> list:
-    """The full-line moment table of ``Gaussian()`` or ``Laplace()`` on the
+    """The full-line anchored table of ``Gaussian()`` or ``Laplace()`` on the
     partition ``(-t[::-1], 0, t)``, given the masses of the bins ``[0, t...,
-    inf)`` and the density at ``t`` of its half-line state: ``edge_stats``
+    inf)`` and the density at ``t`` of its half-line state: ``_anchored``
     for ``Laplace()``; for ``Gaussian()`` the moments
-    ``_gaussian_half_tables`` forms, from those masses and densities
-    (``phi(0)`` is exactly ``1/sqrt(2 pi)``), mirrored, each negative bin's
-    ``m2`` summed as the kernel sums it."""
+    ``_gaussian_half_moments`` forms from those masses and densities
+    (``phi(0)`` is exactly ``1/sqrt(2 pi)``), and their mirror images,
+    ``(-1)^k`` times, about the negative bins' right edges."""
     e = np.concatenate(([0.0], t))
     if type(d) is Laplace:
-        return d.edge_stats(np.concatenate(([-np.inf], -t[::-1], e, [np.inf])))
+        return _anchored(d, np.concatenate(([-np.inf], -t[::-1], e, [np.inf])))
     phi = np.concatenate(([_INV_SQRT_2PI], f))
-    ez = e * phi
-    ez_upper = np.append(ez[1:], 0.0)
-    m1, m2 = phi - np.append(phi[1:], 0.0), (mass + ez) - ez_upper
-    neg = (mass - ez_upper) + ez
-    pairs = ((mass[::-1], mass), (-m1[::-1], m1), (neg[::-1], m2))
+    m1, m2 = _gaussian_half_moments(e, mass, phi, lambda x: np.append(x[1:], 0.0), [-1])
+    pairs = ((0.0 - e[::-1], e), (mass[::-1], mass), (-m1[::-1], m1), (m2[::-1], m2))
     return [np.concatenate(pair) for pair in pairs]
 
 
 # The memo of ``_moment_table``.  An entry keeps its partition's array of N - 1
-# floats and at most five arrays of N floats: 48 bytes a bin, 0.20 MB at 12 bits
-# and 3.1 MB at 16 by tracemalloc, so 32 entries hold at most 101 MB.  A
-# partition whose ``boundaries`` tuple was read holds 32 bytes a bin more.
+# floats and at most six arrays of N floats (the anchors and J_0..J_3): 56 bytes
+# a bin, 0.23 MB at 12 bits and 3.7 MB at 16 by tracemalloc, so 32 entries
+# hold at most 118 MB.  A partition whose ``boundaries`` tuple was read holds
+# 32 bytes a bin more.
 @functools.lru_cache(maxsize=32)
 def _moment_tables(d: Distribution, p: Partition, order: int) -> tuple[np.ndarray, ...]:
-    table = d.edge_stats(p.edges(), order)
-    for moment in table:
-        moment.flags.writeable = False
+    table = _anchored(d, p.edges(), order)
+    for part in table:
+        part.flags.writeable = False
     return table
 
 
 def _moment_table(d: Distribution, p: Partition, order: int = 2) -> tuple[np.ndarray, ...]:
-    """``d.edge_stats(p.edges(), order)`` as read-only arrays, from a bounded
-    memo keyed by ``(d, p, max(order, 2))`` and compared by value: the decoders
-    of one encoder read one table many times.  An order below 2 gets the
+    """The anchored table ``_anchored(d, p.edges(), order)``, ``(e, J_0, ...,
+    J_order)``, as read-only arrays, from a bounded memo keyed by ``(d, p,
+    max(order, 2))`` and compared by value: the decoders of one encoder read
+    one table, anchors included, many times.  An order below 2 gets the
     leading arrays of the order-2 table, bit for bit the kernel's at that order."""
-    return _moment_tables(d, p, max(order, 2))[: order + 1]
+    return _moment_tables(d, p, max(order, 2))[: order + 2]

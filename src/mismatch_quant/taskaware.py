@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
-    ZERO_MASS_TOL, Distribution, Gaussian, GaussianMixture, _conditional_means, _gaussian_blocks)
+    ZERO_MASS_TOL, Distribution, Gaussian, GaussianMixture, _anchored, _conditional_means,
+    _gaussian_blocks)
 from .errors import ZeroMassBin
 from .quantizer import Codebook, Partition, _moment_table, lloyd_max_design
 
@@ -66,9 +67,11 @@ def task_codebook(p: Partition, true_d: Distribution, loss: TaskLoss) -> Codeboo
     """Per-bin minimizers of the conditional expected task loss.
 
     Both losses have closed-form minimizers in the per-bin raw moments
-    ``m_k``: ``m1/m0`` for squared error and ``m3/m2`` for the
+    ``m_k = E[X^k 1_bin]``: ``m1/m0`` for squared error and ``m3/m2`` for the
     power-weighted loss, whose conditional risk ``m4 - 2a m3 + a^2 m2`` is a
-    quadratic in ``a``.
+    quadratic in ``a``.  Both are read about each bin's anchor ``e``: ``e +
+    J1/J0`` and ``e + (m3 - e m2)/m2``, ``m2`` and ``m3 - e m2`` expanded in
+    the ``J_k``, where ``|X - e|`` is at most the bin's width.
 
     Raises
     ------
@@ -76,12 +79,14 @@ def task_codebook(p: Partition, true_d: Distribution, loss: TaskLoss) -> Codeboo
         If some bin has no mass under ``true_d``.
     """
     csi = loss.kind == "weighted_mse_csi"
-    moments = _moment_table(true_d, p, 3 if csi else 1)
-    mean, _ = _conditional_means(moments, true_d, None)
+    table = _moment_table(true_d, p, 3 if csi else 1)
+    mean, _ = _conditional_means(table, true_d, None)
     if not csi:
         return Codebook(mean)
+    e, j = table[0], np.array(table[1:])
+    m2, m3 = e * (e * j[:2] + 2.0 * j[1:3]) + j[2:]  # m3 less e m2
     # A bin whose second moment underflows has a flat risk; keep its mean.
-    tilted, _ = _conditional_means(moments[2:], true_d, mean)
+    tilted, _ = _conditional_means((e, m2, m3), true_d, mean)
     return Codebook(tilted)
 
 
@@ -103,8 +108,13 @@ def _rician_moments(k_factor: float) -> tuple[float, ...]:
         raise ValueError(f"k_factor must be finite and >= 0, got {k_factor}")
     g = Gaussian(mean=math.sqrt(k_factor / (k_factor + 1.0)),
                  std=math.sqrt(1.0 / (k_factor + 1.0)))
-    raw = np.concatenate(g.edge_stats([0.0, math.inf], order=4))
-    return tuple((raw / raw[0]).tolist())
+    # The bin [0, inf) holds the mean, its anchor e: M_n = E[(e + U)^n] / J_0,
+    # the moments J_k of U shifted by e (Horner's rule, a degree at a time).
+    e, *m = (float(x[0]) for x in _anchored(g, [0.0, math.inf], 4))
+    for top in range(1, 5):
+        for n in range(4, top - 1, -1):
+            m[n] += e * m[n - 1]
+    return tuple(x / m[0] for x in m)
 
 
 def rician_moment(k_factor: float, n: int) -> float:
@@ -192,7 +202,7 @@ def _joint_masses(edges: np.ndarray, sources) -> list[np.ndarray]:
     laws = [c.distribution for src in sources for c in src.classes]
     owner = None if edges.ndim == 1 else np.repeat(np.arange(len(sources)), sizes)
     joint = np.empty((len(laws), edges.shape[-1] - 1))
-    for rows, (mass,) in _gaussian_blocks(laws, edges, 0, owner):
+    for rows, (_, mass) in _gaussian_blocks(laws, edges, 0, owner):
         joint[rows] = mass
     joint *= np.array([[c.weight] for src in sources for c in src.classes])
     return [joint[end - size : end] for size, end in zip(sizes, itertools.accumulate(sizes))]

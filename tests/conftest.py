@@ -2,8 +2,8 @@
 kernel and sampling calls, a ``tracemalloc`` peak, per-component loop
 references of the mixture density, distribution function, quantiles and
 moments, a double-precision oracle of the Laplace Lloyd-Max design, and
-40-digit ``mpmath`` oracles (densities, raw interval moments and the
-Gaussian Lloyd-Max design)."""
+40-digit ``mpmath`` oracles (densities, interval moments about any point and
+the Gaussian Lloyd-Max design)."""
 
 import collections
 import math
@@ -40,11 +40,14 @@ def _component_loop_cdf(mix, x):
 
 
 def _component_loop_edge_stats(mix, edges, order):
-    """Mixture moments by one kernel call per component, each added in turn
-    onto a zero-initialised total: the reference the blocked kernel keeps."""
+    """Mixture moments by one kernel call per component about the mixture's
+    anchors, each added in turn onto a zero-initialised total: the reference
+    the blocked kernel keeps."""
+    edges = np.asarray(edges, dtype=float)
+    e = distributions._anchors(mix.mean, edges)
     out = [np.zeros(len(edges) - 1) for _ in range(order + 1)]
     for w, m, s in mix.components:
-        for acc, part in zip(out, Gaussian(m, s).edge_stats(edges, order)):
+        for acc, part in zip(out, distributions._gaussian_edge_stats(m, s, edges, e, order)):
             acc += w * part
     return tuple(out)
 
@@ -251,17 +254,19 @@ def mp_density():
 
 @pytest.fixture(scope="session")
 def mp_raw_moment(mp_density):
-    """``mp_raw_moment(d, a, b, k)``: ``E[X^k 1{a <= X < b}]`` under ``d`` as
-    an ``mpf``, by tanh-sinh quadrature at 40 digits, split at the law's
-    centers so each piece is smooth."""
+    """``mp_raw_moment(d, a, b, k, about=0)``: ``E[(X - about)^k 1{a <= X <
+    b}]`` under ``d`` as an ``mpf``, by tanh-sinh quadrature at 40 digits,
+    split at the law's centers so each piece is smooth; ``about`` the bin's
+    anchor gives the kernel's anchored moment."""
     mp = pytest.importorskip("mpmath").mp
 
-    def raw_moment(d, a, b, k):
+    def raw_moment(d, a, b, k, about=0.0):
         f = mp_density(d)
         with mp.workdps(40):
             cuts = sorted(c for c in d.centers() if a < c < b)
             pts = [mp.mpf(x) for x in (a, *cuts, b)]
-            return mp.quad(lambda x: x**k * f(x), pts)
+            e = mp.mpf(about)
+            return mp.quad(lambda x: (x - e)**k * f(x), pts)
 
     return raw_moment
 

@@ -51,6 +51,7 @@ from mismatch_quant import (
     strategy_report,
 )
 from mismatch_quant.cli import ExperimentConfig, _run_semantic_mixture
+from mismatch_quant.distributions import _anchored
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -286,8 +287,8 @@ def test_c10_property_battery():
         abs(index_posterior(ch, [0.1, 0.2, 0.3, 0.4], j).sum() - 1.0)
         for j in range(4))
 
-    mass, m1, _ = true_d.edge_stats(q.partition.edges())
-    total_exp_err = abs(float(m1.sum()) - 0.3)
+    e, mass, m1, _ = _anchored(true_d, q.partition.edges())
+    total_exp_err = abs(float(np.sum(e * mass + m1)) - 0.3)
 
     t0 = time.perf_counter()
     r = report(Gaussian(0, 1), Gaussian(0.5, 1.3), 3,

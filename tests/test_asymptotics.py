@@ -33,7 +33,7 @@ from mismatch_quant import (
 )
 from mismatch_quant import asymptotics
 from mismatch_quant.asymptotics import _cube_root_mass, _quad
-from mismatch_quant.distributions import ZERO_MASS_TOL
+from mismatch_quant.distributions import ZERO_MASS_TOL, _anchored
 
 MIX_DESIGN = GaussianMixture(((0.3, -1.5, 0.6), (0.4, 0.0, 0.8), (0.3, 1.5, 0.6)))
 MIX_TRUE = GaussianMixture(((0.25, -1.4, 0.7), (0.45, 0.1, 0.9), (0.3, 1.6, 0.65)))
@@ -263,6 +263,13 @@ class TestFitDecaySlope:
         with pytest.raises(ValueError):
             fit_decay_slope([4, 5], [1.0, 0.0])
 
+    def test_non_finite_points_rejected(self):
+        # A NaN value passed the old ``<= 0`` test and gave a NaN slope.
+        with pytest.raises(ValueError, match="values must be finite"):
+            fit_decay_slope([1, 2, 3], [1.0, math.nan, 0.25], 3)
+        with pytest.raises(ValueError, match="bits must be finite"):
+            fit_decay_slope([1, math.inf, 3], [1.0, 0.5, 0.25], 3)
+
     @pytest.mark.parametrize("n_points", [1, 0, -1, -3])
     def test_fewer_than_two_points_rejected(self, n_points):
         bits = [6, 7, 8, 9, 10]
@@ -411,28 +418,29 @@ def _separate_call_row(q, true_d):
     with one kernel call each: the reference the shared table must match."""
     p = q.partition
     design = q.design_codebook.as_array()
-    mass1, m11 = true_d.edge_stats(p.edges(), order=1)
+    e1, mass1, m11 = _anchored(true_d, p.edges(), order=1)
     empty = mass1 < ZERO_MASS_TOL
     with np.errstate(invalid="ignore", divide="ignore"):
-        gen = np.where(empty, 0.0, m11) / np.where(empty, 1.0, mass1)
+        gen = e1 + np.where(empty, 0.0, m11) / np.where(empty, 1.0, mass1)
     if np.any(empty):
         gen = np.where(empty, design, gen)
     gen = np.asarray(tuple(gen.tolist()))
 
     def distortion(a):
-        mass, m1, m2 = true_d.edge_stats(p.edges())
-        return float(np.sum(m2) - 2.0 * np.dot(a, m1) + np.dot(a * a, mass))
+        e, mass, m1, m2 = _anchored(true_d, p.edges())
+        d = a - e
+        return float(np.sum(m2) - 2.0 * np.dot(d, m1) + np.dot(d * d, mass))
 
     def overload(a):
-        mass, m1, m2 = true_d.edge_stats(p.edges())
+        e, mass, m1, m2 = _anchored(true_d, p.edges())
         variance = bias = 0.0
         for i in (0, p.n_bins - 1):
             if mass[i] <= 0.0:
                 continue
-            mean_i = m1[i] / mass[i]
-            var_i = m2[i] / mass[i] - mean_i * mean_i
-            variance += mass[i] * max(var_i, 0.0)
-            bias += mass[i] * (mean_i - a[i]) ** 2
+            g = m1[i] / mass[i]
+            s = a[i] - (e[i] + g)
+            variance += mass[i] * (m2[i] / mass[i] - g * g)
+            bias += mass[i] * s * (s + 2.0 * (((e[i] + g) - e[i]) - g))
         return variance + bias
 
     subst = tuple(np.flatnonzero(empty).tolist())

@@ -297,6 +297,12 @@ class TestIndexPosterior:
         with pytest.raises(ValueError):
             index_posterior(ch, [0.5, 0.5], 2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_priors_rejected(self, bad):
+        # They once came back as [nan, nan] and [nan, 0.].
+        with pytest.raises(ValueError, match="priors must be finite"):
+            index_posterior(bsc_channel(1, 0.1), [bad, 0.5], 0)
+
     @pytest.mark.parametrize("received", [True, False, np.True_, 1.5, np.float64(1.0), "1", None])
     def test_received_must_be_an_integer(self, received):
         with pytest.raises(ValueError, match="not an integer"):
@@ -459,3 +465,10 @@ class TestStrategyReport:
             strategy_report(0.0, 1.0, 0.1)
         with pytest.raises(ValueError):
             strategy_report(1.0, 1.0, 0.7)
+
+    @pytest.mark.parametrize("sigma0, sigma1, name", [
+        (math.nan, 1.0, "sigma0"), (1.0, math.nan, "sigma1"), (math.inf, 1.0, "sigma0")])
+    def test_non_finite_scales_rejected(self, sigma0, sigma1, name):
+        # NaN passed the old ``<= 0`` test and came back as NaN distortions.
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            strategy_report(sigma0, sigma1, 0.1)

@@ -752,6 +752,18 @@ class TestReportCommand:
         assert rc == 0
         assert "mc stderr" in capsys.readouterr().out
 
+    def test_a_matched_law_at_a_million(self, capsys):
+        # Raw moments about the origin cancelled to a zero d_fix here, and
+        # the gain's division by it exited 1.
+        law = '{"kind": "gaussian", "mean": 1e6, "std": 1}'
+        rc = main(["report", "--design", law, "--true", law, "--bits", "8"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        values = {line.split(":")[0].strip(): line.split(":")[1].strip()
+                  for line in out.strip().splitlines()}
+        assert float(values["d_fix"]) == pytest.approx(float(values["d_ideal"]), rel=1e-10)
+        assert values["gain"] == "0.000000%"
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):

@@ -28,7 +28,8 @@ from mismatch_quant import (
 )
 from mismatch_quant import distributions
 from mismatch_quant.distributions import (
-    _MIXTURE_BLOCK, _component_grid, _mixture_design_stats, _mixture_quantiles, _ragged_blocks,
+    _MIXTURE_BLOCK, _anchored, _anchors, _component_grid, _mixture_design_stats,
+    _mixture_quantiles, _ragged_blocks,
 )
 from mismatch_quant.quantizer import _start_law
 
@@ -47,9 +48,10 @@ def _mass(d, lo, hi):
 
 
 def _conditional_moment(d, n, lo, hi):
-    """``E[X^n | lo <= X < hi]`` under ``d`` as ``m_n / m_0`` of the kernel."""
-    stats = d.edge_stats([lo, hi], order=n)
-    return float(stats[n][0] / stats[0][0])
+    """``E[X^n | lo <= X < hi]`` under ``d`` from the kernel's moments ``J_j``
+    about the bin's anchor ``e``: ``sum_j C(n, j) e^(n-j) J_j / J_0``."""
+    e, *stats = (float(x[0]) for x in _anchored(d, [lo, hi], n))
+    return sum(math.comb(n, j) * e ** (n - j) * stats[j] for j in range(n + 1)) / stats[0]
 
 
 def _quad_conditional_moment(d, n, lo, hi):
@@ -224,25 +226,30 @@ class TestTruncatedMoments:
 
 
 class TestEdgeStatsOracle:
-    """Raw moments of order 0..4 against a 40-digit quadrature oracle.
+    """Moments of order 0..4 about each bin's anchor ``clip(mean, a, b)``
+    against a 40-digit quadrature oracle about the same point.
 
     The error is measured against ``mass * R^k``, with ``R`` the largest
-    finite bin edge magnitude or the law's std: narrow bins near zero have
-    raw odd moments far below that scale, so a relative bound would only
-    measure cancellation in the oracle's own subject.
+    distance of a finite bin edge from the law's mean, or the law's std: a
+    narrow bin has moments about its anchor far below that scale, so a
+    relative bound would only measure cancellation in the oracle's own
+    subject.
     """
 
     LAWS = [Gaussian(0.7, 1.3), Laplace(-0.4, 0.8),
             GaussianMixture(((0.35, -1.2, 0.6), (0.65, 0.9, 1.1)))]
+    FAR = [Gaussian(1e6, 1.3), Laplace(1e6, 0.8),
+           GaussianMixture(((0.35, 1e6 - 1.2, 0.6), (0.65, 1e6 + 0.9, 1.1)))]
 
     @staticmethod
     def _check(d, a, b, tol, mp_raw_moment):
         got = d.edge_stats(np.array([a, b]), order=4)
         assert len(got) == 5
+        e = float(_anchors(d.mean, np.array([a, b]))[0])
         mass = mp_raw_moment(d, a, b, 0)
-        scale = max([d.std] + [abs(x) for x in (a, b) if math.isfinite(x)])
+        scale = max([d.std] + [abs(x - d.mean) for x in (a, b) if math.isfinite(x)])
         for k in range(5):
-            want = mp_raw_moment(d, a, b, k)
+            want = mp_raw_moment(d, a, b, k, about=e)
             err = abs(float(got[k][0]) - want)
             assert err <= tol * float(mass) * scale**k, (d, a, b, k, float(err))
 
@@ -257,14 +264,25 @@ class TestEdgeStatsOracle:
         for a in (d.mean, d.mean - 0.5 * w, d.mean + 4.0 * d.std, d.mean - 4.0 * d.std - w):
             self._check(d, a, a + w, 1e-11, mp_raw_moment)
 
+    @pytest.mark.parametrize("d", FAR)
+    def test_a_law_at_a_million_as_at_zero(self, d, mp_raw_moment):
+        # About the anchors nothing is shifted by the location: moments about
+        # the origin lost every digit of a narrow bin here.
+        w = 1e-3
+        self._check(d, -math.inf, d.mean - 1.5 * d.std, 1e-13, mp_raw_moment)
+        self._check(d, d.mean + 0.5 * d.std, math.inf, 1e-13, mp_raw_moment)
+        for a in (d.mean - 0.5 * w, d.mean + 4.0 * d.std, d.mean - 4.0 * d.std - w):
+            self._check(d, a, a + w, 1e-11, mp_raw_moment)
+
     @pytest.mark.parametrize("y", [10.0, 20.0, 30.0])
     def test_laplace_far_right_tail_bins(self, y, mp_raw_moment):
         # Right-side bins were once differences of k! b^k - G_k(y): 3e-6
-        # relative error at y = 20, and the y = 30 bin came out empty.
+        # relative error at y = 20, and the y = 30 bin came out empty.  The
+        # moments are about the anchor y, the edge nearest the mean.
         d = Laplace(0.0, 1.0)
         got = d.edge_stats(np.array([y, y + 1e-3]), order=4)
         for k in range(5):
-            want = mp_raw_moment(d, y, y + 1e-3, k)
+            want = mp_raw_moment(d, y, y + 1e-3, k, about=y)
             assert abs(float(got[k][0]) - want) <= 1e-13 * abs(want), (y, k)
         if y == 30.0:
             assert got[0][0] == pytest.approx(4.6764728582905924e-17, rel=1e-13)
@@ -348,7 +366,7 @@ class TestMixtureBlocks:
     def test_stacked_laws_bitwise_equal_their_own_sums(self, n_bins):
         # Laws of 1 to 50 components walked together (at 512 and 4096 bins in
         # several blocks of laws, and one law at a time), against each law's
-        # own edge_stats, pdf at the inner edges and ppf.  Every sum is folded
+        # own anchored table, pdf at the inner edges and ppf.  Every sum is folded
         # in component order, also from eight components on, where numpy's
         # own sum along a contiguous axis would go pairwise.
         rng = np.random.default_rng(3000 + n_bins)
@@ -364,7 +382,7 @@ class TestMixtureBlocks:
         q = (np.arange(n_bins) + 0.5) / n_bins
         quantiles = _mixture_quantiles(laws, [q] * len(laws))
         for i, d in enumerate(laws):
-            own = [*d.edge_stats(edges[i]), d.pdf(inner[i]), d.ppf(q)]
+            own = [*_anchored(d, edges[i]), d.pdf(inner[i]), d.ppf(q)]
             for g, w in zip([row[i] for row in stacked] + [quantiles[i]], own):
                 assert g.shape == w.shape
                 assert np.array_equal(g, w), (i, n_bins)
@@ -377,7 +395,7 @@ class TestMixtureBlocks:
         # bit depths), each run with its own bin count: n_bins, or a half,
         # a quarter or one bin, so runs of several sizes share a block, and
         # at 4096 bins a block holds one run.  Laws of 8 to 50 components,
-        # against each law's own edge_stats and pdf at the inner edges: at
+        # against each law's own anchored table and pdf at the inner edges: at
         # two bins a reduction over that layout would sum the components
         # pairwise.
         rng = np.random.default_rng(5000 + n_bins)
@@ -390,12 +408,12 @@ class TestMixtureBlocks:
         flat = _mixture_design_stats(_component_grid(batch), np.array(cols),
                                      np.concatenate(inner), sizes)
         bins = np.split(np.arange(len(flat[0])), np.cumsum(sizes + 1)[:-1])
-        points = np.split(np.arange(len(flat[3])), np.cumsum(sizes)[:-1])
+        points = np.split(np.arange(len(flat[4])), np.cumsum(sizes)[:-1])
         for i, (col, t) in enumerate(zip(cols, inner)):
             d = batch[col]
             edges = np.concatenate(([-np.inf], t, [np.inf]))
-            got = [flat[0][bins[i]], flat[1][bins[i]], flat[2][bins[i]], flat[3][points[i]]]
-            for g, w in zip(got, [*d.edge_stats(edges), d.pdf(t)]):
+            got = [part[bins[i]] for part in flat[:4]] + [flat[4][points[i]]]
+            for g, w in zip(got, [*_anchored(d, edges), d.pdf(t)]):
                 assert g.shape == w.shape
                 assert np.array_equal(g, w), (i, n_bins)
                 assert np.array_equal(np.signbit(g), np.signbit(w)), (i, n_bins)

@@ -30,10 +30,12 @@ from mismatch_quant import (
     monte_carlo_distortion,
     one_bit_gaussian_report,
     one_bit_quantizer,
+    overload_split,
     report,
     reports,
 )
 from mismatch_quant import cli, distributions, mismatch, quantizer
+from mismatch_quant.distributions import ZERO_MASS_TOL, _anchored
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -254,6 +256,9 @@ class TestReports:
             reports(Gaussian(), Laplace(), self.BITS, mc_samples=1000)
         with pytest.raises(ValueError, match="at least 2"):
             reports(Gaussian(), Laplace(), self.BITS, mc_samples=1, seed=0)
+        for n in (2.5, 1000.0, True):  # not integers: numpy's TypeError from sample once
+            with pytest.raises(ValueError, match="an integer"):
+                reports(Gaussian(), Laplace(), self.BITS, mc_samples=n, seed=1)
         assert not calls
 
     @pytest.mark.parametrize("n", [100_000, 400_000])
@@ -306,14 +311,19 @@ class TestReportRows:
 
     @staticmethod
     def _composed(design_d, true_d, bits):
-        """The exact cells of the row, from the law's own moment tables."""
+        """The exact cells of the row, from the law's own moment tables: the
+        excess as ``mass (s^2 + 2 s u)``, ``s = fix - gen`` and ``u = (gen -
+        e) - J_1 / J_0`` (``J_1 / J_0`` taken as 0 in an empty bin), the
+        rounding of ``gen``."""
         q = lloyd_max_design(design_d, bits)
         p, fix = q.partition, q.design_codebook
         gen = generative_codebook(p, true_d, fallback=fix)
-        (mass,) = true_d.edge_stats(p.edges(), order=0)
+        e, mass, m1 = _anchored(true_d, p.edges(), order=1)
         shift = fix.as_array() - gen.as_array()
+        g = np.divide(m1, mass, out=np.zeros_like(m1), where=mass >= ZERO_MASS_TOL)
+        u = (gen.as_array() - e) - g
         return (expected_distortion(p, fix, true_d), expected_distortion(p, gen, true_d),
-                ideal_distortion(true_d, bits), float(np.dot(mass, shift * shift)))
+                ideal_distortion(true_d, bits), float(np.dot(mass, shift * (shift + 2.0 * u))))
 
     @pytest.mark.parametrize("design_d", [Gaussian(), Laplace(0.1, 1.2)])
     @pytest.mark.parametrize("mc_samples", [0, 5_000])
@@ -369,6 +379,88 @@ class TestReportRows:
         rows, peak = traced_peak(lambda: mismatch._report_rows(Gaussian(), runs))
         assert [repr(r) for r in rows] == [repr(r) for r in want]
         assert peak < 24 * 8 * distributions._MIXTURE_BLOCK
+
+
+def _mp_bin_stats(d, edges):
+    """``(mass, mean, variance)`` of ``d`` on each bin of ``edges`` as
+    40-digit ``mpf``, in closed form about the law's own centre: a Gaussian
+    component from ``ncdf`` and ``npdf``, a Laplace law from the
+    antiderivatives of ``y^k e^(-|y|/b)``, ``y = x - loc``."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(40):
+        def point(x):
+            return mp.inf if x == math.inf else -mp.inf if x == -math.inf else mp.mpf(x)
+
+        def below(x):  # E[(X - centre)^k 1{X < x}], k = 0, 1, 2, and the centre
+            if isinstance(d, Laplace):
+                b, y = mp.mpf(d.scale), point(x) - mp.mpf(d.loc)
+                if y in (mp.inf, -mp.inf):
+                    return [1, 0, 2 * b * b] if y > 0 else [0, 0, 0]
+                if y <= 0:
+                    h = mp.exp(y / b) / 2
+                    return [h, h * (y - b), h * (y * y - 2 * b * y + 2 * b * b)]
+                h = mp.exp(-y / b) / 2
+                return [1 - h, -h * (y + b), 2 * b * b - h * (y * y + 2 * b * y + 2 * b * b)]
+            out, centre = [0, 0, 0], mp.mpf(d.mean)
+            comps = d.components if isinstance(d, GaussianMixture) else [(1.0, d.mean, d.std)]
+            for w, m, s in comps:
+                w, s, shift = mp.mpf(w), mp.mpf(s), mp.mpf(m) - centre
+                z = (point(x) - mp.mpf(m)) / s
+                cdf = mp.ncdf(z)
+                pdf, zpdf = (0, 0) if z in (mp.inf, -mp.inf) else (mp.npdf(z), z * mp.npdf(z))
+                i1, i2 = -pdf, cdf - zpdf  # E[Z^k 1{Z < z}]
+                out[0] += w * cdf
+                out[1] += w * (shift * cdf + s * i1)
+                out[2] += w * (shift * shift * cdf + 2 * shift * s * i1 + s * s * i2)
+            return out
+
+        centre = mp.mpf(d.mean)
+        cum = [below(x) for x in edges]
+        stats = []
+        for lo, hi in zip(cum, cum[1:]):
+            m0, m1, m2 = (h - l for l, h in zip(lo, hi))
+            stats.append((m0, centre + m1 / m0, m2 / m0 - (m1 / m0) ** 2))
+        return stats
+
+
+class TestFarOffLaws:
+    """``expected_distortion``, ``report`` and ``overload_split`` of a law at
+    loc 0, 1e3 and 1e6 against a 40-digit evaluation of the same partition
+    and codebook: about each bin's anchor nothing is shifted by the
+    location.  Raw moments about the origin put the 8-bit Gaussian
+    ``d_fix`` off by 2.1e-6 at 1e3 and by 128% at 1e6 (largest error
+    measured with anchored moments: 4.5e-12)."""
+
+    @staticmethod
+    def _pair(family, loc):
+        if family == "gaussian":
+            return Gaussian(loc, 1.0), Gaussian(loc, 1.1), 8
+        if family == "laplace":
+            return Laplace(loc, math.sqrt(0.5)), Laplace(loc, 0.8), 6
+        return (GaussianMixture(((0.4, loc - 1.0, 0.7), (0.6, loc + 0.8, 1.0))),
+                GaussianMixture(((0.4, loc - 0.9, 0.75), (0.6, loc + 0.85, 1.05))), 6)
+
+    @pytest.mark.parametrize("loc", [0.0, 1e3, 1e6])
+    @pytest.mark.parametrize("family", ["gaussian", "laplace", "mixture"])
+    def test_against_40_digits(self, family, loc):
+        mp = pytest.importorskip("mpmath").mp
+        design_d, true_d, bits = self._pair(family, loc)
+        q = lloyd_max_design(design_d, bits)
+        r = report(design_d, true_d, bits)
+        split = overload_split(q.partition, q.design_codebook, true_d)
+        stats = _mp_bin_stats(true_d, q.partition.edges().tolist())
+        with mp.workdps(40):
+            bias = [m0 * (mean - mp.mpf(a)) ** 2
+                    for (m0, mean, _), a in zip(stats, q.design_codebook.values)]
+            spread = [m0 * var for m0, _, var in stats]
+            want = {"d_fix": sum(bias) + sum(spread), "d_gen": sum(spread), "excess": sum(bias),
+                    "variance_part": spread[0] + spread[-1], "bias_part": bias[0] + bias[-1]}
+            got = {"d_fix": r.d_fix, "d_gen": r.d_gen, "excess": r.excess,
+                   "variance_part": split.variance_part, "bias_part": split.bias_part}
+            errors = {k: float(abs(got[k] - w) / w) for k, w in want.items()}
+            errors["expected_distortion"] = float(abs(expected_distortion(
+                q.partition, q.design_codebook, true_d) - want["d_fix"]) / want["d_fix"])
+        assert max(errors.values()) <= 1e-10, errors
 
 
 class TestExcessIdentity:
@@ -595,6 +687,13 @@ class TestMonteCarloDistortion:
             monte_carlo_distortion(q.partition, q.design_codebook,
                                    Gaussian(0, 1), 1, seed=0)
 
+    @pytest.mark.parametrize("n", [1000.0, 2.5, True, "1000"])
+    def test_sample_count_must_be_an_integer(self, n):
+        # A float count once reached ``sample`` and raised numpy's TypeError.
+        q = one_bit_quantizer(0.0, 1.0)
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            monte_carlo_distortion(q.partition, q.design_codebook, Gaussian(0, 1), n, seed=1)
+
 
 class TestOneBitGaussianReport:
     def test_agrees_with_interval_moment_machinery(self):
@@ -622,6 +721,14 @@ class TestOneBitGaussianReport:
     def test_bad_scale_rejected(self):
         with pytest.raises(ValueError):
             one_bit_gaussian_report(0.0, -1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("args, name", [
+        ((0.0, math.nan, 0.0, 1.0), "sigma0"), ((0.0, 1.0, 0.0, math.inf), "sigma1"),
+        ((math.nan, 1.0, 0.0, 1.0), "mu0"), ((0.0, 1.0, -math.inf, 1.0), "mu1")])
+    def test_non_finite_arguments_rejected(self, args, name):
+        # NaN passed the old ``<= 0`` test and came back as NaN distortions.
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            one_bit_gaussian_report(*args)
 
     def test_quantizer_matches_design(self):
         q = one_bit_quantizer(0.5, 2.0)

@@ -44,7 +44,7 @@ from mismatch_quant import (
     soft_codebook,
 )
 from mismatch_quant import quantizer
-from mismatch_quant.distributions import _ragged_blocks, _table_distortion
+from mismatch_quant.distributions import _anchored, _ragged_blocks, _table_distortion
 from mismatch_quant.quantizer import (
     _damped_newton_steps,
     _designs,
@@ -566,13 +566,14 @@ class TestHalfLineGaussianDesign:
 
 def _general_half_line_state(d, t):
     """Masses, centroids, design distortion, midpoint residual and second
-    moments of ``d`` on the bins ``[0, t..., inf)`` from its general kernel
-    and ``_table_distortion``: the reference the Gaussian half-line state
-    keeps."""
-    table = d.edge_stats(np.concatenate(([0.0], t, [np.inf])))
-    mass, m1, m2 = table
-    c = m1 / mass
-    return mass, c, _table_distortion(table, c, c * c), t - 0.5 * (c[:-1] + c[1:]), m2
+    moments about the anchors of ``d`` on the bins ``[0, t..., inf)`` from its
+    general kernel and ``_table_distortion``: the reference the Gaussian
+    half-line state keeps."""
+    table = _anchored(d, np.concatenate(([0.0], t, [np.inf])))
+    e, mass, m1, m2 = table
+    c = e + m1 / mass
+    return (mass, c, _table_distortion(table, c - e, (c - e) * (c - e)),
+            t - 0.5 * (c[:-1] + c[1:]), m2)
 
 
 def _one_run(d, t):
@@ -594,13 +595,13 @@ class TestHalfLineState:
         for t in (t, perturbed):
             assert np.all(np.diff(t, prepend=0.0) > 0.0)
             s = _one_run(d, t)
-            _, _, m2, f = _gaussian_half_tables(t, s.layout)
+            *_, m2, f = _gaussian_half_tables(t, s.layout)
             got = (s.mass, s.c, s.distortion[0], s.r, m2)
             for g, w in zip(got, _general_half_line_state(d, t)):
                 assert np.array_equal(g, w), bits
             assert np.array_equal(s.f, d.pdf(t)) and np.array_equal(f, s.f)
             p = Partition(np.concatenate((-t[::-1], [0.0], t)))
-            for g, w in zip(_mirrored_table(d, t, s.mass, s.f), d.edge_stats(p.edges())):
+            for g, w in zip(_mirrored_table(d, t, s.mass, s.f), _anchored(d, p.edges())):
                 assert np.array_equal(g, w), bits
 
     @pytest.mark.parametrize("lo", [0.0, 0.5, 3.0, 12.0, 30.0])
@@ -615,7 +616,7 @@ class TestHalfLineState:
         for w in 10.0 ** np.arange(-6, 2):
             hi = lo + w
             t = np.array([hi]) if lo == 0.0 else np.array([lo, hi])
-            mass, c, _, f, _, _ = _laplace_half_states(t, _layout(np.array([len(t)])))
+            mass, c, _, f, _ = _laplace_half_states(t, _layout(np.array([len(t)])))
             for i, (a, z) in enumerate(((lo, hi), (hi, math.inf)), start=len(t) - 1):
                 m0, m1 = (mp_raw_moment(d, a, z, k) for k in (0, 1))
                 assert abs(float(mass[i] / m0 - 1)) <= 1e-15 + a / d.scale * eps / 2, (lo, w)
@@ -625,7 +626,7 @@ class TestHalfLineState:
     @pytest.mark.parametrize("bits", [1, 2, 3, 7, 12])
     def test_one_run_laplace_sums_are_the_one_run_formulas(self, bits, monkeypatch):
         # A run alone sums over its layout's one block, bit for bit
-        # mass.dot(var) and np.add.reduce(m2) of the run's own arrays.
+        # mass.dot(var) of the run's own arrays.
         calls = []
 
         def recorded(blocks, a, b=None):
@@ -635,11 +636,10 @@ class TestHalfLineState:
         t = lloyd_max_design(Laplace(), bits).partition.as_array()
         t = t[len(t) // 2 + 1:]
         monkeypatch.setattr(quantizer, "_per_run", recorded)
-        *_, distortion, m2_sum = _laplace_half_states(t, _layout(np.array([len(t)])))
-        [(mass, var), (m2, none)] = calls
-        assert none is None and len(mass) == len(t) + 1
+        *_, distortion = _laplace_half_states(t, _layout(np.array([len(t)])))
+        [(mass, var)] = calls
+        assert len(mass) == len(t) + 1
         assert distortion.tolist() == [mass.dot(var)]
-        assert m2_sum.tolist() == [np.add.reduce(m2)]
 
     def test_a_twelve_bit_design_reads_the_general_kernel_once_for_laplace(self, kernel_calls):
         # Gaussian(): no general kernel call at all; Laplace(): its final
@@ -661,21 +661,21 @@ class TestDesignState:
         GaussianMixture(((0.3, -2.0, 0.7), (0.5, 0.4, 1.0), (0.2, 2.5, 0.5)))])
     def test_one_run_state_is_table_distortion(self, d):
         # The reference is the one-run formula: _table_distortion of the
-        # centroid codebook and np.add.reduce of the second moments.
+        # centroid codebook, its offsets from the anchors.
         for bits in range(1, 13):
             n = (1 << bits) - 1
             t = np.asarray(d.ppf((np.arange(n) + 1.0) / (n + 1)), dtype=float).reshape(n)
-            table = d.edge_stats(np.concatenate(([-np.inf], t, [np.inf])))
+            table = _anchored(d, np.concatenate(([-np.inf], t, [np.inf])))
             f = d.pdf(t)
-            mass, c, r, f_out, distortion, m2_sum = _table_states(
-                (*table, f), t, _layout(np.array([n])))
-            want_c = table[1] / table[0]
-            assert np.array_equal(c, want_c) and mass is table[0] and f_out is f, bits
+            mass, c, r, f_out, distortion = _table_states((*table, f), t, _layout(np.array([n])))
+            e = table[0]
+            want_c = e + table[2] / table[1]
+            assert np.array_equal(c, want_c) and mass is table[1] and f_out is f, bits
             assert np.array_equal(r, t - 0.5 * (want_c[:-1] + want_c[1:])), bits
-            assert distortion.tolist() == [_table_distortion(table, want_c, want_c * want_c)]
-            assert m2_sum.tolist() == [np.add.reduce(table[2])], bits
+            offset = want_c - e
+            assert distortion.tolist() == [_table_distortion(table, offset, offset * offset)]
             p_mass, p_c, p_r, p_distortion = _partition_state(table, t)
-            assert p_mass is table[0] and np.array_equal(p_c, c) and np.array_equal(p_r, r)
+            assert p_mass is table[1] and np.array_equal(p_c, c) and np.array_equal(p_r, r)
             assert type(p_distortion) is float and p_distortion == distortion[0], bits
 
     @pytest.mark.parametrize("sizes, want", [
@@ -725,7 +725,7 @@ class TestNewtonStepSolve:
         t = np.asarray(d.ppf((np.arange(n) + 1.0) / (n + 1)), dtype=float)
         t = t + 0.01 * np.sin(np.arange(n))
         edges = np.concatenate(([-np.inf], t, [np.inf]))
-        mass, c, r, _ = _partition_state(d.edge_stats(edges), t)
+        mass, c, r, _ = _partition_state(_anchored(d, edges), t)
         got, solved = _damped_newton_steps(d.pdf(t), t, mass, c, r, np.array([damping]),
                                            _layout(np.array([n])))
         want = _banded_newton_step(d.pdf(t), t, mass, c, r, damping)
@@ -1171,8 +1171,8 @@ class TestMomentTableMemo:
         p = Partition(d.ppf(np.arange(1, n) / n))
         for order in range(5):
             got = _moment_table(d, p, order)
-            want = d.edge_stats(p.edges(), order)
-            assert len(got) == len(want) == order + 1
+            want = _anchored(d, p.edges(), order)
+            assert len(got) == len(want) == order + 2
             for g, w in zip(got, want):
                 assert g.tobytes() == w.tobytes(), (order, bits)
         # Orders 0-2 share one entry, orders 3 and 4 have their own.

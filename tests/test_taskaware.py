@@ -28,7 +28,7 @@ from mismatch_quant import (
     weighted_mse_csi,
 )
 from mismatch_quant import cli
-from mismatch_quant.distributions import _gaussian_blocks
+from mismatch_quant.distributions import _anchored, _gaussian_blocks
 from mismatch_quant.taskaware import (
     _classification_reports, _joint_mass, _joint_masses, _rician_moments)
 
@@ -391,7 +391,7 @@ class TestJointMass:
         got = (rep.acc_fix, rep.acc_gen, rep.acc_ideal, rep.recovery_pct)
         assert got == _reference_classification(p, src_true, src)
         # Both sources on one partition, and each on its own (a row per
-        # source): every law's row, Gaussian or not, is its own edge_stats.
+        # source): every law's row, Gaussian or not, is its own anchored table.
         sources, ps = [src, src_true], [p, lloyd_max_design(Laplace(), 5).partition]
         for edges, parts in ((p.edges(), [p, p]), (np.array([q.edges() for q in ps]), ps)):
             joints = _joint_masses(edges, sources)
@@ -402,7 +402,7 @@ class TestJointMass:
             seen = []
             for rows, table in _gaussian_blocks(laws, edges, 2, owner):
                 for k, i in enumerate(rows):
-                    want = laws[i].edge_stats(edges if owner is None else edges[owner[i]], 2)
+                    want = _anchored(laws[i], edges if owner is None else edges[owner[i]], 2)
                     assert [m[k].tobytes() for m in table] == [w.tobytes() for w in want]
                 seen += rows
             assert sorted(seen) == list(range(len(laws)))
