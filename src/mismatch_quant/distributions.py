@@ -263,15 +263,17 @@ def _fold(total, block: np.ndarray) -> np.ndarray:
 
 def _component_grid(mixtures) -> tuple[np.ndarray, ...]:
     """``(K, L)`` weight, mean and std arrays of ``L`` mixtures, component
-    ``j`` of law ``i`` at ``[j, i]``.  A law with fewer than ``K`` components
-    is padded with copies of its last one at weight 0, which add exactly 0
-    to a sum and move no minimum or maximum."""
+    ``j`` of law ``i`` at ``[j, i]``, and the ``L`` mixture means, the ``w m``
+    of each law's components folded in order (``_fold``).  A law with fewer
+    than ``K`` components is padded with copies of its last one at weight 0,
+    which add exactly 0 to a sum and move no minimum or maximum."""
     k = max(len(d.components) for d in mixtures)
     table = np.array([d.components + d.components[-1:] * (k - len(d.components))
                       for d in mixtures])
     for row, d in zip(table, mixtures):
         row[len(d.components):, 0] = 0.0
-    return tuple(np.ascontiguousarray(table[:, :, j].T) for j in range(3))
+    w, m, s = (np.ascontiguousarray(table[:, :, j].T) for j in range(3))
+    return w, m, s, _fold(0.0, w * m)
 
 
 def _component_sums(w, m, s, size: int, terms) -> list[np.ndarray]:
@@ -298,18 +300,18 @@ def _mixture_design_stats(grid, cols: np.ndarray, t: np.ndarray, sizes: np.ndarr
     ``t_k`` the next ``sizes[k]`` thresholds of the flat array ``t``, and its
     density at ``t_k``, for every run ``k``: four arrays with ``sizes[k] + 1``
     bins a run and one with ``sizes[k]`` densities a run, laid end to end,
-    each bit for bit that law's own ``_anchored`` table (its mean the ``w m``
-    of its components folded in order) and ``pdf``.  The edges of all
-    runs are laid end to end too, each with the component columns of its
-    law, and one walk of the Gaussian moment kernel folds the components in
-    order onto them (``_fold``), in blocks of whole runs and of components
-    of at most ``_MIXTURE_BLOCK`` entries (one run and one component at
-    least); the bins that straddle two runs are dropped (anchored at 0)."""
-    mean = _fold(0.0, grid[0] * grid[1])[cols]
+    each bit for bit that law's own ``_anchored`` table (about the grid's
+    mixture means) and ``pdf``.  The edges of all runs are laid end to end
+    too, each with the component columns of its law, and one walk of the
+    Gaussian moment kernel folds the components in order onto them
+    (``_fold``), in blocks of whole runs and of components of at most
+    ``_MIXTURE_BLOCK`` entries (one run and one component at least); the
+    bins that straddle two runs are dropped (anchored at 0)."""
+    mean = grid[3][cols]
     if len(sizes) == 1:
         edges = np.concatenate(([-np.inf], t, [np.inf]))
         e = _anchors(mean[0], edges)
-        return [e, *_design_walk(edges, e, [g[:, cols[0], None] for g in grid])]
+        return [e, *_design_walk(edges, e, [g[:, cols[0], None] for g in grid[:3]])]
     seg = np.repeat(np.arange(len(sizes)), sizes)
     first = np.cumsum(sizes) - sizes
     n_edges = sizes + 2
@@ -326,10 +328,10 @@ def _mixture_design_stats(grid, cols: np.ndarray, t: np.ndarray, sizes: np.ndarr
         t0, n = int(first[r0]), int(sizes[r0:r1].sum())
         e = anchors[e0 : e1 - 1]
         if r1 - r0 == 1:
-            totals = _design_walk(edges[e0:e1], e, [g[:, cols[r0], None] for g in grid])
+            totals = _design_walk(edges[e0:e1], e, [g[:, cols[r0], None] for g in grid[:3]])
             bins = thresholds = slice(None)
         else:
-            totals = _design_walk(edges[e0:e1], e, [g[:, owner[e0:e1]] for g in grid])
+            totals = _design_walk(edges[e0:e1], e, [g[:, owner[e0:e1]] for g in grid[:3]])
             local = np.arange(r1 - r0)
             bins = np.arange(n + r1 - r0) + np.repeat(local, sizes[r0:r1] + 1)
             thresholds = np.arange(n) + 2 * np.repeat(local, sizes[r0:r1])
@@ -377,7 +379,7 @@ def _quantile_block(laws, qs) -> list[np.ndarray]:
     ``MismatchQuantError``."""
     sizes = [q.size for q in qs]
     q = np.concatenate(qs)
-    w, m, s = _component_grid(laws)  # (K, L): a column per law
+    w, m, s, _ = _component_grid(laws)  # (K, L): a column per law
     sign = np.where(q > 0.5, -1.0, 1.0)
     p = np.where(q > 0.5, 1.0 - q, q)
     if len(laws) > 1:

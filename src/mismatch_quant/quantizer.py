@@ -13,9 +13,8 @@ from scipy import special
 from scipy.linalg import lapack
 
 from .distributions import (
-    _INV_SQRT_2PI, _TAIL_FROM, ZERO_MASS_TOL, Distribution, Gaussian, GaussianMixture, Laplace,
-    _anchored, _component_grid, _mixture_design_stats, _mixture_quantiles, _std_normal_pdf,
-    _tail_offset,
+    _TAIL_FROM, ZERO_MASS_TOL, Distribution, Gaussian, GaussianMixture, Laplace, _anchored,
+    _component_grid, _mixture_design_stats, _mixture_quantiles, _std_normal_pdf, _tail_offset,
 )
 from .errors import DegenerateDesign
 
@@ -321,9 +320,12 @@ def _per_run(blocks: list, a: np.ndarray, b: np.ndarray | None = None) -> np.nda
 
 def _gaussian_half_tables(t: np.ndarray, layout: _Layout):
     """``Gaussian()``'s anchored table ``(e, J_0, J_1, J_2)`` on the bins
-    ``[0, t..., inf)`` of each run, anchored at their left edges ``e``, and
-    its density at the thresholds: the general kernel's recursion on the
-    upper tails ``ndtr(-e)`` alone, bit for bit that kernel's table."""
+    ``[e, b)`` of ``[0, t..., inf)`` of each run, anchored at their left edges
+    ``e``, and its density at the thresholds: the general kernel's recursion
+    on the upper tails ``ndtr(-e)`` alone, bit for bit that kernel's table.
+    ``J_1 = (phi(e) - phi(b)) - e J_0`` (``J_0 _tail_offset(e)`` on a run's
+    outer bin from ``e = _TAIL_FROM`` on) and ``J_2 = (J_0 - e J_1) - (b -
+    e) phi(b)``, ``b`` read as 0 at infinity, where ``phi(b)`` is 0."""
     e = np.zeros(len(layout.bin0) + len(t))  # the left edge of every bin
     e[layout.above] = t
     up, phi = special.ndtr(-e), _std_normal_pdf(e)
@@ -333,32 +335,20 @@ def _gaussian_half_tables(t: np.ndarray, layout: _Layout):
         out[layout.last[:-1]] = 0.0
         return out
 
-    mass = up - upper_edge(up)
-    moments = _gaussian_half_moments(e, mass, phi, upper_edge, layout.last)
-    return (e, mass, *moments, phi[layout.above])
-
-
-def _gaussian_half_moments(e: np.ndarray, mass: np.ndarray, phi: np.ndarray, upper_edge, last):
-    """``J_1`` and ``J_2`` of ``Gaussian()`` on the bins ``[e, b)`` about their
-    left edges ``e``, ``b = upper_edge(e)`` (0 at infinity, where ``phi`` is
-    0), from their masses and ``phi(e)``, as the kernel forms them: ``J_1 =
-    (phi(e) - phi(b)) - e J_0`` (``J_0 _tail_offset(e)`` on the bins
-    ``last`` from ``e = _TAIL_FROM`` on) and ``J_2 = (J_0 - e J_1) - (b - e)
-    phi(b)``."""
-    phi_hi = upper_edge(phi)
+    mass, phi_hi = up - upper_edge(up), upper_edge(phi)
     m1 = (phi - phi_hi) - e * mass
-    for i, x in zip(np.atleast_1d(last).tolist(), e[last].tolist()):
+    for i, x in zip(layout.last.tolist(), e[layout.last].tolist()):
         if x > _TAIL_FROM:
             m1[i] = mass[i] * _tail_offset(x)
-    return m1, (mass - e * m1) - (upper_edge(e) - e) * phi_hi
+    return e, mass, m1, (mass - e * m1) - (upper_edge(e) - e) * phi_hi, phi[layout.above]
 
 
 def _table_states(table, t: np.ndarray, layout: _Layout):
     """Masses, centroids ``c = e + J_1 / J_0``, midpoint residual, density at
     the thresholds and design distortion of each run laid out by ``layout``,
     from its anchored table and density ``(e, J_0, J_1, J_2, f)``: the one
-    design state, of a round's runs and (``_partition_state``) of a mirrored
-    or mapped partition.  Each run's distortion, ``sum J_2 - 2 (c - e).J_1 +
+    design state, of a round's runs and (``_partition_state``) of a finished
+    partition.  Each run's distortion, ``sum J_2 - 2 (c - e).J_1 +
     (c - e)^2.J_0``, is over ``layout.blocks``, bit for bit the run's own
     ``_table_distortion``."""
     e, mass, m1, m2, f = table
@@ -370,9 +360,12 @@ def _table_states(table, t: np.ndarray, layout: _Layout):
     return mass, c, t - 0.5 * (c[layout.below] + c[layout.above]), f, distortion
 
 
-def _partition_state(table, t: np.ndarray):
+def _partition_state(d: Distribution, t: np.ndarray):
     """Masses, centroids, midpoint residual and design distortion of the bins
-    ``t`` cuts, from their anchored table: ``_table_states`` of one run."""
+    ``t`` cuts under ``d``: ``_table_states`` of one run on the law's
+    anchored table (``_anchored``), the one evaluation of a finished design,
+    mirrored half-line or mapped."""
+    table = _anchored(d, np.concatenate(([-np.inf], t, [np.inf])))
     mass, c, r, _, distortion = _table_states((*table, None), t, _layout(np.array([len(t)])))
     return mass, c, r, float(distortion[0])
 
@@ -599,7 +592,8 @@ def lloyd_max_design(
     iterated, on the bins ``[0, t..., inf)``, in closed form
     (``_gaussian_half_tables``, bit for bit ``edge_stats``, and
     ``_laplace_half_states``); they are then mirrored, and the mirrored
-    partition is evaluated once on the full line.  On the full line the
+    partition is evaluated once on the full line, by the law's one
+    ``edge_stats`` call, as a mapped design is.  On the full line the
     residual's Jacobian has a nearly free uniform-translation mode, along
     which the centre would drift; without it the Jacobian is well
     conditioned, so these Newton steps start undamped.  A rejection
@@ -773,7 +767,7 @@ def _mapped(q: Quantizer, d: Distribution, loc: float, scale: float) -> Quantize
     t = loc + scale * q.partition.as_array()
     if np.any(np.diff(t) <= 0.0):
         raise DegenerateDesign(f"the thresholds of {d!r} coincide in floating point")
-    mass, c, r, _ = _partition_state(_anchored(d, np.concatenate(([-np.inf], t, [np.inf]))), t)
+    mass, c, r, _ = _partition_state(d, t)
     if np.any(mass < ZERO_MASS_TOL):
         raise _lost_mass(mass)
     return Quantizer(
@@ -933,10 +927,9 @@ def _finished(d: Distribution, half: bool, s: _State, k: int, converged: bool,
         # The mirrored partition is evaluated once on the full line, so the
         # codebook, residual and last distortion are those of the partition
         # returned; the earlier entries are twice the half-line distortion.
-        full = np.concatenate((-t[::-1], [0.0], t))
-        table = _mirrored_table(d, t, s.mass[b0 : b0 + n + 1], s.f[t0 : t0 + n])
-        _, c, r, distortion = _partition_state(table, full)
-        t, history = full, [2.0 * h for h in history[:-1]] + [distortion]
+        t = np.concatenate((-t[::-1], [0.0], t))
+        _, c, r, distortion = _partition_state(d, t)
+        history = [2.0 * h for h in history[:-1]] + [distortion]
         residual = float(np.max(np.abs(r)))
     return Quantizer(
         partition=Partition(t),
@@ -947,23 +940,6 @@ def _finished(d: Distribution, half: bool, s: _State, k: int, converged: bool,
         iterations=len(history) - 1,
         residual=residual,
     )
-
-
-def _mirrored_table(d: Distribution, t: np.ndarray, mass: np.ndarray, f: np.ndarray) -> list:
-    """The full-line anchored table of ``Gaussian()`` or ``Laplace()`` on the
-    partition ``(-t[::-1], 0, t)``, given the masses of the bins ``[0, t...,
-    inf)`` and the density at ``t`` of its half-line state: ``_anchored``
-    for ``Laplace()``; for ``Gaussian()`` the moments
-    ``_gaussian_half_moments`` forms from those masses and densities
-    (``phi(0)`` is exactly ``1/sqrt(2 pi)``), and their mirror images,
-    ``(-1)^k`` times, about the negative bins' right edges."""
-    e = np.concatenate(([0.0], t))
-    if type(d) is Laplace:
-        return _anchored(d, np.concatenate(([-np.inf], -t[::-1], e, [np.inf])))
-    phi = np.concatenate(([_INV_SQRT_2PI], f))
-    m1, m2 = _gaussian_half_moments(e, mass, phi, lambda x: np.append(x[1:], 0.0), [-1])
-    pairs = ((0.0 - e[::-1], e), (mass[::-1], mass), (-m1[::-1], m1), (m2[::-1], m2))
-    return [np.concatenate(pair) for pair in pairs]
 
 
 # The memo of ``_moment_table``.  An entry keeps its partition's array of N - 1

@@ -339,6 +339,18 @@ class TestMixtureBlocks:
             counts.add(max(1, n_edges - 1))
         return sorted(counts)
 
+    def test_the_grid_means_are_each_laws_mean(self):
+        # One law alone, and laws of 1 to 50 components in one grid, most of
+        # them padded; a symmetric law's mean is exactly 0.
+        rng = np.random.default_rng(7000)
+        laws = [_random_mixture(rng, k) for k in (3, 12, 1, 8, 50, 2, 7)]
+        laws.append(GaussianMixture(((0.5, -1.5, 0.6), (0.5, 1.5, 0.6))))
+        for batch in (laws[:1], laws):
+            *_, means = _component_grid(batch)
+            want = np.array([d.mean for d in batch])
+            assert np.array_equal(means, want)
+            assert np.array_equal(np.signbit(means), np.signbit(want))
+
     def test_fifty_components_on_a_hundred_bins_take_blocks_of_forty_and_ten(self):
         assert [hi - lo for lo, hi in _ragged_blocks([101] * 50)] == [40, 10]
         assert _ragged_blocks([]) == []

@@ -52,7 +52,6 @@ from mismatch_quant.quantizer import (
     _gaussian_half_tables,
     _laplace_half_states,
     _layout,
-    _mirrored_table,
     _moment_table,
     _moment_tables,
     _partition_state,
@@ -583,10 +582,11 @@ def _one_run(d, t):
 
 class TestHalfLineState:
     """The half-line design state of ``Gaussian()`` (bit for bit the general
-    kernel's) and of ``Laplace()`` (closed form, against 40 digits)."""
+    kernel's) and of ``Laplace()`` (closed form, against 40 digits), and the
+    one full-line evaluation that finishes either design."""
 
     @pytest.mark.parametrize("bits", range(1, 16))
-    def test_gaussian_state_and_mirrored_table_are_the_general_kernels(self, bits):
+    def test_gaussian_state_is_the_general_kernel(self, bits):
         d = Gaussian()
         t = lloyd_max_design(d, bits).partition.as_array()
         t = t[len(t) // 2 + 1:]
@@ -600,9 +600,22 @@ class TestHalfLineState:
             for g, w in zip(got, _general_half_line_state(d, t)):
                 assert np.array_equal(g, w), bits
             assert np.array_equal(s.f, d.pdf(t)) and np.array_equal(f, s.f)
-            p = Partition(np.concatenate((-t[::-1], [0.0], t)))
-            for g, w in zip(_mirrored_table(d, t, s.mass, s.f), _anchored(d, p.edges())):
-                assert np.array_equal(g, w), bits
+
+    @pytest.mark.parametrize("init", ["quantile", "cube_root"])
+    @pytest.mark.parametrize("d", [Gaussian(), Laplace()])
+    def test_a_finished_design_is_its_mirrored_partition_state(self, d, init):
+        # Codebook, residual and last distortion are those of the full-line
+        # partition (-t[::-1], 0, t) under the law, t the positive thresholds.
+        for bits in range(1, 17):
+            q = _unmemoised_design(d, bits, 500, init)
+            full = q.partition.as_array()
+            t = full[len(full) // 2 + 1:]
+            mirrored = np.concatenate((-t[::-1], [0.0], t))
+            assert np.array_equal(full, mirrored), bits
+            _, c, r, distortion = _partition_state(d, mirrored)
+            assert np.array_equal(q.design_codebook.as_array(), c), bits
+            assert q.residual == float(np.max(np.abs(r))), bits
+            assert q.distortion_history[-1] == distortion, bits
 
     @pytest.mark.parametrize("lo", [0.0, 0.5, 3.0, 12.0, 30.0])
     def test_laplace_masses_and_centroids_against_40_digits(self, lo, mp_raw_moment):
@@ -641,14 +654,14 @@ class TestHalfLineState:
         assert len(mass) == len(t) + 1
         assert distortion.tolist() == [mass.dot(var)]
 
-    def test_a_twelve_bit_design_reads_the_general_kernel_once_for_laplace(self, kernel_calls):
-        # Gaussian(): no general kernel call at all; Laplace(): its final
-        # full-line table only.
+    def test_a_twelve_bit_design_reads_the_general_kernel_once(self, kernel_calls):
+        # Each family's rounds are closed form; its final full-line table is
+        # the one general kernel call.
         design = _unmemoised_design
         gaussian, laplace = kernel_calls(Gaussian), kernel_calls(Laplace)
         for d in (Gaussian(), Laplace()):
             assert design(d, 12, 500, "quantile").converged
-        assert gaussian == [] and laplace == [Laplace()]
+        assert gaussian == [Gaussian()] and laplace == [Laplace()]
 
 
 class TestDesignState:
@@ -674,8 +687,9 @@ class TestDesignState:
             assert np.array_equal(r, t - 0.5 * (want_c[:-1] + want_c[1:])), bits
             offset = want_c - e
             assert distortion.tolist() == [_table_distortion(table, offset, offset * offset)]
-            p_mass, p_c, p_r, p_distortion = _partition_state(table, t)
-            assert p_mass is table[1] and np.array_equal(p_c, c) and np.array_equal(p_r, r)
+            p_mass, p_c, p_r, p_distortion = _partition_state(d, t)
+            assert np.array_equal(p_mass, table[1]) and np.array_equal(p_c, c)
+            assert np.array_equal(p_r, r), bits
             assert type(p_distortion) is float and p_distortion == distortion[0], bits
 
     @pytest.mark.parametrize("sizes, want", [
@@ -724,8 +738,7 @@ class TestNewtonStepSolve:
         d = self.MIXTURE
         t = np.asarray(d.ppf((np.arange(n) + 1.0) / (n + 1)), dtype=float)
         t = t + 0.01 * np.sin(np.arange(n))
-        edges = np.concatenate(([-np.inf], t, [np.inf]))
-        mass, c, r, _ = _partition_state(_anchored(d, edges), t)
+        mass, c, r, _ = _partition_state(d, t)
         got, solved = _damped_newton_steps(d.pdf(t), t, mass, c, r, np.array([damping]),
                                            _layout(np.array([n])))
         want = _banded_newton_step(d.pdf(t), t, mass, c, r, damping)
