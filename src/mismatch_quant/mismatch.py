@@ -115,11 +115,11 @@ def ideal_distortion(true_d: Distribution, bits: int, **lloyd_kwargs) -> float:
     ``true_d`` is ``loc + scale * X`` for its standard member ``X`` (see
     ``lloyd_max_design``), and this is ``scale**2 * D*``, ``D*`` the final
     design distortion of ``X`` (Max 1960), with no quantizer mapped.  For a
-    standard member or a mixture (``scale = 1``) it is bit for bit the
-    expanded sum ``expected_distortion`` forms for the returned quantizer.
-    Any other Gaussian or Laplace law gets bit for bit what its mapped
-    design reports, even where that design would raise ``DegenerateDesign``
-    because its thresholds coincide in floating point.
+    standard member (``scale = 1``) it is bit for bit the expanded sum
+    ``expected_distortion`` forms for the returned quantizer.  Any other
+    law gets bit for bit what its mapped design reports, even where that
+    design would raise ``DegenerateDesign`` because its thresholds coincide
+    in floating point.
     """
     law, _, scale = _standard_member(true_d)
     return scale * scale * lloyd_max_design(law, bits, **lloyd_kwargs).distortion_history[-1]

@@ -406,10 +406,10 @@ _STANDARD_GAUSSIAN, _STANDARD_LAPLACE = Gaussian(), Laplace()
 class _State(typing.NamedTuple):
     """The design state of some runs of one round loop of ``_designs``, as
     flat arrays on their ``_Layout``: per run its index ``ids`` among the
-    loop's pairs, design distortion, ``max|r|``, stop scale ``max(min(1,
-    sigma), max|t|)`` (``_evaluator``) and whether a bin lies below
-    ``ZERO_MASS_TOL``; per threshold the thresholds, midpoint residual and
-    density; per bin the masses and centroids."""
+    loop's pairs, design distortion, ``max|r|``, stop scale ``max(1,
+    max|t|)`` and whether a bin lies below ``ZERO_MASS_TOL``; per threshold
+    the thresholds, midpoint residual and density; per bin the masses and
+    centroids."""
 
     layout: _Layout
     ids: np.ndarray
@@ -448,8 +448,8 @@ def _evaluator(kind: type, laws: list):
     ``Gaussian()`` and ``Laplace()`` their half-line tables.  Only each
     run's distortion, its sum and two dot products, is formed run by run
     (as rows of ``layout.blocks``), so that every value is bit for bit that
-    of the run alone.  The stop scale is ``max(min(1, sigma), max|t|)``,
-    with each law's ``sigma`` read once per loop."""
+    of the run alone.  The stop scale is ``max(1, max|t|)``: every law is
+    a standard member, of spread at least 1/16 (``_standard_member``)."""
     if kind is GaussianMixture:
         mixtures = list(dict.fromkeys(laws))
         column = {d: j for j, d in enumerate(mixtures)}
@@ -465,14 +465,11 @@ def _evaluator(kind: type, laws: list):
         def states(ids, t, layout):
             return _laplace_half_states(t, layout)
 
-    floor = np.minimum(1.0, [d.std for d in laws])
-
     def evaluate(ids: np.ndarray, t: np.ndarray, layout: _Layout) -> _State:
         mass, c, r, f, distortion = states(ids, t, layout)
         empty = np.logical_or.reduceat(mass < ZERO_MASS_TOL, layout.bin0)
         return _State(layout, ids, distortion, _run_max(np.abs(r), layout),
-                      np.maximum(floor[ids], _run_max(np.abs(t), layout)), empty, t, r, f, mass,
-                      c)
+                      np.maximum(1.0, _run_max(np.abs(t), layout)), empty, t, r, f, mass, c)
 
     return evaluate
 
@@ -556,14 +553,22 @@ def _lost_mass(mass: np.ndarray) -> DegenerateDesign:
 def _standard_member(d: Distribution):
     """``(standard, loc, scale)`` with ``d`` the law of ``loc + scale * X``,
     ``X`` following ``standard``, the law designed for ``d``: the zero-mean,
-    unit-variance member of a Gaussian or Laplace law's family, and a
-    mixture itself (``loc = 0``, ``scale = 1``); TypeError for any other."""
+    unit-variance member of a Gaussian or Laplace law's family; a mixture
+    itself while ``max(1, |mean|) <= 16 std``, else its components ``((m -
+    mean) / s, std_j / s)``, exact for ``s = 2**floor(log2 std)`` (the
+    widest ``std_j``'s if ``std`` underflows to 0).  Every member's spread
+    is thus at least 1/16.  TypeError for any other law."""
     if type(d) is Gaussian:
         return _STANDARD_GAUSSIAN, d.mean, d.std
     if type(d) is Laplace:
         return _STANDARD_LAPLACE, d.loc, d.scale / _STANDARD_LAPLACE.scale
     if type(d) is GaussianMixture:
-        return d, 0.0, 1.0
+        mean, std = d.mean, d.std
+        if max(1.0, abs(mean)) <= 16.0 * std:
+            return d, 0.0, 1.0
+        s = math.ldexp(1.0, math.frexp(std or max(sd for _, _, sd in d.components))[1] - 1)
+        member = GaussianMixture(tuple((w, (m - mean) / s, sd / s) for w, m, sd in d.components))
+        return member, mean, s
     raise TypeError(f"cannot design a quantizer for {d!r}: only Gaussian, Laplace and "
                     "GaussianMixture laws can be designed")
 
@@ -589,38 +594,33 @@ def lloyd_max_design(
     log-concave laws the fixed point is unique, so symmetric for a symmetric
     law: ``Gaussian()`` and ``Laplace()`` have their centre threshold at
     exactly 0.0, and only their ``N/2 - 1`` positive thresholds are
-    iterated, on the bins ``[0, t..., inf)``, in closed form
-    (``_gaussian_half_tables``, bit for bit ``edge_stats``, and
-    ``_laplace_half_states``); they are then mirrored, and the mirrored
-    partition is evaluated once on the full line, by the law's one
-    ``edge_stats`` call, as a mapped design is.  On the full line the
-    residual's Jacobian has a nearly free uniform-translation mode, along
-    which the centre would drift; without it the Jacobian is well
-    conditioned, so these Newton steps start undamped.  A rejection
-    multiplies the damping by 4 and leaves it at 0, so each rejected step is
-    replaced by one Lloyd step and the next Newton step is again undamped.
-    A symmetric mixture can have asymmetric optima, so mixtures are iterated
-    on the full line from a damping of 0.5.  By default the start is the
-    ``(i + 0.5) / N`` quantiles of ``d``, which keeps every bin populated for
-    the supported families.  The loop stops, converged, once an accepted
-    Newton step moves no threshold by more than ``1e-10`` of the stop scale
-    ``max(min(1, sigma), max|t|)``, ``sigma`` the standard deviation of
-    ``d``, or once the residual ``max|r|`` is down to a few ulps of that
-    scale; so a law scaled by any ``s`` takes the same iterations as its
-    unit-spread image.
+    iterated, in closed form on the bins ``[0, t..., inf)``, then mirrored
+    and evaluated once on the full line.  On the full line the residual's
+    Jacobian has a nearly free uniform-translation mode, along which the
+    centre would drift; without it the Jacobian is well conditioned, so
+    these Newton steps start undamped.  A rejection multiplies the damping
+    by 4 and leaves it at 0, so each rejected step is replaced by one Lloyd
+    step and the next Newton step is again undamped.  A symmetric mixture
+    can have asymmetric optima, so mixtures are iterated on the full line
+    from a damping of 0.5.  By default the start is the ``(i + 0.5) / N``
+    quantiles of ``d``, which keeps every bin populated for the supported
+    families.  The loop stops, converged, once an accepted Newton step
+    moves no threshold by more than ``1e-10`` of the stop scale ``max(1,
+    max|t|)``, or once the residual ``max|r|`` is down to a few ulps of it.
 
     Both optimality conditions are equivariant under ``x -> loc + scale x``,
-    so a Gaussian or Laplace law is designed once, at the zero-mean,
-    unit-variance member of its family (``Gaussian()`` or ``Laplace()``),
-    and its thresholds are mapped to ``t = loc + scale * t0``.  A mixture
-    is its own standard member.  The standard designs are kept in one
-    bounded per-process memo of 64 designs, keyed by the law, the bit depth
-    and the two settings below, which this function and
-    ``lloyd_max_designs`` both read and fill: every law of a family shares
-    one design per bit depth, and a mixture designed once, alone or in a
-    batch, is served from the memo after that.  The standard members
-    themselves come out of the memo as designed.  This is the one-pair call
-    of ``lloyd_max_designs``: a design is one run of the round loop of its
+    so ``d`` is designed at its standard member (``_standard_member``:
+    ``Gaussian()`` or ``Laplace()`` for those families; a mixture itself
+    while ``max(1, |mean|) <= 16 std``, else its image of spread in [1, 2)
+    about 0), and the thresholds are mapped to ``t = loc + scale * t0``.
+    Every member has a spread of at least 1/16, so the stop scale is
+    relative and a moved and scaled law takes about the iterations of its
+    unit image.  The standard designs are kept in one bounded per-process
+    memo of 64 designs, keyed by the member, the bit depth and the two
+    settings below, which this function and ``lloyd_max_designs`` both read
+    and fill: a member designed once, alone or in a batch, is served from
+    the memo, as designed, after that.  This is the one-pair call of
+    ``lloyd_max_designs``: a design is one run of the round loop of its
     kind of law in ``_designs``, bit for bit the same alone or beside other
     laws and bit depths.
 
@@ -632,7 +632,8 @@ def lloyd_max_design(
         Bit depth, 1 through 16, any integer but a bool; the codebook has
         ``2**bits`` entries.
     max_iters : int
-        Iteration cap; a design that reaches it reports ``converged=False``.
+        Iteration cap, any integer but a bool of at least 1; a design that
+        reaches it reports ``converged=False``.
     init : str
         The law whose ``(i + 0.5) / N`` quantiles are the start codewords.
         ``"quantile"`` takes ``d`` itself; ``"cube_root"`` the law with
@@ -654,11 +655,10 @@ def lloyd_max_design(
         iteration; ``converged`` and ``iterations`` record how the design
         ended.  For a half-line design the entries before the last are
         twice the half-line distortion, and the last is that of the
-        mirrored partition on the full line.  For a mapped design the
-        codebook and ``residual`` are evaluated under ``d`` itself,
-        ``distortion_history`` is ``scale**2`` times that of the standard
-        design, and ``converged`` and ``iterations`` are those of the
-        standard design.
+        mirrored partition on the full line.  A mapped design has its
+        codebook and ``residual`` evaluated under ``d`` itself, ``scale**2``
+        times the standard design's ``distortion_history``, and its
+        ``converged`` and ``iterations``.
 
     Raises
     ------
@@ -698,7 +698,7 @@ def lloyd_max_designs(laws, bits) -> tuple[Quantizer, ...]:
     return _lloyd_max_designs(tuple(laws), bits, 500, "quantile")
 
 
-# The memo of standard designs (a family's standard member, or a mixture),
+# The memo of standard designs (of the members ``_standard_member`` names),
 # least recently used first.  A 16-bit design holds two arrays of 65,536
 # floats and its distortion history, about 1.1 MB by tracemalloc, so the
 # memo is bounded.
@@ -730,14 +730,14 @@ def _standard_designs(laws, bits, max_iters: int, init: str):
     depths = [_check_bits(b) for b in depths]
     if init not in ("quantile", "cube_root"):
         raise ValueError(f"unsupported init scheme: {init!r}")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
+    if (cap := _integer(max_iters)) is None or cap < 1:
+        raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
     members = [_standard_member(d) for d in laws]
-    keys = [(standard, b, max_iters, init) for (standard, _, _), b in zip(members, depths)]
+    keys = [(standard, b, cap, init) for (standard, _, _), b in zip(members, depths)]
     found = {key: _STANDARD_DESIGNS.pop(key, None) for key in dict.fromkeys(keys)}
     todo = [key for key, q in found.items() if q is None]
     if todo:
-        found.update(zip(todo, _designs([key[:2] for key in todo], max_iters, init)))
+        found.update(zip(todo, _designs([key[:2] for key in todo], cap, init)))
     for key, q in found.items():
         if isinstance(q, Quantizer):
             _STANDARD_DESIGNS[key] = q  # as the most recently used

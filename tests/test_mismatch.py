@@ -38,6 +38,8 @@ from mismatch_quant import cli, distributions, mismatch, quantizer
 from mismatch_quant.distributions import ZERO_MASS_TOL, _anchored
 
 TWO_OVER_PI = 2.0 / math.pi
+# The design mixture of the high_rate benchmark workload.
+HIGH_RATE = ((0.3, -1.5, 0.6), (0.4, 0.0, 0.8), (0.3, 1.5, 0.6))
 
 
 def _one_bit_fix(s0, s1):
@@ -550,11 +552,16 @@ class TestIdealDistortion:
     # |mean| >> std: a redesign of each law on its own reported converged
     # designs whose d_ideal was off by 1.1e-2, 2.0 and 1.0 relative for
     # N(1e6, 1) at 4, 8 and 12 bits, 4.7 for N(1000, 1e-3) at 8 bits and
-    # 0.33 and 1.0 for Laplace(-50, 1e-4) at 8 and 12 bits.
+    # 0.33 and 1.0 for Laplace(-50, 1e-4) at 8 and 12 bits.  The high_rate
+    # design mixture moved to 2**20, designed in place, was off by 1.9e-2 at
+    # scale 1 and by 47 at scale 2**-10, both at 12 bits; each image is exact
+    # in floating point, so its standard member is the unmoved mixture.
     @pytest.mark.parametrize("d, standard, scale", [
         (Gaussian(1e6, 1.0), Gaussian(), 1.0),
         (Gaussian(1000.0, 1e-3), Gaussian(), 1e-3),
         (Laplace(-50.0, 1e-4), Laplace(), 1e-4 / math.sqrt(0.5)),
+        *((GaussianMixture(tuple((w, 2.0**20 + s * m, s * sd) for w, m, sd in HIGH_RATE)),
+           GaussianMixture(HIGH_RATE), s) for s in (1.0, 2.0**-10)),
     ])
     @pytest.mark.parametrize("bits", [4, 8, 12])
     def test_far_off_law_scales_the_standard_distortion(self, d, standard, scale, bits):

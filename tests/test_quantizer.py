@@ -40,6 +40,7 @@ from mismatch_quant import (
     noisy_distortion,
     one_bit_quantizer,
     overload_split,
+    rate_recovery_sweep,
     report,
     soft_codebook,
 )
@@ -61,6 +62,13 @@ from mismatch_quant.quantizer import (
 )
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+# The design mixture of the high_rate benchmark workload.
+HIGH_RATE_MIXTURE = ((0.3, -1.5, 0.6), (0.4, 0.0, 0.8), (0.3, 1.5, 0.6))
+
+
+def _image(components, loc, s):
+    """The mixture of ``components`` moved by ``x -> loc + s * x``."""
+    return GaussianMixture(tuple((w, loc + s * m, s * sd) for w, m, sd in components))
 
 
 def _unmemoised_design(d, bits, max_iters, init):
@@ -403,17 +411,42 @@ class TestLloydMaxDesign:
             assert q.residual == float(np.max(np.abs(t - 0.5 * (v[:-1] + v[1:]))))
             assert q.residual <= 1e-12 * scale, (bits, q.residual)
 
-    @pytest.mark.parametrize("s", [1e-3, 1e-9, 1e-100])
+    @pytest.mark.parametrize("s", [1e-3, 1e-9, 1e-100, 1e-200])
     def test_a_law_of_small_spread_is_designed_as_its_unit_image(self, s):
-        # The stop tests scale with max(min(1, sigma), max|t|).  With a floor
-        # of 1 in place of min(1, sigma), this mixture scaled by 1e-9 stopped
-        # after 1 iteration and by 1e-100 after 0, each reporting converged
-        # with its thresholds 0.78-0.85 s off the unit design.
-        base = ((0.3, -1.5, 0.6), (0.4, 0.0, 0.8), (0.3, 1.5, 0.6))
-        unit = lloyd_max_design(GaussianMixture(base), 7)
-        q = lloyd_max_design(GaussianMixture(tuple((w, m * s, sd * s) for w, m, sd in base)), 7)
+        # The stop tests scale with max(1, max|t|) of the standard member,
+        # whose spread is at least 1/16.  Designed in place with that scale,
+        # this mixture scaled by 1e-9 stopped after 1 iteration and by 1e-100
+        # after 0, each reporting converged with its thresholds 0.78-0.85 s
+        # off the unit design.
+        unit = lloyd_max_design(GaussianMixture(HIGH_RATE_MIXTURE), 7)
+        q = lloyd_max_design(_image(HIGH_RATE_MIXTURE, 0.0, s), 7)
         assert q.converged and q.iterations == unit.iterations
         assert np.max(np.abs(q.partition.as_array() / s - unit.partition.as_array())) <= 1e-12
+
+    @pytest.mark.parametrize("loc, s", [(1e3, 1.0), (1e6, 1.0), (0.0, 1e-9), (0.0, 1e9),
+                                        (1e6, 1e-3)])
+    @pytest.mark.parametrize("base", [HIGH_RATE_MIXTURE, ((0.7, 0.0, 1.0), (0.3, 3.0, 0.3))],
+                             ids=["high_rate", "skewed"])
+    def test_a_moved_mixture_is_designed_as_its_unit_image(self, base, loc, s):
+        # Designed in place, the high_rate mixture moved by (1e6, 1e-3)
+        # stopped after 1 iteration at 4-10 bits, reporting converged with
+        # d_fix up to 40 times s^2 that of the unit law at 10 bits.  The
+        # bounds allow 8 ulps of loc in the thresholds of the image.
+        true = ((0.25, -1.4, 0.7), (0.45, 0.1, 0.9), (0.3, 1.6, 0.65))
+        off = 8.0 * math.ulp(loc) / s
+        for bits in range(2, 11):
+            unit = lloyd_max_design(GaussianMixture(base), bits)
+            q = lloyd_max_design(_image(base, loc, s), bits)
+            t0 = unit.partition.as_array()
+            assert q.converged and abs(q.iterations - unit.iterations) <= 2, bits
+            gap = np.max(np.abs((q.partition.as_array() - loc) / s - t0))
+            assert gap <= off + 1e-10 * max(1.0, float(np.max(np.abs(t0)))), bits
+            want = report(GaussianMixture(base), GaussianMixture(true), bits)
+            got = report(_image(base, loc, s), _image(true, loc, s), bits)
+            for name, a, b in [("design", q.distortion_history[-1], unit.distortion_history[-1]),
+                               *((k, getattr(got, k), getattr(want, k))
+                                 for k in ("d_fix", "d_gen", "d_ideal"))]:
+                assert a == pytest.approx(s * s * b, rel=1e-9 + off, abs=0.0), (bits, name)
 
     def test_iteration_cap_is_reported(self):
         q = lloyd_max_design(Laplace(0.0, math.sqrt(0.5)), 10, max_iters=1)
@@ -441,6 +474,28 @@ class TestLloydMaxDesign:
             lloyd_max_design(Gaussian(0, 1), True)
         with pytest.raises(ValueError):
             lloyd_max_design(Gaussian(0, 1), 2, init="kmeans")
+
+    @pytest.mark.parametrize("cap", [0, -3, 2.5, True, False, math.nan, math.inf, "500", None])
+    def test_invalid_max_iters_rejected(self, cap):
+        # Any integer but a bool of at least 1 is an iteration cap.  Unchecked,
+        # 2.5 ran 2 iterations, True 1, NaN and inf ran uncapped, and "500"
+        # raised TypeError.
+        with pytest.raises(ValueError, match=f"max_iters must be an integer of at least 1, "
+                                             f"got {re.escape(repr(cap))}"):
+            lloyd_max_design(Gaussian(), 4, max_iters=cap)
+        with pytest.raises(ValueError, match="max_iters"):
+            report(Gaussian(), Laplace(), 4, max_iters=cap)
+        with pytest.raises(ValueError, match="max_iters"):
+            rate_recovery_sweep(Gaussian(), Laplace(), [4], max_iters=cap)
+
+    def test_a_numpy_integer_is_an_iteration_cap(self, monkeypatch):
+        # Kept in the memo as an int, so it shares the design of the int cap.
+        monkeypatch.setattr(quantizer, "_STANDARD_DESIGNS", {})
+        q = lloyd_max_design(Laplace(), 10, max_iters=np.int64(3))
+        assert [type(key[2]) for key in quantizer._STANDARD_DESIGNS] == [int]
+        assert (q.iterations, q.converged) == (3, False)
+        assert _same_design(q, lloyd_max_design(Laplace(), 10, max_iters=3))
+        assert len(quantizer._STANDARD_DESIGNS) == 1
 
     def test_a_numpy_integer_is_a_bit_depth(self, monkeypatch):
         # Any integer but a bool is a bit depth, kept in the memo as an int.
@@ -894,8 +949,8 @@ class TestStandardMemberDesign:
         assert calls == [shifted]
 
     def test_mixtures_share_the_memo(self, gaussian_kernel_calls):
-        # A mixture is its own standard member: designed once per bit depth
-        # and setting, alone or in a batch, then served from the memo.  Its
+        # A mixture near 0 is its own standard member: designed once per bit
+        # depth and setting, alone or in a batch, then served from the memo.  Its
         # design reads the Gaussian kernel directly, so that is what counts.
         d = GaussianMixture(((0.5, -1.5, 0.6), (0.5, 1.5, 0.6)))
         first = lloyd_max_design(d, 4)
@@ -933,10 +988,17 @@ class TestStandardMemberDesign:
             lloyd_max_design(Gaussian(1e6, 1e-12), 8)
 
     def test_coincident_start_is_degenerate(self):
-        # Two components 1e-10 wide at 1e6: the quantile start rounds many
-        # codewords to the same double.
-        d = GaussianMixture(((0.5, 1e6, 1e-10), (0.5, 1e6 + 1.0, 1e-10)))
+        # A component 1e-17 wide at 1: the quantile start rounds many of its
+        # codewords to 1.0.
+        d = GaussianMixture(((0.5, 1.0, 1e-17), (0.5, -1.0, 1.0)))
         with pytest.raises(DegenerateDesign, match="quantile initialization produced coincident"):
+            lloyd_max_design(d, 8)
+
+    def test_a_far_off_narrow_mixture_has_coincident_thresholds(self):
+        # Two components 1e-10 wide at 1e6: their standard member is designed,
+        # and its thresholds, mapped back, round many to the same double.
+        d = GaussianMixture(((0.5, 1e6, 1e-10), (0.5, 1e6 + 1.0, 1e-10)))
+        with pytest.raises(DegenerateDesign, match="thresholds .* coincide in floating point"):
             lloyd_max_design(d, 8)
 
     def test_a_bin_without_design_mass_is_degenerate(self, monkeypatch):
@@ -1089,7 +1151,7 @@ class TestStackedDesigns:
     def test_a_batch_raises_the_first_failure_of_the_loop(self, monkeypatch):
         good = GaussianMixture(((0.5, -1.5, 0.6), (0.5, 1.5, 0.6)))
         # The quantile start rounds many codewords to one double.
-        coincident = GaussianMixture(((0.5, 1e6, 1e-10), (0.5, 1e6 + 1.0, 1e-10)))
+        coincident = GaussianMixture(((0.5, 1.0, 1e-17), (0.5, -1.0, 1.0)))
         # The mapped thresholds coincide.
         narrow = Gaussian(1e6, 1e-12)
         for laws in ([good, coincident, good], [narrow, coincident], [coincident, narrow],
