@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _GK_W, _GK_X, ZERO_MASS_TOL, Distribution
+from .distributions import _GK_W, _GK_X, Distribution, _table_terms
 from .errors import DivergentIntegral
-from .mismatch import _exact_terms
 from .quantizer import (
     Codebook, Partition, Quantizer, _bin_arrays, _check_bits, _integer, _moment_table,
     _standard_designs, lloyd_max_design)
@@ -249,21 +248,13 @@ def bennett_granular(
 
 
 def overload_split(p: Partition, c: Codebook, true_d: Distribution) -> OverloadSplit:
-    """Variance/bias split of the two outer (overload) bins under ``true_d``.
-    A bin's bias is ``mass (s^2 + 2 s u)``, ``s = a - mean`` and ``u`` the
-    rounding of its ``mean = e + J_1 / J_0`` (as ``_table_terms``' excess):
-    exact however far the law lies from 0, exactly 0 for ``a = mean``."""
+    """Variance/bias split of the two outer (overload) bins under ``true_d``:
+    ``d_gen`` and ``excess`` of ``_table_terms`` on those bins of the memoised
+    table, so exact however far the law lies from 0, with no bias for a
+    codeword at its bin's mean and an empty bin's mean its codeword."""
     [a] = _bin_arrays(p, c)
-    e, mass, m1, m2 = _moment_table(true_d, p)
-    variance = bias = 0.0
-    for i in (0, len(mass) - 1):
-        if mass[i] < ZERO_MASS_TOL:
-            continue
-        g = m1[i] / mass[i]
-        mean = e[i] + g
-        s = a[i] - mean
-        variance += mass[i] * (m2[i] / mass[i] - g * g)
-        bias += mass[i] * s * (s + 2.0 * ((mean - e[i]) - g))
+    outer = [part[[0, -1]][None] for part in _moment_table(true_d, p)]
+    [(_, _, variance, bias, _)] = _table_terms(outer, a[[0, -1]], [true_d])
     return OverloadSplit(variance_part=variance, bias_part=bias)
 
 
@@ -342,20 +333,18 @@ def rate_recovery_sweep(
 ) -> list[HighRateReport]:
     """Exact and model distortion terms across bit depths.
 
-    ``penalty_factor`` is reported operationally as ``d_total_gen`` over the
-    matched high-rate floor at the same rate; when the asymptotic penalty
-    integral converges this ratio approaches it from above as bits grow.
+    Each row reads one memoised moment table of ``true_d``: ``d_fix`` and
+    ``d_gen`` of its ``_table_terms``, as ``report`` does, and
+    ``overload_split`` of its outer bins.  ``penalty_factor`` is
+    ``d_total_gen`` over the matched high-rate floor at the same rate; when
+    the asymptotic penalty integral converges this ratio approaches it from
+    above as bits grow.
 
-    At high bit depths the design step dominates the cost.  The designs of
-    every bit depth are made first, in one flat ``_designs`` call whose
-    rounds all depths share (``_standard_designs``), and each row reads its
-    design back from the design memo by ``lloyd_max_design``.  At 8-12 bits
-    a mixture design converges in 13-19 Newton iterations from either start;
-    a Gaussian or Laplace design, solved on one half-line with its centre
-    threshold pinned and its Newton steps undamped, takes 6-8 from the
-    quantile start and 5-6 from the cube-root start.  Every start is the
-    quantiles of one law, closed-form for Gaussian and Laplace laws and a
-    bracketed Newton iteration for mixtures.
+    The designs of every bit depth are made first, in one flat ``_designs``
+    call whose rounds all depths share (``_standard_designs``), and each row
+    reads its design back from the design memo by ``lloyd_max_design``.  At
+    8-12 bits a mixture design converges in 13-19 Newton iterations from
+    either start, a Gaussian or Laplace design in 5-8.
     """
     bits_list = [_check_bits(b) for b in bits_list]
     _standard_designs([design_d] * len(bits_list), bits_list, max_iters, init)
@@ -363,22 +352,14 @@ def rate_recovery_sweep(
     for bits in bits_list:
         q = lloyd_max_design(design_d, bits, max_iters=max_iters, init=init)
         p = q.partition
-        # Every exact term of the row reads one memoised moment table.
-        _, d_fix, d_gen, _ = _exact_terms(q, true_d)
+        table = [part[None] for part in _moment_table(true_d, p)]
+        [(_, d_fix, d_gen, _, _)] = _table_terms(table, q.design_codebook.as_array(), [true_d])
         granular = bennett_granular(design_d, true_d, p.n_bins, quantizer=q)
         # The generative split is all variance: its outer codewords are the tail means.
         over_fix = overload_split(p, q.design_codebook, true_d)
         pd_floor = panter_dite(true_d, p.n_bins)
-        reports.append(
-            HighRateReport(
-                bits=bits,
-                d_granular=granular,
-                d_overload_fix=over_fix.total,
-                d_overload_gen=over_fix.variance_part,
-                d_total_fix=d_fix,
-                d_total_gen=d_gen,
-                d_ideal_pd=pd_floor,
-                penalty_factor=d_gen / pd_floor,
-            )
-        )
+        reports.append(HighRateReport(
+            bits=bits, d_granular=granular, d_overload_fix=over_fix.total,
+            d_overload_gen=over_fix.variance_part, d_total_fix=d_fix, d_total_gen=d_gen,
+            d_ideal_pd=pd_floor, penalty_factor=d_gen / pd_floor))
     return reports

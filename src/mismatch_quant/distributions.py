@@ -13,11 +13,12 @@ so that ``+/-inf`` endpoints are exact, not limits taken numerically.
 
 The arithmetic every reader of a moment table shares lives beside
 ``edge_stats``: an anchored table is ``(e, J_0, J_1, ...)`` (``_anchored``),
-read by ``_table_distortion`` and ``_conditional_means`` (with the one
-empty-bin rule); ``_ragged_blocks``, the one block bound of a walk over
-Gaussian laws, which mixture components, the runs of a design round and the
-Gaussian laws of ``_gaussian_blocks`` take, and ``_gaussian_blocks`` itself,
-the one path by which a row of laws reads its tables on shared edges.
+read by ``_table_distortion``, ``_conditional_means`` (with the one
+empty-bin rule) and ``_table_terms`` (the per-bin sums of a report row,
+rate-sweep row or overload split); ``_ragged_blocks``, the one block bound
+of a walk over Gaussian laws, which mixture components, design rounds and
+``_gaussian_blocks`` take, and ``_gaussian_blocks`` itself, the one path by
+which a row of laws reads its tables on shared edges.
 """
 
 from __future__ import annotations
@@ -474,6 +475,28 @@ def _conditional_means(table, law: Distribution, fallback) -> tuple[np.ndarray, 
     return np.where(empty, fallback, values), tuple(bad)
 
 
+def _table_terms(table, fix: np.ndarray, laws) -> list:
+    """``(substituted, d_fix, d_gen, excess, gen)`` of each law of ``laws``
+    from its row of the anchored ``table`` with the codewords ``fix`` (a
+    report row, a rate-sweep row, or the two outer bins of an overload
+    split): the conditional means ``gen`` (``_conditional_means``) and
+    ``excess = d_fix - d_gen`` as ``sum mass (s^2 + 2 s u)``, ``s = fix -
+    gen``, ``u = (gen - e) - J_1 / J_0`` the rounding of ``gen`` (finite in an
+    empty bin, where ``s`` is 0): no cancellation however far the law lies
+    from 0, exactly 0 where ``fix`` is ``gen``; bit for bit per row."""
+    e, mass, m1, _ = table
+    gen, substituted = zip(*(_conditional_means((e[i], mass[i], m1[i]), d, fix)
+                             for i, d in enumerate(laws)))
+    gen = np.array(gen)
+    shift, fix_offset, gen_offset = fix - gen, fix - e, gen - e
+    u = gen_offset - np.divide(m1, mass, out=np.zeros_like(m1), where=mass >= ZERO_MASS_TOL)
+    return list(zip(substituted,
+                    _table_distortion(table, fix_offset, fix_offset * fix_offset),
+                    _table_distortion(table, gen_offset, gen_offset * gen_offset),
+                    [float(np.dot(m, s2)) for m, s2 in zip(mass, shift * (shift + 2.0 * u))],
+                    gen))
+
+
 class Distribution(ABC):
     """A scalar source law with closed-form interval moments."""
 
@@ -786,11 +809,25 @@ class GaussianMixture(Distribution):
     def mean(self) -> float:
         return sum(w * m for w, m, _ in self.components)
 
+    def _spread(self) -> tuple[float, float]:
+        """``(c, variance / c^2)``, ``c`` the power of two at or below the widest
+        component spread or offset: the central sum ``w (s^2 + (m - mean)^2)``
+        scaled exactly, so no term under- or overflows at any scale."""
+        mu = self.mean
+        widest = max(max(s, abs(m - mu)) for _, m, s in self.components)
+        c = math.ldexp(1.0, math.frexp(widest)[1] - 1)
+        scaled = [(w, s / c, (m - mu) / c) for w, m, s in self.components]
+        return c, sum(w * (s * s + d * d) for w, s, d in scaled)
+
     @property
     def variance(self) -> float:
-        # Central form: the raw-moment difference cancels for a law far from 0.
-        mu = self.mean
-        return sum(w * (s * s + (m - mu) ** 2) for w, m, s in self.components)
+        c, total = self._spread()
+        return c * c * total
+
+    @property
+    def std(self) -> float:
+        c, total = self._spread()
+        return c * math.sqrt(total)
 
     def centers(self) -> tuple[float, ...]:
         return tuple(m for _, m, _ in self.components)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distributions import (
-    ZERO_MASS_TOL, Distribution, Gaussian, _conditional_means, _gaussian_blocks, _table_distortion,
+    Distribution, Gaussian, _conditional_means, _gaussian_blocks, _table_distortion, _table_terms,
     inverse_mills)
 from .quantizer import (
     _BLOCK_BYTES, Codebook, Partition, Quantizer, _bin_arrays, _moment_table, _standard_designs,
@@ -167,35 +167,6 @@ def monte_carlo_distortion(
     [a] = _bin_arrays(p, c)
     x = d.sample(seed, n)
     return _score(x, p._narrow_index(x), [a])[0]
-
-
-def _table_terms(table, fix: np.ndarray, laws) -> list:
-    """``(substituted, d_fix, d_gen, excess, gen)`` of each law of ``laws``
-    from its row of the anchored ``table`` on the partition of the design
-    codewords ``fix``, with the conditional means ``gen``
-    (``_conditional_means``) and ``excess = d_fix - d_gen`` as ``sum mass (s^2
-    + 2 s u)``, ``s = fix - gen`` and ``u = (gen - e) - J_1 / J_0`` the
-    rounding of ``gen`` (finite in an empty bin, where ``s`` is 0): no
-    cancellation however far the law lies from 0, and exactly 0 where ``fix``
-    is ``gen``; bit for bit per row."""
-    e, mass, m1, _ = table
-    gen, substituted = zip(*(_conditional_means((e[i], mass[i], m1[i]), d, fix)
-                             for i, d in enumerate(laws)))
-    gen = np.array(gen)
-    shift, fix_offset, gen_offset = fix - gen, fix - e, gen - e
-    u = gen_offset - np.divide(m1, mass, out=np.zeros_like(m1), where=mass >= ZERO_MASS_TOL)
-    return list(zip(substituted,
-                    _table_distortion(table, fix_offset, fix_offset * fix_offset),
-                    _table_distortion(table, gen_offset, gen_offset * gen_offset),
-                    [float(np.dot(m, s2)) for m, s2 in zip(mass, shift * (shift + 2.0 * u))],
-                    gen))
-
-
-def _exact_terms(q: Quantizer, true_d: Distribution):
-    """``(substituted, d_fix, d_gen, excess)`` of ``_table_terms`` of
-    ``true_d`` on ``q`` from its memoised anchored table."""
-    table = [part[None] for part in _moment_table(true_d, q.partition)]
-    return _table_terms(table, q.design_codebook.as_array(), [true_d])[0][:4]
 
 
 def report(

@@ -555,9 +555,8 @@ def _standard_member(d: Distribution):
     ``X`` following ``standard``, the law designed for ``d``: the zero-mean,
     unit-variance member of a Gaussian or Laplace law's family; a mixture
     itself while ``max(1, |mean|) <= 16 std``, else its components ``((m -
-    mean) / s, std_j / s)``, exact for ``s = 2**floor(log2 std)`` (the
-    widest ``std_j``'s if ``std`` underflows to 0).  Every member's spread
-    is thus at least 1/16.  TypeError for any other law."""
+    mean) / s, std_j / s)``, exact for ``s = 2**floor(log2 std)``.  Every
+    member's spread is thus at least 1/16.  TypeError for any other law."""
     if type(d) is Gaussian:
         return _STANDARD_GAUSSIAN, d.mean, d.std
     if type(d) is Laplace:
@@ -566,7 +565,7 @@ def _standard_member(d: Distribution):
         mean, std = d.mean, d.std
         if max(1.0, abs(mean)) <= 16.0 * std:
             return d, 0.0, 1.0
-        s = math.ldexp(1.0, math.frexp(std or max(sd for _, _, sd in d.components))[1] - 1)
+        s = math.ldexp(1.0, math.frexp(std)[1] - 1)
         member = GaussianMixture(tuple((w, (m - mean) / s, sd / s) for w, m, sd in d.components))
         return member, mean, s
     raise TypeError(f"cannot design a quantizer for {d!r}: only Gaussian, Laplace and "

@@ -432,16 +432,13 @@ def _separate_call_row(q, true_d):
         return float(np.sum(m2) - 2.0 * np.dot(d, m1) + np.dot(d * d, mass))
 
     def overload(a):
-        e, mass, m1, m2 = _anchored(true_d, p.edges())
-        variance = bias = 0.0
-        for i in (0, p.n_bins - 1):
-            if mass[i] <= 0.0:
-                continue
-            g = m1[i] / mass[i]
-            s = a[i] - (e[i] + g)
-            variance += mass[i] * (m2[i] / mass[i] - g * g)
-            bias += mass[i] * s * (s + 2.0 * (((e[i] + g) - e[i]) - g))
-        return variance + bias
+        # d_gen and excess of the two outer bins, formed as _table_terms forms them.
+        e, mass, m1, m2 = (part[[0, -1]] for part in _anchored(true_d, p.edges()))
+        g = gen[[0, -1]]
+        offset, shift = g - e, a[[0, -1]] - g
+        u = offset - np.divide(m1, mass, out=np.zeros_like(m1), where=mass >= ZERO_MASS_TOL)
+        variance = float(np.sum(m2) - 2.0 * np.dot(offset, m1) + np.dot(offset * offset, mass))
+        return variance + float(np.dot(mass, shift * (shift + 2.0 * u)))
 
     subst = tuple(np.flatnonzero(empty).tolist())
     return distortion(design), distortion(gen), overload(design), overload(gen), subst, gen
@@ -457,6 +454,15 @@ _SHARED_CASES = [
     (Gaussian(0, 1), Gaussian(40.0, 0.5), (2, 5)),
 ]
 
+_GENERATIVE_OVERLOAD_PAIRS = [
+    (Gaussian(0, 1), Gaussian(0, 2)),
+    (Laplace(0.0, math.sqrt(0.5)), Laplace(0.0, 1.0)),
+    (MIX_DESIGN, MIX_TRUE),
+    (Gaussian(0, 1), Laplace(0.3, 0.8)),
+    (Laplace(0.0, 1.0), Gaussian(-0.2, 1.3)),
+    (Gaussian(0, 1), Gaussian(8.0, 0.1)),
+]
+
 
 class TestSharedMomentTable:
     """One moment table per row gives the numbers of separate calls, bit for bit."""
@@ -470,6 +476,38 @@ class TestSharedMomentTable:
             assert (r.d_total_fix, r.d_total_gen) == (d_fix, d_gen)
             assert (r.d_overload_fix, r.d_overload_gen) == (over_fix, over_gen)
 
+    @staticmethod
+    def _outer_bin_loop(p, a, true_d):
+        """The split as a loop over the two outer bins, skipping an empty one:
+        the conditional variance ``mass (J_2 / J_0 - g^2)`` and the bias
+        ``mass s (s + 2 u)``, ``g = J_1 / J_0``, ``s = a - (e + g)``."""
+        e, mass, m1, m2 = _anchored(true_d, p.edges())
+        variance = bias = 0.0
+        for i in (0, p.n_bins - 1):
+            if mass[i] < ZERO_MASS_TOL:
+                continue
+            g = m1[i] / mass[i]
+            mean = e[i] + g
+            s = a[i] - mean
+            variance += mass[i] * (m2[i] / mass[i] - g * g)
+            bias += mass[i] * s * (s + 2.0 * ((mean - e[i]) - g))
+        return variance, bias
+
+    @pytest.mark.parametrize("design_d, true_d, bits", _SHARED_CASES + [
+        (design_d, true_d, range(1, 13)) for design_d, true_d in _GENERATIVE_OVERLOAD_PAIRS])
+    def test_overload_split_is_the_outer_bin_loop(self, design_d, true_d, bits):
+        # Summed as _table_terms sums every table, the split moves off the
+        # loop's rounding only, and an empty outer bin adds nothing to either.
+        for b in bits:
+            q = lloyd_max_design(design_d, b)
+            gen = generative_codebook(q.partition, true_d, fallback=q.design_codebook)
+            for c in (q.design_codebook, gen):
+                split = overload_split(q.partition, c, true_d)
+                variance, bias = self._outer_bin_loop(q.partition, c.as_array(), true_d)
+                assert split.variance_part == pytest.approx(variance, rel=1e-14, abs=0.0), b
+                assert split.bias_part == pytest.approx(bias, rel=1e-14, abs=0.0), b
+            assert split.bias_part == 0.0, b
+
     @pytest.mark.parametrize("design_d, true_d, bits", _SHARED_CASES)
     def test_report_matches_separate_calls(self, design_d, true_d, bits):
         for b in bits:
@@ -480,14 +518,7 @@ class TestSharedMomentTable:
             codebook = generative_codebook(q.partition, true_d, fallback=q.design_codebook)
             assert codebook.as_array().tobytes() == gen.tobytes()
 
-    @pytest.mark.parametrize("design_d, true_d", [
-        (Gaussian(0, 1), Gaussian(0, 2)),
-        (Laplace(0.0, math.sqrt(0.5)), Laplace(0.0, 1.0)),
-        (MIX_DESIGN, MIX_TRUE),
-        (Gaussian(0, 1), Laplace(0.3, 0.8)),
-        (Laplace(0.0, 1.0), Gaussian(-0.2, 1.3)),
-        (Gaussian(0, 1), Gaussian(8.0, 0.1)),
-    ])
+    @pytest.mark.parametrize("design_d, true_d", _GENERATIVE_OVERLOAD_PAIRS)
     def test_generative_overload_is_the_fixed_variance_part(self, design_d, true_d):
         # The generative codebook's outer entries are the outer bins'
         # conditional means, so its split has no bias part, and the sweep's

@@ -656,6 +656,28 @@ class TestMixtureMoments:
         assert d.variance == pytest.approx(want, rel=1e-14, abs=0.0)
         assert d.std == pytest.approx(math.sqrt(want), rel=1e-14, abs=0.0)
 
+    def test_spread_is_exact_at_every_scale(self):
+        # Squared unscaled, these spreads underflowed: the first law's std
+        # read 0.0, the second's 9.99994e-161.
+        pair = GaussianMixture(((0.5, -1e-170, 1e-170), (0.5, 1e-170, 1e-170)))
+        assert pair.std == pytest.approx(math.sqrt(2.0) * 1e-170, rel=1e-15, abs=0.0)
+        assert GaussianMixture(((1.0, 0.0, 1e-160),)).std == 1e-160
+        # Offsets far wider than the spreads square without overflow.
+        wide = GaussianMixture(((0.5, -1e100, 1e-60), (0.5, 1e100, 1e-60)))
+        assert wide.std == 1e100 and wide.variance == 1e200
+
+    def test_spread_is_bit_for_bit_the_central_sum_in_range(self):
+        rng = np.random.default_rng(3701)
+        for _ in range(200):
+            k = int(rng.integers(1, 6))
+            w = rng.dirichlet(np.ones(k))
+            w[-1] = 1.0 - float(np.sum(w[:-1]))
+            m, s = rng.normal(0.0, 3.0, k), rng.uniform(0.05, 4.0, k)
+            d = GaussianMixture(tuple(zip(w.tolist(), m.tolist(), s.tolist())))
+            mu = d.mean
+            want = sum(wi * (si * si + (mi - mu) * (mi - mu)) for wi, mi, si in d.components)
+            assert (d.variance, d.std) == (want, math.sqrt(want))
+
 
 class TestConfigRoundTrip:
     @pytest.mark.parametrize(

@@ -853,15 +853,17 @@ class TestNewtonStepSolve:
 
     def test_a_zero_pivot_rejects_only_its_own_runs_step(self):
         # The singular system of test_singular_system_returns_none as the
-        # second of three blocks.
+        # second of four blocks.  The third, one threshold, takes the
+        # per-block fallback's division: dgtsv rejects a 1x1 system.
         rng = np.random.default_rng(2701)
-        layout, f, t, mass, c, r, damping = self._blocks(rng, [3, 2, 4])
+        layout, f, t, mass, c, r, damping = self._blocks(rng, [3, 2, 1, 4])
         f[3:5], t[3:5], r[3:5], damping[1] = 1.0, (0.0, 1.0), 1.0, 0.0
         mass[4:7], c[4:7] = 0.5, (-1.0, 0.0, 2.0)
         step, solved = _damped_newton_steps(f, t, mass, c, r, damping, layout)
         want = self._per_block(layout, f, t, mass, c, r, damping)
-        assert solved.tolist() == [True, False, True] and want[1] is None
-        assert np.array_equal(step[:3], want[0]) and np.array_equal(step[5:], want[2])
+        assert solved.tolist() == [True, False, True, True] and want[1] is None
+        assert np.array_equal(step[:3], want[0]) and np.array_equal(step[5:6], want[2])
+        assert np.array_equal(step[6:], want[3])
         assert np.isnan(step[3:5]).all()
 
     def test_one_bit_mixture_design_takes_newton_steps(self, monkeypatch):
